@@ -134,17 +134,6 @@ def xi2_min_finite_polarization(n: int, p: float, theta0: float) -> tuple[float,
     return xi2, theta_min
 
 
-def xi2_max_finite_polarization(n: int, p: float, theta0: float) -> tuple[float, float]:
-    """Anti-squeezed branch of the exact minimization (larger root)."""
-    a, b, d = _twist_terms(n, p, theta0)
-    half_a = 0.5 * a
-    xi2 = (1.0 + half_a + math.hypot(half_a, b)) / d
-    theta_max = 0.5 * math.atan2(b, half_a) + math.pi / 2.0
-    if theta_max >= math.pi:
-        theta_max -= math.pi
-    return xi2, theta_max
-
-
 # ---------------------------------------------------------------------------
 # small-angle approximations and their optima
 # ---------------------------------------------------------------------------
@@ -182,8 +171,7 @@ def xi2_theta_approx_angle(n: int, p: float, theta0: float, theta) -> float:
     """
     if theta0 <= 0.0:
         raise DomainError("theta0 > 0 required by the small-angle expansion")
-    xi2_min = (1.0 / p) * (1.0 / (p * p * 16.0 * n * n * theta0 * theta0)
-                           + (32.0 / 3.0) * n * n * theta0 ** 4)
+    xi2_min = xi2_min_approx(n, p, 1.0, theta0)
     height = 1.0 / p + 16.0 * (n - 1) * (n - 2) * p * theta0 * theta0 - xi2_min
     th = as_angle(theta)
     return xi2_min + height * (1.0 - math.cos(2.0 * (th - 8.0 * theta0)))
@@ -243,7 +231,12 @@ def _squeezing_regime(n: int, p: float, rates: DecoherenceRates, coupling: float
     e = math.exp(theta)
     deco = gs * gs * e * e / (p * p * 4.0 * n * n * coupling ** 2 * theta * theta)
     over = (2.0 / 3.0) * n * n * coupling ** 4 * theta ** 4 / gs ** 4
-    ratio = over / deco
+    return _regime(over / deco)
+
+
+def _regime(ratio: float) -> str:
+    """Flag for an over-squeezing / decoherence term ratio: below 0.01 the
+    decoherence term dominates, above 100 the over-squeezing term does."""
     if ratio < 0.01:
         return DECOHERENCE_DOMINATED
     if ratio > 100.0:
@@ -448,8 +441,7 @@ def sensitivity(
         return 0.0
     pref = 2.0 ** 1.5 * n * n * coupling * coupling * p ** 3 / gs ** 2.5
     shape = theta ** 1.5 * math.exp(-3.0 * theta) * (-math.expm1(-theta))
-    corr = denom_coeff * p * p * n ** 4 * coupling ** 6 * theta ** 6 \
-        * math.exp(-2.0 * theta) / gs ** 6
+    corr = sensitivity_denominator_correction(theta, n, p, rates, coupling, denom_coeff)
     return pref * shape / (1.0 + corr)
 
 
@@ -509,14 +501,8 @@ def max_sensitivity(
     theta, sens = optimize_scalar(
         lambda th: sensitivity(th, n, p, rates, coupling, denom_coeff), cfg, "max"
     )
-    corr = sensitivity_denominator_correction(theta, n, p, rates, coupling, denom_coeff)
-    if corr < 0.01:
-        flag = DECOHERENCE_DOMINATED
-    elif corr > 100.0:
-        flag = OVERSQUEEZING_DOMINATED
-    else:
-        flag = MIXED
-    return theta, sens, flag
+    return theta, sens, _regime(
+        sensitivity_denominator_correction(theta, n, p, rates, coupling, denom_coeff))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from .inhomogeneous import (
     monte_carlo_mean_xi2,
     suppression_report,
 )
-from .verify import SUITES, run_suite
+from .verify import SUITES, run_suite, suite_inputs
 
 FMT = "{:.17g}"
 
@@ -239,7 +239,9 @@ def cmd_metrology(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    kwargs = {"seed": args.seed}
+    kwargs = {}
+    if args.seed is not None:
+        kwargs["seed"] = args.seed
     if args.n is not None:
         kwargs["n"] = args.n
     if args.n_range:
@@ -249,6 +251,11 @@ def cmd_verify(args) -> int:
             raise ValidationError(["--n-range expects lo..hi"])
         kwargs["n_range"] = range(lo, hi + 1)
     suites = list(SUITES) if args.suite == "all" else [args.suite]
+    ignored = [key for key in kwargs if not any(key in suite_inputs(s) for s in suites)]
+    if ignored:
+        flags = ", ".join("--" + key.replace("_", "-") for key in ignored)
+        print(f"note: verify {args.suite} does not read {flags}; ignored", file=sys.stderr)
+    kwargs.setdefault("seed", int(os.environ.get("OAT_SEED", "0")))
     reports = [run_suite(name, **kwargs) for name in suites]
     payload = reports[0] if len(reports) == 1 else {
         "suite": "all", "reports": reports,
@@ -352,7 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared_flags(ve)
     ve.add_argument("--n-range", type=str, default=None, dest="n_range",
                     help="lo..hi spin range for the factorization table")
-    ve.set_defaults(func=cmd_verify)
+    # seed None = not given: cmd_verify notes a seed the suite does not read
+    # and falls back to OAT_SEED or 0
+    ve.set_defaults(func=cmd_verify, seed=None)
 
     mc = sub.add_parser("inhomo-mc",
                         help="disorder Monte Carlo (CSV + JSON summary)")

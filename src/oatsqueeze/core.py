@@ -12,6 +12,7 @@ dedicated oracle test).
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -74,6 +75,16 @@ class ProtocolParams:
     def __post_init__(self):
         if self.total_time is None:
             object.__setattr__(self, "total_time", self.squeeze_time)
+
+
+@contextlib.contextmanager
+def text_output(out):
+    """Yield a writable text stream: ``out`` itself, or a file opened at path ``out``."""
+    if isinstance(out, (str, bytes)):
+        with open(out, "w", encoding="utf-8") as fh:
+            yield fh
+    else:
+        yield out
 
 
 def theta_big(rates: DecoherenceRates, squeeze_time: float) -> float:

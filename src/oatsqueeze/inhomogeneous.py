@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, NumericalError, ValidationError, as_angle
+from .core import DomainError, NumericalError, ValidationError, as_angle, text_output
 
 ALPHA_CONCENTRATED = 1e15  # alpha at or above this samples exactly theta0
 _DEGENERATE_FRACTION = 1e-12  # |B| <= this (per spin) is a degenerate denominator
@@ -303,6 +303,8 @@ class MonteCarloResult:
     analytic average (which is itself a ratio of expectations).
     ``mean_of_ratios`` is the plain sample mean of the per-sample ratios;
     the two differ by a ratio-nonlinearity bias of order Var(B)/B^2.
+    ``values`` holds the kept ratios in sample order; ``rejected_indices``
+    names the sample indices that were dropped.
     """
 
     mean: float
@@ -313,6 +315,7 @@ class MonteCarloResult:
     n_rejected: int
     master_seed: int
     values: np.ndarray | None = None
+    rejected_indices: tuple[int, ...] = ()
 
     def summary(self) -> dict:
         return {
@@ -322,6 +325,7 @@ class MonteCarloResult:
             "stderr_of_ratios": self.stderr_of_ratios,
             "n_samples": self.n_samples,
             "n_rejected": self.n_rejected,
+            "rejected_indices": list(self.rejected_indices),
             "seed": self.master_seed,
         }
 
@@ -337,19 +341,19 @@ def monte_carlo_mean_xi2(
     rejections raises NumericalError.
     """
     nums, dens, ratios = [], [], []
-    rejected = 0
+    rejected = []
     for idx in range(spec.n_samples):
         coup = sample_couplings(spec, n, idx)
         a_norm, b_norm = quadrature_components(coup, pols, theta)
         if abs(b_norm) <= _DEGENERATE_FRACTION:
-            rejected += 1
+            rejected.append(idx)
             continue
         nums.append(a_norm)
         dens.append(b_norm)
         ratios.append(a_norm / b_norm)
-    if rejected > 0.01 * spec.n_samples:
+    if len(rejected) > 0.01 * spec.n_samples:
         raise NumericalError(
-            f"{rejected}/{spec.n_samples} samples had a degenerate denominator"
+            f"{len(rejected)}/{spec.n_samples} samples had a degenerate denominator"
         )
     num = np.array(nums)
     den = np.array(dens)
@@ -366,28 +370,26 @@ def monte_carlo_mean_xi2(
         stderr_ratios = float(ratio.std(ddof=1) / math.sqrt(kept))
     return MonteCarloResult(
         mean, stderr, float(ratio.mean()), stderr_ratios,
-        spec.n_samples, rejected, spec.master_seed,
-        ratio if keep_values else None,
+        spec.n_samples, len(rejected), spec.master_seed,
+        ratio if keep_values else None, tuple(rejected),
     )
 
 
 def mc_to_csv(result: MonteCarloResult, out) -> None:
-    """Per-sample CSV (sample_index, xi2) with a trailing summary row."""
+    """Per-sample CSV (sample_index, xi2) with a trailing summary row.
+
+    Rows carry the true sample index, so rejected samples leave gaps.
+    """
     if result.values is None:
         raise ValueError("monte_carlo_mean_xi2 must be called with keep_values=True")
-    close = False
-    if isinstance(out, (str, bytes)):
-        out = open(out, "w", encoding="utf-8")
-        close = True
-    try:
-        out.write("sample_index,xi2\n")
-        for idx, val in enumerate(result.values):
-            out.write(f"{idx},{val:.17g}\n")
-        out.write(f"# summary mean={result.mean:.17g} stderr={result.stderr:.17g} "
-                  f"n_rejected={result.n_rejected} seed={result.master_seed}\n")
-    finally:
-        if close:
-            out.close()
+    rejected = set(result.rejected_indices)
+    kept = (i for i in range(result.n_samples) if i not in rejected)
+    with text_output(out) as fh:
+        fh.write("sample_index,xi2\n")
+        for idx, val in zip(kept, result.values):
+            fh.write(f"{idx},{val:.17g}\n")
+        fh.write(f"# summary mean={result.mean:.17g} stderr={result.stderr:.17g} "
+                 f"n_rejected={result.n_rejected} seed={result.master_seed}\n")
 
 
 def mc_summary_json(result: MonteCarloResult, extra: dict | None = None) -> str:

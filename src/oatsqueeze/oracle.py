@@ -13,11 +13,17 @@ closed form in :mod:`oatsqueeze.analytic` and
 * an exact per-site dephasing channel,
 * collective quadrature moments, pair correlations and trace distance.
 
-Pauli operators act through bit manipulations on the basis indices (site
-0 is the most significant bit): sigma_x flips a bit, sigma_z attaches the
-bit sign, sigma_y both.  Each term of the master equation is then a
-single vectorized numpy operation over the 4**n matrix entries, which
-keeps the integrator fast without any sparse machinery.
+Every public ``DensityMatrix`` is in the z basis (site 0 is the most
+significant bit of a basis index; bit value 0 is spin up).  Dynamics run in
+one internal collective-x frame, entered and left through ``_x_frame``,
+the Hadamard on every site, which is its own inverse.  In that frame
+sigma_x is diagonal, so the twisting Hamiltonian, the sigma_x channel and
+the trace counterterm of the master equation form a single elementwise
+factor; the sigma_y and sigma_z channels and the probe field are strided
+adds over the matrix viewed per bit.  Moments are read from the z-basis
+matrix by index gather: <A_k B_l> = sum_b c(b) rho[b, b ^ e_k ^ e_l] with
+c = 1 for sigma_x and i*z(b) for sigma_y, which touches O(n^2 2**n)
+entries instead of forming operator products.
 
 The oracle exists to validate formulas, not to scale: everything is dense
 and the spin count is capped at ``SPIN_CAP``.
@@ -39,7 +45,9 @@ from .core import (
     ResourceError,
     ValidationError,
     as_angle,
+    text_output,
 )
+from .inhomogeneous import CouplingMatrix
 
 SPIN_CAP = 12
 
@@ -50,11 +58,11 @@ RESYMMETRIZE_EVERY = 100  # steps between rho <- (rho + rho^dag)/2
 
 
 # ---------------------------------------------------------------------------
-# per-site Pauli actions as index tricks
+# per-site tables and the collective-x frame
 # ---------------------------------------------------------------------------
 
 class _SiteOps:
-    """Cached per-n tables: bit signs, Hamming weights, Hadamard transform."""
+    """Cached per-n tables: bit signs and pairwise Hamming distances."""
 
     def __init__(self, n: int):
         self.n = n
@@ -79,64 +87,27 @@ def _site_ops(n: int) -> _SiteOps:
     return _SITE_CACHE[n]
 
 
-def _flip_rows(rho: np.ndarray, site: int, n: int) -> np.ndarray:
-    """View of sigma_x^site @ rho (row bit flipped)."""
-    dim = 1 << n
-    lead = 1 << site
-    trail = dim >> (site + 1)
-    return rho.reshape(lead, 2, trail, dim)[:, ::-1].reshape(dim, dim)
+def _x_frame(rho: np.ndarray) -> np.ndarray:
+    """W rho W with W the Hadamard on every site; W is its own inverse.
 
-
-def _flip_cols(rho: np.ndarray, site: int, n: int) -> np.ndarray:
-    """View of rho @ sigma_x^site (column bit flipped)."""
-    dim = 1 << n
-    lead = 1 << site
-    trail = dim >> (site + 1)
-    return rho.reshape(dim, lead, 2, trail)[:, :, ::-1].reshape(dim, dim)
-
-
-def _flip_both(rho: np.ndarray, site: int, n: int) -> np.ndarray:
-    """View of sigma_x^site rho sigma_x^site."""
-    dim = 1 << n
-    lead = 1 << site
-    trail = dim >> (site + 1)
-    r = rho.reshape(lead, 2, trail, lead, 2, trail)
-    return r[:, ::-1, :, :, ::-1, :].reshape(dim, dim)
-
-
-def _sx_left(rho: np.ndarray, n: int) -> np.ndarray:
-    """SX @ rho with SX = sum_i sigma_x^i."""
-    out = _flip_rows(rho, 0, n).copy()
-    for i in range(1, n):
-        out += _flip_rows(rho, i, n)
+    Applied as an unnormalized butterfly on each of the 2n bits of the
+    flattened index (n row bits, then n column bits), followed by one exact
+    power-of-two rescale.  Returns a new C-contiguous complex array.
+    """
+    out = np.array(rho, dtype=complex, order="C")
+    flat = out.reshape(-1)
+    scratch = np.empty(flat.size // 2, dtype=complex)
+    lead = 1
+    while lead < flat.size:
+        pair = flat.reshape(lead, 2, -1)
+        lo, hi = pair[:, 0], pair[:, 1]
+        diff = scratch.reshape(lo.shape)
+        np.subtract(lo, hi, out=diff)
+        lo += hi
+        hi[...] = diff
+        lead *= 2
+    out /= out.shape[0]
     return out
-
-
-def _sx_right(rho: np.ndarray, n: int) -> np.ndarray:
-    out = _flip_cols(rho, 0, n).copy()
-    for i in range(1, n):
-        out += _flip_cols(rho, i, n)
-    return out
-
-
-def _sy_left(rho: np.ndarray, n: int, ops: _SiteOps) -> np.ndarray:
-    """SY @ rho; sigma_y^i rho = -1j * z_i[a] * rho[a xor e_i, b]."""
-    out = np.zeros_like(rho)
-    for i in range(n):
-        out += (-1j * ops.z_signs[i])[:, None] * _flip_rows(rho, i, n)
-    return out
-
-
-def _sy_right(rho: np.ndarray, n: int, ops: _SiteOps) -> np.ndarray:
-    """rho @ SY; rho sigma_y^i = +1j * z_i[b] * rho[a, b xor e_i]."""
-    out = np.zeros_like(rho)
-    for i in range(n):
-        out += _flip_cols(rho, i, n) * (1j * ops.z_signs[i])[None, :]
-    return out
-
-
-def _sz_left(rho: np.ndarray, n: int, ops: _SiteOps) -> np.ndarray:
-    return (ops.z_signs.sum(axis=0))[:, None] * rho
 
 
 # ---------------------------------------------------------------------------
@@ -186,22 +157,26 @@ def build_initial_state(params: EnsembleParams, cap: int = SPIN_CAP) -> DensityM
     trace is exactly one.  P = 0 (maximally mixed) is allowed here even
     though the squeezing formulas reject it.
     """
-    n = params.n_spins
+    return _product_state(params.polarization, params.n_spins, cap)
+
+
+def _product_state(polarizations, n: int, cap: int = SPIN_CAP) -> DensityMatrix:
+    """Product of (I + P_i sz)/2; ``polarizations`` is a scalar or one P per spin."""
     if n < 1:
         raise ValidationError(["n_spins >= 1"])
-    if not (0.0 <= params.polarization <= 1.0):
+    pols = np.asarray(polarizations, dtype=float)
+    if pols.ndim == 0:
+        pols = np.full(n, float(pols))
+    if pols.shape != (n,):
+        raise ValidationError(["polarizations must be scalar or length n_spins"])
+    if not np.all((pols >= 0.0) & (pols <= 1.0)):
         raise ValidationError(["polarization in [0, 1] for state preparation"])
-    return _product_state(np.full(n, params.polarization), cap)
-
-
-def _product_state(pols: np.ndarray, cap: int = SPIN_CAP) -> DensityMatrix:
-    n = len(pols)
     if n > cap:
         raise ResourceError(f"n_spins = {n} exceeds dense-oracle cap {cap}")
     diag = np.array([1.0])
     for p in pols:
         diag = np.kron(diag, np.array([(1.0 + p) / 2.0, (1.0 - p) / 2.0]))
-    return DensityMatrix(np.diag(diag).astype(complex), n)
+    return DensityMatrix(np.diag(diag.astype(complex)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -262,58 +237,52 @@ class CollectiveMoments:
         return self.second_moment(theta) / self.mean_z
 
 
-def _pauli_rowop(alpha: str, rho: np.ndarray, site: int, n: int, ops: _SiteOps) -> np.ndarray:
-    """sigma_alpha^site @ rho for alpha in 'xyz' (possibly as a view)."""
-    if alpha == "x":
-        return _flip_rows(rho, site, n)
-    if alpha == "y":
-        return (-1j * ops.z_signs[site])[:, None] * _flip_rows(rho, site, n)
-    return ops.z_signs[site][:, None] * rho
+def _pair_table(n: int, k, l, upper, lower) -> np.ndarray:
+    table = np.zeros((n, n))
+    table[k, l] = upper
+    table[l, k] = lower
+    return table
 
 
 def compute_moments(state: DensityMatrix, pair_correlations: bool = False) -> CollectiveMoments:
-    """Collective first/second moments (and optional pair tables) of a state."""
+    """Collective first/second moments (and optional pair tables) of a state.
+
+    Valid for any matrix (the result is trace-linear): <O> is tr(rho O),
+    read by gathering the entries rho[b, b ^ mask] that O couples.
+    """
     rho = state.entries
     n = state.n_spins
-    ops = _site_ops(n)
+    z = _site_ops(n).z_signs
+    idx = np.arange(state.dim)
+    bit = 1 << np.arange(n - 1, -1, -1)  # e_k for site k
+    k, l = np.triu_indices(n, 1)
 
-    mean_x = sum(np.trace(_flip_rows(rho, i, n)) for i in range(n))
-    mean_y = sum(np.trace(_pauli_rowop("y", rho, i, n, ops)) for i in range(n))
-    mean_z = np.sum(ops.z_signs.sum(axis=0) * np.real(np.diagonal(rho)))
+    pops = np.real(np.diagonal(rho))
+    site_z = z @ pops
+    single = rho[idx, idx ^ bit[:, None]]             # [k, b] = rho[b, b ^ e_k]
+    pair = rho[idx, idx ^ (bit[k] | bit[l])[:, None]]  # [p, b] = rho[b, b ^ e_k ^ e_l]
 
-    sx_rho = _sx_left(rho, n)
-    sy_rho = _sy_left(rho, n, ops)
-    xx2 = sum(np.trace(_flip_rows(sx_rho, i, n)) for i in range(n))
-    yy2 = sum(np.trace(_pauli_rowop("y", sy_rho, i, n, ops)) for i in range(n))
-    xy = sum(np.trace(_flip_rows(sy_rho, i, n)) for i in range(n))
-    yx = sum(np.trace(_pauli_rowop("y", sx_rho, i, n, ops)) for i in range(n))
+    pxx = pair.real.sum(axis=1)                        # <sx_k sx_l>
+    pxy = -np.sum(z[l] * pair.imag, axis=1)            # <sx_k sy_l>
+    pyx = -np.sum(z[k] * pair.imag, axis=1)            # <sy_k sx_l> = <sx_l sy_k>
+    pyy = -np.sum(z[k] * z[l] * pair.real, axis=1)     # <sy_k sy_l>
+    n_trace = n * pops.sum()
 
-    pxx = pxy = pyx = pyy = site_z = None
+    tables = [None] * 5
     if pair_correlations:
-        site_z = ops.z_signs @ np.real(np.diagonal(rho))
-        pxx = np.zeros((n, n))
-        pxy = np.zeros((n, n))
-        pyx = np.zeros((n, n))
-        pyy = np.zeros((n, n))
-        for l in range(n):
-            x_l = np.asarray(_pauli_rowop("x", rho, l, n, ops))
-            y_l = np.asarray(_pauli_rowop("y", rho, l, n, ops))
-            for k in range(n):
-                if k == l:
-                    continue
-                pxx[k, l] = np.real(np.trace(_pauli_rowop("x", x_l, k, n, ops)))
-                pxy[k, l] = np.real(np.trace(_pauli_rowop("x", y_l, k, n, ops)))
-                pyx[k, l] = np.real(np.trace(_pauli_rowop("y", x_l, k, n, ops)))
-                pyy[k, l] = np.real(np.trace(_pauli_rowop("y", y_l, k, n, ops)))
+        tables = [_pair_table(n, k, l, pxx, pxx), _pair_table(n, k, l, pxy, pyx),
+                  _pair_table(n, k, l, pyx, pxy), _pair_table(n, k, l, pyy, pyy),
+                  site_z]
     return CollectiveMoments(
-        float(np.real(mean_x)), float(np.real(mean_y)), float(np.real(mean_z)),
-        float(np.real(xx2)), float(np.real(yy2)), float(np.real(xy + yx)),
-        pxx, pxy, pyx, pyy, site_z,
+        float(single.real.sum()), float(-np.sum(z * single.imag)), float(site_z.sum()),
+        float(n_trace + 2.0 * pxx.sum()), float(n_trace + 2.0 * pyy.sum()),
+        float(2.0 * (pxy.sum() + pyx.sum())),
+        *tables,
     )
 
 
 # ---------------------------------------------------------------------------
-# Lindblad generator and RK4 integration
+# Lindblad generator and RK4 integration (in the collective-x frame)
 # ---------------------------------------------------------------------------
 
 def lindblad_rhs(
@@ -332,39 +301,58 @@ def lindblad_rhs(
     drops out of the commutator).  Dissipator: per-site sigma_x channel at
     gamma_par and sigma_y/sigma_z channels at gamma_perp, with the
     trace-preserving counterterm N*(gamma_par + 2*gamma_perp)*rho.  Signal
-    part: -i*B_y*[SY, rho].
+    part: -i*B_y*[SY, rho].  Evaluated in the collective-x frame; the
+    result is returned in the z basis.
     """
-    rhs = _raw_rhs(
-        state.entries,
-        state.n_spins,
+    n = state.n_spins
+    gamma_perp = rates.gamma_perp if include_dissipator else 0.0
+    diag = _frame_diagonal(
+        n,
         proto.coupling if include_hamiltonian else 0.0,
         rates.gamma_par if include_dissipator else 0.0,
-        rates.gamma_perp if include_dissipator else 0.0,
-        proto.signal_field if include_signal else 0.0,
-        _site_ops(state.n_spins),
+        gamma_perp,
     )
-    return DensityMatrix(rhs, state.n_spins)
+    rhs = _raw_rhs(_x_frame(state.entries), n, diag, gamma_perp,
+                   proto.signal_field if include_signal else 0.0)
+    return DensityMatrix(_x_frame(rhs), n)
 
 
-def _raw_rhs(rho, n, coupling, gamma_par, gamma_perp, signal_field, ops):
-    out = np.zeros_like(rho)
-    if coupling != 0.0:
-        out += (-1j * coupling) * (_sx_left(_sx_left(rho, n), n)
-                                   - _sx_right(_sx_right(rho, n), n))
-    if gamma_par != 0.0 or gamma_perp != 0.0:
-        for i in range(n):
-            flipped = _flip_both(rho, i, n)
-            if gamma_par != 0.0:
-                out += gamma_par * flipped
-            if gamma_perp != 0.0:
-                # sigma_y rho sigma_y = z_i[a] z_i[b] * (sigma_x rho sigma_x)
-                zi = ops.z_signs[i]
-                out += gamma_perp * (zi[:, None] * flipped * zi[None, :])
+def _frame_diagonal(n, coupling, gamma_par, gamma_perp) -> np.ndarray:
+    """Elementwise part of the generator in the x frame.
+
+    With sigma_x -> z_i and h_a = (sum_i z_i[a])^2 the eigenvalue of SX^2:
+    -iJ (h_a - h_b) + gamma_par sum_i z_i[a] z_i[b] - n (gamma_par + 2 gamma_perp).
+    """
+    ops = _site_ops(n)
+    h = ops.z_signs.sum(axis=0) ** 2
+    return (-1j * coupling) * np.subtract.outer(h, h) \
+        + (gamma_par * ops.z_conj_weight - n * (gamma_par + 2.0 * gamma_perp))
+
+
+def _raw_rhs(rho, n, diag, gamma_perp, signal_field):
+    """Generator in the x frame: ``diag * rho`` plus the per-site strided terms.
+
+    sigma_y and sigma_z conjugation together move rho[a ^ e_i, b ^ e_i] to
+    (a, b) with weight 1 + z_i[a] z_i[b]: doubled where bit i agrees in a
+    and b, zero elsewhere.  The probe -iB[SY, rho] becomes +iB[SY, rho]
+    (W sigma_y W = -sigma_y), i.e. B z_i[a] rho[a ^ e_i, b] on rows and
+    B z_i[b] rho[a, b ^ e_i] on columns.
+    """
+    out = diag * rho
+    dim = 1 << n
+    for i in range(n):
+        lead, trail = 1 << i, dim >> (i + 1)
         if gamma_perp != 0.0:
-            out += gamma_perp * ops.z_conj_weight * rho
-        out -= n * (gamma_par + 2.0 * gamma_perp) * rho
-    if signal_field != 0.0:
-        out += (-1j * signal_field) * (_sy_left(rho, n, ops) - _sy_right(rho, n, ops))
+            src = rho.reshape(lead, 2, trail, lead, 2, trail)
+            dst = out.reshape(lead, 2, trail, lead, 2, trail)
+            dst[:, 0, :, :, 0] += (2.0 * gamma_perp) * src[:, 1, :, :, 1]
+            dst[:, 1, :, :, 1] += (2.0 * gamma_perp) * src[:, 0, :, :, 0]
+        if signal_field != 0.0:
+            for shape in ((lead, 2, trail * dim), (dim * lead, 2, trail)):  # rows, columns
+                src = rho.reshape(shape)
+                dst = out.reshape(shape)
+                dst[:, 0] += signal_field * src[:, 1]
+                dst[:, 1] -= signal_field * src[:, 0]
     return out
 
 
@@ -381,7 +369,6 @@ class IntegratorConfig:
     dt: float
     t_final: float
     checkpoint_every: int = 0  # 0: checkpoints only at t=0 and t_final
-    method: str = "rk4"
 
     def steps(self) -> int:
         if not (self.dt > 0.0 and self.t_final >= self.dt):
@@ -401,23 +388,16 @@ class Trajectory:
 
     def to_csv(self, out, thetas=()) -> None:
         """Write checkpoints as CSV: t, means, second moments, trace, purity."""
-        close = False
-        if isinstance(out, (str, bytes)):
-            out = open(out, "w", encoding="utf-8")
-            close = True
-        try:
+        with text_output(out) as fh:
             cols = ["t", "mean_x", "mean_y", "mean_z"]
             cols += [f"second_moment_theta={th:.10g}" for th in thetas]
             cols += ["trace", "purity"]
-            out.write(",".join(cols) + "\n")
+            fh.write(",".join(cols) + "\n")
             for t, mom, tr, pur in zip(self.times, self.moments, self.traces, self.purities):
                 row = [t, mom.mean_x, mom.mean_y, mom.mean_z]
                 row += [mom.second_moment(th) for th in thetas]
                 row += [tr, pur]
-                out.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        finally:
-            if close:
-                out.close()
+                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def evolve(
@@ -433,26 +413,27 @@ def evolve(
 ) -> Trajectory:
     """Integrate the master equation with fixed-step RK4.
 
-    Checkpoints record collective moments, trace and purity; hermiticity
-    and trace are verified at every checkpoint and the state is
-    re-symmetrized every ``RESYMMETRIZE_EVERY`` steps to damp float drift.
-    A positivity violation beyond tolerance raises NumericalError naming
-    the offending time.
+    The state is integrated in the collective-x frame and converted back
+    to the z basis at checkpoints, which record collective moments, trace
+    and purity; hermiticity and trace are verified at every checkpoint and
+    the state is re-symmetrized every ``RESYMMETRIZE_EVERY`` steps to damp
+    float drift.  A positivity violation beyond tolerance raises
+    NumericalError naming the offending time.  ``final`` is the z-basis
+    state at t_final.
     """
-    if cfg.method != "rk4":
-        raise ValidationError([f"unknown integrator method {cfg.method!r}"])
     n = state.n_spins
-    ops = _site_ops(n)
     n_steps = cfg.steps()
     dt = cfg.t_final / n_steps
     every = cfg.checkpoint_every if cfg.checkpoint_every > 0 else n_steps
 
-    j = proto.coupling if include_hamiltonian else 0.0
-    gp = rates.gamma_par if include_dissipator else 0.0
     gt = rates.gamma_perp if include_dissipator else 0.0
     by = proto.signal_field if include_signal else 0.0
-
-    rho = state.entries.astype(complex).copy()
+    diag = _frame_diagonal(
+        n,
+        proto.coupling if include_hamiltonian else 0.0,
+        rates.gamma_par if include_dissipator else 0.0,
+        gt,
+    )
     traj = Trajectory()
 
     def checkpoint(t, r):
@@ -462,19 +443,21 @@ def evolve(
         traj.moments.append(compute_moments(dm))
         traj.traces.append(float(np.real(np.trace(r))))
         traj.purities.append(dm.purity())
+        traj.final = dm
 
+    rho = state.entries.astype(complex)
     checkpoint(0.0, rho)
+    rho = _x_frame(rho)
     for step in range(1, n_steps + 1):
-        k1 = _raw_rhs(rho, n, j, gp, gt, by, ops)
-        k2 = _raw_rhs(rho + 0.5 * dt * k1, n, j, gp, gt, by, ops)
-        k3 = _raw_rhs(rho + 0.5 * dt * k2, n, j, gp, gt, by, ops)
-        k4 = _raw_rhs(rho + dt * k3, n, j, gp, gt, by, ops)
+        k1 = _raw_rhs(rho, n, diag, gt, by)
+        k2 = _raw_rhs(rho + 0.5 * dt * k1, n, diag, gt, by)
+        k3 = _raw_rhs(rho + 0.5 * dt * k2, n, diag, gt, by)
+        k4 = _raw_rhs(rho + dt * k3, n, diag, gt, by)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if step % RESYMMETRIZE_EVERY == 0:
             rho = (rho + rho.conj().T) / 2.0
         if step % every == 0 or step == n_steps:
-            checkpoint(step * dt, rho)
-    traj.final = DensityMatrix(rho, n)
+            checkpoint(step * dt, _x_frame(rho))
     return traj
 
 
@@ -482,60 +465,35 @@ def evolve(
 # exact variable-coupling unitary (diagonal in the collective x basis)
 # ---------------------------------------------------------------------------
 
-def _hadamard_all(n: int) -> np.ndarray:
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    w = np.array([[1.0]])
-    for _ in range(n):
-        w = np.kron(w, h)
-    return w
-
-
 def coupling_phases(theta: np.ndarray) -> np.ndarray:
     """Eigenphases s^T theta s of the ordered-pair twisting generator."""
     n = theta.shape[0]
-    s = _site_ops(n).z_signs.T  # [a, i] = sigma_x eigenvalue after Hadamard
+    s = _site_ops(n).z_signs.T  # [a, i] = sigma_x eigenvalue in the x frame
     return np.einsum("ai,ij,aj->a", s, theta, s)
 
 
-def evolve_variable_coupling(couplings, polarizations, cap: int = SPIN_CAP) -> CollectiveMoments:
-    """Exact moments after U = prod_{i != j} exp(-i theta_ij sx_i sx_j).
+def variable_coupling_state(couplings, polarizations, cap: int = SPIN_CAP) -> DensityMatrix:
+    """Product state after U = prod_{i != j} exp(-i theta_ij sx_i sx_j).
 
     ``couplings`` is a symmetric zero-diagonal matrix of pair angles (or an
     object with a ``theta`` attribute holding one); ``polarizations`` is a
-    scalar P or one value per spin.  All factors commute, so U is applied
-    as a single product: in the collective x basis it is the diagonal
-    phase exp(-i s^T theta s) over sign configurations s.
+    scalar P or one value per spin, each in [0, 1].  All factors commute,
+    so U is a single diagonal phase exp(-i s^T theta s) in the x frame:
+    rho' = X(phase * X(rho0) * phase^*) with X the frame change.
     """
-    theta = np.asarray(getattr(couplings, "theta", couplings), dtype=float)
-    if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
-        raise ValidationError(["couplings must be a square matrix"])
+    theta = CouplingMatrix(getattr(couplings, "theta", couplings)).theta
     n = theta.shape[0]
-    if n > cap:
-        raise ResourceError(f"n_spins = {n} exceeds dense-oracle cap {cap}")
-    if not np.array_equal(theta, theta.T):
-        raise ValidationError(["couplings must be symmetric: theta_ij = theta_ji"])
-    if np.any(np.diagonal(theta) != 0.0):
-        raise ValidationError(["couplings must have zero diagonal"])
-
-    pols = np.asarray(polarizations, dtype=float)
-    if pols.ndim == 0:
-        pols = np.full(n, float(pols))
-    if pols.shape != (n,):
-        raise ValidationError(["polarizations must be scalar or length n_spins"])
-
-    w = _hadamard_all(n)
+    rho = _x_frame(_product_state(polarizations, n, cap).entries)
     phase = np.exp(-1j * coupling_phases(theta))
-    if np.all(pols == 1.0):
-        # pure |0...0>: psi' = W (phase * (W psi)), and W|0...0> is uniform
-        psi = w @ (w[:, 0] * phase)
-        rho = np.outer(psi, psi.conj())
-    else:
-        diag = np.array([1.0])
-        for p in pols:
-            diag = np.kron(diag, np.array([(1.0 + p) / 2.0, (1.0 - p) / 2.0]))
-        u = (w * phase[None, :]) @ w  # U = W diag(phase) W
-        rho = (u * diag[None, :]) @ u.conj().T
-    return compute_moments(DensityMatrix(rho, n), pair_correlations=True)
+    rho *= phase[:, None]
+    rho *= phase.conj()[None, :]
+    return DensityMatrix(_x_frame(rho), n)
+
+
+def evolve_variable_coupling(couplings, polarizations, cap: int = SPIN_CAP) -> CollectiveMoments:
+    """Exact moments and pair tables of ``variable_coupling_state``."""
+    return compute_moments(variable_coupling_state(couplings, polarizations, cap),
+                           pair_correlations=True)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .oracle import (
     factorization_gap,
     lindblad_rhs,
     simulate_metrology,
+    variable_coupling_state,
 )
 
 SUITES = (
@@ -67,7 +68,7 @@ def _random_couplings(rng, n, loc=0.05, scale=0.1):
 
 # ---------------------------------------------------------------------------
 
-def suite_lindblad(n: int = 6, seed: int = 0) -> dict:
+def suite_lindblad(n: int = 6) -> dict:
     """Master-equation properties: trace/hermiticity/positivity, decay rate,
     dt convergence, energy conservation, and the uniform-coupling cross-check."""
     n = min(n, 8)
@@ -130,7 +131,7 @@ def suite_lindblad(n: int = 6, seed: int = 0) -> dict:
     return _finish("lindblad", checks)
 
 
-def suite_factorization(n_range=range(2, 7), seed: int = 0) -> dict:
+def suite_factorization(n_range=range(2, 7)) -> dict:
     """Joint vs factorized evolution: exact-split limits and gap tables.
 
     Asserts that the per-spin gap decreases at fixed N*J*T and the raw gap
@@ -215,7 +216,7 @@ def suite_variable_coupling(n_max: int = 6, trials: int = 100, seed: int = 0) ->
     return _finish("variable_coupling", checks, trials=trials)
 
 
-def suite_uniform_coupling(n_max: int = 10, seed: int = 0) -> dict:
+def suite_uniform_coupling(n_max: int = 10) -> dict:
     """Uniform-coupling closed form vs the exact unitary over a grid."""
     n_max = min(n_max, 12)
     worst_theta = 0.0
@@ -258,14 +259,7 @@ def suite_dephasing(n: int = 6, seed: int = 0) -> dict:
     for p0 in (1.0, 0.7):
         theta = np.full((n, n), 0.05)
         np.fill_diagonal(theta, 0.0)
-        diag = np.array([1.0])
-        for _ in range(n):
-            diag = np.kron(diag, np.array([(1 + p0) / 2, (1 - p0) / 2]))
-        from .oracle import _hadamard_all, coupling_phases  # dense construction
-        w = _hadamard_all(n)
-        phase = np.exp(-1j * coupling_phases(theta))
-        u = (w * phase[None, :]) @ w
-        rho = DensityMatrix((u * diag[None, :]) @ u.conj().T, n)
+        rho = variable_coupling_state(theta, p0)
         mom0 = compute_moments(rho)
         p_state = mom0.mean_z / n
         worst_exact = 0.0
@@ -297,7 +291,7 @@ def suite_dephasing(n: int = 6, seed: int = 0) -> dict:
     return _finish("dephasing", checks, **deviations)
 
 
-def suite_metrology(n: int = 4, seed: int = 0) -> dict:
+def suite_metrology() -> dict:
     """Probe-field linear response vs the effective-field and SNR forms."""
     checks = []
 
@@ -367,7 +361,7 @@ def suite_metrology(n: int = 4, seed: int = 0) -> dict:
     return _finish("metrology", checks)
 
 
-def suite_constants(seed: int = 0) -> dict:
+def suite_constants() -> dict:
     """Independently computed optimum coefficients vs the quoted values.
 
     Passes when the derived values are internally consistent with direct
@@ -422,21 +416,27 @@ def suite_constants(seed: int = 0) -> dict:
     return _finish("constants", checks, constants=table)
 
 
+# suite -> (function, {run_suite keyword: parameter it sets}); a suite
+# reads only the keywords listed for it
 _SUITE_FUNCS = {
-    "lindblad": lambda args: suite_lindblad(n=args.get("n", 6), seed=args.get("seed", 0)),
-    "factorization": lambda args: suite_factorization(
-        n_range=args.get("n_range", range(2, 7)), seed=args.get("seed", 0)),
-    "variable_coupling": lambda args: suite_variable_coupling(
-        n_max=args.get("n", 6), trials=args.get("trials", 100), seed=args.get("seed", 0)),
-    "uniform_coupling": lambda args: suite_uniform_coupling(
-        n_max=args.get("n", 10), seed=args.get("seed", 0)),
-    "dephasing": lambda args: suite_dephasing(n=args.get("n", 6), seed=args.get("seed", 0)),
-    "metrology": lambda args: suite_metrology(n=args.get("n", 4), seed=args.get("seed", 0)),
-    "constants": lambda args: suite_constants(seed=args.get("seed", 0)),
+    "lindblad": (suite_lindblad, {"n": "n"}),
+    "factorization": (suite_factorization, {"n_range": "n_range"}),
+    "variable_coupling": (suite_variable_coupling,
+                          {"n": "n_max", "trials": "trials", "seed": "seed"}),
+    "uniform_coupling": (suite_uniform_coupling, {"n": "n_max"}),
+    "dephasing": (suite_dephasing, {"n": "n", "seed": "seed"}),
+    "metrology": (suite_metrology, {}),
+    "constants": (suite_constants, {}),
 }
+
+
+def suite_inputs(name: str) -> tuple[str, ...]:
+    """The run_suite keywords that suite ``name`` reads; it ignores all others."""
+    return tuple(_SUITE_FUNCS[name][1])
 
 
 def run_suite(name: str, **kwargs) -> dict:
     if name not in _SUITE_FUNCS:
         raise ValueError(f"unknown verification suite {name!r}; choose from {SUITES}")
-    return _SUITE_FUNCS[name](kwargs)
+    func, inputs = _SUITE_FUNCS[name]
+    return func(**{param: kwargs[key] for key, param in inputs.items() if key in kwargs})

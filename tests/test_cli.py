@@ -232,3 +232,18 @@ def test_config_file_unknown_key(tmp_path):
     cfg.write_text("frobnicate = 3\n")
     rc = main(["squeeze-curve", "--config", str(cfg), "--sweep", "t:0.5:5:10:lin"])
     assert rc == 1
+
+
+def test_verify_notes_flags_the_suite_does_not_read(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", "factorization", "--seed", "3", "--n-range", "2..3",
+                 "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "--seed" in err and "--n-range" not in err
+    assert len(err.splitlines()) == 1
+    assert main(["verify", "variable_coupling", "--seed", "3", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("seed = 5\n")
+    assert main(["verify", "constants", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "--seed" in capsys.readouterr().err

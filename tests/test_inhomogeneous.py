@@ -11,6 +11,7 @@ from oatsqueeze.inhomogeneous import (
     ALPHA_CONCENTRATED,
     CouplingMatrix,
     DisorderSpec,
+    MonteCarloResult,
     mc_summary_json,
     mc_to_csv,
     mean_xi2_analytic,
@@ -272,3 +273,17 @@ def test_mc_csv_and_json_exports():
     assert payload["n_samples"] == 20
     assert payload["seed"] == 2
     assert "analytic_mean" in payload
+
+
+def test_mc_csv_numbers_rows_by_true_sample_index():
+    # regression: rows after a rejected sample were numbered by position
+    result = MonteCarloResult(mean=1.3, stderr=0.1, mean_of_ratios=1.3,
+                              stderr_of_ratios=0.1, n_samples=3, n_rejected=1,
+                              master_seed=4, values=np.array([1.25, 1.5]),
+                              rejected_indices=(1,))
+    buf = io.StringIO()
+    mc_to_csv(result, buf)
+    lines = buf.getvalue().strip().splitlines()
+    assert lines[1:3] == ["0,1.25", "2,1.5"]
+    assert lines[-1].startswith("# summary mean=")
+    assert result.summary()["rejected_indices"] == [1]

@@ -26,7 +26,45 @@ from oatsqueeze.oracle import (
     lindblad_rhs,
     simulate_metrology,
     trace_distance,
+    variable_coupling_state,
 )
+
+PAULIS = {
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def kron_site(alpha, i, n):
+    """sigma_alpha on site i of n as a dense Kronecker product (site 0 leftmost).
+
+    Shares no code with the oracle's frame change or index gathers, so it
+    serves as an independent reference for them.
+    """
+    out = np.eye(1, dtype=complex)
+    for j in range(n):
+        out = np.kron(out, PAULIS[alpha] if j == i else np.eye(2))
+    return out
+
+
+def kron_collective(alpha, n):
+    return sum(kron_site(alpha, i, n) for i in range(n))
+
+
+def _expm(a):
+    """Matrix exponential by scaling and squaring of a truncated Taylor series."""
+    norm = np.linalg.norm(a, 1)
+    squarings = max(0, int(np.ceil(np.log2(norm / 0.5)))) if norm > 0.0 else 0
+    a = a / 2.0 ** squarings
+    term = np.eye(len(a), dtype=complex)
+    out = term.copy()
+    for k in range(1, 20):  # ||a|| <= 1/2: remainder below 1e-24
+        term = term @ a / k
+        out += term
+    for _ in range(squarings):
+        out = out @ out
+    return out
 
 
 def uniform_couplings(n, theta0):
@@ -101,6 +139,57 @@ def test_rhs_is_traceless():
                        ProtocolParams(coupling=0.2, squeeze_time=1.0, signal_field=0.3),
                        include_signal=True)
     assert abs(np.trace(rhs.entries)) < 1e-13
+
+
+def test_rhs_matches_kronecker_generator():
+    # every term on, probe included, against dense Kronecker-product operators
+    coupling, gamma_par, gamma_perp, field = 0.3, 0.05, 0.1, 0.2
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 4):
+        dim = 1 << n
+        sx, sy = kron_collective("x", n), kron_collective("y", n)
+        ham = coupling * sx @ sx + field * sy
+        general = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        for rho in (random_density_matrix(rng, n).entries, general):
+            want = -1j * (ham @ rho - rho @ ham)
+            for i in range(n):
+                for alpha, gamma in (("x", gamma_par), ("y", gamma_perp), ("z", gamma_perp)):
+                    op = kron_site(alpha, i, n)
+                    want += gamma * (op @ rho @ op - rho)
+            got = lindblad_rhs(DensityMatrix(rho, n), EnsembleParams(n, 1.0),
+                               DecoherenceRates(gamma_par, gamma_perp),
+                               ProtocolParams(coupling=coupling, squeeze_time=1.0,
+                                              signal_field=field),
+                               include_signal=True)
+            assert np.max(np.abs(got.entries - want)) <= 1e-12, f"n={n}"
+
+
+def test_moments_match_kronecker_expectations():
+    # every field of compute_moments against tr(O rho) with Kronecker-built O,
+    # on density matrices and on traceless Hermitian matrices (RHS-like input)
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 3, 4, 5):
+        dim = 1 << n
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        a = a + a.conj().T
+        traceless = a - np.trace(a) / dim * np.eye(dim)
+        site = {alpha: [kron_site(alpha, i, n) for i in range(n)] for alpha in "xyz"}
+        sx, sy, sz = (sum(site[alpha]) for alpha in "xyz")
+        for rho in (random_density_matrix(rng, n).entries, traceless):
+            def ev(op):
+                return float(np.real(np.trace(op @ rho)))
+
+            mom = compute_moments(DensityMatrix(rho, n), pair_correlations=True)
+            want = {"mean_x": ev(sx), "mean_y": ev(sy), "mean_z": ev(sz),
+                    "xx2": ev(sx @ sx), "yy2": ev(sy @ sy), "xy_sym": ev(sx @ sy + sy @ sx)}
+            for name, value in want.items():
+                assert abs(getattr(mom, name) - value) <= 1e-12, f"n={n} {name}"
+            assert np.max(np.abs(mom.site_z - [ev(op) for op in site["z"]])) <= 1e-12
+            for name, (alpha, beta) in (("pair_xx", "xx"), ("pair_xy", "xy"),
+                                        ("pair_yx", "yx"), ("pair_yy", "yy")):
+                table = np.array([[0.0 if k == l else ev(site[alpha][k] @ site[beta][l])
+                                   for l in range(n)] for k in range(n)])
+                assert np.max(np.abs(getattr(mom, name) - table)) <= 1e-12, f"n={n} {name}"
 
 
 def test_rhs_conserves_twisting_energy():
@@ -232,6 +321,23 @@ def test_variable_coupling_closed_form_tables():
             assert abs(mom.pair_xx[k, l]) < 1e-12
 
 
+def test_variable_coupling_state_matches_kronecker_unitary():
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 3, 4):
+        theta = rng.normal(0.05, 0.12, size=(n, n))
+        theta = (theta + theta.T) / 2.0
+        np.fill_diagonal(theta, 0.0)
+        gen = sum(theta[i, j] * kron_site("x", i, n) @ kron_site("x", j, n)
+                  for i in range(n) for j in range(n) if i != j) + np.zeros((1 << n, 1 << n))
+        u = _expm(-1j * gen)
+        for pols in (np.ones(n), rng.uniform(0.0, 1.0, size=n)):
+            rho0 = np.eye(1)
+            for p in pols:
+                rho0 = np.kron(rho0, np.diag([(1.0 + p) / 2.0, (1.0 - p) / 2.0]))
+            got = variable_coupling_state(theta, pols)
+            assert np.max(np.abs(got.entries - u @ rho0 @ u.conj().T)) <= 1e-12, f"n={n}"
+
+
 def test_variable_coupling_validation():
     bad = np.zeros((3, 3))
     bad[0, 1] = 0.1  # asymmetric
@@ -243,6 +349,16 @@ def test_variable_coupling_validation():
         evolve_variable_coupling(diag, 1.0)
     with pytest.raises(ResourceError):
         evolve_variable_coupling(np.zeros((5, 5)), 1.0, cap=4)
+
+
+def test_variable_coupling_rejects_out_of_range_polarization():
+    # regression: P = 1.5 once produced mean_z = 4.5 for three spins
+    with pytest.raises(ValidationError):
+        evolve_variable_coupling(np.zeros((3, 3)), 1.5)
+    with pytest.raises(ValidationError):
+        evolve_variable_coupling(np.zeros((3, 3)), [1.0, -0.5, 0.5])
+    with pytest.raises(ValidationError):
+        evolve_variable_coupling(np.zeros((3, 3)), [1.0, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -344,43 +460,16 @@ def test_factorization_per_spin_gap_decreases():
     assert all(a > b for a, b in zip(per_spin, per_spin[1:]))
 
 
-def _expm(a):
-    """Matrix exponential by scaling and squaring of a truncated Taylor series."""
-    norm = np.linalg.norm(a, 1)
-    squarings = max(0, int(np.ceil(np.log2(norm / 0.5)))) if norm > 0.0 else 0
-    a = a / 2.0 ** squarings
-    term = np.eye(len(a), dtype=complex)
-    out = term.copy()
-    for k in range(1, 20):  # ||a|| <= 1/2: remainder below 1e-24
-        term = term @ a / k
-        out += term
-    for _ in range(squarings):
-        out = out @ out
-    return out
-
-
 def _exact_factorization_gap(n, njt, gamma_sum_t, t_final=1.0):
     """Trace distance of exp[T(L_H+L_D)] rho0 and exp[T L_H] exp[T L_D] rho0.
 
     Built from Kronecker-product Paulis and a dense Liouvillian in the
     row-major vectorization vec(A rho B) = (A kron B^T) vec(rho); shares no
-    code with the oracle's bit-trick RK4 integrator.
+    code with the oracle's RK4 integrator.
     """
-    paulis = {
-        "x": np.array([[0, 1], [1, 0]], dtype=complex),
-        "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-        "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    }
-
-    def site(op, i):
-        out = np.eye(1, dtype=complex)
-        for j in range(n):
-            out = np.kron(out, op if j == i else np.eye(2))
-        return out
-
     dim = 1 << n
     eye = np.eye(dim)
-    sx = sum(site(paulis["x"], i) for i in range(n))
+    sx = kron_collective("x", n)
     ham = (njt / (n * t_final)) * (sx @ sx - n * eye)
     l_ham = -1j * (np.kron(ham, eye) - np.kron(eye, ham.T))
 
@@ -389,8 +478,8 @@ def _exact_factorization_gap(n, njt, gamma_sum_t, t_final=1.0):
         return np.kron(op, op.conj()) - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
 
     gamma = gamma_sum_t / (2.0 * t_final)  # split evenly between the channels
-    l_diss = sum(gamma * lindblad(site(paulis["x"], i))
-                 + gamma * (lindblad(site(paulis["y"], i)) + lindblad(site(paulis["z"], i)))
+    l_diss = sum(gamma * lindblad(kron_site("x", i, n))
+                 + gamma * (lindblad(kron_site("y", i, n)) + lindblad(kron_site("z", i, n)))
                  for i in range(n))
     rho0 = np.zeros((dim, dim), dtype=complex)
     rho0[0, 0] = 1.0  # P = 1: every spin up along z
