@@ -40,9 +40,13 @@ from .inhomogeneous import (
     monte_carlo_mean_xi2,
     suppression_report,
 )
-from .verify import SUITES, run_suite, suite_inputs
+from .verify import SUITES, run_suite, suite_inputs, suite_sizes
 
 FMT = "{:.17g}"
+# flags and config keys that no verify suite reads; verify names any given
+_VERIFY_UNREAD = ("p", "j", "gamma_par", "gamma_perp", "t", "tau", "b_y", "theta0",
+                  "theta", "kappa", "alpha", "samples", "sweep", "format",
+                  "objective", "summary_out")
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +66,16 @@ def _read_config(path: str) -> dict[str, str]:
             key, value = (part.strip() for part in line.split("=", 1))
             out[key.replace("-", "_")] = value
     return out
+
+
+def _config_path(argv) -> str | None:
+    """The PATH of --config PATH or --config=PATH ('' if missing); None without one."""
+    for i, arg in enumerate(argv):
+        if arg.startswith("--config="):
+            return arg[len("--config="):]
+        if arg == "--config":
+            return argv[i + 1] if i + 1 < len(argv) else ""
+    return None
 
 
 def _parse_sweep(text: str):
@@ -140,6 +154,8 @@ def cmd_squeeze_curve(args) -> int:
     if sweep_name != "t":
         raise ValidationError(["squeeze-curve sweeps over t"])
     params, rates, proto = _bundle(args)
+    if proto.coupling <= 0.0:
+        raise ValidationError(["coupling > 0 required for a squeezing curve (--j)"])
     gs = rates.gamma_sum
     rows = []
     for t in values:
@@ -252,9 +268,20 @@ def cmd_verify(args) -> int:
         kwargs["n_range"] = range(lo, hi + 1)
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     ignored = [key for key in kwargs if not any(key in suite_inputs(s) for s in suites)]
+    ignored += [key for key in _VERIFY_UNREAD if getattr(args, key) is not None]
+    notes = []
     if ignored:
         flags = ", ".join("--" + key.replace("_", "-") for key in ignored)
-        print(f"note: verify {args.suite} does not read {flags}; ignored", file=sys.stderr)
+        notes.append(f"does not read {flags}; ignored")
+    clamped = []
+    for name in suites if "n" in kwargs else ():
+        sizes = suite_sizes(name, args.n)
+        if any(size != args.n for size in sizes):
+            clamped.append(f"{name} runs n={', '.join(map(str, sizes))}")
+    if clamped:
+        notes.append(f"--n {args.n} is clamped ({'; '.join(clamped)})")
+    if notes:
+        print(f"note: verify {args.suite} {'; '.join(notes)}", file=sys.stderr)
     kwargs.setdefault("seed", int(os.environ.get("OAT_SEED", "0")))
     reports = [run_suite(name, **kwargs) for name in suites]
     payload = reports[0] if len(reports) == 1 else {
@@ -359,9 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared_flags(ve)
     ve.add_argument("--n-range", type=str, default=None, dest="n_range",
                     help="lo..hi spin range for the factorization table")
-    # seed None = not given: cmd_verify notes a seed the suite does not read
-    # and falls back to OAT_SEED or 0
-    ve.set_defaults(func=cmd_verify, seed=None)
+    # None = not given: cmd_verify names a flag the suite does not read, and
+    # a seed falls back to OAT_SEED or 0
+    ve.set_defaults(func=cmd_verify, seed=None, **dict.fromkeys(_VERIFY_UNREAD))
 
     mc = sub.add_parser("inhomo-mc",
                         help="disorder Monte Carlo (CSV + JSON summary)")
@@ -376,13 +403,13 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     # first pass only to locate --config; defaults then come from the file
-    if "--config" in argv:
-        probe = argv[argv.index("--config") + 1: argv.index("--config") + 2]
-        if not probe:
+    path = _config_path(argv)
+    if path is not None:
+        if not path:
             print("error: --config requires a path", file=sys.stderr)
             return 1
         try:
-            file_values = _read_config(probe[0])
+            file_values = _read_config(path)
         except (OSError, ValidationError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -396,13 +423,17 @@ def main(argv=None) -> int:
             return 1
         converted = {}
         for key, value in file_values.items():
-            if key in ("n", "samples", "seed"):
-                converted[key] = int(value)
-            elif key in ("sweep", "out", "format", "summary_out", "objective",
-                         "n_range", "config", "suite", "subcommand"):
+            if key in ("sweep", "out", "format", "summary_out", "objective",
+                       "n_range", "config", "suite", "subcommand"):
                 converted[key] = value
-            else:
-                converted[key] = float(value)
+                continue
+            kind = int if key in ("n", "samples", "seed") else float
+            try:
+                converted[key] = kind(value)
+            except ValueError:
+                print(f"error: config key {key} = {value!r} is not {kind.__name__}",
+                      file=sys.stderr)
+                return 1
         for sub_action in parser._subparsers._group_actions:
             for sp in sub_action.choices.values():
                 sp.set_defaults(**converted)

@@ -20,11 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import _twist_terms
 from .core import DomainError, NumericalError, ValidationError, as_angle, text_output
 
 ALPHA_CONCENTRATED = 1e15  # alpha at or above this samples exactly theta0
 _DEGENERATE_FRACTION = 1e-12  # |B| <= this (per spin) is a degenerate denominator
-_TENSOR_PATH_MAX_N = 128  # above this, pair products run in O(N^2)-memory slabs
+# bytes of one Monte Carlo chunk of (S, N, N) couplings, and of one block of
+# the pair kernel: keeps its working set in L2 cache
+_CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -118,31 +121,74 @@ def _signed_logs(t: np.ndarray):
     return np.log(mag), np.where(t < 0.0, -1.0, 1.0), zero
 
 
-def _prod_over_axis0(t: np.ndarray) -> np.ndarray:
-    """Product over axis 0 in log-magnitude + sign form (underflow safe)."""
-    logs, signs, zeros = _signed_logs(t)
-    return np.where(zeros.any(axis=0), 0.0, signs.prod(axis=0) * np.exp(logs.sum(axis=0)))
+def _components(theta: np.ndarray, p: np.ndarray, th: float) -> tuple[np.ndarray, np.ndarray]:
+    """(A/N, B/N) of every coupling matrix in an (S, N, N) stack.
 
+    Each sample's arithmetic is independent of S and of the sample's
+    place in the stack, so a sample's values do not depend on chunking.
+    """
+    n_samples, n, _ = theta.shape
+    c = np.cos(4.0 * theta)
+    s = np.sin(4.0 * theta)
+    diag = np.arange(n)
+    c[:, diag, diag] = 1.0  # harmless identities in every product
+    s[:, diag, diag] = 0.0
 
-def _pair_products(c: np.ndarray, s: np.ndarray, k: int | None = None):
-    """prod_{j != k,l} (C_jk C_jl +/- S_jk S_jl) for all (k, l) or one k slab."""
-    if k is None:
-        plus = c[:, :, None] * c[:, None, :] + s[:, :, None] * s[:, None, :]
-        minus = c[:, :, None] * c[:, None, :] - s[:, :, None] * s[:, None, :]
-        n = c.shape[0]
-        ar = np.arange(n)
-        for t in (plus, minus):
-            t[ar, ar, :] = 1.0  # drop j = k
-            t[ar, :, ar] = 1.0  # drop j = l
-        return _prod_over_axis0(plus), _prod_over_axis0(minus)
-    plus = c[:, k, None] * c + s[:, k, None] * s    # [j, l]
-    minus = c[:, k, None] * c - s[:, k, None] * s
-    n = c.shape[0]
-    ar = np.arange(n)
-    for t in (plus, minus):
-        t[k, :] = 1.0
-        t[ar, ar] = 1.0
-    return _prod_over_axis0(plus), _prod_over_axis0(minus)
+    log_c, sign_c, zero_c = _signed_logs(c)
+    col_log = log_c.sum(axis=1)
+    col_sign = sign_c.prod(axis=1)
+    col_zeros = zero_c.sum(axis=1)
+
+    # B/N
+    col_prod = np.where(col_zeros > 0, 0.0, col_sign * np.exp(col_log))
+    # one dot per sample: a batched matrix product sums in an order that
+    # depends on S
+    b_norm = np.array([np.dot(p, row) for row in col_prod]) / n
+
+    # cross term: prod_{i != k,l} C_il from full-column accumulators
+    zeros_excl = col_zeros[:, None, :] - zero_c
+    log_excl = col_log[:, None, :] - log_c
+    sign_excl = col_sign[:, None, :] * sign_c
+    prod_excl = np.where(zeros_excl > 0, 0.0, sign_excl * np.exp(log_excl))
+    cross_sum = np.einsum("skl,skl,l->s", s, prod_excl, p)
+
+    # transverse pair term.  prod_{j != k,l} (C_jk C_jl +/- S_jk S_jl) is
+    # symmetric in (k, l), so only l > k is computed, for blocks of k sized
+    # by _CHUNK_BYTES, on a (j, +/-, sample, k, l) layout: the product over
+    # j is a sequential axis-0 reduction (the +/- axis gives each j at
+    # least two outputs; with one, numpy would sum pairwise).  It is a sum
+    # of logs, so cos^N factors cannot underflow; a zero factor has log
+    # -inf and makes the product 0.
+    ct = np.ascontiguousarray(c.transpose(1, 0, 2))
+    st = np.ascontiguousarray(s.transpose(1, 0, 2))
+    block = min(n - 1, max(1, _CHUNK_BYTES // (8 * n * n * n_samples)))
+    buf = np.empty(2 * n * n_samples * block * (n - 1))
+    diff = np.zeros_like(theta)
+    with np.errstate(divide="ignore"):
+        for k0 in range(0, n - 1, block):
+            ks = slice(k0, min(k0 + block, n - 1))
+            cc = ct[:, :, ks, None] * ct[:, :, None, k0 + 1:]
+            ss = st[:, :, ks, None] * st[:, :, None, k0 + 1:]
+            t = buf[:2 * cc.size].reshape(n, 2, *cc.shape[1:])
+            np.add(cc, ss, out=t[:, 0])
+            np.subtract(cc, ss, out=t[:, 1])
+            np.einsum("jasjl->asjl", t[ks])[...] = 1.0  # drop j = k
+            np.einsum("jaskj->askj", t[k0 + 1:])[...] = 1.0  # drop j = l
+            odd = np.logical_xor.reduce(t < 0.0, axis=0)  # parity of negative factors
+            np.log(np.abs(t, out=t), out=t)
+            prod = np.exp(t.sum(axis=0))
+            np.negative(prod, out=prod, where=odd)
+            d = prod[0] - prod[1]
+            for b in range(d.shape[1]):  # keep l > k of each row
+                diff[:, k0 + b, k0 + 1 + b:] = d[:, b, b:]
+                diff[:, k0 + 1 + b:, k0 + b] = d[:, b, b:]
+    weights = np.outer(p, p)
+    np.fill_diagonal(weights, 0.0)
+    yy_sum = np.array([np.einsum("kl,kl->", weights, d) for d in diff])  # as b_norm
+
+    sin_th = math.sin(th)
+    a_norm = 1.0 + (0.5 * sin_th * sin_th * yy_sum - math.sin(2.0 * th) * cross_sum) / n
+    return a_norm, b_norm
 
 
 def quadrature_components(couplings, pols, theta) -> tuple[float, float]:
@@ -157,8 +203,9 @@ def quadrature_components(couplings, pols, theta) -> tuple[float, float]:
         B/N = sum_k P_k prod_{j != k} C_jk / N
 
     and xi2(th) = A/B.  Products are accumulated in log-magnitude + sign
-    form so cos^N factors do not underflow at large N; the evaluation is
-    O(N^3) (full-tensor below _TENSOR_PATH_MAX_N spins, slab-wise above).
+    form so cos^N factors do not underflow at large N.  The evaluation is
+    O(N^3) time and O(N^2) memory; the Monte Carlo runs the same kernel on
+    stacks of samples.
     """
     th_mat = np.asarray(getattr(couplings, "theta", couplings), dtype=float)
     n = th_mat.shape[0]
@@ -166,45 +213,8 @@ def quadrature_components(couplings, pols, theta) -> tuple[float, float]:
         raise ValidationError(["n_spins >= 2 for pair couplings"])
     if not isinstance(couplings, CouplingMatrix):
         CouplingMatrix(th_mat)  # runs the symmetry/diagonal checks
-    p = _validate_pols(pols, n)
-    th = as_angle(theta)
-
-    c = np.cos(4.0 * th_mat)
-    s = np.sin(4.0 * th_mat)
-    np.fill_diagonal(c, 1.0)  # harmless identities in every product
-    np.fill_diagonal(s, 0.0)
-
-    log_c, sign_c, zero_c = _signed_logs(c)
-    col_log = log_c.sum(axis=0)
-    col_sign = sign_c.prod(axis=0)
-    col_zeros = zero_c.sum(axis=0)
-
-    # B/N
-    col_prod = np.where(col_zeros > 0, 0.0, col_sign * np.exp(col_log))
-    b_norm = float(np.dot(p, col_prod)) / n
-
-    # cross term: prod_{i != k,l} C_il from full-column accumulators
-    zeros_excl = col_zeros[None, :] - zero_c
-    log_excl = col_log[None, :] - np.where(zero_c, 0.0, log_c)
-    sign_excl = col_sign[None, :] * sign_c
-    prod_excl = np.where(zeros_excl > 0, 0.0, sign_excl * np.exp(log_excl))
-    cross_sum = float(np.einsum("kl,kl,l->", s, prod_excl, p))
-
-    # transverse pair term
-    weights = np.outer(p, p)
-    np.fill_diagonal(weights, 0.0)
-    if n <= _TENSOR_PATH_MAX_N:
-        prod_plus, prod_minus = _pair_products(c, s)
-        yy_sum = float(np.einsum("kl,kl->", weights, prod_plus - prod_minus))
-    else:
-        yy_sum = 0.0
-        for k in range(n):
-            prod_plus, prod_minus = _pair_products(c, s, k)
-            yy_sum += float(np.dot(weights[k], prod_plus - prod_minus))
-
-    sin_th = math.sin(th)
-    a_norm = 1.0 + (0.5 * sin_th * sin_th * yy_sum - math.sin(2.0 * th) * cross_sum) / n
-    return a_norm, b_norm
+    a_norm, b_norm = _components(th_mat[None], _validate_pols(pols, n), as_angle(theta))
+    return float(a_norm[0]), float(b_norm[0])
 
 
 def xi2_theta_couplings(couplings, pols, theta) -> float:
@@ -222,6 +232,23 @@ def xi2_theta_couplings(couplings, pols, theta) -> float:
 # sampling, Monte Carlo and the analytic average
 # ---------------------------------------------------------------------------
 
+def _coupling_stack(spec: DisorderSpec, n_spins: int, start: int, count: int) -> np.ndarray:
+    """(count, n, n) coupling angles of sample indices start .. start+count-1."""
+    theta = np.full((count, n_spins, n_spins), spec.theta0)
+    diag = np.arange(n_spins)
+    theta[:, diag, diag] = 0.0
+    if spec.alpha < ALPHA_CONCENTRATED:
+        rows, cols = np.triu_indices(n_spins, k=1)
+        draws = np.empty((count, len(rows)))
+        for i in range(count):
+            rng = np.random.default_rng((int(spec.master_seed), start + i))
+            rng.standard_normal(out=draws[i])
+        draws = spec.theta0 + spec.sample_std * draws
+        theta[:, rows, cols] = draws
+        theta[:, cols, rows] = draws
+    return theta
+
+
 def sample_couplings(spec: DisorderSpec, n_spins: int, sample_index: int) -> CouplingMatrix:
     """Draw one coupling matrix; deterministic in (master_seed, sample_index).
 
@@ -232,15 +259,7 @@ def sample_couplings(spec: DisorderSpec, n_spins: int, sample_index: int) -> Cou
     """
     if n_spins < 2:
         raise ValidationError(["n_spins >= 2"])
-    theta = np.full((n_spins, n_spins), spec.theta0)
-    np.fill_diagonal(theta, 0.0)
-    if spec.alpha < ALPHA_CONCENTRATED:
-        rng = np.random.default_rng((int(spec.master_seed), int(sample_index)))
-        iu = np.triu_indices(n_spins, k=1)
-        draws = spec.theta0 + spec.sample_std * rng.standard_normal(len(iu[0]))
-        theta[iu] = draws
-        theta[(iu[1], iu[0])] = draws
-    return CouplingMatrix(theta)
+    return CouplingMatrix(_coupling_stack(spec, n_spins, int(sample_index), 1)[0])
 
 
 def suppression_report(spec: DisorderSpec, n: int) -> tuple[float, float, bool]:
@@ -271,27 +290,10 @@ def mean_xi2_analytic(spec: DisorderSpec, n: int, theta, suppression: bool = Tru
     both to one, which is also the disorder-free limit and then agrees
     exactly with the uniform-coupling closed form.
     """
-    if n < 2:
-        raise ValidationError(["n_spins >= 2"])
+    a, b, d = _twist_terms(n, 1.0, spec.theta0)
     th = as_angle(theta)
-    t0 = spec.theta0
-    c4 = math.cos(4.0 * t0)
-    if c4 <= 0.0:
-        raise DomainError("cos(4*theta0) <= 0: outside the supported domain")
     sp, ss = (suppression_report(spec, n)[:2]) if suppression else (1.0, 1.0)
-    m = n - 2
-    log_c4 = math.log1p(-2.0 * math.sin(2.0 * t0) ** 2)
-    c8 = math.cos(8.0 * t0)
-    if c8 > 0.0:
-        one_minus_c8m = -math.expm1(m * math.log1p(-2.0 * math.sin(4.0 * t0) ** 2))
-    else:
-        mag = math.exp(m * math.log(-c8)) if c8 < 0.0 else 0.0
-        one_minus_c8m = 1.0 - (-mag if m % 2 else mag)
-    num = 1.0 \
-        + 0.5 * math.sin(th) ** 2 * (n - 1) * sp * one_minus_c8m \
-        - math.sin(2.0 * th) * (n - 1) * ss * math.sin(4.0 * t0) * math.exp(m * log_c4)
-    den = math.exp((n - 1) * log_c4) * ss
-    return num / den
+    return (1.0 + math.sin(th) ** 2 * sp * a - math.sin(2.0 * th) * ss * b) / (d * ss)
 
 
 @dataclass(frozen=True)
@@ -335,29 +337,33 @@ def monte_carlo_mean_xi2(
 ) -> MonteCarloResult:
     """Monte Carlo disorder average of the quadrature ratio.
 
-    Samples are drawn and reduced in index order, so results are
-    bit-reproducible for a fixed (master_seed, n_samples).  Draws with a
-    degenerate denominator are rejected and counted; more than 1%
+    Samples are drawn from per-index streams and evaluated in chunks of
+    _CHUNK_BYTES, so results are bit-reproducible for a fixed
+    (master_seed, n_samples), and each sample's value equals
+    xi2_theta_couplings(sample_couplings(spec, n, index), ...).  Draws with
+    a degenerate denominator are rejected and counted; more than 1%
     rejections raises NumericalError.
     """
-    nums, dens, ratios = [], [], []
-    rejected = []
-    for idx in range(spec.n_samples):
-        coup = sample_couplings(spec, n, idx)
-        a_norm, b_norm = quadrature_components(coup, pols, theta)
-        if abs(b_norm) <= _DEGENERATE_FRACTION:
-            rejected.append(idx)
-            continue
-        nums.append(a_norm)
-        dens.append(b_norm)
-        ratios.append(a_norm / b_norm)
+    if n < 2:
+        raise ValidationError(["n_spins >= 2"])
+    p = _validate_pols(pols, n)
+    th = as_angle(theta)
+    a_norm = np.empty(spec.n_samples)
+    b_norm = np.empty(spec.n_samples)
+    chunk = max(1, _CHUNK_BYTES // (8 * n * n))
+    for start in range(0, spec.n_samples, chunk):
+        stop = min(start + chunk, spec.n_samples)
+        a_norm[start:stop], b_norm[start:stop] = _components(
+            _coupling_stack(spec, n, start, stop - start), p, th)
+    degenerate = np.abs(b_norm) <= _DEGENERATE_FRACTION
+    rejected = np.flatnonzero(degenerate).tolist()
     if len(rejected) > 0.01 * spec.n_samples:
         raise NumericalError(
             f"{len(rejected)}/{spec.n_samples} samples had a degenerate denominator"
         )
-    num = np.array(nums)
-    den = np.array(dens)
-    ratio = np.array(ratios)
+    num = a_norm[~degenerate]
+    den = b_norm[~degenerate]
+    ratio = num / den
     kept = len(ratio)
     mean = float(num.mean() / den.mean())
     if kept < 2:

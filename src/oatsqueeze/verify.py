@@ -43,6 +43,21 @@ SUITES = (
 )
 
 
+# largest spin counts a suite runs (the dense oracle is 4^n in memory); a
+# larger requested n is clamped to them
+_N_CAPS = {
+    "lindblad": (8, 4, 5),  # main checks, polarization decay, twisting energy
+    "variable_coupling": (12,),
+    "uniform_coupling": (12,),
+    "dephasing": (6,),
+}
+
+
+def suite_sizes(name: str, n: int) -> tuple[int, ...]:
+    """The spin counts suite ``name`` runs when asked for ``n`` (its n_max)."""
+    return tuple(min(n, cap) for cap in _N_CAPS.get(name, ()))
+
+
 def _check(name, value, tolerance, passed=None, **context):
     if passed is None:
         passed = bool(value <= tolerance)
@@ -70,11 +85,14 @@ def _random_couplings(rng, n, loc=0.05, scale=0.1):
 
 def suite_lindblad(n: int = 6) -> dict:
     """Master-equation properties: trace/hermiticity/positivity, decay rate,
-    dt convergence, energy conservation, and the uniform-coupling cross-check."""
-    n = min(n, 8)
+    dt convergence, energy conservation, and the uniform-coupling cross-check.
+
+    Runs at most 8 spins, and at most 4 and 5 in the decay and energy checks
+    (``suite_sizes``)."""
+    n, n_decay, n_energy = suite_sizes("lindblad", n)
     checks = []
 
-    params = EnsembleParams(min(n, 4), 0.9)
+    params = EnsembleParams(n_decay, 0.9)
     rates = DecoherenceRates(0.03, 0.07)
     proto = ProtocolParams(coupling=0.0, squeeze_time=5.0)
     cfg = IntegratorConfig(dt=0.01, t_final=5.0, checkpoint_every=100)
@@ -114,7 +132,7 @@ def suite_lindblad(n: int = 6) -> dict:
     checks.append(_check("maximally_mixed_fixed_point",
                          float(np.max(np.abs(rhs.entries))), 1e-13))
 
-    params = EnsembleParams(min(n, 5), 1.0)
+    params = EnsembleParams(n_energy, 1.0)
     proto = ProtocolParams(coupling=0.05, squeeze_time=1.0)
     cfg = IntegratorConfig(dt=0.002, t_final=1.0, checkpoint_every=100)
     traj = evolve(build_initial_state(params), cfg, params, DecoherenceRates(), proto)
@@ -177,7 +195,7 @@ def suite_factorization(n_range=range(2, 7)) -> dict:
 
 def suite_variable_coupling(n_max: int = 6, trials: int = 100, seed: int = 0) -> dict:
     """Closed-form moments and quadrature ratio vs the exact pair unitary."""
-    n_max = min(n_max, 12)
+    (n_max,) = suite_sizes("variable_coupling", n_max)
     rng = np.random.default_rng(seed)
     worst = {"site_polarization": 0.0, "pair_xx_zero": 0.0, "pair_yy": 0.0,
              "pair_xy": 0.0, "quadrature_ratio": 0.0}
@@ -218,7 +236,7 @@ def suite_variable_coupling(n_max: int = 6, trials: int = 100, seed: int = 0) ->
 
 def suite_uniform_coupling(n_max: int = 10) -> dict:
     """Uniform-coupling closed form vs the exact unitary over a grid."""
-    n_max = min(n_max, 12)
+    (n_max,) = suite_sizes("uniform_coupling", n_max)
     worst_theta = 0.0
     worst_min = 0.0
     angles = np.linspace(0.0, math.pi, 16, endpoint=False)
@@ -251,7 +269,7 @@ def suite_dephasing(n: int = 6, seed: int = 0) -> dict:
     1 - (P - xi2) s^2, which is nonzero for any twisted state because the
     quoted normalization drops a 1/P factor.
     """
-    n = min(n, 6)
+    (n,) = suite_sizes("dephasing", n)
     rng = np.random.default_rng(seed)
     checks = []
     surviving = (0.0, 0.3, math.exp(-1.0), 1.0)

@@ -227,6 +227,37 @@ def test_verify_defaults_independent_of_other_subcommands(tmp_path):
     assert json.loads(out.read_text())["passed"] is True
 
 
+def test_squeeze_curve_without_coupling_exits_1(capsys):
+    # regression: the default --j 0 ended in a ZeroDivisionError traceback
+    rc = main(["squeeze-curve", "--n", "10", "--p", "0.9", "--sweep", "t:0.1:1:3:lin"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "coupling" in err
+
+
+def test_config_equals_form_is_read(tmp_path, capsys):
+    # regression: --config=PATH was silently ignored
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 100\nj = 1e-3\nsweep = t:0.5:5:10:lin\n")
+    split, joined = tmp_path / "split.csv", tmp_path / "joined.csv"
+    assert main(["squeeze-curve", "--config", str(cfg), "--out", str(split)]) == 0
+    assert main(["squeeze-curve", f"--config={cfg}", "--out", str(joined)]) == 0
+    assert joined.read_bytes() == split.read_bytes()
+    cfg.write_text("n = 10\n")  # no coupling: a one-line validation error
+    assert main(["squeeze-curve", f"--config={cfg}", "--sweep", "t:0.1:1:3:lin"]) == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_config_non_numeric_value_exits_1(tmp_path, capsys):
+    # regression: a non-numeric value ended in a ValueError traceback
+    cfg = tmp_path / "bad.cfg"
+    for line in ("n = abc\n", "p = high\n"):
+        cfg.write_text(line)
+        assert main(["squeeze-curve", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and line.split()[0] in err
+
+
 def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("frobnicate = 3\n")
@@ -247,3 +278,21 @@ def test_verify_notes_flags_the_suite_does_not_read(tmp_path, capsys):
     cfg.write_text("seed = 5\n")
     assert main(["verify", "constants", "--config", str(cfg), "--out", str(out)]) == 0
     assert "--seed" in capsys.readouterr().err
+    # closed-form flags and config keys are named too; the exit code stays
+    cfg.write_text("gamma-perp = 0.1\nobjective = metrology\n")
+    assert main(["verify", "constants", "--p", "0.3", "--j", "5", "--samples", "10",
+                 "--format", "csv", "--config", str(cfg), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    for flag in ("--p", "--j", "--samples", "--format", "--gamma-perp", "--objective"):
+        assert flag + "," in err or flag + ";" in err
+
+
+def test_verify_notes_clamped_spin_count(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", "dephasing", "--n", "9", "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "--n 9" in err and "dephasing runs n=6" in err
+    assert main(["verify", "dephasing", "--n", "4", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""

@@ -1,11 +1,14 @@
+import dataclasses
 import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oatsqueeze import analytic
+from oatsqueeze import analytic, inhomogeneous
 from oatsqueeze.core import DomainError, NumericalError, ValidationError
 from oatsqueeze.inhomogeneous import (
     ALPHA_CONCENTRATED,
@@ -151,6 +154,85 @@ def test_components_are_per_spin_normalized():
     assert b == pytest.approx(0.5, rel=1e-14)
 
 
+def direct_components(theta, pols, th):
+    """(A/N, B/N) term by term with np.prod, as verify's variable_coupling suite."""
+    n = len(pols)
+    c = np.cos(4.0 * theta)
+    s = np.sin(4.0 * theta)
+    np.fill_diagonal(c, 1.0)
+    np.fill_diagonal(s, 0.0)
+    b = sum(pols[k] * np.prod(np.delete(c[:, k], k)) for k in range(n)) / n
+    yy = cross = 0.0
+    for k in range(n):
+        for l in range(n):
+            if k == l:
+                continue
+            rest = np.ones(n, bool)
+            rest[[k, l]] = False
+            plus = np.prod(c[rest, k] * c[rest, l] + s[rest, k] * s[rest, l])
+            minus = np.prod(c[rest, k] * c[rest, l] - s[rest, k] * s[rest, l])
+            yy += pols[k] * pols[l] * (plus - minus)
+            cross += pols[l] * s[k, l] * np.prod(c[rest, l])
+    a = 1.0 + (0.5 * math.sin(th) ** 2 * yy - math.sin(2.0 * th) * cross) / n
+    return a, b
+
+
+@st.composite
+def coupling_cases(draw):
+    n = draw(st.integers(2, 10))
+    # |theta| up to pi/2 covers cos(4 theta) of both signs
+    upper = draw(st.lists(st.floats(-math.pi / 2, math.pi / 2),
+                          min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    theta = np.zeros((n, n))
+    theta[np.triu_indices(n, k=1)] = upper
+    theta += theta.T
+    pols = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    return theta, pols, draw(st.floats(0.0, math.pi))
+
+
+@settings(max_examples=80, deadline=None)
+@given(coupling_cases())
+def test_components_match_direct_products(case):
+    theta, pols, th = case
+    got = quadrature_components(theta, pols, th)
+    want = direct_components(theta, pols, th)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+# (A/N, B/N) of samples 0-3 for seed 0, kappa 0.1, theta0 = 0.3 N^(-2/3),
+# P = 0.9 and quadrature angle 8 theta0 + pi/2, recorded as float.hex from
+# the earlier per-sample evaluation (one full pair tensor for N <= 128,
+# row slabs above); N = 160 summed the pair term in another order
+RECORDED_COMPONENTS = {
+    20: [("0x1.a7a2c4d43807dp+2", "0x1.64f8d962eb5e2p-1"),
+         ("0x1.a56427d015a7dp+2", "0x1.65e8d490ce9e2p-1"),
+         ("0x1.a47ac9176b4cap+2", "0x1.6660e0b36da60p-1"),
+         ("0x1.a7d1bd3239e74p+2", "0x1.64cfb086c51e2p-1")],
+    64: [("0x1.d1aa0b9d26638p+3", "0x1.81ddc733c1851p-1"),
+         ("0x1.d238947ca3a25p+3", "0x1.81b97cae98b26p-1"),
+         ("0x1.d34cf57ae7716p+3", "0x1.8175741b39b62p-1"),
+         ("0x1.d167f84971a46p+3", "0x1.81eeb2ee9bf45p-1")],
+    160: [("0x1.be98167903790p+4", "0x1.93976d26bd5a0p-1"),
+          ("0x1.be5980123b973p+4", "0x1.93a150c9b7f97p-1"),
+          ("0x1.beebb41bffd56p+4", "0x1.9388ef4793029p-1"),
+          ("0x1.be336eeae66f0p+4", "0x1.93a779ea1cabdp-1")],
+}
+
+
+@pytest.mark.parametrize("n", sorted(RECORDED_COMPONENTS))
+def test_components_match_recorded_values(n):
+    theta0 = 0.3 * n ** (-2.0 / 3.0)
+    spec = DisorderSpec(theta0=theta0, kappa=0.1, master_seed=0, n_samples=4)
+    for idx, recorded in enumerate(RECORDED_COMPONENTS[n]):
+        got = quadrature_components(sample_couplings(spec, n, idx), 0.9,
+                                    8.0 * theta0 + math.pi / 2.0)
+        want = tuple(float.fromhex(x) for x in recorded)
+        if n <= 128:
+            assert got == want
+        else:
+            assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # analytic disorder average
 # ---------------------------------------------------------------------------
@@ -203,6 +285,23 @@ def test_concentrated_disorder_mean_exact_zero_stderr():
     assert mc.mean == pytest.approx(want, rel=1e-12)
     assert mc.stderr == 0.0
     assert mean_xi2_analytic(spec, 10, 0.9) == pytest.approx(want, rel=1e-12)
+
+
+def test_mc_values_independent_of_chunking(monkeypatch):
+    spec = DisorderSpec(theta0=0.04, kappa=0.3, n_samples=30, master_seed=9)
+    n, pols, theta = 12, 0.8, 1.1
+    direct = [xi2_theta_couplings(sample_couplings(spec, n, i), pols, theta)
+              for i in range(spec.n_samples)]
+    large = monte_carlo_mean_xi2(spec, n, pols, theta, keep_values=True)
+    small = monte_carlo_mean_xi2(dataclasses.replace(spec, n_samples=7), n, pols, theta,
+                                 keep_values=True)
+    assert large.values.tolist() == direct
+    assert small.values.tolist() == direct[:7]
+    # three samples per chunk: chunk boundaries fall inside both runs
+    monkeypatch.setattr(inhomogeneous, "_CHUNK_BYTES", 3 * 8 * n * n)
+    chunked = monte_carlo_mean_xi2(spec, n, pols, theta, keep_values=True)
+    assert chunked.values.tolist() == direct
+    assert (chunked.mean, chunked.stderr) == (large.mean, large.stderr)
 
 
 def test_mc_bit_reproducible():
