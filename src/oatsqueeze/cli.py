@@ -7,10 +7,11 @@ significant digits) or machine-readable JSON; every run is deterministic
 for a fixed configuration and seed.  Exit codes: 0 success, 1 validation
 error, 2 numerical/statistical failure.
 
-Flags may also be supplied through a flat config file (--config) of
-``key = value`` lines whose keys mirror the long flag names; command-line
-flags take precedence.  OAT_SEED in the environment supplies the default
-seed.
+Every subcommand accepts every flag and names, in one stderr line, each
+given flag it does not read.  Flags may also be supplied through a flat
+config file (--config) of ``key = value`` lines whose keys mirror the long
+flag names; each value is parsed like its flag, and command-line flags
+take precedence.  OAT_SEED in the environment supplies the default seed.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .core import (
     ProtocolParams,
     ResourceError,
     ValidationError,
+    text_output,
     validate,
 )
 from .inhomogeneous import (
@@ -43,19 +45,58 @@ from .inhomogeneous import (
 from .verify import SUITES, run_suite, suite_inputs, suite_sizes
 
 FMT = "{:.17g}"
-# flags and config keys that no verify suite reads; verify names any given
-_VERIFY_UNREAD = ("p", "j", "gamma_par", "gamma_perp", "t", "tau", "b_y", "theta0",
-                  "theta", "kappa", "alpha", "samples", "sweep", "format",
-                  "objective", "summary_out")
 
 
 # ---------------------------------------------------------------------------
-# configuration plumbing
+# flags and configuration
 # ---------------------------------------------------------------------------
 
-def _read_config(path: str) -> dict[str, str]:
-    """Flat ``key = value`` file; '#' starts a comment; keys mirror flags."""
-    out = {}
+def _spin_range(text: str) -> range:
+    """lo..hi -> range(lo, hi + 1)."""
+    try:
+        lo, hi = (int(x) for x in text.split(".."))
+    except ValueError:
+        raise argparse.ArgumentTypeError("expects lo..hi") from None
+    return range(lo, hi + 1)
+
+
+def _seed(text: str) -> int:
+    """A master seed; numpy takes only integers >= 0."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expects an integer >= 0, not {text!r}")
+    return int(text)
+
+
+# flag -> (type or choices, default, help); a config key is parsed like the
+# flag of the same name.  --n defaults per subcommand (SUBCOMMANDS) and
+# --seed to OAT_SEED, else 0.
+FLAGS = {
+    "n": (int, None, "spin count"),
+    "p": (float, 1.0, "initial polarization"),
+    "j": (float, 0.0, "twisting strength [1/time]"),
+    "gamma_par": (float, 0.0, "longitudinal relaxation rate [1/time]"),
+    "gamma_perp": (float, 0.0, "transverse relaxation rate [1/time]"),
+    "tau": (float, None, "total measurement time"),
+    "b_y": (float, 0.0, "probe field [1/time]"),
+    "theta0": (float, 0.05, "mean pair angle"),
+    "theta": (float, None, "quadrature angle"),
+    "kappa": (float, None, "fractional disorder"),
+    "alpha": (float, None, "disorder concentration"),
+    "samples": (int, 1000, "Monte Carlo sample count"),
+    "seed": (_seed, None, "master seed"),
+    "sweep": (str, None, "param:lo:hi:points:lin|log"),
+    "format": (("csv", "json"), "csv", "sweep output format"),
+    "objective": (("squeezing", "metrology"), "squeezing", "optimal-point target"),
+    "n_range": (_spin_range, None, "lo..hi spin range for verify factorization"),
+    "out": (str, None, "output path"),
+    "summary_out": (str, None, "inhomo-mc JSON summary path"),
+    "config": (str, None, "flat key = value config file"),
+}
+
+
+def _config_flags(path: str) -> list[str]:
+    """A flat ``key = value`` file as ``--key=value`` arguments; '#' starts a comment."""
+    flags = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -64,18 +105,15 @@ def _read_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValidationError([f"{path}:{lineno}: expected 'key = value'"])
             key, value = (part.strip() for part in line.split("=", 1))
-            out[key.replace("-", "_")] = value
-    return out
+            flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
-def _config_path(argv) -> str | None:
-    """The PATH of --config PATH or --config=PATH ('' if missing); None without one."""
-    for i, arg in enumerate(argv):
-        if arg.startswith("--config="):
-            return arg[len("--config="):]
-        if arg == "--config":
-            return argv[i + 1] if i + 1 < len(argv) else ""
-    return None
+def _env_seed() -> int:
+    try:
+        return _seed(os.environ.get("OAT_SEED", "0"))
+    except argparse.ArgumentTypeError as exc:
+        raise ValidationError([f"OAT_SEED {exc}"]) from None
 
 
 def _parse_sweep(text: str):
@@ -110,11 +148,8 @@ def _echo_lines(subcommand: str, args, pairs) -> list[str]:
 
 
 def _write_text(path: str | None, text: str) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with text_output(path or sys.stdout) as fh:
+        fh.write(text)
 
 
 def _csv(rows, header, echo) -> str:
@@ -132,16 +167,12 @@ def _sweep_payload(rows, header, echo, fmt) -> str:
     return _csv(rows, header, echo)
 
 
-def _bundle(args):
+def _bundle(args, signal_field=0.0):
+    """The validated ensemble, rates and coupling.  Every subcommand sweeps or
+    optimizes the squeezing time itself, so the bundle's squeeze time is 1."""
     params = EnsembleParams(n_spins=args.n, polarization=args.p)
     rates = DecoherenceRates(gamma_par=args.gamma_par, gamma_perp=args.gamma_perp)
-    squeeze_time = args.t if args.t is not None else 1.0
-    proto = ProtocolParams(
-        coupling=args.j,
-        squeeze_time=squeeze_time,
-        signal_field=args.b_y,
-        total_time=args.tau,
-    )
+    proto = ProtocolParams(coupling=args.j, squeeze_time=1.0, signal_field=signal_field)
     return validate(params, rates, proto)
 
 
@@ -150,7 +181,8 @@ def _bundle(args):
 # ---------------------------------------------------------------------------
 
 def cmd_squeeze_curve(args) -> int:
-    sweep_name, values = _parse_sweep(args.sweep or "t:0.1:10:50:log")
+    sweep = args.sweep or "t:0.1:10:50:log"
+    sweep_name, values = _parse_sweep(sweep)
     if sweep_name != "t":
         raise ValidationError(["squeeze-curve sweeps over t"])
     params, rates, proto = _bundle(args)
@@ -171,7 +203,7 @@ def cmd_squeeze_curve(args) -> int:
     echo = _echo_lines("squeeze-curve", args, [
         ("n", params.n_spins), ("p", params.polarization), ("j", proto.coupling),
         ("gamma_par", rates.gamma_par), ("gamma_perp", rates.gamma_perp),
-        ("sweep", args.sweep or "t:0.1:10:50:log"),
+        ("sweep", sweep),
     ])
     header = ["t", "theta_big", "xi2_decoherence", "xi2_pure",
               "effective_polarization", "theta_min_angle"]
@@ -202,7 +234,7 @@ def cmd_optimal_point(args) -> int:
             "effective_polarization": rep.effective_polarization,
             "regime_flag": rep.regime_flag,
         })
-    elif args.objective == "metrology":
+    else:
         if gs <= 0.0:
             raise ValidationError(["gamma_par + gamma_perp > 0 required for metrology"])
         if proto.coupling <= 0.0:
@@ -210,17 +242,16 @@ def cmd_optimal_point(args) -> int:
         theta, sens, flag = analytic.max_sensitivity(n, p, rates, proto.coupling)
         payload.update({"theta_star": theta, "t_star": theta / (2.0 * gs),
                         "sensitivity_star": sens, "regime_flag": flag})
-    else:
-        raise ValidationError(["--objective must be squeezing or metrology"])
     _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 
 def cmd_metrology(args) -> int:
-    sweep_name, values = _parse_sweep(args.sweep or "theta_big:0.05:3:50:lin")
+    sweep = args.sweep or "theta_big:0.05:3:50:lin"
+    sweep_name, values = _parse_sweep(sweep)
     if sweep_name not in ("theta_big", "t"):
         raise ValidationError(["metrology sweeps over theta_big or t"])
-    params, rates, proto = _bundle(args)
+    params, rates, proto = _bundle(args, args.b_y)
     gs = rates.gamma_sum
     if gs <= 0.0:
         raise ValidationError(["gamma_par + gamma_perp > 0 required for metrology"])
@@ -236,7 +267,7 @@ def cmd_metrology(args) -> int:
     for point, ref in zip(derived, reference):
         t = point.theta_big / (2.0 * gs)
         tau = args.tau if args.tau is not None else t
-        if tau < t:
+        if not tau >= t:  # also rejects NaN
             raise ValidationError(["total_time >= squeeze_time along the sweep"])
         snr = analytic.signal_to_noise(
             params, rates,
@@ -247,42 +278,21 @@ def cmd_metrology(args) -> int:
         ("n", n), ("p", p), ("j", proto.coupling),
         ("gamma_par", rates.gamma_par), ("gamma_perp", rates.gamma_perp),
         ("b_y", proto.signal_field), ("tau", args.tau),
-        ("sweep", args.sweep or "theta_big:0.05:3:50:lin"),
+        ("sweep", sweep),
     ])
     header = ["theta_big", "t", "snr", "sensitivity_c_derived", "sensitivity_c_reference"]
     _write_text(args.out, _sweep_payload(rows, header, echo, args.format))
     return 0
 
 
+def _suites(suite: str) -> list[str]:
+    return list(SUITES) if suite == "all" else [suite]
+
+
 def cmd_verify(args) -> int:
-    kwargs = {}
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.n is not None:
-        kwargs["n"] = args.n
-    if args.n_range:
-        try:
-            lo, hi = (int(x) for x in args.n_range.split(".."))
-        except ValueError:
-            raise ValidationError(["--n-range expects lo..hi"])
-        kwargs["n_range"] = range(lo, hi + 1)
-    suites = list(SUITES) if args.suite == "all" else [args.suite]
-    ignored = [key for key in kwargs if not any(key in suite_inputs(s) for s in suites)]
-    ignored += [key for key in _VERIFY_UNREAD if getattr(args, key) is not None]
-    notes = []
-    if ignored:
-        flags = ", ".join("--" + key.replace("_", "-") for key in ignored)
-        notes.append(f"does not read {flags}; ignored")
-    clamped = []
-    for name in suites if "n" in kwargs else ():
-        sizes = suite_sizes(name, args.n)
-        if any(size != args.n for size in sizes):
-            clamped.append(f"{name} runs n={', '.join(map(str, sizes))}")
-    if clamped:
-        notes.append(f"--n {args.n} is clamped ({'; '.join(clamped)})")
-    if notes:
-        print(f"note: verify {args.suite} {'; '.join(notes)}", file=sys.stderr)
-    kwargs.setdefault("seed", int(os.environ.get("OAT_SEED", "0")))
+    kwargs = {key: getattr(args, key) for key in ("n", "seed", "n_range")
+              if getattr(args, key, None) is not None}
+    suites = _suites(args.suite)
     reports = [run_suite(name, **kwargs) for name in suites]
     payload = reports[0] if len(reports) == 1 else {
         "suite": "all", "reports": reports,
@@ -301,8 +311,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_inhomo_mc(args) -> int:
-    if args.n is None or args.n < 2:
-        raise ValidationError(["n_spins >= 2"])
     spec = DisorderSpec(theta0=args.theta0, n_samples=args.samples,
                         master_seed=args.seed, alpha=args.alpha, kappa=args.kappa)
     theta = args.theta if args.theta is not None else 8.0 * args.theta0 + math.pi / 2.0
@@ -331,121 +339,109 @@ def cmd_inhomo_mc(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_shared_flags(parser: argparse.ArgumentParser, default_n=None) -> None:
-    # fresh actions per subparser: argparse parents= shares action objects,
-    # which lets one subcommand's defaults leak into another's
-    parser.add_argument("--n", type=int, default=default_n, help="spin count")
-    parser.add_argument("--p", type=float, default=1.0, help="initial polarization")
-    parser.add_argument("--j", type=float, default=0.0, help="twisting strength [1/time]")
-    parser.add_argument("--gamma-par", type=float, default=0.0, dest="gamma_par")
-    parser.add_argument("--gamma-perp", type=float, default=0.0, dest="gamma_perp")
-    parser.add_argument("--t", type=float, default=None, help="squeezing time")
-    parser.add_argument("--tau", type=float, default=None, help="total measurement time")
-    parser.add_argument("--b-y", type=float, default=0.0, dest="b_y", help="probe field")
-    parser.add_argument("--theta0", type=float, default=0.05, help="mean pair angle")
-    parser.add_argument("--theta", type=float, default=None, help="quadrature angle")
-    parser.add_argument("--kappa", type=float, default=None, help="fractional disorder")
-    parser.add_argument("--alpha", type=float, default=None, help="disorder concentration")
-    parser.add_argument("--samples", type=int, default=1000)
-    parser.add_argument("--seed", type=int,
-                        default=int(os.environ.get("OAT_SEED", "0")))
-    parser.add_argument("--sweep", type=str, default=None,
-                        help="param:lo:hi:points:lin|log")
-    parser.add_argument("--out", type=str, default=None, help="output path")
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
-    parser.add_argument("--config", type=str, default=None,
-                        help="flat key = value config file")
+_CLOSED_FORM = ("n", "p", "j", "gamma_par", "gamma_perp")
+
+# subcommand -> (handler, default --n, help, the flags it reads besides --config)
+SUBCOMMANDS = {
+    "squeeze-curve": (cmd_squeeze_curve, 100, "squeezing vs time sweep (CSV)",
+                      _CLOSED_FORM + ("sweep", "format", "out")),
+    "optimal-point": (cmd_optimal_point, 100,
+                      "optimal squeezing duration or sensitivity (JSON)",
+                      _CLOSED_FORM + ("objective", "out")),
+    "metrology": (cmd_metrology, 100, "signal-to-noise and sensitivity sweep (CSV)",
+                  _CLOSED_FORM + ("b_y", "tau", "sweep", "format", "out")),
+    "verify": (cmd_verify, None, "run an oracle verification suite (JSON report)",
+               ("n", "seed", "n_range", "out")),
+    "inhomo-mc": (cmd_inhomo_mc, 20, "disorder Monte Carlo (CSV + JSON summary)",
+                  ("n", "p", "theta0", "theta", "kappa", "alpha", "samples", "seed",
+                   "out", "summary_out")),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument as one line with exit code 1, not usage and 2."""
+
+    def error(self, message):
+        raise ValidationError([message])
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # SUPPRESS: the namespace holds only the flags that were given.  Every
+    # subparser shares these actions, which is safe because none sets defaults.
+    flags = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
+    for key, (kind, _, flag_help) in FLAGS.items():
+        check = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+        flags.add_argument("--" + key.replace("_", "-"), help=flag_help, **check)
+    parser = _Parser(
         prog="oatsqueeze",
         description="Twisting-based spin squeezing and metrology under relaxation",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    sq = sub.add_parser("squeeze-curve", help="squeezing vs time sweep (CSV)")
-    _add_shared_flags(sq, default_n=100)
-    sq.set_defaults(func=cmd_squeeze_curve)
-
-    op = sub.add_parser("optimal-point",
-                        help="optimal squeezing duration or sensitivity (JSON)")
-    _add_shared_flags(op, default_n=100)
-    op.add_argument("--objective", choices=("squeezing", "metrology"),
-                    default="squeezing")
-    op.set_defaults(func=cmd_optimal_point)
-
-    me = sub.add_parser("metrology",
-                        help="signal-to-noise and sensitivity sweep (CSV)")
-    _add_shared_flags(me, default_n=100)
-    me.set_defaults(func=cmd_metrology)
-
-    ve = sub.add_parser("verify",
-                        help="run an oracle verification suite (JSON report)")
-    ve.add_argument("suite", choices=SUITES + ("all",))
-    _add_shared_flags(ve)
-    ve.add_argument("--n-range", type=str, default=None, dest="n_range",
-                    help="lo..hi spin range for the factorization table")
-    # None = not given: cmd_verify names a flag the suite does not read, and
-    # a seed falls back to OAT_SEED or 0
-    ve.set_defaults(func=cmd_verify, seed=None, **dict.fromkeys(_VERIFY_UNREAD))
-
-    mc = sub.add_parser("inhomo-mc",
-                        help="disorder Monte Carlo (CSV + JSON summary)")
-    _add_shared_flags(mc, default_n=20)
-    mc.add_argument("--summary-out", type=str, default=None, dest="summary_out")
-    mc.set_defaults(func=cmd_inhomo_mc)
-
+    for name, (_, _, help_text, _) in SUBCOMMANDS.items():
+        # flags and config keys are spelled in full: --t is not --tau
+        sp = sub.add_parser(name, help=help_text, parents=[flags], allow_abbrev=False)
+        if name == "verify":
+            sp.add_argument("suite", choices=SUITES + ("all",))
     return parser
+
+
+def _parse_with_config(parser, argv, args):
+    """Parse again with the config file's entries as flags ahead of argv's own."""
+    split = argv.index(args.subcommand) + 1
+    file_flags = _config_flags(args.config)
+    try:
+        return parser.parse_args(argv[:split] + file_flags + argv[split:])
+    except ValidationError as exc:
+        raise ValidationError([f"{args.config}: {exc}"]) from None
+
+
+def _verify_scope(args, reads):
+    """verify's note label, the flags its suites read, and the note on an
+    --n they clamp."""
+    suites = _suites(args.suite)
+    reads = tuple(key for key in reads
+                  if key == "out" or any(key in suite_inputs(s) for s in suites))
+    clamped = []
+    for name in suites if "n" in args else ():
+        sizes = suite_sizes(name, args.n)
+        if any(size != args.n for size in sizes):
+            clamped.append(f"{name} runs n={', '.join(map(str, sizes))}")
+    notes = [f"--n {args.n} is clamped ({'; '.join(clamped)})"] if clamped else []
+    return f"verify {args.suite}", reads, notes
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    # first pass only to locate --config; defaults then come from the file
-    path = _config_path(argv)
-    if path is not None:
-        if not path:
-            print("error: --config requires a path", file=sys.stderr)
-            return 1
-        try:
-            file_values = _read_config(path)
-        except (OSError, ValidationError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        known = {a.dest for a in build_parser()._actions}
-        for sub_action in build_parser()._subparsers._group_actions:
-            for sp in sub_action.choices.values():
-                known |= {a.dest for a in sp._actions}
-        bad = set(file_values) - known
-        if bad:
-            print(f"error: unknown config keys: {sorted(bad)}", file=sys.stderr)
-            return 1
-        converted = {}
-        for key, value in file_values.items():
-            if key in ("sweep", "out", "format", "summary_out", "objective",
-                       "n_range", "config", "suite", "subcommand"):
-                converted[key] = value
-                continue
-            kind = int if key in ("n", "samples", "seed") else float
-            try:
-                converted[key] = kind(value)
-            except ValueError:
-                print(f"error: config key {key} = {value!r} is not {kind.__name__}",
-                      file=sys.stderr)
-                return 1
-        for sub_action in parser._subparsers._group_actions:
-            for sp in sub_action.choices.values():
-                sp.set_defaults(**converted)
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        if "config" in args:
+            args = _parse_with_config(parser, argv, args)
+        handler, default_n, _, reads = SUBCOMMANDS[args.subcommand]
+        label, notes = args.subcommand, []
+        if label == "verify":
+            label, reads, notes = _verify_scope(args, reads)
+        unread = ["--" + key.replace("_", "-") for key in FLAGS
+                  if key in args and key not in reads and key != "config"]
+        if unread:
+            notes.insert(0, f"does not read {', '.join(unread)}; ignored")
+        defaults = {key: spec[1] for key, spec in FLAGS.items()} | {"n": default_n}
+        for key in reads:
+            if key not in args:
+                setattr(args, key, _env_seed() if key == "seed" else defaults[key])
+        rc = handler(args)
     except (ValidationError, ResourceError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
-    except (DomainError, NumericalError) as exc:
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (DomainError, NumericalError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
+    if rc == 0 and notes:  # a failed run prints only its reason
+        print(f"note: {label} {'; '.join(notes)}", file=sys.stderr)
+    return rc
 
 
 def entrypoint() -> None:

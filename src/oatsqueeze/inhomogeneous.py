@@ -71,10 +71,12 @@ class DisorderSpec:
         problems = []
         if self.n_samples < 1:
             problems.append("n_samples >= 1")
+        if not math.isfinite(self.theta0):
+            problems.append("theta0 finite")
         alpha, kappa = self.alpha, self.kappa
         if alpha is None and kappa is None:
             problems.append("one of alpha or kappa is required")
-        if kappa is not None and kappa < 0.0:
+        if kappa is not None and not kappa >= 0.0:
             problems.append("kappa >= 0")
         if alpha is not None and not alpha > 0.0:
             problems.append("alpha > 0")
@@ -348,6 +350,8 @@ def monte_carlo_mean_xi2(
         raise ValidationError(["n_spins >= 2"])
     p = _validate_pols(pols, n)
     th = as_angle(theta)
+    if not math.isfinite(th):
+        raise ValidationError(["quadrature angle finite"])
     a_norm = np.empty(spec.n_samples)
     b_norm = np.empty(spec.n_samples)
     chunk = max(1, _CHUNK_BYTES // (8 * n * n))

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import analytic
-from .core import DecoherenceRates, EnsembleParams, ProtocolParams
+from .core import DecoherenceRates, EnsembleParams, ProtocolParams, ValidationError
 from .inhomogeneous import xi2_theta_couplings
 from .oracle import (
     DensityMatrix,
@@ -157,6 +157,9 @@ def suite_factorization(n_range=range(2, 7)) -> dict:
     instead; its table and trend are reported as ``raw_gap_fixed_njt`` and
     ``gap_decreases_fixed_njt`` but not asserted.
     """
+    ns = list(n_range)
+    if len(ns) < 2 or min(ns) < 2:
+        raise ValidationError(["factorization needs at least two spin counts, each >= 2"])
     checks = []
     params = EnsembleParams(4, 0.9)
     cfg = IntegratorConfig(dt=5e-3, t_final=1.0)
@@ -167,7 +170,6 @@ def suite_factorization(n_range=range(2, 7)) -> dict:
                           ProtocolParams(coupling=0.3, squeeze_time=1.0), cfg)
     checks.append(_check("gap_vanishes_without_dissipation", g, 1e-10))
 
-    ns = list(n_range)
     njt, gst, t_final = 0.2, 0.2, 1.0
     rates = DecoherenceRates(gst / (2 * t_final), gst / (2 * t_final))
     cfg = IntegratorConfig(dt=1e-2, t_final=t_final)
@@ -196,6 +198,8 @@ def suite_factorization(n_range=range(2, 7)) -> dict:
 def suite_variable_coupling(n_max: int = 6, trials: int = 100, seed: int = 0) -> dict:
     """Closed-form moments and quadrature ratio vs the exact pair unitary."""
     (n_max,) = suite_sizes("variable_coupling", n_max)
+    if n_max < 2:
+        raise ValidationError(["variable_coupling needs n >= 2: it checks spin pairs"])
     rng = np.random.default_rng(seed)
     worst = {"site_polarization": 0.0, "pair_xx_zero": 0.0, "pair_yy": 0.0,
              "pair_xy": 0.0, "quadrature_ratio": 0.0}
@@ -237,6 +241,8 @@ def suite_variable_coupling(n_max: int = 6, trials: int = 100, seed: int = 0) ->
 def suite_uniform_coupling(n_max: int = 10) -> dict:
     """Uniform-coupling closed form vs the exact unitary over a grid."""
     (n_max,) = suite_sizes("uniform_coupling", n_max)
+    if n_max < 2:
+        raise ValidationError(["uniform_coupling needs n >= 2: it checks spin pairs"])
     worst_theta = 0.0
     worst_min = 0.0
     angles = np.linspace(0.0, math.pi, 16, endpoint=False)

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from oatsqueeze import analytic
-from oatsqueeze.cli import main
+from oatsqueeze.cli import FLAGS, SUBCOMMANDS, main
 
 
 def read_csv(path):
@@ -296,3 +300,192 @@ def test_verify_notes_clamped_spin_count(tmp_path, capsys):
     assert "--n 9" in err and "dephasing runs n=6" in err
     assert main(["verify", "dephasing", "--n", "4", "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["metrology", "--n", "50", "--j", "1e-5", "--gamma-par", "0.02",
+     "--gamma-perp", "0.03", "--sweep", "theta_big:1:1500:3:lin"],
+    ["metrology", "--n", "100", "--j", "1e300", "--gamma-par", "0.1"],
+    ["squeeze-curve", "--n", "100", "--p", "1e-200", "--j", "1e-3",
+     "--sweep", "t:0.1:1:3:lin"],
+    ["squeeze-curve", "--n", "100", "--j", "1e-3", "--sweep", "t:1e-320:1:3:lin"],
+    ["inhomo-mc", "--n", "8", "--samples", "10", "--kappa", "1e300", "--theta0", "0.01"],
+])
+def test_arithmetic_faults_exit_2(argv, capsys):
+    # regression: OverflowError and ZeroDivisionError ended in a traceback
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("numerical error:")
+
+
+def test_non_integer_oat_seed_exits_1(monkeypatch, capsys):
+    # regression: the parser read OAT_SEED while it was built, so every
+    # subcommand ended in a ValueError traceback
+    monkeypatch.setenv("OAT_SEED", "abc")
+    assert main(["inhomo-mc", "--n", "4", "--samples", "3", "--kappa", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "OAT_SEED" in err
+    assert main(["inhomo-mc", "--n", "4", "--samples", "3", "--kappa", "0.1",
+                 "--seed", "2"]) == 0
+    assert main(["optimal-point", "--n", "50", "--j", "1e-5"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_unwritable_output_paths_exit_1(tmp_path, capsys):
+    # regression: an unopenable --out ended in a FileNotFoundError traceback
+    missing = tmp_path / "no" / "such"
+    assert main(["squeeze-curve", "--j", "1e-3", "--out", str(missing / "x.csv")]) == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert main(["inhomo-mc", "--n", "4", "--samples", "3", "--kappa", "0.1",
+                 "--out", str(tmp_path / "mc.csv"),
+                 "--summary-out", str(missing / "s.json")]) == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "variable_coupling", "--n", "1"],
+    ["verify", "uniform_coupling", "--n", "1"],
+    ["verify", "factorization", "--n-range", "5..2"],
+    ["verify", "factorization", "--n-range", "1..2"],
+    ["verify", "factorization", "--n-range", "3..3"],
+])
+def test_verify_sizes_that_check_nothing_exit_1(argv, capsys):
+    # regression: these raised ValueError, passed with nothing checked, or
+    # failed on the trivial one-spin gap
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("validation error:")
+
+
+@pytest.mark.parametrize("extra", [
+    ["--theta", "inf"], ["--theta0", "inf"], ["--kappa", "nan"], ["--seed", "-1"],
+])
+def test_out_of_domain_disorder_inputs_exit_1(extra, capsys):
+    # regression: an infinite angle or a negative seed ended in a traceback,
+    # and kappa = nan gave a NaN summary
+    argv = ["inhomo-mc", "--n", "4", "--samples", "3", "--kappa", "0.1"]
+    assert main(argv + extra) == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_config_value_is_checked_like_its_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 10\nj = 1e-3\nsweep = t:0.1:1:3:lin\nformat = xml\n")
+    assert main(["squeeze-curve", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "xml" in err and str(cfg) in err
+
+
+def test_subcommands_name_the_flags_they_do_not_read(tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    argv = ["squeeze-curve", "--n", "10", "--j", "1e-3", "--sweep", "t:0.1:1:3:lin",
+            "--out", str(out)]
+    assert main(argv + ["--samples", "5", "--theta0", "3", "--kappa", "1"]) == 0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("note: squeeze-curve")
+    for flag in ("--samples", "--theta0", "--kappa"):
+        assert flag in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("objective = metrology\nsummary-out = s.json\n")
+    assert main(argv + ["--config", str(cfg)]) == 0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("note: squeeze-curve")
+    assert "--objective" in err and "--summary-out" in err
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_argument_errors_are_one_line_exit_1(capsys):
+    for argv in (["squeeze-curve", "--n", "abc"],
+                 ["squeeze-curve", "--n", "10", "--j", "1e-3", "--t", "1"],
+                 ["frobnicate"], []):
+        assert main(argv) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+    main(["squeeze-curve", "--n", "10", "--j", "1e-3", "--t", "1"])
+    assert "unrecognized arguments: --t" in capsys.readouterr().err
+
+
+def test_metrology_total_time_below_unit_squeeze_time(capsys):
+    # regression: a dead --t flag fixed the squeeze time at 1, so tau < 1 failed
+    argv = ["metrology", "--n", "50", "--j", "1e-5", "--gamma-par", "0.02",
+            "--gamma-perp", "0.03", "--sweep", "t:0.1:0.4:3:lin"]
+    assert main(argv + ["--tau", "0.5"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if not line.startswith("#")][1:]
+    assert len(rows) == 3
+    # regression: tau = nan passed the tau >= t check and wrote NaN rows
+    assert main(argv + ["--tau", "nan"]) == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+# ---------------------------------------------------------------------------
+# property test over the flag table: no input ends in a traceback
+# ---------------------------------------------------------------------------
+
+EDGE_VALUES = ("0", "-1", "1e-300", "1e300", "nan", "inf", "abc")
+
+
+def _flag_values(key, base):
+    # edge values, and ordinary ones so that runs also get past validation
+    edge = st.sampled_from(EDGE_VALUES) | st.sampled_from(("0.01", "1"))
+    if key == "n":
+        return edge | st.integers(1, 40).map(str)
+    if key == "samples":
+        return edge | st.integers(1, 20).map(str)
+    if key == "seed":
+        return edge | st.integers(0, 5).map(str)
+    if key == "sweep":
+        return st.builds("{}:{}:{}:{}:{}".format,
+                         st.sampled_from(("t", "theta_big", "x")), edge, edge,
+                         st.integers(-1, 50).map(str) | st.just("abc"),
+                         st.sampled_from(("lin", "log", "abc")))
+    if key == "n_range":
+        return st.builds("{}..{}".format, st.integers(0, 4), st.integers(0, 4)) | edge
+    if key in ("out", "summary_out"):
+        return st.sampled_from((str(base / "out.csv"), str(base / "no" / "x.csv")))
+    kind = FLAGS[key][0]
+    if isinstance(kind, tuple):
+        return st.sampled_from(kind) | edge
+    return edge
+
+
+@st.composite
+def cli_runs(draw, base):
+    subcommand = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    argv = [subcommand] + (["constants"] if subcommand == "verify" else [])
+    keys = [key for key in FLAGS if key != "config"]
+    rarely = st.integers(0, 7).map(lambda k: k == 0)
+    for key in draw(st.lists(st.sampled_from(keys), max_size=5, unique=True)):
+        argv += ["--" + key.replace("_", "-"), draw(_flag_values(key, base))]
+    if draw(rarely):
+        argv += ["--frobnicate", "1"]
+    entries = draw(st.lists(st.sampled_from(keys), max_size=3, unique=True))
+    if entries:
+        lines = [f"{key} = {draw(_flag_values(key, base))}" for key in entries]
+        if draw(rarely):
+            lines.append("not a key value line")
+        cfg = base / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        argv += ["--config", str(cfg)]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli_properties")
+
+
+@settings(max_examples=1000)
+@given(data=st.data())
+def test_every_input_exits_with_a_code_and_one_line(cli_dir, data):
+    argv = data.draw(cli_runs(cli_dir))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    lines = err.getvalue().splitlines()
+    event(f"exit {rc}")
+    assert rc in (0, 1, 2)
+    if rc:
+        assert len(lines) == 1
+    else:
+        assert len(lines) <= 1  # at most the note on flags the run does not read
