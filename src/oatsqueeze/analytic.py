@@ -51,6 +51,9 @@ REFERENCE_CONSTANTS = {
 }
 
 
+_NO_RATES = DecoherenceRates()
+
+
 def effective_polarization(polarization: float, rates: DecoherenceRates, t: float) -> float:
     """Polarization after relaxing for time t: P * exp(-2*(Gpar+Gperp)*t)."""
     return polarization * math.exp(-2.0 * rates.gamma_sum * t)
@@ -139,15 +142,11 @@ def xi2_min_finite_polarization(n: int, p: float, theta0: float) -> tuple[float,
 # ---------------------------------------------------------------------------
 
 def xi2_min_approx(n: int, p: float, coupling: float, t: float) -> float:
-    """Large-N small-angle minimal squeezing:
+    """Large-N small-angle minimal squeezing, xi2_min_decoherence at zero rates:
 
         P^-1 [ P^-2 / (16 N^2 J^2 t^2) + (32/3) N^2 J^4 t^4 ].
     """
-    if t <= 0.0:
-        raise DomainError("t > 0 required: the 1/t^2 term diverges")
-    jt = coupling * t
-    return (1.0 / p) * (1.0 / (p * p * 16.0 * n * n * jt * jt)
-                        + (32.0 / 3.0) * n * n * jt ** 4)
+    return xi2_min_decoherence(n, p, _NO_RATES, coupling, t)
 
 
 def optimal_time_pure(n: int, p: float, coupling: float) -> tuple[float, float]:
@@ -189,14 +188,11 @@ def xi2_min_decoherence(
         P^-1 e^{2 Gs t} [ P^-2 e^{4 Gs t} / (16 N^2 J^2 t^2)
                           + (32/3) N^2 J^4 t^4 ],   Gs = Gpar + Gperp.
 
-    Reduces exactly to xi2_min_approx when the rates vanish.
+    At zero rates e^{2 Gs t} = 1 and this is xi2_min_approx.
     """
     if t <= 0.0:
-        raise DomainError("t > 0 required")
-    gs = rates.gamma_sum
-    if gs == 0.0:
-        return xi2_min_approx(n, p, coupling, t)
-    e = math.exp(2.0 * gs * t)
+        raise DomainError("t > 0 required: the 1/t^2 term diverges")
+    e = math.exp(2.0 * rates.gamma_sum * t)
     jt = coupling * t
     return (e / p) * (e * e / (p * p * 16.0 * n * n * jt * jt)
                       + (32.0 / 3.0) * n * n * jt ** 4)
@@ -218,20 +214,19 @@ def xi2_min_decoherence_theta(
         raise DomainError("gamma_sum > 0 required for the Theta form")
     if theta <= 0.0:
         raise DomainError("Theta > 0 required")
-    e = math.exp(theta)
-    j2 = coupling * coupling
-    first = gs * gs * e * e / (p * p * 4.0 * n * n * j2 * theta * theta)
-    second = (2.0 / 3.0) * n * n * j2 * j2 * theta ** 4 / gs ** 4
-    return (e / p) * (first + second)
+    e, deco, over = _theta_terms(n, p, rates, coupling, theta)
+    return (e / p) * (deco + over)
 
 
-def _squeezing_regime(n: int, p: float, rates: DecoherenceRates, coupling: float,
-                      theta: float) -> str:
+def _theta_terms(n: int, p: float, rates: DecoherenceRates, coupling: float,
+                 theta: float) -> tuple[float, float, float]:
+    """(e^Theta, decoherence term, over-squeezing term) of the Theta form."""
     gs = rates.gamma_sum
     e = math.exp(theta)
-    deco = gs * gs * e * e / (p * p * 4.0 * n * n * coupling ** 2 * theta * theta)
-    over = (2.0 / 3.0) * n * n * coupling ** 4 * theta ** 4 / gs ** 4
-    return _regime(over / deco)
+    j2 = coupling * coupling
+    deco = gs * gs * e * e / (p * p * 4.0 * n * n * j2 * theta * theta)
+    over = (2.0 / 3.0) * n * n * j2 * j2 * theta ** 4 / gs ** 4
+    return e, deco, over
 
 
 def _regime(ratio: float) -> str:
@@ -250,13 +245,13 @@ def _regime(ratio: float) -> str:
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GRID_PRESCAN_POINTS = 64
+GOLDEN_MAX_ITERS = 200
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     bracket: tuple[float, float]
     abs_tol: float = 1e-10
-    max_iters: int = 200
 
     def __post_init__(self):
         lo, hi = self.bracket
@@ -295,7 +290,7 @@ def optimize_scalar(f, cfg: OptimizerConfig, sense: str = "min") -> tuple[float,
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = g(c), g(d)
-    for _ in range(cfg.max_iters):
+    for _ in range(GOLDEN_MAX_ITERS):
         if b - a <= cfg.abs_tol:
             break
         if fc < fd:
@@ -325,23 +320,22 @@ def optimize_scalar(f, cfg: OptimizerConfig, sense: str = "min") -> tuple[float,
     return x_star, sign * f_star
 
 
+# the Theta range searched by the squeezing and sensitivity optima
+_THETA_SEARCH = OptimizerConfig(bracket=(1e-3, 10.0))
+
+
 def optimal_theta_squeezing(
-    n: int, p: float, rates: DecoherenceRates, coupling: float,
-    cfg: OptimizerConfig | None = None,
+    n: int, p: float, rates: DecoherenceRates, coupling: float
 ) -> tuple[float, float, str]:
     """Minimize xi2_min_decoherence_theta over Theta: (Theta*, xi2*, regime)."""
-    if cfg is None:
-        cfg = OptimizerConfig(bracket=(1e-3, 10.0))
     theta, xi2 = optimize_scalar(
-        lambda th: xi2_min_decoherence_theta(n, p, rates, coupling, th), cfg, "min"
+        lambda th: xi2_min_decoherence_theta(n, p, rates, coupling, th), _THETA_SEARCH, "min"
     )
-    return theta, xi2, _squeezing_regime(n, p, rates, coupling, theta)
+    _, deco, over = _theta_terms(n, p, rates, coupling, theta)
+    return theta, xi2, _regime(over / deco)
 
 
-def squeezing_report(
-    n: int, p: float, rates: DecoherenceRates, coupling: float,
-    cfg: OptimizerConfig | None = None,
-):
+def squeezing_report(n: int, p: float, rates: DecoherenceRates, coupling: float):
     """Optimal-squeezing summary bundle.
 
     With relaxation present the optimization runs over Theta and
@@ -356,7 +350,7 @@ def squeezing_report(
         raise DomainError("coupling > 0 required for a squeezing optimum")
     gs = rates.gamma_sum
     if gs > 0.0:
-        theta_star, xi2, flag = optimal_theta_squeezing(n, p, rates, coupling, cfg)
+        theta_star, xi2, flag = optimal_theta_squeezing(n, p, rates, coupling)
         t_star = theta_star / (2.0 * gs)
         optimal = theta_star
     else:
@@ -488,21 +482,17 @@ def max_sensitivity(
     p: float,
     rates: DecoherenceRates,
     coupling: float,
-    cfg: OptimizerConfig | None = None,
-    denom_coeff: float = SENSITIVITY_COEFF_DERIVED,
 ) -> tuple[float, float, str]:
     """Maximize the sensitivity over Theta: (Theta*, sensitivity*, regime).
 
     The regime flag is decoherence_dominated when the denominator
     correction at the optimum is below 0.01.
     """
-    if cfg is None:
-        cfg = OptimizerConfig(bracket=(1e-3, 10.0))
     theta, sens = optimize_scalar(
-        lambda th: sensitivity(th, n, p, rates, coupling, denom_coeff), cfg, "max"
+        lambda th: sensitivity(th, n, p, rates, coupling), _THETA_SEARCH, "max"
     )
     return theta, sens, _regime(
-        sensitivity_denominator_correction(theta, n, p, rates, coupling, denom_coeff))
+        sensitivity_denominator_correction(theta, n, p, rates, coupling))
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,8 @@ class NumericalError(RuntimeError):
 
 
 class ResourceError(RuntimeError):
-    """Requested problem size exceeds the dense-oracle cap."""
+    """Requested problem size exceeds a cap: the dense oracle's spin count or
+    the Monte Carlo's memory."""
 
 
 @dataclass(frozen=True)

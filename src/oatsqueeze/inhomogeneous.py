@@ -21,13 +21,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import _twist_terms
-from .core import DomainError, NumericalError, ValidationError, as_angle, text_output
+from .core import (
+    DomainError,
+    NumericalError,
+    ResourceError,
+    ValidationError,
+    as_angle,
+    text_output,
+)
 
 ALPHA_CONCENTRATED = 1e15  # alpha at or above this samples exactly theta0
 _DEGENERATE_FRACTION = 1e-12  # |B| <= this (per spin) is a degenerate denominator
 # bytes of one Monte Carlo chunk of (S, N, N) couplings, and of one block of
 # the pair kernel: keeps its working set in L2 cache
 _CHUNK_BYTES = 1 << 18
+# bytes a Monte Carlo run or one kernel call may take; larger runs raise
+# ResourceError before they allocate
+_MEMORY_CAP = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -193,6 +203,20 @@ def _components(theta: np.ndarray, p: np.ndarray, th: float) -> tuple[np.ndarray
     return a_norm, b_norm
 
 
+def _require_memory(n: int, chunk: int, n_samples: int) -> None:
+    """Raise ResourceError when a run would need more than _MEMORY_CAP bytes.
+
+    Counts 16 B per sample for the per-run results, and per sample of a
+    chunk one N x N coupling matrix plus about 20 N^2 doubles of kernel
+    temporaries.
+    """
+    need = 16 * n_samples + 21 * 8 * chunk * n * n
+    if need > _MEMORY_CAP:
+        raise ResourceError(
+            f"n = {n} with {n_samples} samples needs about {need / 2**30:.3g} GiB, "
+            f"above the {_MEMORY_CAP / 2**30:g} GiB cap")
+
+
 def quadrature_components(couplings, pols, theta) -> tuple[float, float]:
     """Per-spin numerator and denominator of the quadrature ratio.
 
@@ -215,6 +239,7 @@ def quadrature_components(couplings, pols, theta) -> tuple[float, float]:
         raise ValidationError(["n_spins >= 2 for pair couplings"])
     if not isinstance(couplings, CouplingMatrix):
         CouplingMatrix(th_mat)  # runs the symmetry/diagonal checks
+    _require_memory(n, 1, 1)
     a_norm, b_norm = _components(th_mat[None], _validate_pols(pols, n), as_angle(theta))
     return float(a_norm[0]), float(b_norm[0])
 
@@ -308,7 +333,9 @@ class MonteCarloResult:
     ``mean_of_ratios`` is the plain sample mean of the per-sample ratios;
     the two differ by a ratio-nonlinearity bias of order Var(B)/B^2.
     ``values`` holds the kept ratios in sample order; ``rejected_indices``
-    names the sample indices that were dropped.
+    names the sample indices that were dropped.  ``stderr_at_rounding_level``
+    is true when the delta-method error fell below eps*|mean|, where it is
+    rounding noise of identical samples, and ``stderr`` is reported as 0.
     """
 
     mean: float
@@ -320,11 +347,13 @@ class MonteCarloResult:
     master_seed: int
     values: np.ndarray | None = None
     rejected_indices: tuple[int, ...] = ()
+    stderr_at_rounding_level: bool = False
 
     def summary(self) -> dict:
         return {
             "mean": self.mean,
             "stderr": self.stderr,
+            "stderr_at_rounding_level": self.stderr_at_rounding_level,
             "mean_of_ratios": self.mean_of_ratios,
             "stderr_of_ratios": self.stderr_of_ratios,
             "n_samples": self.n_samples,
@@ -344,7 +373,9 @@ def monte_carlo_mean_xi2(
     (master_seed, n_samples), and each sample's value equals
     xi2_theta_couplings(sample_couplings(spec, n, index), ...).  Draws with
     a degenerate denominator are rejected and counted; more than 1%
-    rejections raises NumericalError.
+    rejections raises NumericalError.  A delta-method standard error below
+    eps*|mean| is rounding noise and is reported as 0.  A run that would
+    need more than _MEMORY_CAP bytes raises ResourceError before it starts.
     """
     if n < 2:
         raise ValidationError(["n_spins >= 2"])
@@ -352,9 +383,10 @@ def monte_carlo_mean_xi2(
     th = as_angle(theta)
     if not math.isfinite(th):
         raise ValidationError(["quadrature angle finite"])
+    chunk = max(1, _CHUNK_BYTES // (8 * n * n))
+    _require_memory(n, chunk, spec.n_samples)
     a_norm = np.empty(spec.n_samples)
     b_norm = np.empty(spec.n_samples)
-    chunk = max(1, _CHUNK_BYTES // (8 * n * n))
     for start in range(0, spec.n_samples, chunk):
         stop = min(start + chunk, spec.n_samples)
         a_norm[start:stop], b_norm[start:stop] = _components(
@@ -370,6 +402,7 @@ def monte_carlo_mean_xi2(
     ratio = num / den
     kept = len(ratio)
     mean = float(num.mean() / den.mean())
+    at_rounding = False
     if kept < 2:
         stderr = stderr_ratios = 0.0
     else:
@@ -377,11 +410,14 @@ def monte_carlo_mean_xi2(
         var = (cov[0, 0] - 2.0 * mean * cov[0, 1] + mean * mean * cov[1, 1]) \
             / (den.mean() ** 2 * kept)
         stderr = math.sqrt(max(var, 0.0))
+        at_rounding = bool(stderr < np.finfo(float).eps * abs(mean))
+        if at_rounding:
+            stderr = 0.0
         stderr_ratios = float(ratio.std(ddof=1) / math.sqrt(kept))
     return MonteCarloResult(
         mean, stderr, float(ratio.mean()), stderr_ratios,
         spec.n_samples, len(rejected), spec.master_seed,
-        ratio if keep_values else None, tuple(rejected),
+        ratio if keep_values else None, tuple(rejected), at_rounding,
     )
 
 

@@ -32,7 +32,7 @@ and the spin count is capped at ``SPIN_CAP``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -62,20 +62,15 @@ RESYMMETRIZE_EVERY = 100  # steps between rho <- (rho + rho^dag)/2
 # ---------------------------------------------------------------------------
 
 class _SiteOps:
-    """Cached per-n tables: bit signs and pairwise Hamming distances."""
+    """Cached per-n tables: bit signs and their pairwise overlaps."""
 
     def __init__(self, n: int):
         self.n = n
-        dim = 1 << n
-        idx = np.arange(dim)
+        idx = np.arange(1 << n)
         bits = (idx[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1
         self.z_signs = (1.0 - 2.0 * bits.T).copy()       # z_signs[i, a] = (-1)**bit_i(a)
-        xor = idx[:, None] ^ idx[None, :]
-        ham = np.zeros((dim, dim), dtype=np.int64)
-        for b in range(n):
-            ham += (xor >> b) & 1
-        self.hamming = ham
-        self.z_conj_weight = (n - 2 * ham).astype(float)  # sum_i z_i[a] z_i[b]
+        # sum_i z_i[a] z_i[b] = n - 2 * hamming(a, b), exact in float
+        self.z_conj_weight = self.z_signs.T @ self.z_signs
 
 
 _SITE_CACHE: dict[int, _SiteOps] = {}
@@ -124,9 +119,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return 1 << self.n_spins
-
-    def copy(self) -> "DensityMatrix":
-        return DensityMatrix(self.entries.copy(), self.n_spins)
 
     def trace_defect(self) -> float:
         return abs(np.trace(self.entries) - 1.0)
@@ -290,9 +282,6 @@ def lindblad_rhs(
     params: EnsembleParams,
     rates: DecoherenceRates,
     proto: ProtocolParams,
-    include_signal: bool = False,
-    include_hamiltonian: bool = True,
-    include_dissipator: bool = True,
 ) -> DensityMatrix:
     """Generator of the master equation applied once to ``state``.
 
@@ -301,32 +290,28 @@ def lindblad_rhs(
     drops out of the commutator).  Dissipator: per-site sigma_x channel at
     gamma_par and sigma_y/sigma_z channels at gamma_perp, with the
     trace-preserving counterterm N*(gamma_par + 2*gamma_perp)*rho.  Signal
-    part: -i*B_y*[SY, rho].  Evaluated in the collective-x frame; the
-    result is returned in the z basis.
+    part: -i*B_y*[SY, rho] with B_y = ``proto.signal_field``.  A term drops
+    out when its parameter is zero.  Evaluated in the collective-x frame;
+    the result is returned in the z basis.
     """
     n = state.n_spins
-    gamma_perp = rates.gamma_perp if include_dissipator else 0.0
-    diag = _frame_diagonal(
-        n,
-        proto.coupling if include_hamiltonian else 0.0,
-        rates.gamma_par if include_dissipator else 0.0,
-        gamma_perp,
-    )
-    rhs = _raw_rhs(_x_frame(state.entries), n, diag, gamma_perp,
-                   proto.signal_field if include_signal else 0.0)
+    rhs = _raw_rhs(_x_frame(state.entries), n, *_generator(n, rates, proto))
     return DensityMatrix(_x_frame(rhs), n)
 
 
-def _frame_diagonal(n, coupling, gamma_par, gamma_perp) -> np.ndarray:
-    """Elementwise part of the generator in the x frame.
+def _generator(n, rates: DecoherenceRates, proto: ProtocolParams):
+    """Inputs of ``_raw_rhs``: the elementwise factor, gamma_perp and B_y.
 
-    With sigma_x -> z_i and h_a = (sum_i z_i[a])^2 the eigenvalue of SX^2:
+    The elementwise factor is, with sigma_x -> z_i in the x frame and
+    h_a = (sum_i z_i[a])^2 the eigenvalue of SX^2,
     -iJ (h_a - h_b) + gamma_par sum_i z_i[a] z_i[b] - n (gamma_par + 2 gamma_perp).
     """
     ops = _site_ops(n)
     h = ops.z_signs.sum(axis=0) ** 2
-    return (-1j * coupling) * np.subtract.outer(h, h) \
+    gamma_par, gamma_perp = rates.gamma_par, rates.gamma_perp
+    diag = (-1j * proto.coupling) * np.subtract.outer(h, h) \
         + (gamma_par * ops.z_conj_weight - n * (gamma_par + 2.0 * gamma_perp))
+    return diag, gamma_perp, proto.signal_field
 
 
 def _raw_rhs(rho, n, diag, gamma_perp, signal_field):
@@ -406,34 +391,24 @@ def evolve(
     params: EnsembleParams,
     rates: DecoherenceRates,
     proto: ProtocolParams,
-    include_signal: bool = False,
-    include_hamiltonian: bool = True,
-    include_dissipator: bool = True,
     check_positivity: bool = False,
 ) -> Trajectory:
     """Integrate the master equation with fixed-step RK4.
 
-    The state is integrated in the collective-x frame and converted back
-    to the z basis at checkpoints, which record collective moments, trace
-    and purity; hermiticity and trace are verified at every checkpoint and
-    the state is re-symmetrized every ``RESYMMETRIZE_EVERY`` steps to damp
-    float drift.  A positivity violation beyond tolerance raises
-    NumericalError naming the offending time.  ``final`` is the z-basis
-    state at t_final.
+    The generator is that of ``lindblad_rhs``, probe field
+    ``proto.signal_field`` included.  The state is integrated in the
+    collective-x frame and converted back to the z basis at checkpoints,
+    which record collective moments, trace and purity; hermiticity and
+    trace are verified at every checkpoint and the state is re-symmetrized
+    every ``RESYMMETRIZE_EVERY`` steps to damp float drift.  A positivity
+    violation beyond tolerance raises NumericalError naming the offending
+    time.  ``final`` is the z-basis state at t_final.
     """
     n = state.n_spins
     n_steps = cfg.steps()
     dt = cfg.t_final / n_steps
     every = cfg.checkpoint_every if cfg.checkpoint_every > 0 else n_steps
-
-    gt = rates.gamma_perp if include_dissipator else 0.0
-    by = proto.signal_field if include_signal else 0.0
-    diag = _frame_diagonal(
-        n,
-        proto.coupling if include_hamiltonian else 0.0,
-        rates.gamma_par if include_dissipator else 0.0,
-        gt,
-    )
+    gen = _generator(n, rates, proto)
     traj = Trajectory()
 
     def checkpoint(t, r):
@@ -449,10 +424,10 @@ def evolve(
     checkpoint(0.0, rho)
     rho = _x_frame(rho)
     for step in range(1, n_steps + 1):
-        k1 = _raw_rhs(rho, n, diag, gt, by)
-        k2 = _raw_rhs(rho + 0.5 * dt * k1, n, diag, gt, by)
-        k3 = _raw_rhs(rho + 0.5 * dt * k2, n, diag, gt, by)
-        k4 = _raw_rhs(rho + dt * k3, n, diag, gt, by)
+        k1 = _raw_rhs(rho, n, *gen)
+        k2 = _raw_rhs(rho + 0.5 * dt * k1, n, *gen)
+        k3 = _raw_rhs(rho + 0.5 * dt * k2, n, *gen)
+        k4 = _raw_rhs(rho + dt * k3, n, *gen)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if step % RESYMMETRIZE_EVERY == 0:
             rho = (rho + rho.conj().T) / 2.0
@@ -511,9 +486,9 @@ def apply_dephasing(state: DensityMatrix, survival: float) -> DensityMatrix:
     s = float(survival)
     if not (0.0 <= s <= 1.0):
         raise DomainError("survival amplitude must lie in [0, 1]")
-    ham = _site_ops(state.n_spins).hamming
-    weights = np.where(ham == 0, 1.0, 0.0) if s == 0.0 else s ** ham
-    return DensityMatrix(state.entries * weights, state.n_spins)
+    n = state.n_spins
+    hamming = (n - _site_ops(n).z_conj_weight) / 2.0
+    return DensityMatrix(state.entries * s ** hamming, n)
 
 
 # ---------------------------------------------------------------------------
@@ -541,12 +516,14 @@ def factorization_gap(
     three legs integrated with the same RK4 configuration.  At fixed N*J*T
     and (Gamma_par+Gamma_perp)*T the raw gap rises with spin count toward
     saturation (about 0.023, 0.030, 0.032 for N = 2, 3, 4 at N*J*T =
-    Gamma_sum*T = 0.2); the per-spin gap, gap/N, decreases.
+    Gamma_sum*T = 0.2); the per-spin gap, gap/N, decreases.  The probe
+    field is part of neither L_H nor L_D: ``proto.signal_field`` is ignored.
     """
+    proto = replace(proto, signal_field=0.0)
     rho0 = build_initial_state(params)
     joint = evolve(rho0, cfg, params, rates, proto).final
-    diss_first = evolve(rho0, cfg, params, rates, proto, include_hamiltonian=False).final
-    factored = evolve(diss_first, cfg, params, rates, proto, include_dissipator=False).final
+    diss_first = evolve(rho0, cfg, params, rates, replace(proto, coupling=0.0)).final
+    factored = evolve(diss_first, cfg, params, DecoherenceRates(), proto).final
     return trace_distance(joint, factored)
 
 
@@ -556,9 +533,8 @@ def factorization_gap_table(
     gamma_sum_t: float,
     t_final: float = 1.0,
     dt: float = 2e-3,
-    polarization: float = 1.0,
 ) -> list[tuple[int, float]]:
-    """Gap for each N at fixed N*J*T and (Gamma_par+Gamma_perp)*T.
+    """Gap for each N at fixed N*J*T and (Gamma_par+Gamma_perp)*T, at P = 1.
 
     J is scaled as njt/(N*T) and the rates are split evenly between the
     longitudinal and transverse channels.
@@ -568,7 +544,7 @@ def factorization_gap_table(
     cfg = IntegratorConfig(dt=dt, t_final=t_final)
     out = []
     for n in n_values:
-        params = EnsembleParams(n_spins=int(n), polarization=polarization)
+        params = EnsembleParams(n_spins=int(n))
         proto = ProtocolParams(coupling=njt / (n * t_final), squeeze_time=t_final)
         out.append((int(n), factorization_gap(params, rates, proto, cfg)))
     return out
@@ -598,8 +574,9 @@ def simulate_metrology(
     the B_y = 0 run (pass ``measure_angle`` to override, e.g. for J = 0
     where the variance is isotropic); the signal slope comes from a
     central finite difference at +/-B_y and the noise from the B_y = 0
-    variance.  The default probe step keeps the linear-response error
-    below the integrator tolerance.
+    variance.  ``proto.signal_field`` sets the probe step B_y and is zeroed
+    for the noise run; when it is zero, a default step keeps the
+    linear-response error below the integrator tolerance.
     """
     b = proto.signal_field
     if b == 0.0:
@@ -607,8 +584,10 @@ def simulate_metrology(
         b = 1e-6 * gs if gs > 0.0 else 1e-6 / proto.squeeze_time
     rho0 = build_initial_state(params)
 
-    base = evolve(rho0, cfg, params, rates, proto).final
-    mom0 = compute_moments(base)
+    def moments_at(b_y):
+        return evolve(rho0, cfg, params, rates, replace(proto, signal_field=b_y)).moments[-1]
+
+    mom0 = moments_at(0.0)
     if measure_angle is None:
         theta, second = mom0.minimize_second_moment()
     else:
@@ -616,17 +595,7 @@ def simulate_metrology(
         second = mom0.second_moment(theta)
     mean0 = mom0.quadrature_mean(theta)
     noise = math.sqrt(max(second - mean0 * mean0, 0.0))
-
-    def mean_at(field):
-        p = ProtocolParams(
-            coupling=proto.coupling,
-            squeeze_time=proto.squeeze_time,
-            signal_field=field,
-            total_time=proto.total_time,
-        )
-        final = evolve(rho0, cfg, params, rates, p, include_signal=True).final
-        return compute_moments(final).quadrature_mean(theta)
-
-    slope = (mean_at(+b) - mean_at(-b)) / (2.0 * b)
+    slope = (moments_at(+b).quadrature_mean(theta)
+             - moments_at(-b).quadrature_mean(theta)) / (2.0 * b)
     snr = slope * b * math.sqrt(proto.total_time / proto.squeeze_time) / noise
     return MetrologyResult(slope, noise, snr, theta, b)

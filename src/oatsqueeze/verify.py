@@ -74,8 +74,8 @@ def _finish(suite, checks, **extra):
     return report
 
 
-def _random_couplings(rng, n, loc=0.05, scale=0.1):
-    theta = rng.normal(loc, scale, size=(n, n))
+def _random_couplings(rng, n):
+    theta = rng.normal(0.05, 0.1, size=(n, n))
     theta = (theta + theta.T) / 2.0
     np.fill_diagonal(theta, 0.0)
     return theta
@@ -333,8 +333,8 @@ def suite_metrology() -> dict:
     proto0 = ProtocolParams(coupling=0.02, squeeze_time=1.0, signal_field=0.0)
     cfg0 = IntegratorConfig(dt=2e-3, t_final=1.0)
     rho0 = build_initial_state(params0)
-    plus = evolve(rho0, cfg0, params0, rates0, proto0, include_signal=True).final
-    minus = evolve(rho0, cfg0, params0, rates0, proto0, include_signal=True).final
+    plus = evolve(rho0, cfg0, params0, rates0, proto0).final
+    minus = evolve(rho0, cfg0, params0, rates0, proto0).final
     slope0 = (compute_moments(plus).quadrature_mean(0.3)
               - compute_moments(minus).quadrature_mean(0.3)) / 2e-6
     checks.append(_check("zero_field_zero_slope", abs(slope0), 1e-10))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from oatsqueeze import analytic
+from oatsqueeze import analytic, inhomogeneous
 from oatsqueeze.cli import FLAGS, SUBCOMMANDS, main
 
 
@@ -153,6 +153,28 @@ def test_inhomo_mc_summary_contents(tmp_path):
     assert payload["suppression_factors"]["negligible"] is True
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 1 + 10 + 1
+
+
+def test_inhomo_mc_exact_match_has_zero_z_score(capsys):
+    # every sample identical: the standard error is rounding noise, not a
+    # reason for a z-score of 100
+    assert main(["inhomo-mc", "--kappa", "0", "--samples", "1000"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["stderr"] == 0.0
+    assert payload["stderr_at_rounding_level"] is True
+    assert payload["z_score"] == 0.0
+
+
+@pytest.mark.parametrize("size", [["--n", "100000", "--samples", "1"],
+                                  ["--samples", str(10 ** 9)]])
+def test_inhomo_mc_oversized_run_exits_1_before_allocating(size, monkeypatch, capsys):
+    def no_allocation(*args):
+        raise AssertionError("allocated coupling samples")
+
+    monkeypatch.setattr(inhomogeneous, "_coupling_stack", no_allocation)
+    assert main(["inhomo-mc", "--kappa", "0.1", *size]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "GiB" in err
 
 
 def test_validation_exit_code(tmp_path):

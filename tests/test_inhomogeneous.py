@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oatsqueeze import analytic, inhomogeneous
-from oatsqueeze.core import DomainError, NumericalError, ValidationError
+from oatsqueeze.core import DomainError, NumericalError, ResourceError, ValidationError
 from oatsqueeze.inhomogeneous import (
     ALPHA_CONCENTRATED,
     CouplingMatrix,
@@ -302,6 +302,39 @@ def test_mc_values_independent_of_chunking(monkeypatch):
     chunked = monte_carlo_mean_xi2(spec, n, pols, theta, keep_values=True)
     assert chunked.values.tolist() == direct
     assert (chunked.mean, chunked.stderr) == (large.mean, large.stderr)
+
+
+def test_mc_stderr_at_rounding_level_is_zero():
+    # identical samples: the delta-method error is rounding noise (about
+    # 3e-16 on a mean of 13), reported as 0 and flagged in the summary
+    spec = DisorderSpec(theta0=0.05, kappa=0.0, n_samples=1000)
+    theta = 8 * 0.05 + math.pi / 2.0
+    mc = monte_carlo_mean_xi2(spec, 20, 1.0, theta)
+    assert mc.stderr == 0.0
+    assert mc.summary()["stderr_at_rounding_level"] is True
+    # a small but real disorder keeps its error
+    spec = DisorderSpec(theta0=0.05, kappa=1e-5, n_samples=1000)
+    mc = monte_carlo_mean_xi2(spec, 20, 1.0, theta)
+    assert 1e-7 < mc.stderr < 1e-6
+    assert mc.summary()["stderr_at_rounding_level"] is False
+
+
+def test_oversized_runs_raise_before_allocating(monkeypatch):
+    def no_allocation(*args):
+        raise AssertionError("allocated coupling samples")
+
+    monkeypatch.setattr(inhomogeneous, "_coupling_stack", no_allocation)
+    with pytest.raises(ResourceError, match="GiB"):
+        monte_carlo_mean_xi2(DisorderSpec(theta0=0.05, kappa=0.1), 10 ** 5, 1.0, 0.7)
+    with pytest.raises(ResourceError, match="GiB"):
+        monte_carlo_mean_xi2(DisorderSpec(theta0=0.05, kappa=0.1, n_samples=10 ** 9),
+                             20, 1.0, 0.7)
+    # the single-matrix kernel is bounded the same way: with the cap set to
+    # what N = 5 needs, N = 5 runs and N = 6 raises
+    monkeypatch.setattr(inhomogeneous, "_MEMORY_CAP", 16 + 21 * 8 * 5 * 5)
+    quadrature_components(uniform(5, 0.05), 1.0, 0.7)
+    with pytest.raises(ResourceError, match="GiB"):
+        quadrature_components(uniform(6, 0.05), 1.0, 0.7)
 
 
 def test_mc_bit_reproducible():

@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -136,8 +137,7 @@ def test_rhs_is_traceless():
     rng = np.random.default_rng(0)
     state = random_density_matrix(rng, 3)
     rhs = lindblad_rhs(state, EnsembleParams(3, 1.0), DecoherenceRates(0.05, 0.1),
-                       ProtocolParams(coupling=0.2, squeeze_time=1.0, signal_field=0.3),
-                       include_signal=True)
+                       ProtocolParams(coupling=0.2, squeeze_time=1.0, signal_field=0.3))
     assert abs(np.trace(rhs.entries)) < 1e-13
 
 
@@ -159,8 +159,7 @@ def test_rhs_matches_kronecker_generator():
             got = lindblad_rhs(DensityMatrix(rho, n), EnsembleParams(n, 1.0),
                                DecoherenceRates(gamma_par, gamma_perp),
                                ProtocolParams(coupling=coupling, squeeze_time=1.0,
-                                              signal_field=field),
-                               include_signal=True)
+                                              signal_field=field))
             assert np.max(np.abs(got.entries - want)) <= 1e-12, f"n={n}"
 
 
@@ -452,6 +451,17 @@ def test_factorization_gap_trivial_limits():
     assert g <= 1e-10
 
 
+def test_factorization_gap_ignores_the_probe_field():
+    # the gap compares L_H and L_D only: a probe in proto changes no bit
+    params = EnsembleParams(3, 0.9)
+    rates = DecoherenceRates(0.05, 0.1)
+    cfg = IntegratorConfig(dt=1e-2, t_final=0.5)
+    proto = ProtocolParams(coupling=0.1, squeeze_time=0.5)
+    without = factorization_gap(params, rates, proto, cfg)
+    assert without > 1e-6
+    assert factorization_gap(params, rates, replace(proto, signal_field=0.2), cfg) == without
+
+
 def test_factorization_per_spin_gap_decreases():
     # The raw trace-distance gap at fixed N*J*T saturates upward with N;
     # the per-spin gap is the quantity that decreases monotonically.
@@ -510,10 +520,23 @@ def test_metrology_zero_field_zero_slope():
     proto = ProtocolParams(coupling=0.02, squeeze_time=1.0, signal_field=0.0)
     cfg = IntegratorConfig(dt=2e-3, t_final=1.0)
     rho0 = build_initial_state(params)
-    a = evolve(rho0, cfg, params, rates, proto, include_signal=True).final
-    b = evolve(rho0, cfg, params, rates, proto, include_signal=True).final
+    a = evolve(rho0, cfg, params, rates, proto).final
+    b = evolve(rho0, cfg, params, rates, proto).final
     slope = np.max(np.abs(a.entries - b.entries))
     assert slope <= 1e-10
+
+
+def test_metrology_noise_run_ignores_the_probe_field():
+    # the B_y = 0 run zeroes proto.signal_field, so noise and measured angle
+    # are those of a zero-field call bit for bit; only the probe step differs
+    params = EnsembleParams(3, 0.9)
+    rates = DecoherenceRates(0.02, 0.03)
+    cfg = IntegratorConfig(dt=5e-3, t_final=0.5)
+    proto = ProtocolParams(coupling=0.05, squeeze_time=0.5)
+    zero = simulate_metrology(params, rates, proto, cfg)
+    probed = simulate_metrology(params, rates, replace(proto, signal_field=0.01), cfg)
+    assert (probed.noise, probed.theta_min) == (zero.noise, zero.theta_min)
+    assert (probed.b_step, zero.b_step) == (0.01, 1e-6 * rates.gamma_sum)
 
 
 def test_metrology_single_spin_rotation():
