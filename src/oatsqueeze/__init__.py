@@ -13,7 +13,6 @@ from .core import (
     EnsembleParams,
     NumericalError,
     ProtocolParams,
-    QuadratureAngle,
     ResourceError,
     SqueezingReport,
     ValidationError,
@@ -32,7 +31,6 @@ __all__ = [
     "EnsembleParams",
     "NumericalError",
     "ProtocolParams",
-    "QuadratureAngle",
     "ResourceError",
     "SqueezingReport",
     "ValidationError",

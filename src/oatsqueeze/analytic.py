@@ -9,7 +9,11 @@ so the coherent-state baseline is 1/P.  Exact finite-polarization
 expressions for product states twisted by the ordered-pair Hamiltonian
 J sum_{i != j} sx_i sx_j are provided alongside the small-angle / large-N
 approximations that make the time and Theta optimizations tractable.
-Every formula here is pinned against the dense oracle in the test suite.
+The minimum of a0 + a1 cos(2 theta) + a2 sin(2 theta) over the quadrature
+angle is written once, in ``_cos2_minimum``, which the oracle's moment
+minimizer shares.  The scalar optimizer refuses an optimum at the edge of
+its bracket.  Every formula here is pinned against the dense oracle in
+the test suite.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from .core import (
     EnsembleParams,
     NumericalError,
     ProtocolParams,
+    SqueezingReport,
     ValidationError,
-    as_angle,
     canonical_angle,
     DECOHERENCE_DOMINATED,
     MIXED,
@@ -107,7 +111,7 @@ def _twist_terms(n: int, p: float, theta0: float) -> tuple[float, float, float]:
     return a, b, d
 
 
-def xi2_theta_finite_polarization(n: int, p: float, theta0: float, theta) -> float:
+def xi2_theta_finite_polarization(n: int, p: float, theta0: float, theta: float) -> float:
     """Exact quadrature ratio of a uniformly twisted product state.
 
     ``theta0`` is the accumulated pair angle J*t and ``theta`` the
@@ -115,26 +119,35 @@ def xi2_theta_finite_polarization(n: int, p: float, theta0: float, theta) -> flo
     cos powers are evaluated in log space.
     """
     a, b, d = _twist_terms(n, p, theta0)
-    th = canonical_angle(as_angle(theta))
+    th = canonical_angle(theta)
     s = math.sin(th)
     return (1.0 + a * s * s - b * math.sin(2.0 * th)) / d
+
+
+def _cos2_minimum(a0: float, a1: float, a2: float) -> tuple[float, float]:
+    """Minimum over theta of a0 + a1*cos(2 theta) + a2*sin(2 theta), and its theta.
+
+    The minimum is a0 - hypot(a1, a2) at 2*theta = atan2(-a2, -a1); theta
+    is returned in [0, pi).
+    """
+    theta = 0.5 * math.atan2(-a2, -a1)
+    if theta < 0.0:
+        theta += math.pi
+    return a0 - math.hypot(a1, a2), theta
 
 
 def xi2_min_finite_polarization(n: int, p: float, theta0: float) -> tuple[float, float]:
     """Exact minimum over the quadrature angle, with the minimizing angle.
 
-    Writing sin^2 = (1 - cos(2 theta))/2 turns the ratio into
-    1 + A/2 - [A/2 cos(2 theta) + B sin(2 theta)], so the minimum is
-    1 + A/2 - hypot(A/2, B) at 2*theta = atan2(B, A/2).  For theta0 = 0
-    this degenerates to (1/P, 0).
+    Writing sin^2 = (1 - cos(2 theta))/2 turns the ratio's numerator into
+    1 + A/2 - A/2 cos(2 theta) - B sin(2 theta), minimal at
+    2*theta = atan2(B, A/2) (``_cos2_minimum``).  For theta0 = 0 this
+    degenerates to (1/P, 0).
     """
     a, b, d = _twist_terms(n, p, theta0)
     half_a = 0.5 * a
-    xi2 = (1.0 + half_a - math.hypot(half_a, b)) / d
-    theta_min = 0.5 * math.atan2(b, half_a)
-    if theta_min < 0.0:
-        theta_min += math.pi
-    return xi2, theta_min
+    numerator, theta_min = _cos2_minimum(1.0 + half_a, -half_a, -b)
+    return numerator / d, theta_min
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +175,7 @@ def optimal_time_pure(n: int, p: float, coupling: float) -> tuple[float, float]:
     return t_star, xi2_min_approx(n, p, coupling, t_star)
 
 
-def xi2_theta_approx_angle(n: int, p: float, theta0: float, theta) -> float:
+def xi2_theta_approx_angle(n: int, p: float, theta0: float, theta: float) -> float:
     """Angle-resolved small-angle quadrature around the squeezed direction:
 
         xi2_min + (P^-1 + 16 (N-1)(N-2) P t0^2 - xi2_min)
@@ -172,8 +185,7 @@ def xi2_theta_approx_angle(n: int, p: float, theta0: float, theta) -> float:
         raise DomainError("theta0 > 0 required by the small-angle expansion")
     xi2_min = xi2_min_approx(n, p, 1.0, theta0)
     height = 1.0 / p + 16.0 * (n - 1) * (n - 2) * p * theta0 * theta0 - xi2_min
-    th = as_angle(theta)
-    return xi2_min + height * (1.0 - math.cos(2.0 * (th - 8.0 * theta0)))
+    return xi2_min + height * (1.0 - math.cos(2.0 * (theta - 8.0 * theta0)))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +280,8 @@ def optimize_scalar(f, cfg: OptimizerConfig, sense: str = "min") -> tuple[float,
     narrows it to ``abs_tol``, and a single parabolic fit polishes the
     result (exact for quadratics, and it pushes smooth functions past the
     golden-section noise floor).  Non-finite function values raise
-    NumericalError.
+    NumericalError, and so does a result within ``abs_tol`` of either end
+    of the bracket: the bracket, not the function, set it.
     """
     if sense not in ("min", "max"):
         raise ValidationError(["sense must be 'min' or 'max'"])
@@ -317,6 +330,9 @@ def optimize_scalar(f, cfg: OptimizerConfig, sense: str = "min") -> tuple[float,
                 f_cand = g(cand)
                 if f_cand <= f_star:
                     x_star, f_star = cand, f_cand
+    if min(x_star - lo, hi - x_star) <= cfg.abs_tol:
+        raise NumericalError(f"optimum x={x_star!r} lies at the edge of the search "
+                             f"bracket [{lo!r}, {hi!r}]")
     return x_star, sign * f_star
 
 
@@ -335,35 +351,32 @@ def optimal_theta_squeezing(
     return theta, xi2, _regime(over / deco)
 
 
-def squeezing_report(n: int, p: float, rates: DecoherenceRates, coupling: float):
+def squeezing_report(n: int, p: float, rates: DecoherenceRates, coupling: float) -> SqueezingReport:
     """Optimal-squeezing summary bundle.
 
-    With relaxation present the optimization runs over Theta and
-    ``optimal_time_or_theta`` holds Theta*; in the rate-free limit it runs
-    over time directly (the optimum is then set by over-squeezing alone)
-    and holds t*.  ``theta_min`` is the optimal quadrature angle of the
-    equivalent reduced-polarization problem at the optimum.
+    With relaxation present the optimization runs over Theta and t* is
+    Theta*/(2 Gs); in the rate-free limit it runs over time directly (the
+    optimum is then set by over-squeezing alone) and ``theta_star`` is
+    None.  ``theta_min`` is the optimal quadrature angle of the equivalent
+    reduced-polarization problem at the optimum.
     """
-    from .core import SqueezingReport
-
     if coupling <= 0.0:
         raise DomainError("coupling > 0 required for a squeezing optimum")
     gs = rates.gamma_sum
     if gs > 0.0:
         theta_star, xi2, flag = optimal_theta_squeezing(n, p, rates, coupling)
         t_star = theta_star / (2.0 * gs)
-        optimal = theta_star
     else:
         t_star, xi2 = optimal_time_pure(n, p, coupling)
-        optimal = t_star
-        flag = OVERSQUEEZING_DOMINATED
+        theta_star, flag = None, OVERSQUEEZING_DOMINATED
     p_eff = effective_polarization(p, rates, t_star)
     _, theta_min = xi2_min_finite_polarization(n, p_eff, coupling * t_star)
     return SqueezingReport(
         xi2_min=xi2,
         theta_min=theta_min,
         effective_polarization=p_eff,
-        optimal_time_or_theta=optimal,
+        t_star=t_star,
+        theta_star=theta_star,
         regime_flag=flag,
     )
 
@@ -447,34 +460,6 @@ def sensitivity_denominator_correction(
     gs = rates.gamma_sum
     return denom_coeff * p * p * n ** 4 * coupling ** 6 * theta ** 6 \
         * math.exp(-2.0 * theta) / gs ** 6
-
-
-@dataclass(frozen=True)
-class SensitivityCurvePoint:
-    """One point of the sensitivity-vs-Theta curve."""
-
-    theta_big: float
-    sensitivity: float
-    xi2: float
-
-
-def sensitivity_curve(
-    thetas,
-    n: int,
-    p: float,
-    rates: DecoherenceRates,
-    coupling: float,
-    denom_coeff: float = SENSITIVITY_COEFF_DERIVED,
-) -> list[SensitivityCurvePoint]:
-    """Sensitivity and minimal squeezing along a Theta grid."""
-    return [
-        SensitivityCurvePoint(
-            theta_big=th,
-            sensitivity=sensitivity(th, n, p, rates, coupling, denom_coeff),
-            xi2=xi2_min_decoherence_theta(n, p, rates, coupling, th),
-        )
-        for th in thetas
-    ]
 
 
 def max_sensitivity(

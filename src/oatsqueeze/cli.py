@@ -31,7 +31,9 @@ from .core import (
     ProtocolParams,
     ResourceError,
     ValidationError,
+    _csv_number,
     text_output,
+    theta_big,
     validate,
 )
 from .inhomogeneous import (
@@ -43,8 +45,6 @@ from .inhomogeneous import (
     suppression_report,
 )
 from .verify import SUITES, run_suite, suite_inputs, suite_sizes
-
-FMT = "{:.17g}"
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +156,7 @@ def _csv(rows, header, echo) -> str:
     lines = list(echo)
     lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join(FMT.format(v) for v in row))
+        lines.append(",".join(map(_csv_number, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -188,18 +188,20 @@ def cmd_squeeze_curve(args) -> int:
     params, rates, proto = _bundle(args)
     if proto.coupling <= 0.0:
         raise ValidationError(["coupling > 0 required for a squeezing curve (--j)"])
-    gs = rates.gamma_sum
     rows = []
     for t in values:
-        theta_big = 2.0 * gs * t
-        xi2_dec = analytic.xi2_min_decoherence(params.n_spins, params.polarization,
-                                               rates, proto.coupling, t)
-        xi2_pure = analytic.xi2_min_approx(params.n_spins, params.polarization,
-                                           proto.coupling, t)
-        p_eff = analytic.effective_polarization(params.polarization, rates, t)
-        _, theta_min = analytic.xi2_min_finite_polarization(
-            params.n_spins, p_eff, proto.coupling * t)
-        rows.append([t, theta_big, xi2_dec, xi2_pure, p_eff, theta_min])
+        try:
+            xi2_dec = analytic.xi2_min_decoherence(params.n_spins, params.polarization,
+                                                   rates, proto.coupling, t)
+            xi2_pure = analytic.xi2_min_approx(params.n_spins, params.polarization,
+                                               proto.coupling, t)
+            p_eff = analytic.effective_polarization(params.polarization, rates, t)
+            _, theta_min = analytic.xi2_min_finite_polarization(
+                params.n_spins, p_eff, proto.coupling * t)
+        except DomainError as exc:
+            raise ValidationError([f"sweep t={t!r} lies outside the closed forms' "
+                                   f"domain ({exc})"]) from None
+        rows.append([t, theta_big(rates, t), xi2_dec, xi2_pure, p_eff, theta_min])
     echo = _echo_lines("squeeze-curve", args, [
         ("n", params.n_spins), ("p", params.polarization), ("j", proto.coupling),
         ("gamma_par", rates.gamma_par), ("gamma_perp", rates.gamma_perp),
@@ -216,19 +218,17 @@ def cmd_optimal_point(args) -> int:
     n, p = params.n_spins, params.polarization
     payload = {
         "objective": args.objective,
-        "reference_constants": {"theta_min": 2.0 / 3.0, "theta_max": 0.727},
+        "reference_constants": {key: analytic.REFERENCE_CONSTANTS[key]
+                                for key in ("theta_min", "theta_max")},
     }
     gs = rates.gamma_sum
     if args.objective == "squeezing":
         if proto.coupling <= 0.0:
             raise ValidationError(["coupling > 0 required for a squeezing optimum"])
         rep = analytic.squeezing_report(n, p, rates, proto.coupling)
-        theta_star = rep.optimal_time_or_theta if gs > 0.0 else None
-        t_star = rep.optimal_time_or_theta / (2.0 * gs) if gs > 0.0 \
-            else rep.optimal_time_or_theta
         payload.update({
-            "theta_star": theta_star,
-            "t_star": t_star,
+            "theta_star": rep.theta_star,
+            "t_star": rep.t_star,
             "xi2_min": rep.xi2_min,
             "theta_min_angle": rep.theta_min,
             "effective_polarization": rep.effective_polarization,
@@ -258,14 +258,13 @@ def cmd_metrology(args) -> int:
     if proto.coupling <= 0.0:
         raise ValidationError(["coupling > 0 required for metrology"])
     n, p = params.n_spins, params.polarization
-    thetas = [v if sweep_name == "theta_big" else 2.0 * gs * v for v in values]
-    derived = analytic.sensitivity_curve(thetas, n, p, rates, proto.coupling,
-                                         analytic.SENSITIVITY_COEFF_DERIVED)
-    reference = analytic.sensitivity_curve(thetas, n, p, rates, proto.coupling,
-                                           analytic.SENSITIVITY_COEFF_REFERENCE)
     rows = []
-    for point, ref in zip(derived, reference):
-        t = point.theta_big / (2.0 * gs)
+    for value in values:
+        big = value if sweep_name == "theta_big" else theta_big(rates, value)
+        derived = analytic.sensitivity(big, n, p, rates, proto.coupling)
+        reference = analytic.sensitivity(big, n, p, rates, proto.coupling,
+                                         analytic.SENSITIVITY_COEFF_REFERENCE)
+        t = big / (2.0 * gs)
         tau = args.tau if args.tau is not None else t
         if not tau >= t:  # also rejects NaN
             raise ValidationError(["total_time >= squeeze_time along the sweep"])
@@ -273,7 +272,7 @@ def cmd_metrology(args) -> int:
             params, rates,
             ProtocolParams(coupling=proto.coupling, squeeze_time=t,
                            signal_field=proto.signal_field, total_time=tau))
-        rows.append([point.theta_big, t, snr, point.sensitivity, ref.sensitivity])
+        rows.append([big, t, snr, derived, reference])
     echo = _echo_lines("metrology", args, [
         ("n", n), ("p", p), ("j", proto.coupling),
         ("gamma_par", rates.gamma_par), ("gamma_perp", rates.gamma_perp),

@@ -1,9 +1,12 @@
-"""Shared domain types, unit conventions and validation.
+"""Shared domain types, unit conventions, validation and output format.
 
 Conventions used across the package: hbar = 1; the coupling J, the
 relaxation rates Gamma_par / Gamma_perp and the probe field B_y all carry
 units of 1/time, times carry the inverse, and the accumulated twisting
-angle theta0 = J*t is dimensionless.  The twisting Hamiltonian is the
+angle theta0 = J*t is dimensionless, as is Theta = 2*(Gamma_par +
+Gamma_perp)*T (``theta_big``).  Quadrature angles are plain floats in
+radians.  Every CSV writes its numbers through ``_csv_number``, with 17
+significant digits.  The twisting Hamiltonian is the
 ordered-pair sum J * sum_{i != j} sx_i sx_j, i.e. every unordered pair
 enters with weight 2J; this is the convention under which theta0 = J*t
 matches the cos(4*theta0) factors of the closed forms (pinned by a
@@ -19,7 +22,6 @@ from dataclasses import dataclass
 DECOHERENCE_DOMINATED = "decoherence_dominated"
 OVERSQUEEZING_DOMINATED = "oversqueezing_dominated"
 MIXED = "mixed"
-REGIME_FLAGS = (DECOHERENCE_DOMINATED, OVERSQUEEZING_DOMINATED, MIXED)
 
 
 class ValidationError(ValueError):
@@ -101,29 +103,24 @@ def canonical_angle(theta: float) -> float:
     return 0.0 if out == math.pi else out
 
 
-@dataclass(frozen=True)
-class QuadratureAngle:
-    """Angle from the x-axis in the x-y plane, canonicalized to [0, pi)."""
-
-    theta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", canonical_angle(self.theta))
-
-
-def as_angle(theta) -> float:
-    """Accept either a bare float in radians or a QuadratureAngle."""
-    return theta.theta if isinstance(theta, QuadratureAngle) else float(theta)
+def _csv_number(value) -> str:
+    """A number as every CSV writes it: 17 significant digits, which round-trip a double."""
+    return f"{value:.17g}"
 
 
 @dataclass(frozen=True)
 class SqueezingReport:
-    """Result bundle for an optimal squeezing / sensitivity search."""
+    """Result bundle of an optimal squeezing search.
+
+    ``t_star`` is the optimal squeezing time; ``theta_star`` is the optimal
+    Theta = 2*(Gamma_par+Gamma_perp)*t_star, or None without relaxation.
+    """
 
     xi2_min: float
     theta_min: float
     effective_polarization: float
-    optimal_time_or_theta: float
+    t_star: float
+    theta_star: float | None
     regime_flag: str
 
 

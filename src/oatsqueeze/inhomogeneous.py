@@ -26,7 +26,7 @@ from .core import (
     NumericalError,
     ResourceError,
     ValidationError,
-    as_angle,
+    _csv_number,
     text_output,
 )
 
@@ -59,6 +59,11 @@ class CouplingMatrix:
     @property
     def n_spins(self) -> int:
         return self.theta.shape[0]
+
+
+def _as_couplings(couplings) -> CouplingMatrix:
+    """``couplings`` itself if it is a CouplingMatrix, else the checked matrix."""
+    return couplings if isinstance(couplings, CouplingMatrix) else CouplingMatrix(couplings)
 
 
 @dataclass(frozen=True)
@@ -217,7 +222,7 @@ def _require_memory(n: int, chunk: int, n_samples: int) -> None:
             f"above the {_MEMORY_CAP / 2**30:g} GiB cap")
 
 
-def quadrature_components(couplings, pols, theta) -> tuple[float, float]:
+def quadrature_components(couplings, pols, theta: float) -> tuple[float, float]:
     """Per-spin numerator and denominator of the quadrature ratio.
 
     With C_jk = cos(4 theta_jk), S_jk = sin(4 theta_jk):
@@ -233,18 +238,16 @@ def quadrature_components(couplings, pols, theta) -> tuple[float, float]:
     O(N^3) time and O(N^2) memory; the Monte Carlo runs the same kernel on
     stacks of samples.
     """
-    th_mat = np.asarray(getattr(couplings, "theta", couplings), dtype=float)
+    th_mat = _as_couplings(couplings).theta
     n = th_mat.shape[0]
     if n < 2:
         raise ValidationError(["n_spins >= 2 for pair couplings"])
-    if not isinstance(couplings, CouplingMatrix):
-        CouplingMatrix(th_mat)  # runs the symmetry/diagonal checks
     _require_memory(n, 1, 1)
-    a_norm, b_norm = _components(th_mat[None], _validate_pols(pols, n), as_angle(theta))
+    a_norm, b_norm = _components(th_mat[None], _validate_pols(pols, n), theta)
     return float(a_norm[0]), float(b_norm[0])
 
 
-def xi2_theta_couplings(couplings, pols, theta) -> float:
+def xi2_theta_couplings(couplings, pols, theta: float) -> float:
     """Exact quadrature ratio for arbitrary pair couplings (A/B above).
 
     Raises DomainError when the per-spin denominator falls below 1e-12.
@@ -303,7 +306,7 @@ def suppression_report(spec: DisorderSpec, n: int) -> tuple[float, float, bool]:
     return pair, single, (pair >= 0.99 and single >= 0.99)
 
 
-def mean_xi2_analytic(spec: DisorderSpec, n: int, theta, suppression: bool = True) -> float:
+def mean_xi2_analytic(spec: DisorderSpec, n: int, theta: float, suppression: bool = True) -> float:
     """Disorder-averaged quadrature ratio at unit polarization.
 
     Numerator and denominator of the closed form average edge by edge
@@ -318,9 +321,8 @@ def mean_xi2_analytic(spec: DisorderSpec, n: int, theta, suppression: bool = Tru
     exactly with the uniform-coupling closed form.
     """
     a, b, d = _twist_terms(n, 1.0, spec.theta0)
-    th = as_angle(theta)
     sp, ss = (suppression_report(spec, n)[:2]) if suppression else (1.0, 1.0)
-    return (1.0 + math.sin(th) ** 2 * sp * a - math.sin(2.0 * th) * ss * b) / (d * ss)
+    return (1.0 + math.sin(theta) ** 2 * sp * a - math.sin(2.0 * theta) * ss * b) / (d * ss)
 
 
 @dataclass(frozen=True)
@@ -364,7 +366,7 @@ class MonteCarloResult:
 
 
 def monte_carlo_mean_xi2(
-    spec: DisorderSpec, n: int, pols, theta, keep_values: bool = False
+    spec: DisorderSpec, n: int, pols, theta: float, keep_values: bool = False
 ) -> MonteCarloResult:
     """Monte Carlo disorder average of the quadrature ratio.
 
@@ -380,8 +382,7 @@ def monte_carlo_mean_xi2(
     if n < 2:
         raise ValidationError(["n_spins >= 2"])
     p = _validate_pols(pols, n)
-    th = as_angle(theta)
-    if not math.isfinite(th):
+    if not math.isfinite(theta):
         raise ValidationError(["quadrature angle finite"])
     chunk = max(1, _CHUNK_BYTES // (8 * n * n))
     _require_memory(n, chunk, spec.n_samples)
@@ -390,7 +391,7 @@ def monte_carlo_mean_xi2(
     for start in range(0, spec.n_samples, chunk):
         stop = min(start + chunk, spec.n_samples)
         a_norm[start:stop], b_norm[start:stop] = _components(
-            _coupling_stack(spec, n, start, stop - start), p, th)
+            _coupling_stack(spec, n, start, stop - start), p, theta)
     degenerate = np.abs(b_norm) <= _DEGENERATE_FRACTION
     rejected = np.flatnonzero(degenerate).tolist()
     if len(rejected) > 0.01 * spec.n_samples:
@@ -433,8 +434,9 @@ def mc_to_csv(result: MonteCarloResult, out) -> None:
     with text_output(out) as fh:
         fh.write("sample_index,xi2\n")
         for idx, val in zip(kept, result.values):
-            fh.write(f"{idx},{val:.17g}\n")
-        fh.write(f"# summary mean={result.mean:.17g} stderr={result.stderr:.17g} "
+            fh.write(f"{idx},{_csv_number(val)}\n")
+        fh.write(f"# summary mean={_csv_number(result.mean)} "
+                 f"stderr={_csv_number(result.stderr)} "
                  f"n_rejected={result.n_rejected} seed={result.master_seed}\n")
 
 

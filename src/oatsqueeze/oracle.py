@@ -25,8 +25,10 @@ matrix by index gather: <A_k B_l> = sum_b c(b) rho[b, b ^ e_k ^ e_l] with
 c = 1 for sigma_x and i*z(b) for sigma_y, which touches O(n^2 2**n)
 entries instead of forming operator products.
 
-The oracle exists to validate formulas, not to scale: everything is dense
-and the spin count is capped at ``SPIN_CAP``.
+Pair couplings are given as an ``inhomogeneous.CouplingMatrix`` or as a
+plain matrix that passes its checks.  The oracle exists to validate
+formulas, not to scale: everything is dense and the spin count is capped
+at ``SPIN_CAP``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .analytic import _cos2_minimum
 from .core import (
     DecoherenceRates,
     DomainError,
@@ -44,10 +47,10 @@ from .core import (
     ProtocolParams,
     ResourceError,
     ValidationError,
-    as_angle,
+    _csv_number,
     text_output,
 )
-from .inhomogeneous import CouplingMatrix
+from .inhomogeneous import _as_couplings
 
 SPIN_CAP = 12
 
@@ -142,17 +145,17 @@ class DensityMatrix:
             raise NumericalError(f"negative eigenvalue below -{POSITIVITY_TOL}{where}")
 
 
-def build_initial_state(params: EnsembleParams, cap: int = SPIN_CAP) -> DensityMatrix:
+def build_initial_state(params: EnsembleParams) -> DensityMatrix:
     """Product state with per-spin Bloch vector (0, 0, P).
 
     Written per spin as (I + P*sz)/2 = diag((1+P)/2, (1-P)/2) so the total
     trace is exactly one.  P = 0 (maximally mixed) is allowed here even
     though the squeezing formulas reject it.
     """
-    return _product_state(params.polarization, params.n_spins, cap)
+    return _product_state(params.polarization, params.n_spins)
 
 
-def _product_state(polarizations, n: int, cap: int = SPIN_CAP) -> DensityMatrix:
+def _product_state(polarizations, n: int) -> DensityMatrix:
     """Product of (I + P_i sz)/2; ``polarizations`` is a scalar or one P per spin."""
     if n < 1:
         raise ValidationError(["n_spins >= 1"])
@@ -163,8 +166,8 @@ def _product_state(polarizations, n: int, cap: int = SPIN_CAP) -> DensityMatrix:
         raise ValidationError(["polarizations must be scalar or length n_spins"])
     if not np.all((pols >= 0.0) & (pols <= 1.0)):
         raise ValidationError(["polarization in [0, 1] for state preparation"])
-    if n > cap:
-        raise ResourceError(f"n_spins = {n} exceeds dense-oracle cap {cap}")
+    if n > SPIN_CAP:
+        raise ResourceError(f"n_spins = {n} exceeds the dense oracle's SPIN_CAP = {SPIN_CAP}")
     diag = np.array([1.0])
     for p in pols:
         diag = np.kron(diag, np.array([(1.0 + p) / 2.0, (1.0 - p) / 2.0]))
@@ -198,31 +201,22 @@ class CollectiveMoments:
     pair_yy: np.ndarray | None = None
     site_z: np.ndarray | None = None  # per-site <sigma_z^i>, filled with pair tables
 
-    def second_moment(self, theta) -> float:
+    def second_moment(self, theta: float) -> float:
         """<[sum_i (cos(theta) sx_i + sin(theta) sy_i)]^2>; period pi."""
-        th = as_angle(theta)
-        c, s = math.cos(th), math.sin(th)
+        c, s = math.cos(theta), math.sin(theta)
         return c * c * self.xx2 + s * s * self.yy2 + s * c * self.xy_sym
 
-    def quadrature_mean(self, theta) -> float:
-        th = as_angle(theta)
-        return math.cos(th) * self.mean_x + math.sin(th) * self.mean_y
+    def quadrature_mean(self, theta: float) -> float:
+        return math.cos(theta) * self.mean_x + math.sin(theta) * self.mean_y
 
     def minimize_second_moment(self) -> tuple[float, float]:
-        """Closed-form minimizer of the quadrature second moment.
+        """Minimizing angle and value of the quadrature second moment,
+        (xx2 + yy2)/2 + (xx2 - yy2)/2 cos(2 theta) + xy_sym/2 sin(2 theta)."""
+        value, theta = _cos2_minimum((self.xx2 + self.yy2) / 2.0,
+                                     (self.xx2 - self.yy2) / 2.0, self.xy_sym / 2.0)
+        return theta, value
 
-        M(theta) = a0 + a1*cos(2 theta) + a2*sin(2 theta), minimal at
-        2*theta = atan2(-a2, -a1) with value a0 - hypot(a1, a2).
-        """
-        a0 = (self.xx2 + self.yy2) / 2.0
-        a1 = (self.xx2 - self.yy2) / 2.0
-        a2 = self.xy_sym / 2.0
-        theta = 0.5 * math.atan2(-a2, -a1)
-        if theta < 0.0:
-            theta += math.pi
-        return theta, a0 - math.hypot(a1, a2)
-
-    def xi2(self, theta) -> float:
+    def xi2(self, theta: float) -> float:
         """Squeezing ratio: quadrature second moment over total z polarization."""
         if abs(self.mean_z) < 1e-300:
             raise DomainError("vanishing total z polarization")
@@ -382,7 +376,7 @@ class Trajectory:
                 row = [t, mom.mean_x, mom.mean_y, mom.mean_z]
                 row += [mom.second_moment(th) for th in thetas]
                 row += [tr, pur]
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+                fh.write(",".join(map(_csv_number, row)) + "\n")
 
 
 def evolve(
@@ -440,34 +434,34 @@ def evolve(
 # exact variable-coupling unitary (diagonal in the collective x basis)
 # ---------------------------------------------------------------------------
 
-def coupling_phases(theta: np.ndarray) -> np.ndarray:
+def _coupling_phases(theta: np.ndarray) -> np.ndarray:
     """Eigenphases s^T theta s of the ordered-pair twisting generator."""
     n = theta.shape[0]
     s = _site_ops(n).z_signs.T  # [a, i] = sigma_x eigenvalue in the x frame
     return np.einsum("ai,ij,aj->a", s, theta, s)
 
 
-def variable_coupling_state(couplings, polarizations, cap: int = SPIN_CAP) -> DensityMatrix:
+def variable_coupling_state(couplings, polarizations) -> DensityMatrix:
     """Product state after U = prod_{i != j} exp(-i theta_ij sx_i sx_j).
 
-    ``couplings`` is a symmetric zero-diagonal matrix of pair angles (or an
-    object with a ``theta`` attribute holding one); ``polarizations`` is a
-    scalar P or one value per spin, each in [0, 1].  All factors commute,
-    so U is a single diagonal phase exp(-i s^T theta s) in the x frame:
-    rho' = X(phase * X(rho0) * phase^*) with X the frame change.
+    ``couplings`` is a ``CouplingMatrix`` or a symmetric zero-diagonal
+    matrix of pair angles; ``polarizations`` is a scalar P or one value per
+    spin, each in [0, 1].  All factors commute, so U is a single diagonal
+    phase exp(-i s^T theta s) in the x frame: rho' = X(phase * X(rho0) *
+    phase^*) with X the frame change.
     """
-    theta = CouplingMatrix(getattr(couplings, "theta", couplings)).theta
+    theta = _as_couplings(couplings).theta
     n = theta.shape[0]
-    rho = _x_frame(_product_state(polarizations, n, cap).entries)
-    phase = np.exp(-1j * coupling_phases(theta))
+    rho = _x_frame(_product_state(polarizations, n).entries)
+    phase = np.exp(-1j * _coupling_phases(theta))
     rho *= phase[:, None]
     rho *= phase.conj()[None, :]
     return DensityMatrix(_x_frame(rho), n)
 
 
-def evolve_variable_coupling(couplings, polarizations, cap: int = SPIN_CAP) -> CollectiveMoments:
+def evolve_variable_coupling(couplings, polarizations) -> CollectiveMoments:
     """Exact moments and pair tables of ``variable_coupling_state``."""
-    return compute_moments(variable_coupling_state(couplings, polarizations, cap),
+    return compute_moments(variable_coupling_state(couplings, polarizations),
                            pair_correlations=True)
 
 
@@ -591,7 +585,7 @@ def simulate_metrology(
     if measure_angle is None:
         theta, second = mom0.minimize_second_moment()
     else:
-        theta = as_angle(measure_angle)
+        theta = measure_angle
         second = mom0.second_moment(theta)
     mean0 = mom0.quadrature_mean(theta)
     noise = math.sqrt(max(second - mean0 * mean0, 0.0))

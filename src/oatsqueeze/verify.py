@@ -27,6 +27,7 @@ from .oracle import (
     evolve,
     evolve_variable_coupling,
     factorization_gap,
+    factorization_gap_table,
     lindblad_rhs,
     simulate_metrology,
     variable_coupling_state,
@@ -171,12 +172,7 @@ def suite_factorization(n_range=range(2, 7)) -> dict:
     checks.append(_check("gap_vanishes_without_dissipation", g, 1e-10))
 
     njt, gst, t_final = 0.2, 0.2, 1.0
-    rates = DecoherenceRates(gst / (2 * t_final), gst / (2 * t_final))
-    cfg = IntegratorConfig(dt=1e-2, t_final=t_final)
-    raw = []
-    for n in ns:
-        proto = ProtocolParams(coupling=njt / (n * t_final), squeeze_time=t_final)
-        raw.append(factorization_gap(EnsembleParams(n, 1.0), rates, proto, cfg))
+    raw = [g for _, g in factorization_gap_table(ns, njt, gst, t_final, dt=1e-2)]
     per_spin = [g / n for g, n in zip(raw, ns)]
     raw_dec = all(raw[i] > raw[i + 1] for i in range(len(raw) - 1))
     spin_dec = all(per_spin[i] > per_spin[i + 1] for i in range(len(per_spin) - 1))
@@ -184,6 +180,8 @@ def suite_factorization(n_range=range(2, 7)) -> dict:
                          table=[[n, g] for n, g in zip(ns, per_spin)]))
 
     n2jt = 0.8
+    rates = DecoherenceRates(gst / (2 * t_final), gst / (2 * t_final))
+    cfg = IntegratorConfig(dt=1e-2, t_final=t_final)
     raw2 = []
     for n in ns:
         proto = ProtocolParams(coupling=n2jt / (n * n * t_final), squeeze_time=t_final)

@@ -251,6 +251,15 @@ def test_optimizer_deterministic():
     assert len(runs) == 1
 
 
+def test_optimizer_rejects_an_optimum_at_the_bracket_edge():
+    # regression: a monotone objective returned the bracket's end as its optimum
+    cfg = analytic.OptimizerConfig(bracket=(0.1, 2.0))
+    with pytest.raises(NumericalError, match="edge"):
+        analytic.optimize_scalar(lambda t: t, cfg, "min")
+    with pytest.raises(NumericalError, match="edge"):
+        analytic.optimize_scalar(lambda t: t, cfg, "max")
+
+
 def test_optimizer_rejects_non_finite():
     cfg = analytic.OptimizerConfig(bracket=(0.1, 2.0))
     with pytest.raises(NumericalError):
@@ -363,24 +372,15 @@ def test_squeezing_report_bundles_the_optimum():
     rates = DecoherenceRates(0.015, 0.015)
     rep = analytic.squeezing_report(50, 1.0, rates, 1e-5)
     assert rep.regime_flag == "decoherence_dominated"
-    assert rep.optimal_time_or_theta == pytest.approx(2.0 / 3.0, abs=1e-4)
+    assert rep.theta_star == pytest.approx(2.0 / 3.0, abs=1e-4)
     assert 0.0 < rep.effective_polarization <= 1.0
     assert rep.xi2_min > 0.0
-    t_star = rep.optimal_time_or_theta / (2.0 * rates.gamma_sum)
-    assert rep.effective_polarization == pytest.approx(math.exp(-2.0 * 0.03 * t_star))
+    assert rep.t_star == rep.theta_star / (2.0 * rates.gamma_sum)
+    assert rep.effective_polarization == pytest.approx(math.exp(-2.0 * 0.03 * rep.t_star))
     pure = analytic.squeezing_report(100, 1.0, DecoherenceRates(), 1.0)
     assert pure.regime_flag == "oversqueezing_dominated"
-    assert pure.optimal_time_or_theta == pytest.approx(
-        analytic.optimal_time_pure(100, 1.0, 1.0)[0])
-
-
-def test_sensitivity_curve_points():
-    rates = DecoherenceRates(0.02, 0.03)
-    pts = analytic.sensitivity_curve((0.3, 0.8), 40, 0.9, rates, 0.002)
-    assert [p.theta_big for p in pts] == [0.3, 0.8]
-    for p in pts:
-        assert p.sensitivity == analytic.sensitivity(p.theta_big, 40, 0.9, rates, 0.002)
-        assert p.xi2 == analytic.xi2_min_decoherence_theta(40, 0.9, rates, 0.002, p.theta_big)
+    assert pure.theta_star is None
+    assert pure.t_star == pytest.approx(analytic.optimal_time_pure(100, 1.0, 1.0)[0])
 
 
 def test_derived_constants_structure():

@@ -261,6 +261,26 @@ def test_squeeze_curve_without_coupling_exits_1(capsys):
     assert len(err.splitlines()) == 1 and "coupling" in err
 
 
+def test_squeeze_curve_names_the_first_row_outside_the_domain(capsys):
+    # regression: cos(4*J*t) <= 0 at one row aborted the sweep with exit 2
+    # and did not say which row; t = 5.05 is the first with 4*J*t > pi/2
+    rc = main(["squeeze-curve", "--n", "100", "--j", "0.1", "--sweep", "t:0.1:10:5:lin"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("validation error: sweep t=5.05 ")
+
+
+def test_optimal_point_at_the_bracket_edge_exits_2(capsys):
+    # regression: the lower end of the Theta bracket was reported as the optimum
+    rc = main(["optimal-point", "--n", "100", "--j", "1", "--gamma-par", "0.01"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "edge of the search bracket" in captured.err
+
+
 def test_config_equals_form_is_read(tmp_path, capsys):
     # regression: --config=PATH was silently ignored
     cfg = tmp_path / "run.cfg"

@@ -6,9 +6,7 @@ from oatsqueeze.core import (
     DecoherenceRates,
     EnsembleParams,
     ProtocolParams,
-    QuadratureAngle,
     ValidationError,
-    as_angle,
     canonical_angle,
     theta_big,
     validate,
@@ -82,7 +80,3 @@ def test_angle_canonicalization():
     assert canonical_angle(math.pi) == 0.0
     assert canonical_angle(-0.1) == pytest.approx(math.pi - 0.1)
     assert canonical_angle(3.5 * math.pi + 0.2) == pytest.approx(0.5 * math.pi + 0.2)
-    q = QuadratureAngle(theta=-2.0)
-    assert 0.0 <= q.theta < math.pi
-    assert as_angle(q) == q.theta
-    assert as_angle(0.7) == 0.7

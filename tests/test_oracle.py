@@ -15,6 +15,7 @@ from oatsqueeze.core import (
     ValidationError,
 )
 from oatsqueeze.oracle import (
+    SPIN_CAP,
     DensityMatrix,
     IntegratorConfig,
     apply_dephasing,
@@ -109,7 +110,7 @@ def test_initial_state_product_moments():
 
 def test_initial_state_cap():
     with pytest.raises(ResourceError):
-        build_initial_state(EnsembleParams(5, 1.0), cap=4)
+        build_initial_state(EnsembleParams(SPIN_CAP + 1, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +348,7 @@ def test_variable_coupling_validation():
     with pytest.raises(ValidationError):
         evolve_variable_coupling(diag, 1.0)
     with pytest.raises(ResourceError):
-        evolve_variable_coupling(np.zeros((5, 5)), 1.0, cap=4)
+        evolve_variable_coupling(np.zeros((SPIN_CAP + 1, SPIN_CAP + 1)), 1.0)
 
 
 def test_variable_coupling_rejects_out_of_range_polarization():
