@@ -260,11 +260,13 @@ def cmd_metrology(args) -> int:
     n, p = params.n_spins, params.polarization
     rows = []
     for value in values:
-        big = value if sweep_name == "theta_big" else theta_big(rates, value)
+        if sweep_name == "theta_big":
+            big, t = value, value / (2.0 * gs)
+        else:
+            big, t = theta_big(rates, value), value
         derived = analytic.sensitivity(big, n, p, rates, proto.coupling)
         reference = analytic.sensitivity(big, n, p, rates, proto.coupling,
                                          analytic.SENSITIVITY_COEFF_REFERENCE)
-        t = big / (2.0 * gs)
         tau = args.tau if args.tau is not None else t
         if not tau >= t:  # also rejects NaN
             raise ValidationError(["total_time >= squeeze_time along the sweep"])
@@ -293,15 +295,17 @@ def cmd_verify(args) -> int:
               if getattr(args, key, None) is not None}
     suites = _suites(args.suite)
     reports = [run_suite(name, **kwargs) for name in suites]
+    # wall time goes to the console only, so a rerun writes the same bytes
+    elapsed = [rep.pop("elapsed_s") for rep in reports]
     payload = reports[0] if len(reports) == 1 else {
         "suite": "all", "reports": reports,
         "passed": all(r["passed"] for r in reports),
     }
     _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if args.out:  # keep a terse console summary when writing to a file
-        for rep in reports:
+        for rep, seconds in zip(reports, elapsed):
             status = "pass" if rep["passed"] else "FAIL"
-            print(f"{rep['suite']}: {status}")
+            print(f"{rep['suite']}: {status} in {seconds:.3g} s")
     if not payload["passed"]:
         failing = [c["name"] for r in reports for c in r["checks"] if not c["passed"]]
         print(f"failing checks: {', '.join(failing)}", file=sys.stderr)

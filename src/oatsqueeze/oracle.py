@@ -14,16 +14,16 @@ closed form in :mod:`oatsqueeze.analytic` and
 * collective quadrature moments, pair correlations and trace distance.
 
 Every public ``DensityMatrix`` is in the z basis (site 0 is the most
-significant bit of a basis index; bit value 0 is spin up).  Dynamics run in
-one internal collective-x frame, entered and left through ``_x_frame``,
-the Hadamard on every site, which is its own inverse.  In that frame
-sigma_x is diagonal, so the twisting Hamiltonian, the sigma_x channel and
-the trace counterterm of the master equation form a single elementwise
-factor; the sigma_y and sigma_z channels and the probe field are strided
-adds over the matrix viewed per bit.  Moments are read from the z-basis
-matrix by index gather: <A_k B_l> = sum_b c(b) rho[b, b ^ e_k ^ e_l] with
-c = 1 for sigma_x and i*z(b) for sigma_y, which touches O(n^2 2**n)
-entries instead of forming operator products.
+significant bit of a basis index; bit value 0 is spin up).  Dynamics and
+moments use one internal collective-x frame, the Hadamard W on every site
+(``_x_frame``, its own inverse), called only where a z-basis matrix goes in
+or comes out.  There sigma_x is diagonal, so the twisting Hamiltonian, the
+sigma_x channel and the trace counterterm form one elementwise factor; the
+sigma_y and sigma_z channels and the probe field are strided adds over the
+matrix viewed per bit.  Product states are built in either frame, and the
+moments kernel ``_moments`` reads sigma_x from the diagonal and sigma_z,
+sigma_y (W sigma_z W = sigma_x, W sigma_y W = -sigma_y) by index gathers
+over O(n^2 2**n) entries instead of forming operator products.
 
 Pair couplings are given as an ``inhomogeneous.CouplingMatrix`` or as a
 plain matrix that passes its checks.  The oracle exists to validate
@@ -33,6 +33,7 @@ at ``SPIN_CAP``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -58,31 +59,23 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
 RESYMMETRIZE_EVERY = 100  # steps between rho <- (rho + rho^dag)/2
+_SIGMA_Z = np.diag([1.0, -1.0])
+_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
 # per-site tables and the collective-x frame
 # ---------------------------------------------------------------------------
 
-class _SiteOps:
-    """Cached per-n tables: bit signs and their pairwise overlaps."""
-
-    def __init__(self, n: int):
-        self.n = n
-        idx = np.arange(1 << n)
-        bits = (idx[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1
-        self.z_signs = (1.0 - 2.0 * bits.T).copy()       # z_signs[i, a] = (-1)**bit_i(a)
-        # sum_i z_i[a] z_i[b] = n - 2 * hamming(a, b), exact in float
-        self.z_conj_weight = self.z_signs.T @ self.z_signs
-
-
-_SITE_CACHE: dict[int, _SiteOps] = {}
-
-
-def _site_ops(n: int) -> _SiteOps:
-    if n not in _SITE_CACHE:
-        _SITE_CACHE[n] = _SiteOps(n)
-    return _SITE_CACHE[n]
+@functools.cache
+def _site_signs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-n tables z[i, a] = (-1)**bit_i(a) and their overlaps z.T @ z,
+    sum_i z_i[a] z_i[b] = n - 2 * hamming(a, b), exact in float."""
+    bits = (np.arange(1 << n)[None, :] >> np.arange(n - 1, -1, -1)[:, None]) & 1
+    z = 1.0 - 2.0 * bits
+    weight = z.T @ z
+    z.flags.writeable = weight.flags.writeable = False  # shared by every caller
+    return z, weight
 
 
 def _x_frame(rho: np.ndarray) -> np.ndarray:
@@ -135,14 +128,21 @@ class DensityMatrix:
     def purity(self) -> float:
         return float(np.real(np.sum(self.entries * self.entries.T)))
 
-    def require_valid(self, check_positivity: bool = False, when: str = "") -> None:
+    def require_valid(self, check_positivity: bool = False,
+                      when: str = "") -> tuple[float, float, float | None]:
+        """Raise NumericalError past a tolerance; else return the hermiticity
+        defect, trace defect and lowest eigenvalue (None unless checked)."""
         where = f" at {when}" if when else ""
-        if self.hermiticity_defect() > HERMITICITY_TOL:
+        herm = self.hermiticity_defect()
+        if herm > HERMITICITY_TOL:
             raise NumericalError(f"hermiticity defect exceeds {HERMITICITY_TOL}{where}")
-        if self.trace_defect() > TRACE_TOL:
+        trace = self.trace_defect()
+        if trace > TRACE_TOL:
             raise NumericalError(f"trace defect exceeds {TRACE_TOL}{where}")
-        if check_positivity and self.min_eigenvalue() < -POSITIVITY_TOL:
+        low = self.min_eigenvalue() if check_positivity else None
+        if low is not None and low < -POSITIVITY_TOL:
             raise NumericalError(f"negative eigenvalue below -{POSITIVITY_TOL}{where}")
+        return herm, trace, low
 
 
 def build_initial_state(params: EnsembleParams) -> DensityMatrix:
@@ -152,11 +152,13 @@ def build_initial_state(params: EnsembleParams) -> DensityMatrix:
     trace is exactly one.  P = 0 (maximally mixed) is allowed here even
     though the squeezing formulas reject it.
     """
-    return _product_state(params.polarization, params.n_spins)
+    n = params.n_spins
+    return DensityMatrix(_product_state(params.polarization, n, _SIGMA_Z), n)
 
 
-def _product_state(polarizations, n: int) -> DensityMatrix:
-    """Product of (I + P_i sz)/2; ``polarizations`` is a scalar or one P per spin."""
+def _product_state(polarizations, n: int, axis: np.ndarray) -> np.ndarray:
+    """Entries of the product of (I + P_i axis)/2, P a scalar or one per spin; axis is
+    sigma_z (z basis) or sigma_x (x frame, where rho[a, b] = 2**-n prod_{i in a ^ b} P_i)."""
     if n < 1:
         raise ValidationError(["n_spins >= 1"])
     pols = np.asarray(polarizations, dtype=float)
@@ -168,10 +170,13 @@ def _product_state(polarizations, n: int) -> DensityMatrix:
         raise ValidationError(["polarization in [0, 1] for state preparation"])
     if n > SPIN_CAP:
         raise ResourceError(f"n_spins = {n} exceeds the dense oracle's SPIN_CAP = {SPIN_CAP}")
-    diag = np.array([1.0])
-    for p in pols:
-        diag = np.kron(diag, np.array([(1.0 + p) / 2.0, (1.0 - p) / 2.0]))
-    return DensityMatrix(np.diag(diag.astype(complex)), n)
+    rho = np.ones((1, 1))
+    for p in pols:  # np.kron(rho, block) with a whole row of rho per inner loop
+        nxt = np.empty((rho.shape[0], 2, rho.shape[0], 2))
+        for (i, j), b in np.ndenumerate((np.eye(2) + p * axis) / 2.0):
+            np.multiply(rho, b, out=nxt[:, i, :, j])
+        rho = nxt.reshape(2 * rho.shape[0], -1)
+    return rho.astype(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -223,46 +228,40 @@ class CollectiveMoments:
         return self.second_moment(theta) / self.mean_z
 
 
-def _pair_table(n: int, k, l, upper, lower) -> np.ndarray:
-    table = np.zeros((n, n))
-    table[k, l] = upper
-    table[l, k] = lower
-    return table
-
-
 def compute_moments(state: DensityMatrix, pair_correlations: bool = False) -> CollectiveMoments:
-    """Collective first/second moments (and optional pair tables) of a state.
+    """Collective first/second moments (and optional pair tables) of any
+    matrix (the result is trace-linear), read in the collective-x frame."""
+    return _moments(_x_frame(state.entries), state.n_spins, pair_correlations)
 
-    Valid for any matrix (the result is trace-linear): <O> is tr(rho O),
-    read by gathering the entries rho[b, b ^ mask] that O couples.
+
+def _moments(rho: np.ndarray, n: int, pair_correlations: bool = False) -> CollectiveMoments:
+    """Moments of the x-frame matrix ``rho`` = W rho_z W: with f_k[b] =
+    rho[b, b ^ e_k] and g_kl[b] = rho[b, b ^ e_k ^ e_l], <sx_k sx_l> =
+    sum_b z_k z_l rho[b, b], <sz_k> = sum_b Re f_k, <sy_k> = sum_b z_k Im f_k,
+    <sx_k sy_l> = sum_b z_k z_l Im f_l and <sy_k sy_l> = -sum_b z_k z_l Re g_kl.
     """
-    rho = state.entries
-    n = state.n_spins
-    z = _site_ops(n).z_signs
-    idx = np.arange(state.dim)
+    z, _ = _site_signs(n)
+    idx = np.arange(1 << n)
     bit = 1 << np.arange(n - 1, -1, -1)  # e_k for site k
     k, l = np.triu_indices(n, 1)
 
     pops = np.real(np.diagonal(rho))
-    site_z = z @ pops
-    single = rho[idx, idx ^ bit[:, None]]             # [k, b] = rho[b, b ^ e_k]
-    pair = rho[idx, idx ^ (bit[k] | bit[l])[:, None]]  # [p, b] = rho[b, b ^ e_k ^ e_l]
-
-    pxx = pair.real.sum(axis=1)                        # <sx_k sx_l>
-    pxy = -np.sum(z[l] * pair.imag, axis=1)            # <sx_k sy_l>
-    pyx = -np.sum(z[k] * pair.imag, axis=1)            # <sy_k sx_l> = <sx_l sy_k>
-    pyy = -np.sum(z[k] * z[l] * pair.real, axis=1)     # <sy_k sy_l>
+    single = rho[idx, idx ^ bit[:, None]]             # [k, b] = f_k[b]
+    z_im = z * single.imag
+    site_z = single.real.sum(axis=1)
+    pair = rho[idx, idx ^ (bit[k] | bit[l])[:, None]]  # [p, b] = g_kl[b]
+    pxx = (z * pops) @ z.T                             # <sx_k sx_l>, trace on the diagonal
+    pxy = z @ z_im.T                                   # <sx_k sy_l> off the diagonal
+    pyy = np.zeros((n, n))
+    pyy[k, l] = pyy[l, k] = -np.sum(z[k] * z[l] * pair.real, axis=1)  # <sy_k sy_l>
+    np.fill_diagonal(pxx, 0.0)
+    np.fill_diagonal(pxy, 0.0)
     n_trace = n * pops.sum()
 
-    tables = [None] * 5
-    if pair_correlations:
-        tables = [_pair_table(n, k, l, pxx, pxx), _pair_table(n, k, l, pxy, pyx),
-                  _pair_table(n, k, l, pyx, pxy), _pair_table(n, k, l, pyy, pyy),
-                  site_z]
+    tables = (pxx, pxy, pxy.T.copy(), pyy, site_z) if pair_correlations else ()
     return CollectiveMoments(
-        float(single.real.sum()), float(-np.sum(z * single.imag)), float(site_z.sum()),
-        float(n_trace + 2.0 * pxx.sum()), float(n_trace + 2.0 * pyy.sum()),
-        float(2.0 * (pxy.sum() + pyx.sum())),
+        float((z @ pops).sum()), float(z_im.sum()), float(site_z.sum()),
+        float(n_trace + pxx.sum()), float(n_trace + pyy.sum()), float(2.0 * pxy.sum()),
         *tables,
     )
 
@@ -300,11 +299,11 @@ def _generator(n, rates: DecoherenceRates, proto: ProtocolParams):
     h_a = (sum_i z_i[a])^2 the eigenvalue of SX^2,
     -iJ (h_a - h_b) + gamma_par sum_i z_i[a] z_i[b] - n (gamma_par + 2 gamma_perp).
     """
-    ops = _site_ops(n)
-    h = ops.z_signs.sum(axis=0) ** 2
+    z, weight = _site_signs(n)
+    h = z.sum(axis=0) ** 2
     gamma_par, gamma_perp = rates.gamma_par, rates.gamma_perp
     diag = (-1j * proto.coupling) * np.subtract.outer(h, h) \
-        + (gamma_par * ops.z_conj_weight - n * (gamma_par + 2.0 * gamma_perp))
+        + (gamma_par * weight - n * (gamma_par + 2.0 * gamma_perp))
     return diag, gamma_perp, proto.signal_field
 
 
@@ -364,6 +363,16 @@ class Trajectory:
     traces: list[float] = field(default_factory=list)
     purities: list[float] = field(default_factory=list)
     final: DensityMatrix | None = None
+    max_hermiticity_defect: float = 0.0  # worst margins require_valid saw at checkpoints
+    max_trace_defect: float = 0.0
+    min_eigenvalue: float | None = None   # None unless positivity was checked
+
+    def _record(self, herm: float, trace: float, low: float | None) -> None:
+        self.max_hermiticity_defect = max(self.max_hermiticity_defect, herm)
+        self.max_trace_defect = max(self.max_trace_defect, trace)
+        if low is not None:
+            self.min_eigenvalue = low if self.min_eigenvalue is None \
+                else min(self.min_eigenvalue, low)
 
     def to_csv(self, out, thetas=()) -> None:
         """Write checkpoints as CSV: t, means, second moments, trace, purity."""
@@ -391,12 +400,13 @@ def evolve(
 
     The generator is that of ``lindblad_rhs``, probe field
     ``proto.signal_field`` included.  The state is integrated in the
-    collective-x frame and converted back to the z basis at checkpoints,
-    which record collective moments, trace and purity; hermiticity and
-    trace are verified at every checkpoint and the state is re-symmetrized
-    every ``RESYMMETRIZE_EVERY`` steps to damp float drift.  A positivity
-    violation beyond tolerance raises NumericalError naming the offending
-    time.  ``final`` is the z-basis state at t_final.
+    collective-x frame, where checkpoints read the collective moments; the
+    z-basis state there records trace and purity.  Hermiticity and trace
+    are verified at every checkpoint, and the worst margins are kept on the
+    trajectory; the state is re-symmetrized every ``RESYMMETRIZE_EVERY``
+    steps to damp float drift.  A positivity violation beyond tolerance
+    raises NumericalError naming the offending time.  ``final`` is the
+    z-basis state at t_final.
     """
     n = state.n_spins
     n_steps = cfg.steps()
@@ -405,18 +415,17 @@ def evolve(
     gen = _generator(n, rates, proto)
     traj = Trajectory()
 
-    def checkpoint(t, r):
+    def checkpoint(t, r, r_x):
         dm = DensityMatrix(r, n)
-        dm.require_valid(check_positivity=check_positivity, when=f"t={t:.6g}")
+        traj._record(*dm.require_valid(check_positivity=check_positivity, when=f"t={t:.6g}"))
         traj.times.append(t)
-        traj.moments.append(compute_moments(dm))
+        traj.moments.append(_moments(r_x, n))
         traj.traces.append(float(np.real(np.trace(r))))
         traj.purities.append(dm.purity())
         traj.final = dm
 
-    rho = state.entries.astype(complex)
-    checkpoint(0.0, rho)
-    rho = _x_frame(rho)
+    rho = _x_frame(state.entries)
+    checkpoint(0.0, state.entries.astype(complex), rho)
     for step in range(1, n_steps + 1):
         k1 = _raw_rhs(rho, n, *gen)
         k2 = _raw_rhs(rho + 0.5 * dt * k1, n, *gen)
@@ -426,7 +435,7 @@ def evolve(
         if step % RESYMMETRIZE_EVERY == 0:
             rho = (rho + rho.conj().T) / 2.0
         if step % every == 0 or step == n_steps:
-            checkpoint(step * dt, _x_frame(rho))
+            checkpoint(step * dt, _x_frame(rho), rho)
     return traj
 
 
@@ -437,8 +446,19 @@ def evolve(
 def _coupling_phases(theta: np.ndarray) -> np.ndarray:
     """Eigenphases s^T theta s of the ordered-pair twisting generator."""
     n = theta.shape[0]
-    s = _site_ops(n).z_signs.T  # [a, i] = sigma_x eigenvalue in the x frame
+    s = _site_signs(n)[0].T  # [a, i] = sigma_x eigenvalue in the x frame
     return np.einsum("ai,ij,aj->a", s, theta, s)
+
+
+def _twisted_x_state(couplings, polarizations) -> tuple[np.ndarray, int]:
+    """x-frame entries of ``variable_coupling_state`` and the spin count."""
+    theta = _as_couplings(couplings).theta
+    n = theta.shape[0]
+    rho = _product_state(polarizations, n, _SIGMA_X)
+    phase = np.exp(-1j * _coupling_phases(theta))
+    rho *= phase[:, None]
+    rho *= phase.conj()[None, :]
+    return rho, n
 
 
 def variable_coupling_state(couplings, polarizations) -> DensityMatrix:
@@ -447,22 +467,16 @@ def variable_coupling_state(couplings, polarizations) -> DensityMatrix:
     ``couplings`` is a ``CouplingMatrix`` or a symmetric zero-diagonal
     matrix of pair angles; ``polarizations`` is a scalar P or one value per
     spin, each in [0, 1].  All factors commute, so U is a single diagonal
-    phase exp(-i s^T theta s) in the x frame: rho' = X(phase * X(rho0) *
-    phase^*) with X the frame change.
+    phase exp(-i s^T theta s) in the x frame, where the product state is
+    built: rho' = X(phase * rho0_x * phase^*) with X the frame change.
     """
-    theta = _as_couplings(couplings).theta
-    n = theta.shape[0]
-    rho = _x_frame(_product_state(polarizations, n).entries)
-    phase = np.exp(-1j * _coupling_phases(theta))
-    rho *= phase[:, None]
-    rho *= phase.conj()[None, :]
+    rho, n = _twisted_x_state(couplings, polarizations)
     return DensityMatrix(_x_frame(rho), n)
 
 
 def evolve_variable_coupling(couplings, polarizations) -> CollectiveMoments:
-    """Exact moments and pair tables of ``variable_coupling_state``."""
-    return compute_moments(variable_coupling_state(couplings, polarizations),
-                           pair_correlations=True)
+    """Exact moments and pair tables of ``variable_coupling_state``, read in the x frame."""
+    return _moments(*_twisted_x_state(couplings, polarizations), pair_correlations=True)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +495,7 @@ def apply_dephasing(state: DensityMatrix, survival: float) -> DensityMatrix:
     if not (0.0 <= s <= 1.0):
         raise DomainError("survival amplitude must lie in [0, 1]")
     n = state.n_spins
-    hamming = (n - _site_ops(n).z_conj_weight) / 2.0
+    hamming = (n - _site_signs(n)[1]) / 2.0
     return DensityMatrix(state.entries * s ** hamming, n)
 
 

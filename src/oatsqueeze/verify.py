@@ -1,7 +1,9 @@
 """Named verification suites driving the oracle against the closed forms.
 
-Each suite returns a report dict {suite, checks: [...], passed}; a check
-is {name, value, tolerance, passed} plus optional context.  Two measured
+Each suite returns a report dict {suite, checks: [...], passed}, and
+``run_suite`` adds its wall time as ``elapsed_s``; a check is {name, value,
+tolerance, margin, passed} plus optional context, with margin =
+value/tolerance (None for pass/fail checks of tolerance 0).  Two measured
 quantities contradict commonly quoted claims and are reported without
 being asserted (see README): the raw factorization gap at fixed N*J*T
 rises with N instead of decreasing, and the quoted dephasing form
@@ -12,6 +14,7 @@ appear as extra report keys and do not count towards ``passed``.
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 
@@ -63,6 +66,7 @@ def _check(name, value, tolerance, passed=None, **context):
     if passed is None:
         passed = bool(value <= tolerance)
     entry = {"name": name, "value": float(value), "tolerance": tolerance,
+             "margin": float(value) / tolerance if tolerance else None,
              "passed": bool(passed)}
     entry.update(context)
     return entry
@@ -461,4 +465,7 @@ def run_suite(name: str, **kwargs) -> dict:
     if name not in _SUITE_FUNCS:
         raise ValueError(f"unknown verification suite {name!r}; choose from {SUITES}")
     func, inputs = _SUITE_FUNCS[name]
-    return func(**{param: kwargs[key] for key, param in inputs.items() if key in kwargs})
+    start = time.perf_counter()
+    report = func(**{param: kwargs[key] for key, param in inputs.items() if key in kwargs})
+    report["elapsed_s"] = time.perf_counter() - start
+    return report

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from oatsqueeze import analytic, inhomogeneous
-from oatsqueeze.cli import FLAGS, SUBCOMMANDS, main
+from oatsqueeze import analytic, inhomogeneous, verify
+from oatsqueeze.cli import FLAGS, SUBCOMMANDS, _parse_sweep, main
+from oatsqueeze.core import DecoherenceRates, theta_big
 
 
 def read_csv(path):
@@ -129,6 +130,18 @@ def test_metrology_linearity_and_peak(tmp_path):
     assert all(r[3] > 0 and r[4] > 0 for r in rows1)
 
 
+def test_metrology_t_sweep_prints_the_swept_time(tmp_path):
+    sweep = "t:0.1:10:4:lin"
+    out = tmp_path / "m.csv"
+    assert main(["metrology", "--n", "50", "--j", "1e-5", "--gamma-par", "0.02",
+                 "--gamma-perp", "0.03", "--sweep", sweep, "--out", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    assert header[:2] == ["theta_big", "t"]
+    assert [r[1] for r in rows] == _parse_sweep(sweep)[1]  # exactly, no round trip
+    rates = DecoherenceRates(0.02, 0.03)
+    assert [r[0] for r in rows] == [theta_big(rates, t) for t in _parse_sweep(sweep)[1]]
+
+
 def test_byte_identical_reruns(tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
@@ -205,6 +218,18 @@ def test_verify_constants_suite(tmp_path, capsys):
     assert payload["passed"] is True
     names = {c["name"] for c in payload["checks"]}
     assert "squeezing_coefficients_consistent" in names
+    for check in payload["checks"]:
+        assert check["tolerance"] > 0.0
+        assert check["margin"] == check["value"] / check["tolerance"]
+        assert check["passed"] == (check["margin"] <= 1.0)
+    # the wall time is in the console summary and the report, not the file
+    assert "elapsed_s" not in payload
+    assert capsys.readouterr().out.startswith("constants: pass in ")
+    report = verify.run_suite("constants")
+    assert 0.0 < report["elapsed_s"] < 60.0
+    assert [[c["name"], c["value"]] for c in report["checks"]] == \
+        [[c["name"], c["value"]] for c in payload["checks"]]
+    assert verify._check("pass_fail", 0.0, 0.0, passed=True)["margin"] is None
     table = payload["constants"]
     assert table["squeezing_decoherence_coeff"]["ratio_derived_over_reference"] \
         == pytest.approx(4.0, abs=1e-3)

@@ -1,15 +1,18 @@
 import io
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oatsqueeze import analytic
+from oatsqueeze import analytic, oracle
 from oatsqueeze.core import (
     DecoherenceRates,
     DomainError,
     EnsembleParams,
+    NumericalError,
     ProtocolParams,
     ResourceError,
     ValidationError,
@@ -592,6 +595,112 @@ def test_decoherence_minimum_formula_vs_oracle_is_loose_at_small_n():
     oracle_min = second / mom.mean_z
     formula = analytic.xi2_min_decoherence(n, 1.0, rates, 0.05, 2.0)
     assert 0.5 < formula / oracle_min < 2.0
+
+
+# ---------------------------------------------------------------------------
+# the collective-x frame
+# ---------------------------------------------------------------------------
+
+def count_frame_changes(monkeypatch):
+    calls = []
+    frame = oracle._x_frame
+
+    def counted(rho):
+        calls.append(rho.shape)
+        return frame(rho)
+
+    monkeypatch.setattr(oracle, "_x_frame", counted)
+    return calls
+
+
+def test_frame_changes_per_call(monkeypatch):
+    calls = count_frame_changes(monkeypatch)
+    theta = uniform_couplings(4, 0.05)
+    evolve_variable_coupling(theta, 0.8)
+    assert len(calls) == 0
+    variable_coupling_state(theta, 0.8)
+    assert len(calls) == 1  # for the z-basis output only
+    calls.clear()
+    params = EnsembleParams(3, 0.9)
+    cfg = IntegratorConfig(dt=0.01, t_final=0.1, checkpoint_every=4)
+    traj = evolve(build_initial_state(params), cfg, params, DecoherenceRates(0.02, 0.03),
+                  ProtocolParams(coupling=0.05, squeeze_time=0.1))
+    # into the frame once, back out at each checkpoint after t = 0 (t = 0.04, 0.08, 0.1)
+    assert len(traj.times) == 4
+    assert len(calls) == 1 + (len(traj.times) - 1)
+
+
+def test_x_frame_product_state_matches_frame_change():
+    rng = np.random.default_rng(8)
+    for n in range(1, 9):
+        for pols in (0.7, 1.0, 0.0, rng.uniform(0.0, 1.0, size=n)):
+            z = oracle._product_state(pols, n, oracle._SIGMA_Z)
+            x = oracle._product_state(pols, n, oracle._SIGMA_X)
+            assert np.max(np.abs(x - oracle._x_frame(z))) <= 1e-15, f"n={n}"
+            # the z-basis state keeps the bits of diag(kron of the diagonals)
+            diag = np.array([1.0])
+            for p in np.broadcast_to(pols, (n,)):
+                diag = np.kron(diag, [(1.0 + p) / 2.0, (1.0 - p) / 2.0])
+            assert z.tobytes() == np.diag(diag.astype(complex)).tobytes()
+    assert np.array_equal(oracle._product_state(0.6, 2, oracle._SIGMA_X),
+                          [[0.25, 0.15, 0.15, 0.09], [0.15, 0.25, 0.09, 0.15],
+                           [0.15, 0.09, 0.25, 0.15], [0.09, 0.15, 0.15, 0.25]])
+
+
+def test_evolve_variable_coupling_matches_recorded_values():
+    # recorded from the z-basis implementation; relative 1e-14 with a floor of 1
+    path = Path(__file__).parent / "data" / "variable_coupling_moments.json"
+    cases = json.loads(path.read_text())["cases"]
+
+    def unhex(value):
+        return float.fromhex(value) if isinstance(value, str) else np.vectorize(
+            float.fromhex, otypes=[float])(value)
+
+    for key, case in cases.items():
+        mom = evolve_variable_coupling(unhex(case["theta"]), unhex(case["pols"]))
+        fields = ("mean_x", "mean_y", "mean_z", "xx2", "yy2", "xy_sym")
+        got = {name: getattr(mom, name) for name in (*fields, *case["tables"], "site_z")}
+        want = dict(zip(fields, map(unhex, case["scalars"])))
+        want.update({name: unhex(table) for name, table in case["tables"].items()})
+        want["site_z"] = unhex(case["site_z"])
+        for name, value in want.items():
+            err = np.abs(got[name] - value) / np.maximum(np.abs(value), 1.0)
+            assert np.max(err) <= 1e-14, f"{key} {name}"
+
+
+def test_trajectory_margins_from_checkpoints(monkeypatch):
+    params = EnsembleParams(3, 0.9)
+    rates = DecoherenceRates(0.02, 0.03)
+    proto = ProtocolParams(coupling=0.05, squeeze_time=1.0)
+    cfg = IntegratorConfig(dt=0.01, t_final=1.0, checkpoint_every=25)
+    eig_calls = []
+    min_eigenvalue = DensityMatrix.min_eigenvalue
+
+    def counted(self):
+        eig_calls.append(self.n_spins)
+        return min_eigenvalue(self)
+
+    monkeypatch.setattr(DensityMatrix, "min_eigenvalue", counted)
+    traj = evolve(build_initial_state(params), cfg, params, rates, proto)
+    assert eig_calls == [] and traj.min_eigenvalue is None
+    assert 0.0 <= traj.max_hermiticity_defect <= 1e-12
+    assert max(abs(tr - 1.0) for tr in traj.traces) <= traj.max_trace_defect <= 1e-12
+
+    traj = evolve(build_initial_state(params), cfg, params, rates, proto,
+                  check_positivity=True)
+    assert len(eig_calls) == len(traj.times) == 5  # one eigvalsh per checkpoint
+    assert -1e-10 <= traj.min_eigenvalue <= min_eigenvalue(traj.final)
+    assert traj.max_hermiticity_defect >= traj.final.hermiticity_defect()
+
+
+def test_evolve_raises_on_crossed_margin():
+    params = EnsembleParams(2, 1.0)
+    rho = build_initial_state(params).entries
+    rho[0, 1] = 1e-9  # not Hermitian
+    cfg = IntegratorConfig(dt=0.01, t_final=0.01)
+    with pytest.raises(NumericalError, match="hermiticity defect .* at t=0"):
+        evolve(DensityMatrix(rho, 2), cfg, params, DecoherenceRates(),
+               ProtocolParams(coupling=0.0, squeeze_time=0.01))
 
 
 # ---------------------------------------------------------------------------
