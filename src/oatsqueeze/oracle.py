@@ -7,23 +7,22 @@ closed form in :mod:`oatsqueeze.analytic` and
 * product-state preparation at partial polarization,
 * master-equation integration (fixed-step RK4) of the twisting
   Hamiltonian, per-site relaxation channels and a weak probe field,
-* exact unitary evolution for arbitrary pair couplings (the pair
-  propagator is diagonal in the collective x basis, so no integrator is
-  involved),
+* exact unitary evolution for arbitrary pair couplings (a diagonal
+  phase, no integrator),
 * an exact per-site dephasing channel,
 * collective quadrature moments, pair correlations and trace distance.
 
-Every public ``DensityMatrix`` is in the z basis (site 0 is the most
-significant bit of a basis index; bit value 0 is spin up).  Dynamics and
-moments use one internal collective-x frame, the Hadamard W on every site
-(``_x_frame``, its own inverse), called only where a z-basis matrix goes in
-or comes out.  There sigma_x is diagonal, so the twisting Hamiltonian, the
-sigma_x channel and the trace counterterm form one elementwise factor; the
-sigma_y and sigma_z channels and the probe field are strided adds over the
-matrix viewed per bit.  Product states are built in either frame, and the
-moments kernel ``_moments`` reads sigma_x from the diagonal and sigma_z,
-sigma_y (W sigma_z W = sigma_x, W sigma_y W = -sigma_y) by index gathers
-over O(n^2 2**n) entries instead of forming operator products.
+Every ``DensityMatrix`` is in one basis, the collective-x frame W rho_z W
+with W the Hadamard on every site: site 0 is the most significant bit of
+a basis index and bit value 0 is sigma_x = +1.  In this frame the model is
+an Ising model with decoherence.  sigma_x is diagonal, so the twisting
+Hamiltonian, the sigma_x channel and the trace counterterm form one
+elementwise factor; the sigma_y and sigma_z channels, the probe field and
+dephasing are strided adds over the matrix viewed per bit.
+``compute_moments`` reads sigma_x from the diagonal and sigma_z, sigma_y
+(W sigma_z W = sigma_x, W sigma_y W = -sigma_y) by index gathers over
+O(n^2 2**n) entries instead of forming operator products.  Trace, purity,
+eigenvalues and trace distance do not depend on the basis.
 
 Pair couplings are given as an ``inhomogeneous.CouplingMatrix`` or as a
 plain matrix that passes its checks.  The oracle exists to validate
@@ -59,12 +58,10 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
 RESYMMETRIZE_EVERY = 100  # steps between rho <- (rho + rho^dag)/2
-_SIGMA_Z = np.diag([1.0, -1.0])
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
-# per-site tables and the collective-x frame
+# per-site tables
 # ---------------------------------------------------------------------------
 
 @functools.cache
@@ -78,36 +75,14 @@ def _site_signs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return z, weight
 
 
-def _x_frame(rho: np.ndarray) -> np.ndarray:
-    """W rho W with W the Hadamard on every site; W is its own inverse.
-
-    Applied as an unnormalized butterfly on each of the 2n bits of the
-    flattened index (n row bits, then n column bits), followed by one exact
-    power-of-two rescale.  Returns a new C-contiguous complex array.
-    """
-    out = np.array(rho, dtype=complex, order="C")
-    flat = out.reshape(-1)
-    scratch = np.empty(flat.size // 2, dtype=complex)
-    lead = 1
-    while lead < flat.size:
-        pair = flat.reshape(lead, 2, -1)
-        lo, hi = pair[:, 0], pair[:, 1]
-        diff = scratch.reshape(lo.shape)
-        np.subtract(lo, hi, out=diff)
-        lo += hi
-        hi[...] = diff
-        lead *= 2
-    out /= out.shape[0]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # density matrices
 # ---------------------------------------------------------------------------
 
 @dataclass
 class DensityMatrix:
-    """Dense complex density matrix for ``n_spins`` spin-1/2 particles."""
+    """Dense complex density matrix for ``n_spins`` spin-1/2 particles, in
+    the collective-x frame (site 0 the most significant bit, bit 0 sigma_x = +1)."""
 
     entries: np.ndarray
     n_spins: int
@@ -148,17 +123,17 @@ class DensityMatrix:
 def build_initial_state(params: EnsembleParams) -> DensityMatrix:
     """Product state with per-spin Bloch vector (0, 0, P).
 
-    Written per spin as (I + P*sz)/2 = diag((1+P)/2, (1-P)/2) so the total
-    trace is exactly one.  P = 0 (maximally mixed) is allowed here even
-    though the squeezing formulas reject it.
+    Written per spin in the x frame as (I + P*sx)/2 = [[1/2, P/2], [P/2, 1/2]]
+    so the total trace is exactly one.  P = 0 (maximally mixed) is allowed
+    here even though the squeezing formulas reject it.
     """
     n = params.n_spins
-    return DensityMatrix(_product_state(params.polarization, n, _SIGMA_Z), n)
+    return DensityMatrix(_product_state(params.polarization, n), n)
 
 
-def _product_state(polarizations, n: int, axis: np.ndarray) -> np.ndarray:
-    """Entries of the product of (I + P_i axis)/2, P a scalar or one per spin; axis is
-    sigma_z (z basis) or sigma_x (x frame, where rho[a, b] = 2**-n prod_{i in a ^ b} P_i)."""
+def _product_state(polarizations, n: int) -> np.ndarray:
+    """Entries of the product of (I + P_i sx)/2, P a scalar or one per spin:
+    rho[a, b] = 2**-n prod_{i in a ^ b} P_i."""
     if n < 1:
         raise ValidationError(["n_spins >= 1"])
     pols = np.asarray(polarizations, dtype=float)
@@ -171,11 +146,11 @@ def _product_state(polarizations, n: int, axis: np.ndarray) -> np.ndarray:
     if n > SPIN_CAP:
         raise ResourceError(f"n_spins = {n} exceeds the dense oracle's SPIN_CAP = {SPIN_CAP}")
     rho = np.ones((1, 1))
-    for p in pols:  # np.kron(rho, block) with a whole row of rho per inner loop
-        nxt = np.empty((rho.shape[0], 2, rho.shape[0], 2))
-        for (i, j), b in np.ndenumerate((np.eye(2) + p * axis) / 2.0):
-            np.multiply(rho, b, out=nxt[:, i, :, j])
-        rho = nxt.reshape(2 * rho.shape[0], -1)
+    for p in pols:  # np.kron(rho, [[1, p], [p, 1]] / 2), written by 2x2 block entry
+        nxt = np.empty((len(rho), 2, len(rho), 2))
+        nxt[:, 0, :, 0] = nxt[:, 1, :, 1] = rho * 0.5
+        nxt[:, 0, :, 1] = nxt[:, 1, :, 0] = rho * (p / 2.0)
+        rho = nxt.reshape(2 * len(rho), -1)
     return rho.astype(complex)
 
 
@@ -230,16 +205,14 @@ class CollectiveMoments:
 
 def compute_moments(state: DensityMatrix, pair_correlations: bool = False) -> CollectiveMoments:
     """Collective first/second moments (and optional pair tables) of any
-    matrix (the result is trace-linear), read in the collective-x frame."""
-    return _moments(_x_frame(state.entries), state.n_spins, pair_correlations)
+    matrix; the result is trace-linear.
 
-
-def _moments(rho: np.ndarray, n: int, pair_correlations: bool = False) -> CollectiveMoments:
-    """Moments of the x-frame matrix ``rho`` = W rho_z W: with f_k[b] =
-    rho[b, b ^ e_k] and g_kl[b] = rho[b, b ^ e_k ^ e_l], <sx_k sx_l> =
-    sum_b z_k z_l rho[b, b], <sz_k> = sum_b Re f_k, <sy_k> = sum_b z_k Im f_k,
-    <sx_k sy_l> = sum_b z_k z_l Im f_l and <sy_k sy_l> = -sum_b z_k z_l Re g_kl.
+    With rho = ``state.entries``, f_k[b] = rho[b, b ^ e_k] and g_kl[b] =
+    rho[b, b ^ e_k ^ e_l]: <sx_k sx_l> = sum_b z_k z_l rho[b, b], <sz_k> =
+    sum_b Re f_k, <sy_k> = sum_b z_k Im f_k, <sx_k sy_l> = sum_b z_k z_l Im f_l
+    and <sy_k sy_l> = -sum_b z_k z_l Re g_kl.
     """
+    rho, n = state.entries, state.n_spins
     z, _ = _site_signs(n)
     idx = np.arange(1 << n)
     bit = 1 << np.arange(n - 1, -1, -1)  # e_k for site k
@@ -267,7 +240,7 @@ def _moments(rho: np.ndarray, n: int, pair_correlations: bool = False) -> Collec
 
 
 # ---------------------------------------------------------------------------
-# Lindblad generator and RK4 integration (in the collective-x frame)
+# Lindblad generator and RK4 integration
 # ---------------------------------------------------------------------------
 
 def lindblad_rhs(
@@ -284,12 +257,17 @@ def lindblad_rhs(
     gamma_par and sigma_y/sigma_z channels at gamma_perp, with the
     trace-preserving counterterm N*(gamma_par + 2*gamma_perp)*rho.  Signal
     part: -i*B_y*[SY, rho] with B_y = ``proto.signal_field``.  A term drops
-    out when its parameter is zero.  Evaluated in the collective-x frame;
-    the result is returned in the z basis.
+    out when its parameter is zero.  ``params.n_spins`` must match the state.
     """
-    n = state.n_spins
-    rhs = _raw_rhs(_x_frame(state.entries), n, *_generator(n, rates, proto))
-    return DensityMatrix(_x_frame(rhs), n)
+    n = _spin_count(state, params)
+    return DensityMatrix(_raw_rhs(state.entries, n, *_generator(n, rates, proto)), n)
+
+
+def _spin_count(state: DensityMatrix, params: EnsembleParams) -> int:
+    if params.n_spins != state.n_spins:
+        raise ValidationError([f"params.n_spins = {params.n_spins} does not match "
+                               f"state.n_spins = {state.n_spins}"])
+    return state.n_spins
 
 
 def _generator(n, rates: DecoherenceRates, proto: ProtocolParams):
@@ -308,7 +286,7 @@ def _generator(n, rates: DecoherenceRates, proto: ProtocolParams):
 
 
 def _raw_rhs(rho, n, diag, gamma_perp, signal_field):
-    """Generator in the x frame: ``diag * rho`` plus the per-site strided terms.
+    """Generator on the entries: ``diag * rho`` plus the per-site strided terms.
 
     sigma_y and sigma_z conjugation together move rho[a ^ e_i, b ^ e_i] to
     (a, b) with weight 1 + z_i[a] z_i[b]: doubled where bit i agrees in a
@@ -399,33 +377,33 @@ def evolve(
     """Integrate the master equation with fixed-step RK4.
 
     The generator is that of ``lindblad_rhs``, probe field
-    ``proto.signal_field`` included.  The state is integrated in the
-    collective-x frame, where checkpoints read the collective moments; the
-    z-basis state there records trace and purity.  Hermiticity and trace
-    are verified at every checkpoint, and the worst margins are kept on the
-    trajectory; the state is re-symmetrized every ``RESYMMETRIZE_EVERY``
-    steps to damp float drift.  A positivity violation beyond tolerance
-    raises NumericalError naming the offending time.  ``final`` is the
-    z-basis state at t_final.
+    ``proto.signal_field`` included, and ``params.n_spins`` must match the
+    state.  Each checkpoint records the collective moments, trace and
+    purity.  Hermiticity and trace are verified at every checkpoint, and
+    the worst margins are kept on the trajectory; the state is
+    re-symmetrized every ``RESYMMETRIZE_EVERY`` steps to damp float drift.
+    A positivity violation beyond tolerance raises NumericalError naming
+    the offending time.  ``final`` is the state at t_final, in the same
+    x frame as the input.
     """
-    n = state.n_spins
+    n = _spin_count(state, params)
     n_steps = cfg.steps()
     dt = cfg.t_final / n_steps
     every = cfg.checkpoint_every if cfg.checkpoint_every > 0 else n_steps
     gen = _generator(n, rates, proto)
     traj = Trajectory()
 
-    def checkpoint(t, r, r_x):
+    def checkpoint(t, r):
         dm = DensityMatrix(r, n)
         traj._record(*dm.require_valid(check_positivity=check_positivity, when=f"t={t:.6g}"))
         traj.times.append(t)
-        traj.moments.append(_moments(r_x, n))
+        traj.moments.append(compute_moments(dm))
         traj.traces.append(float(np.real(np.trace(r))))
         traj.purities.append(dm.purity())
         traj.final = dm
 
-    rho = _x_frame(state.entries)
-    checkpoint(0.0, state.entries.astype(complex), rho)
+    rho = state.entries.astype(complex)
+    checkpoint(0.0, rho)
     for step in range(1, n_steps + 1):
         k1 = _raw_rhs(rho, n, *gen)
         k2 = _raw_rhs(rho + 0.5 * dt * k1, n, *gen)
@@ -435,7 +413,7 @@ def evolve(
         if step % RESYMMETRIZE_EVERY == 0:
             rho = (rho + rho.conj().T) / 2.0
         if step % every == 0 or step == n_steps:
-            checkpoint(step * dt, _x_frame(rho), rho)
+            checkpoint(step * dt, rho)
     return traj
 
 
@@ -450,33 +428,27 @@ def _coupling_phases(theta: np.ndarray) -> np.ndarray:
     return np.einsum("ai,ij,aj->a", s, theta, s)
 
 
-def _twisted_x_state(couplings, polarizations) -> tuple[np.ndarray, int]:
-    """x-frame entries of ``variable_coupling_state`` and the spin count."""
-    theta = _as_couplings(couplings).theta
-    n = theta.shape[0]
-    rho = _product_state(polarizations, n, _SIGMA_X)
-    phase = np.exp(-1j * _coupling_phases(theta))
-    rho *= phase[:, None]
-    rho *= phase.conj()[None, :]
-    return rho, n
-
-
 def variable_coupling_state(couplings, polarizations) -> DensityMatrix:
     """Product state after U = prod_{i != j} exp(-i theta_ij sx_i sx_j).
 
     ``couplings`` is a ``CouplingMatrix`` or a symmetric zero-diagonal
     matrix of pair angles; ``polarizations`` is a scalar P or one value per
-    spin, each in [0, 1].  All factors commute, so U is a single diagonal
-    phase exp(-i s^T theta s) in the x frame, where the product state is
-    built: rho' = X(phase * rho0_x * phase^*) with X the frame change.
+    spin, each in [0, 1].  All factors commute, so in the x frame U is a
+    single diagonal phase exp(-i s^T theta s): rho' = phase * rho0 * phase^*.
     """
-    rho, n = _twisted_x_state(couplings, polarizations)
-    return DensityMatrix(_x_frame(rho), n)
+    theta = _as_couplings(couplings).theta
+    n = theta.shape[0]
+    rho = _product_state(polarizations, n)
+    phase = np.exp(-1j * _coupling_phases(theta))
+    rho *= phase[:, None]
+    rho *= phase.conj()[None, :]
+    return DensityMatrix(rho, n)
 
 
 def evolve_variable_coupling(couplings, polarizations) -> CollectiveMoments:
-    """Exact moments and pair tables of ``variable_coupling_state``, read in the x frame."""
-    return _moments(*_twisted_x_state(couplings, polarizations), pair_correlations=True)
+    """Exact moments and pair tables of ``variable_coupling_state``."""
+    return compute_moments(variable_coupling_state(couplings, polarizations),
+                           pair_correlations=True)
 
 
 # ---------------------------------------------------------------------------
@@ -486,17 +458,20 @@ def evolve_variable_coupling(couplings, polarizations) -> CollectiveMoments:
 def apply_dephasing(state: DensityMatrix, survival: float) -> DensityMatrix:
     """Apply the product dephasing channel with survival amplitude ``survival``.
 
-    Each matrix element rho_ab is scaled by s**h(a,b) with h the Hamming
-    distance of the basis strings: z populations are untouched, single-site
-    coherences scale by s, transverse pair correlations by s**2.  The map
-    is completely positive and trace preserving for 0 <= s <= 1.
+    In the x frame sz flips a bit, so per site i the channel is
+    rho <- (1+s)/2 rho + (1-s)/2 (rho with bit i flipped in row and column):
+    z populations are untouched, single-site transverse coherences scale by
+    s, transverse pair correlations by s**2.  The map is completely
+    positive and trace preserving for 0 <= s <= 1.
     """
     s = float(survival)
     if not (0.0 <= s <= 1.0):
         raise DomainError("survival amplitude must lie in [0, 1]")
     n = state.n_spins
-    hamming = (n - _site_signs(n)[1]) / 2.0
-    return DensityMatrix(state.entries * s ** hamming, n)
+    rho = state.entries.reshape((2,) * (2 * n))  # axes: row bits, then column bits
+    for i in range(n):
+        rho = ((1.0 + s) / 2.0) * rho + ((1.0 - s) / 2.0) * np.flip(rho, (i, n + i))
+    return DensityMatrix(rho.reshape(state.entries.shape), n)
 
 
 # ---------------------------------------------------------------------------

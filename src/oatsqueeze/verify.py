@@ -121,7 +121,7 @@ def suite_lindblad(n: int = 6) -> dict:
     drift = max(abs(tr - 1.0) for tr in finals[-1].traces)
     checks.append(_check("trace_drift", drift, 1e-12))
     checks.append(_check("min_eigenvalue_floor",
-                         -min(0.0, finals[-1].final.min_eigenvalue()), 1e-10))
+                         max(0.0, -finals[-1].final.min_eigenvalue()), 1e-10))
     checks.append(_check("hermiticity", finals[-1].final.hermiticity_defect(), 1e-12))
     a, b = finals[0].moments[-1], finals[1].moments[-1]
     rel = max(

@@ -247,6 +247,14 @@ def test_verify_dephasing_suite(tmp_path):
     assert payload["quoted_form_deviation_p1"] > 0.01
 
 
+def test_verify_lindblad_eigenvalue_floor_is_never_negative_zero():
+    # regression: -min(0.0, lowest) reported -0.0 for a non-negative spectrum
+    report = verify.run_suite("lindblad", n=3)
+    (check,) = [c for c in report["checks"] if c["name"] == "min_eigenvalue_floor"]
+    assert math.copysign(1.0, check["value"]) == 1.0
+    assert math.copysign(1.0, check["margin"]) == 1.0
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

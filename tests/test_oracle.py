@@ -44,8 +44,8 @@ PAULIS = {
 def kron_site(alpha, i, n):
     """sigma_alpha on site i of n as a dense Kronecker product (site 0 leftmost).
 
-    Shares no code with the oracle's frame change or index gathers, so it
-    serves as an independent reference for them.
+    Shares no code with the oracle's index gathers, so it serves as an
+    independent reference for them.
     """
     out = np.eye(1, dtype=complex)
     for j in range(n):
@@ -55,6 +55,27 @@ def kron_site(alpha, i, n):
 
 def kron_collective(alpha, n):
     return sum(kron_site(alpha, i, n) for i in range(n))
+
+
+def hadamard_w(n):
+    """W = H^{kron n}, the z basis to the oracle's collective-x frame (W = W^-1)."""
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    out = np.eye(1)
+    for _ in range(n):
+        out = np.kron(out, h)
+    return out
+
+
+def to_x_frame(z_matrix):
+    """A z-basis reference matrix written in the oracle's x frame, W M W."""
+    w = hadamard_w(int(math.log2(len(z_matrix))))
+    return w @ z_matrix @ w
+
+
+def flip_bits(rho, mask):
+    """rho[a ^ mask, b ^ mask]: sigma_x on the sites of ``mask``, conjugating."""
+    idx = np.arange(len(rho)) ^ mask
+    return rho[np.ix_(idx, idx)]
 
 
 def _expm(a):
@@ -91,7 +112,7 @@ def random_density_matrix(rng, n):
 
 def test_initial_state_pure_spin_up():
     rho = build_initial_state(EnsembleParams(1, 1.0))
-    want = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    want = to_x_frame(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
     assert np.allclose(rho.entries, want)
 
 
@@ -151,14 +172,14 @@ def test_rhs_matches_kronecker_generator():
     rng = np.random.default_rng(11)
     for n in (1, 2, 3, 4):
         dim = 1 << n
-        sx, sy = kron_collective("x", n), kron_collective("y", n)
+        sx, sy = to_x_frame(kron_collective("x", n)), to_x_frame(kron_collective("y", n))
         ham = coupling * sx @ sx + field * sy
         general = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         for rho in (random_density_matrix(rng, n).entries, general):
             want = -1j * (ham @ rho - rho @ ham)
             for i in range(n):
                 for alpha, gamma in (("x", gamma_par), ("y", gamma_perp), ("z", gamma_perp)):
-                    op = kron_site(alpha, i, n)
+                    op = to_x_frame(kron_site(alpha, i, n))
                     want += gamma * (op @ rho @ op - rho)
             got = lindblad_rhs(DensityMatrix(rho, n), EnsembleParams(n, 1.0),
                                DecoherenceRates(gamma_par, gamma_perp),
@@ -176,7 +197,8 @@ def test_moments_match_kronecker_expectations():
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         a = a + a.conj().T
         traceless = a - np.trace(a) / dim * np.eye(dim)
-        site = {alpha: [kron_site(alpha, i, n) for i in range(n)] for alpha in "xyz"}
+        site = {alpha: [to_x_frame(kron_site(alpha, i, n)) for i in range(n)]
+                for alpha in "xyz"}
         sx, sy, sz = (sum(site[alpha]) for alpha in "xyz")
         for rho in (random_density_matrix(rng, n).entries, traceless):
             def ev(op):
@@ -338,7 +360,8 @@ def test_variable_coupling_state_matches_kronecker_unitary():
             for p in pols:
                 rho0 = np.kron(rho0, np.diag([(1.0 + p) / 2.0, (1.0 - p) / 2.0]))
             got = variable_coupling_state(theta, pols)
-            assert np.max(np.abs(got.entries - u @ rho0 @ u.conj().T)) <= 1e-12, f"n={n}"
+            want = to_x_frame(u @ rho0 @ u.conj().T)
+            assert np.max(np.abs(got.entries - want)) <= 1e-12, f"n={n}"
 
 
 def test_variable_coupling_validation():
@@ -376,12 +399,15 @@ def test_dephasing_identity_channel():
 
 
 def test_dephasing_full_kills_coherences():
+    # at s = 0 only z populations survive: in the x frame the output is
+    # invariant under every bit flip and is the flip average of the input
     rng = np.random.default_rng(6)
     rho = random_density_matrix(rng, 3)
-    out = apply_dephasing(rho, 0.0)
-    off = out.entries - np.diag(np.diagonal(out.entries))
-    assert np.max(np.abs(off)) == 0.0
-    assert np.allclose(np.diagonal(out.entries), np.diagonal(rho.entries))
+    out = apply_dephasing(rho, 0.0).entries
+    for i in range(3):
+        assert np.array_equal(flip_bits(out, 1 << i), out)
+    average = np.mean([flip_bits(rho.entries, mask) for mask in range(8)], axis=0)
+    assert np.allclose(out, average)
 
 
 def test_dephasing_cptp_on_random_states():
@@ -435,7 +461,7 @@ def test_dephasing_rejects_bad_survival():
 
 def test_trace_distance_basics():
     up = build_initial_state(EnsembleParams(1, 1.0))
-    down = DensityMatrix(np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex), 1)
+    down = DensityMatrix(to_x_frame(np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)), 1)
     mixed = DensityMatrix(np.eye(2, dtype=complex) / 2.0, 1)
     assert trace_distance(up, up) == 0.0
     assert trace_distance(up, down) == pytest.approx(1.0, rel=1e-14)
@@ -601,50 +627,30 @@ def test_decoherence_minimum_formula_vs_oracle_is_loose_at_small_n():
 # the collective-x frame
 # ---------------------------------------------------------------------------
 
-def count_frame_changes(monkeypatch):
-    calls = []
-    frame = oracle._x_frame
-
-    def counted(rho):
-        calls.append(rho.shape)
-        return frame(rho)
-
-    monkeypatch.setattr(oracle, "_x_frame", counted)
-    return calls
-
-
-def test_frame_changes_per_call(monkeypatch):
-    calls = count_frame_changes(monkeypatch)
-    theta = uniform_couplings(4, 0.05)
-    evolve_variable_coupling(theta, 0.8)
-    assert len(calls) == 0
-    variable_coupling_state(theta, 0.8)
-    assert len(calls) == 1  # for the z-basis output only
-    calls.clear()
-    params = EnsembleParams(3, 0.9)
-    cfg = IntegratorConfig(dt=0.01, t_final=0.1, checkpoint_every=4)
-    traj = evolve(build_initial_state(params), cfg, params, DecoherenceRates(0.02, 0.03),
-                  ProtocolParams(coupling=0.05, squeeze_time=0.1))
-    # into the frame once, back out at each checkpoint after t = 0 (t = 0.04, 0.08, 0.1)
-    assert len(traj.times) == 4
-    assert len(calls) == 1 + (len(traj.times) - 1)
-
-
 def test_x_frame_product_state_matches_frame_change():
     rng = np.random.default_rng(8)
     for n in range(1, 9):
         for pols in (0.7, 1.0, 0.0, rng.uniform(0.0, 1.0, size=n)):
-            z = oracle._product_state(pols, n, oracle._SIGMA_Z)
-            x = oracle._product_state(pols, n, oracle._SIGMA_X)
-            assert np.max(np.abs(x - oracle._x_frame(z))) <= 1e-15, f"n={n}"
-            # the z-basis state keeps the bits of diag(kron of the diagonals)
             diag = np.array([1.0])
             for p in np.broadcast_to(pols, (n,)):
                 diag = np.kron(diag, [(1.0 + p) / 2.0, (1.0 - p) / 2.0])
-            assert z.tobytes() == np.diag(diag.astype(complex)).tobytes()
-    assert np.array_equal(oracle._product_state(0.6, 2, oracle._SIGMA_X),
+            x = oracle._product_state(pols, n)
+            assert np.max(np.abs(x - to_x_frame(np.diag(diag)))) <= 1e-15, f"n={n}"
+    assert np.array_equal(oracle._product_state(0.6, 2),
                           [[0.25, 0.15, 0.15, 0.09], [0.15, 0.25, 0.09, 0.15],
                            [0.15, 0.09, 0.25, 0.15], [0.09, 0.15, 0.15, 0.25]])
+
+
+def test_spin_count_mismatch_is_rejected():
+    # regression: params of 5 spins with a 3-spin state once ran 3 spins silently
+    state = build_initial_state(EnsembleParams(3, 0.9))
+    params = EnsembleParams(5, 0.9)
+    proto = ProtocolParams(coupling=0.05, squeeze_time=0.1)
+    cfg = IntegratorConfig(dt=0.01, t_final=0.1)
+    with pytest.raises(ValidationError, match="params.n_spins = 5 .* state.n_spins = 3"):
+        evolve(state, cfg, params, DecoherenceRates(), proto)
+    with pytest.raises(ValidationError, match="params.n_spins = 5 .* state.n_spins = 3"):
+        lindblad_rhs(state, params, DecoherenceRates(), proto)
 
 
 def test_evolve_variable_coupling_matches_recorded_values():
