@@ -2,8 +2,11 @@
 verification suites and disorder Monte Carlo runs.
 
 Subcommands: squeeze-curve, optimal-point, metrology, verify, inhomo-mc.
-Output is plot-ready CSV ('#'-prefixed parameter-echo header, 17
-significant digits) or machine-readable JSON; every run is deterministic
+This module formats and writes every artifact; the numerics modules
+return values and write nothing.  A sweep is plot-ready CSV (a
+'#'-prefixed parameter echo, then the header) or JSON; the inhomo-mc
+per-sample CSV ends in a '# summary' row; reports and summaries are JSON.
+Every CSV number has 17 significant digits, and every run is deterministic
 for a fixed configuration and seed.  Exit codes: 0 success, 1 validation
 error, 2 numerical/statistical failure.
 
@@ -31,15 +34,11 @@ from .core import (
     ProtocolParams,
     ResourceError,
     ValidationError,
-    _csv_number,
-    text_output,
     theta_big,
     validate,
 )
 from .inhomogeneous import (
     DisorderSpec,
-    mc_summary_json,
-    mc_to_csv,
     mean_xi2_analytic,
     monte_carlo_mean_xi2,
     suppression_report,
@@ -142,31 +141,6 @@ def _parse_sweep(text: str):
     return name.replace("-", "_"), vals
 
 
-def _echo_lines(subcommand: str, args, pairs) -> list[str]:
-    items = " ".join(f"{k}={v}" for k, v in pairs)
-    return [f"# oatsqueeze {subcommand}", f"# {items}"]
-
-
-def _write_text(path: str | None, text: str) -> None:
-    with text_output(path or sys.stdout) as fh:
-        fh.write(text)
-
-
-def _csv(rows, header, echo) -> str:
-    lines = list(echo)
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(map(_csv_number, row)))
-    return "\n".join(lines) + "\n"
-
-
-def _sweep_payload(rows, header, echo, fmt) -> str:
-    if fmt == "json":
-        return json.dumps({"columns": header, "rows": rows}, indent=2,
-                          sort_keys=True) + "\n"
-    return _csv(rows, header, echo)
-
-
 def _bundle(args, signal_field=0.0):
     """The validated ensemble, rates and coupling.  Every subcommand sweeps or
     optimizes the squeezing time itself, so the bundle's squeeze time is 1."""
@@ -174,6 +148,47 @@ def _bundle(args, signal_field=0.0):
     rates = DecoherenceRates(gamma_par=args.gamma_par, gamma_perp=args.gamma_perp)
     proto = ProtocolParams(coupling=args.j, squeeze_time=1.0, signal_field=signal_field)
     return validate(params, rates, proto)
+
+
+# ---------------------------------------------------------------------------
+# artifact writers
+# ---------------------------------------------------------------------------
+
+def _number(value) -> str:
+    """A CSV number: 17 significant digits, which round-trip a double."""
+    return f"{value:.17g}"
+
+
+def _csv(header, rows) -> str:
+    lines = [",".join(header)] + [",".join(map(_number, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write(path: str | None, text: str) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout without a path."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _mc_csv(result) -> str:
+    """Per-sample CSV (sample_index, xi2) with a trailing summary row.
+
+    Rows carry the true sample index, so rejected samples leave gaps.
+    """
+    if result.values is None:
+        raise ValueError("monte_carlo_mean_xi2 must be called with keep_values=True")
+    rejected = set(result.rejected_indices)
+    kept = (i for i in range(result.n_samples) if i not in rejected)
+    return _csv(["sample_index", "xi2"], zip(kept, result.values)) + (
+        f"# summary mean={_number(result.mean)} stderr={_number(result.stderr)} "
+        f"n_rejected={result.n_rejected} seed={result.master_seed}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +217,16 @@ def cmd_squeeze_curve(args) -> int:
             raise ValidationError([f"sweep t={t!r} lies outside the closed forms' "
                                    f"domain ({exc})"]) from None
         rows.append([t, theta_big(rates, t), xi2_dec, xi2_pure, p_eff, theta_min])
-    echo = _echo_lines("squeeze-curve", args, [
-        ("n", params.n_spins), ("p", params.polarization), ("j", proto.coupling),
-        ("gamma_par", rates.gamma_par), ("gamma_perp", rates.gamma_perp),
-        ("sweep", sweep),
-    ])
     header = ["t", "theta_big", "xi2_decoherence", "xi2_pure",
               "effective_polarization", "theta_min_angle"]
-    _write_text(args.out, _sweep_payload(rows, header, echo, args.format))
+    if args.format == "json":
+        text = _json({"columns": header, "rows": rows})
+    else:
+        text = ("# oatsqueeze squeeze-curve\n"
+                f"# n={params.n_spins} p={params.polarization} j={proto.coupling} "
+                f"gamma_par={rates.gamma_par} gamma_perp={rates.gamma_perp} "
+                f"sweep={sweep}\n" + _csv(header, rows))
+    _write(args.out, text)
     return 0
 
 
@@ -242,7 +259,7 @@ def cmd_optimal_point(args) -> int:
         theta, sens, flag = analytic.max_sensitivity(n, p, rates, proto.coupling)
         payload.update({"theta_star": theta, "t_star": theta / (2.0 * gs),
                         "sensitivity_star": sens, "regime_flag": flag})
-    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(args.out, _json(payload))
     return 0
 
 
@@ -275,14 +292,15 @@ def cmd_metrology(args) -> int:
             ProtocolParams(coupling=proto.coupling, squeeze_time=t,
                            signal_field=proto.signal_field, total_time=tau))
         rows.append([big, t, snr, derived, reference])
-    echo = _echo_lines("metrology", args, [
-        ("n", n), ("p", p), ("j", proto.coupling),
-        ("gamma_par", rates.gamma_par), ("gamma_perp", rates.gamma_perp),
-        ("b_y", proto.signal_field), ("tau", args.tau),
-        ("sweep", sweep),
-    ])
     header = ["theta_big", "t", "snr", "sensitivity_c_derived", "sensitivity_c_reference"]
-    _write_text(args.out, _sweep_payload(rows, header, echo, args.format))
+    if args.format == "json":
+        text = _json({"columns": header, "rows": rows})
+    else:
+        text = ("# oatsqueeze metrology\n"
+                f"# n={n} p={p} j={proto.coupling} gamma_par={rates.gamma_par} "
+                f"gamma_perp={rates.gamma_perp} b_y={proto.signal_field} "
+                f"tau={args.tau} sweep={sweep}\n" + _csv(header, rows))
+    _write(args.out, text)
     return 0
 
 
@@ -301,7 +319,7 @@ def cmd_verify(args) -> int:
         "suite": "all", "reports": reports,
         "passed": all(r["passed"] for r in reports),
     }
-    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(args.out, _json(payload))
     if args.out:  # keep a terse console summary when writing to a file
         for rep, seconds in zip(reports, elapsed):
             status = "pass" if rep["passed"] else "FAIL"
@@ -321,7 +339,7 @@ def cmd_inhomo_mc(args) -> int:
     analytic_mean = mean_xi2_analytic(spec, args.n, theta)
     pair, single, negligible = suppression_report(spec, args.n)
     z = 0.0 if result.stderr == 0.0 else (result.mean - analytic_mean) / result.stderr
-    summary = mc_summary_json(result, extra={
+    summary = _json(result.summary() | {
         "analytic_mean": analytic_mean,
         "z_score": z,
         "suppression_factors": {"pair": pair, "single": single,
@@ -329,12 +347,10 @@ def cmd_inhomo_mc(args) -> int:
         "theta": theta,
         "theta0": args.theta0,
         "n": args.n,
-    }) + "\n"
+    })
     if args.out:
-        mc_to_csv(result, args.out)
-        _write_text(args.summary_out or args.out + ".summary.json", summary)
-    else:
-        sys.stdout.write(summary)
+        _write(args.out, _mc_csv(result))
+    _write(args.summary_out or (args.out and args.out + ".summary.json"), summary)
     return 0
 
 

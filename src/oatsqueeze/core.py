@@ -1,13 +1,11 @@
-"""Shared domain types, unit conventions, validation and output format.
+"""Shared domain types, unit conventions and validation.
 
 Conventions used across the package: hbar = 1; the coupling J, the
 relaxation rates Gamma_par / Gamma_perp and the probe field B_y all carry
 units of 1/time, times carry the inverse, and the accumulated twisting
 angle theta0 = J*t is dimensionless, as is Theta = 2*(Gamma_par +
 Gamma_perp)*T (``theta_big``).  Quadrature angles are plain floats in
-radians.  Every CSV writes its numbers through ``_csv_number``, with 17
-significant digits.  The twisting Hamiltonian is the
-ordered-pair sum J * sum_{i != j} sx_i sx_j, i.e. every unordered pair
+radians.  The twisting Hamiltonian is the ordered-pair sum J * sum_{i != j} sx_i sx_j, i.e. every unordered pair
 enters with weight 2J; this is the convention under which theta0 = J*t
 matches the cos(4*theta0) factors of the closed forms (pinned by a
 dedicated oracle test).
@@ -15,7 +13,6 @@ dedicated oracle test).
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -80,16 +77,6 @@ class ProtocolParams:
             object.__setattr__(self, "total_time", self.squeeze_time)
 
 
-@contextlib.contextmanager
-def text_output(out):
-    """Yield a writable text stream: ``out`` itself, or a file opened at path ``out``."""
-    if isinstance(out, (str, bytes)):
-        with open(out, "w", encoding="utf-8") as fh:
-            yield fh
-    else:
-        yield out
-
-
 def theta_big(rates: DecoherenceRates, squeeze_time: float) -> float:
     """Dimensionless squeezing duration Theta = 2*(Gamma_par+Gamma_perp)*T."""
     return 2.0 * rates.gamma_sum * squeeze_time
@@ -101,11 +88,6 @@ def canonical_angle(theta: float) -> float:
     if out < 0.0:
         out += math.pi
     return 0.0 if out == math.pi else out
-
-
-def _csv_number(value) -> str:
-    """A number as every CSV writes it: 17 significant digits, which round-trip a double."""
-    return f"{value:.17g}"
 
 
 @dataclass(frozen=True)

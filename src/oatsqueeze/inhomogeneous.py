@@ -14,21 +14,13 @@ Monte Carlo average reproduces the analytic one.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import _twist_terms
-from .core import (
-    DomainError,
-    NumericalError,
-    ResourceError,
-    ValidationError,
-    _csv_number,
-    text_output,
-)
+from .core import DomainError, NumericalError, ResourceError, ValidationError
 
 ALPHA_CONCENTRATED = 1e15  # alpha at or above this samples exactly theta0
 _DEGENERATE_FRACTION = 1e-12  # |B| <= this (per spin) is a degenerate denominator
@@ -306,7 +298,7 @@ def suppression_report(spec: DisorderSpec, n: int) -> tuple[float, float, bool]:
     return pair, single, (pair >= 0.99 and single >= 0.99)
 
 
-def mean_xi2_analytic(spec: DisorderSpec, n: int, theta: float, suppression: bool = True) -> float:
+def mean_xi2_analytic(spec: DisorderSpec, n: int, theta: float) -> float:
     """Disorder-averaged quadrature ratio at unit polarization.
 
     Numerator and denominator of the closed form average edge by edge
@@ -316,12 +308,11 @@ def mean_xi2_analytic(spec: DisorderSpec, n: int, theta: float, suppression: boo
             - sin(2 th) (N-1) Ss sin(4 t0) cos^{N-2}(4 t0) ]
         / [ cos^{N-1}(4 t0) Ss ]
 
-    with Sp, Ss the suppression factors above.  ``suppression=False`` sets
-    both to one, which is also the disorder-free limit and then agrees
-    exactly with the uniform-coupling closed form.
+    with Sp, Ss the suppression factors above.  Without disorder (kappa = 0)
+    both are exactly one and this is the uniform-coupling closed form.
     """
     a, b, d = _twist_terms(n, 1.0, spec.theta0)
-    sp, ss = (suppression_report(spec, n)[:2]) if suppression else (1.0, 1.0)
+    sp, ss, _ = suppression_report(spec, n)
     return (1.0 + math.sin(theta) ** 2 * sp * a - math.sin(2.0 * theta) * ss * b) / (d * ss)
 
 
@@ -420,28 +411,3 @@ def monte_carlo_mean_xi2(
         spec.n_samples, len(rejected), spec.master_seed,
         ratio if keep_values else None, tuple(rejected), at_rounding,
     )
-
-
-def mc_to_csv(result: MonteCarloResult, out) -> None:
-    """Per-sample CSV (sample_index, xi2) with a trailing summary row.
-
-    Rows carry the true sample index, so rejected samples leave gaps.
-    """
-    if result.values is None:
-        raise ValueError("monte_carlo_mean_xi2 must be called with keep_values=True")
-    rejected = set(result.rejected_indices)
-    kept = (i for i in range(result.n_samples) if i not in rejected)
-    with text_output(out) as fh:
-        fh.write("sample_index,xi2\n")
-        for idx, val in zip(kept, result.values):
-            fh.write(f"{idx},{_csv_number(val)}\n")
-        fh.write(f"# summary mean={_csv_number(result.mean)} "
-                 f"stderr={_csv_number(result.stderr)} "
-                 f"n_rejected={result.n_rejected} seed={result.master_seed}\n")
-
-
-def mc_summary_json(result: MonteCarloResult, extra: dict | None = None) -> str:
-    payload = result.summary()
-    if extra:
-        payload.update(extra)
-    return json.dumps(payload, indent=2, sort_keys=True)

@@ -47,8 +47,6 @@ from .core import (
     ProtocolParams,
     ResourceError,
     ValidationError,
-    _csv_number,
-    text_output,
 )
 from .inhomogeneous import _as_couplings
 
@@ -351,19 +349,6 @@ class Trajectory:
         if low is not None:
             self.min_eigenvalue = low if self.min_eigenvalue is None \
                 else min(self.min_eigenvalue, low)
-
-    def to_csv(self, out, thetas=()) -> None:
-        """Write checkpoints as CSV: t, means, second moments, trace, purity."""
-        with text_output(out) as fh:
-            cols = ["t", "mean_x", "mean_y", "mean_z"]
-            cols += [f"second_moment_theta={th:.10g}" for th in thetas]
-            cols += ["trace", "purity"]
-            fh.write(",".join(cols) + "\n")
-            for t, mom, tr, pur in zip(self.times, self.moments, self.traces, self.purities):
-                row = [t, mom.mean_x, mom.mean_y, mom.mean_z]
-                row += [mom.second_moment(th) for th in thetas]
-                row += [tr, pur]
-                fh.write(",".join(map(_csv_number, row)) + "\n")
 
 
 def evolve(

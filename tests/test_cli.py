@@ -1,13 +1,16 @@
+import ast
 import contextlib
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import oatsqueeze
 from oatsqueeze import analytic, inhomogeneous, verify
 from oatsqueeze.cli import FLAGS, SUBCOMMANDS, _parse_sweep, main
 from oatsqueeze.core import DecoherenceRates, theta_big
@@ -166,6 +169,17 @@ def test_inhomo_mc_summary_contents(tmp_path):
     assert payload["suppression_factors"]["negligible"] is True
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 1 + 10 + 1
+
+
+def test_inhomo_mc_summary_out_without_out_writes_the_file(tmp_path, capsys):
+    # regression: --summary-out without --out was ignored; the summary went
+    # to stdout and no file was written
+    summary = tmp_path / "s.json"
+    argv = ["inhomo-mc", "--n", "6", "--samples", "5", "--kappa", "0.1"]
+    assert main(argv + ["--summary-out", str(summary)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert main(argv) == 0
+    assert summary.read_text(encoding="utf-8") == capsys.readouterr().out
 
 
 def test_inhomo_mc_exact_match_has_zero_z_score(capsys):
@@ -564,3 +578,19 @@ def test_every_input_exits_with_a_code_and_one_line(cli_dir, data):
         assert len(lines) == 1
     else:
         assert len(lines) <= 1  # at most the note on flags the run does not read
+
+
+def test_only_the_cli_writes_artifacts():
+    # the numerics modules return values; cli.py formats and writes every
+    # CSV and JSON artifact
+    src = Path(oatsqueeze.__file__).parent
+    for name in ("core", "analytic", "inhomogeneous", "oracle", "verify"):
+        for node in ast.walk(ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                assert "json" not in [alias.name for alias in node.names], name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "json", name
+            elif isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                assert called != "open", name

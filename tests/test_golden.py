@@ -31,6 +31,7 @@ CASES = {
                                      "--n", "50", "--j", "1e-5", *_CLOSED_FORM],
     "inhomo_mc.summary.json": ["inhomo-mc", "--n", "12", "--samples", "40", "--seed", "3",
                                "--kappa", "0.2"],
+    "verify_constants.json": ["verify", "constants"],
 }
 
 

@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import json
 import math
 
@@ -9,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oatsqueeze import analytic, inhomogeneous
+from oatsqueeze.cli import _json, _mc_csv
 from oatsqueeze.core import DomainError, NumericalError, ResourceError, ValidationError
 from oatsqueeze.inhomogeneous import (
     ALPHA_CONCENTRATED,
     CouplingMatrix,
     DisorderSpec,
     MonteCarloResult,
-    mc_summary_json,
-    mc_to_csv,
     mean_xi2_analytic,
     monte_carlo_mean_xi2,
     quadrature_components,
@@ -238,9 +236,9 @@ def test_components_match_recorded_values(n):
 # ---------------------------------------------------------------------------
 
 def test_mean_without_suppression_equals_uniform_closed_form():
-    spec = DisorderSpec(theta0=0.05, kappa=0.1)
+    spec = DisorderSpec(theta0=0.05, kappa=0.0)  # both suppression factors are 1.0
     for theta in (0.0, 0.4, 1.2, 2.2):
-        got = mean_xi2_analytic(spec, 20, theta, suppression=False)
+        got = mean_xi2_analytic(spec, 20, theta)
         want = analytic.xi2_theta_finite_polarization(20, 1.0, 0.05, theta)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -395,13 +393,13 @@ def test_insensitivity_to_moderate_disorder():
 def test_mc_csv_and_json_exports():
     spec = DisorderSpec(theta0=0.05, kappa=0.1, n_samples=20, master_seed=2)
     mc = monte_carlo_mean_xi2(spec, 6, 1.0, 0.8, keep_values=True)
-    buf = io.StringIO()
-    mc_to_csv(mc, buf)
-    lines = buf.getvalue().strip().splitlines()
+    lines = _mc_csv(mc).strip().splitlines()
     assert lines[0] == "sample_index,xi2"
     assert len(lines) == 1 + 20 + 1  # header + samples + summary row
     assert lines[-1].startswith("# summary mean=")
-    payload = json.loads(mc_summary_json(mc, extra={"analytic_mean": 1.0}))
+    with pytest.raises(ValueError, match="keep_values=True"):
+        _mc_csv(dataclasses.replace(mc, values=None))
+    payload = json.loads(_json(mc.summary() | {"analytic_mean": 1.0}))
     assert payload["n_samples"] == 20
     assert payload["seed"] == 2
     assert "analytic_mean" in payload
@@ -413,9 +411,7 @@ def test_mc_csv_numbers_rows_by_true_sample_index():
                               stderr_of_ratios=0.1, n_samples=3, n_rejected=1,
                               master_seed=4, values=np.array([1.25, 1.5]),
                               rejected_indices=(1,))
-    buf = io.StringIO()
-    mc_to_csv(result, buf)
-    lines = buf.getvalue().strip().splitlines()
+    lines = _mc_csv(result).strip().splitlines()
     assert lines[1:3] == ["0,1.25", "2,1.5"]
     assert lines[-1].startswith("# summary mean=")
     assert result.summary()["rejected_indices"] == [1]

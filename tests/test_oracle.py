@@ -1,4 +1,3 @@
-import io
 import json
 import math
 from dataclasses import replace
@@ -707,24 +706,3 @@ def test_evolve_raises_on_crossed_margin():
     with pytest.raises(NumericalError, match="hermiticity defect .* at t=0"):
         evolve(DensityMatrix(rho, 2), cfg, params, DecoherenceRates(),
                ProtocolParams(coupling=0.0, squeeze_time=0.01))
-
-
-# ---------------------------------------------------------------------------
-# trajectory export
-# ---------------------------------------------------------------------------
-
-def test_trajectory_csv_export():
-    params = EnsembleParams(3, 1.0)
-    rates = DecoherenceRates(0.02, 0.03)
-    proto = ProtocolParams(coupling=0.05, squeeze_time=1.0)
-    cfg = IntegratorConfig(dt=0.01, t_final=1.0, checkpoint_every=25)
-    traj = evolve(build_initial_state(params), cfg, params, rates, proto)
-    buf = io.StringIO()
-    traj.to_csv(buf, thetas=(0.0, 0.5))
-    lines = buf.getvalue().strip().splitlines()
-    header = lines[0].split(",")
-    assert header[:4] == ["t", "mean_x", "mean_y", "mean_z"]
-    assert header[-2:] == ["trace", "purity"]
-    assert len(lines) - 1 == len(traj.times)
-    values = [float(x) for x in lines[-1].split(",")]
-    assert all(math.isfinite(v) for v in values)
