@@ -11,7 +11,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oatsqueeze
-from oatsqueeze import analytic, inhomogeneous, verify
+from oatsqueeze import analytic, inhomogeneous, oracle, verify
 from oatsqueeze.cli import FLAGS, SUBCOMMANDS, _parse_sweep, main
 from oatsqueeze.core import DecoherenceRates, theta_big
 
@@ -444,6 +444,19 @@ def test_verify_sizes_that_check_nothing_exit_1(argv, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("validation error:")
+
+
+def test_verify_factorization_refuses_spin_count_above_cap_up_front(monkeypatch, capsys):
+    # regression: the gap table ran n = 2..12, a dense 4096^2 RK4 run
+    # included, before it reached the ResourceError at n = 13
+    def no_leg(*args, **kwargs):
+        raise AssertionError("a gap was computed before every spin count was checked")
+
+    monkeypatch.setattr(oracle, "factorization_gap", no_leg)
+    assert main(["verify", "factorization", "--n-range", f"2..{oracle.SPIN_CAP + 1}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "SPIN_CAP" in err
 
 
 @pytest.mark.parametrize("extra", [

@@ -480,6 +480,18 @@ def test_factorization_gap_trivial_limits():
     assert g <= 1e-10
 
 
+def test_factorization_gap_commuting_limit():
+    # sigma_x dephasing commutes with SX^2, so without gamma_perp the exact
+    # gap is zero (2e-15 by dense expm).  What remains is the joint
+    # leg's RK4 error, which falls as dt^4: about 1e-11 here, and 7e-10 at
+    # J = 0.3 with the same dt.
+    g = factorization_gap(EnsembleParams(4, 0.9), DecoherenceRates(0.1, 0.0),
+                          ProtocolParams(coupling=0.1, squeeze_time=1.0),
+                          IntegratorConfig(dt=5e-3, t_final=1.0))
+    assert g <= 1e-10
+    assert _exact_factorization_gap(4, 0.1, 0.1, 0.0, 0.9) <= 1e-13
+
+
 def test_factorization_gap_ignores_the_probe_field():
     # the gap compares L_H and L_D only: a probe in proto changes no bit
     params = EnsembleParams(3, 0.9)
@@ -499,33 +511,55 @@ def test_factorization_per_spin_gap_decreases():
     assert all(a > b for a, b in zip(per_spin, per_spin[1:]))
 
 
-def _exact_factorization_gap(n, njt, gamma_sum_t, t_final=1.0):
-    """Trace distance of exp[T(L_H+L_D)] rho0 and exp[T L_H] exp[T L_D] rho0.
-
-    Built from Kronecker-product Paulis and a dense Liouvillian in the
-    row-major vectorization vec(A rho B) = (A kron B^T) vec(rho); shares no
-    code with the oracle's RK4 integrator.
+def _kron_liouvillians(n, coupling, gamma_par, gamma_perp):
+    """L_H for H = J (SX^2 - N) and L_D for the sigma_x channel at gamma_par
+    and the sigma_y, sigma_z channels at gamma_perp, as dense z-basis
+    superoperators in the row-major vectorization vec(A rho B) =
+    (A kron B^T) vec(rho).  Built from Kronecker-product Paulis; shares no
+    code with the oracle's RK4 integrator or its exact dissipation channel.
     """
-    dim = 1 << n
-    eye = np.eye(dim)
+    eye = np.eye(1 << n)
     sx = kron_collective("x", n)
-    ham = (njt / (n * t_final)) * (sx @ sx - n * eye)
+    ham = coupling * (sx @ sx - n * eye)
     l_ham = -1j * (np.kron(ham, eye) - np.kron(eye, ham.T))
 
     def lindblad(op):
         ldl = op.conj().T @ op
         return np.kron(op, op.conj()) - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
 
-    gamma = gamma_sum_t / (2.0 * t_final)  # split evenly between the channels
-    l_diss = sum(gamma * lindblad(kron_site("x", i, n))
-                 + gamma * (lindblad(kron_site("y", i, n)) + lindblad(kron_site("z", i, n)))
+    l_diss = sum(gamma_par * lindblad(kron_site("x", i, n))
+                 + gamma_perp * (lindblad(kron_site("y", i, n)) + lindblad(kron_site("z", i, n)))
                  for i in range(n))
-    rho0 = np.zeros((dim, dim), dtype=complex)
-    rho0[0, 0] = 1.0  # P = 1: every spin up along z
-    vec = rho0.reshape(-1)
+    return l_ham, l_diss
+
+
+def _exact_factorization_gap(n, coupling, gamma_par, gamma_perp, polarization, t_final=1.0):
+    """Trace distance of exp[T(L_H+L_D)] rho0 and exp[T L_H] exp[T L_D] rho0,
+    rho0 the product of (I + P sigma_z)/2."""
+    dim = 1 << n
+    l_ham, l_diss = _kron_liouvillians(n, coupling, gamma_par, gamma_perp)
+    rho0 = np.eye(1)
+    for _ in range(n):
+        rho0 = np.kron(rho0, np.diag([1.0 + polarization, 1.0 - polarization]) / 2.0)
+    vec = rho0.astype(complex).reshape(-1)
     joint = _expm(t_final * (l_ham + l_diss)) @ vec
     factored = _expm(t_final * l_ham) @ (_expm(t_final * l_diss) @ vec)
     return 0.5 * float(np.linalg.norm((joint - factored).reshape(dim, dim), "nuc"))
+
+
+@pytest.mark.parametrize("gamma_par, gamma_perp", [(0.0, 0.1), (0.04, 0.16)])
+def test_exact_dissipation_leg_matches_dense_exponential(gamma_par, gamma_perp):
+    # A generic state: the product states of factorization_gap are invariant
+    # under the sigma_y/sigma_z mixing of rho with its bit flips, so no gap
+    # tells its weight (1 - exp(-4 gamma_perp T))/2 from another.
+    n, t = 3, 0.7
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    rho = a @ a.conj().T / np.trace(a @ a.conj().T)
+    _, l_diss = _kron_liouvillians(n, 0.0, gamma_par, gamma_perp)
+    want = to_x_frame((_expm(t * l_diss) @ rho.reshape(-1)).reshape(8, 8))
+    got = oracle._dissipate(to_x_frame(rho), n, DecoherenceRates(gamma_par, gamma_perp), t)
+    assert np.max(np.abs(got - want)) <= 1e-14
 
 
 def test_factorization_gap_matches_exact_exponential():
@@ -533,10 +567,26 @@ def test_factorization_gap_matches_exact_exponential():
     # raw gap at fixed N*J*T rising with N (0.0232, 0.0296, 0.0321).
     ns = [2, 3, 4]
     table = factorization_gap_table(ns, njt=0.2, gamma_sum_t=0.2, t_final=1.0, dt=1e-2)
-    exact = [_exact_factorization_gap(n, njt=0.2, gamma_sum_t=0.2) for n in ns]
+    exact = [_exact_factorization_gap(n, 0.2 / n, 0.1, 0.1, 1.0) for n in ns]
     for (n, got), want in zip(table, exact):
         assert got == pytest.approx(want, rel=1e-8), f"N={n}"
     assert exact[0] < exact[1] < exact[2]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("gamma_par, gamma_perp", [(0.0, 0.1), (0.04, 0.16)])
+@pytest.mark.parametrize("polarization", [1.0, 0.7])
+def test_factorization_gap_split_channels_match_exact_exponential(
+        n, gamma_par, gamma_perp, polarization):
+    # unequal rates and P < 1 against the dense exponential; measured
+    # within 4.2e-10 relative
+    coupling = 0.2 / n
+    got = factorization_gap(EnsembleParams(n, polarization),
+                            DecoherenceRates(gamma_par, gamma_perp),
+                            ProtocolParams(coupling=coupling, squeeze_time=1.0),
+                            IntegratorConfig(dt=1e-2, t_final=1.0))
+    want = _exact_factorization_gap(n, coupling, gamma_par, gamma_perp, polarization)
+    assert got == pytest.approx(want, rel=1e-8)
 
 
 # ---------------------------------------------------------------------------
