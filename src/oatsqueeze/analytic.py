@@ -67,16 +67,6 @@ def effective_polarization(polarization: float, rates: DecoherenceRates, t: floa
 # exact finite-polarization quadratures for uniform coupling
 # ---------------------------------------------------------------------------
 
-def _cos_power(c: float, m: float) -> float:
-    """c**m through exp(m*log|c|) with sign handling; m may be large."""
-    if c > 0.0:
-        return math.exp(m * math.log(c))
-    if c == 0.0:
-        return 0.0
-    mag = math.exp(m * math.log(-c))
-    return -mag if int(round(m)) % 2 else mag
-
-
 def _twist_terms(n: int, p: float, theta0: float) -> tuple[float, float, float]:
     """Shared ingredients of the uniform-coupling quadrature ratio.
 
@@ -103,8 +93,8 @@ def _twist_terms(n: int, p: float, theta0: float) -> tuple[float, float, float]:
     c8 = math.cos(8.0 * theta0)
     if c8 > 0.0:
         one_minus_c8m = -math.expm1(m * math.log1p(-2.0 * math.sin(4.0 * theta0) ** 2))
-    else:
-        one_minus_c8m = 1.0 - _cos_power(c8, m)
+    else:  # c8 < 0: the cosine of a double is never exactly 0
+        one_minus_c8m = 1.0 - (-1.0 if m % 2 else 1.0) * math.exp(m * math.log(-c8))
     a = 0.5 * (n - 1) * p * p * one_minus_c8m
     b = (n - 1) * p * math.sin(4.0 * theta0) * math.exp(m * log_c4)
     d = p * math.exp((n - 1) * log_c4)

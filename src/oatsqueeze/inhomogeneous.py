@@ -130,11 +130,21 @@ def _signed_logs(t: np.ndarray):
     return np.log(mag), np.where(t < 0.0, -1.0, 1.0), zero
 
 
-def _components(theta: np.ndarray, p: np.ndarray, th: float) -> tuple[np.ndarray, np.ndarray]:
-    """(A/N, B/N) of every coupling matrix in an (S, N, N) stack.
+def _pair_terms(theta: np.ndarray):
+    """Per-site and per-pair products of each coupling matrix in an (S, N, N) stack.
 
-    Each sample's arithmetic is independent of S and of the sample's
-    place in the stack, so a sample's values do not depend on chunking.
+    With C_jk = cos(4 theta_jk) and S_jk = sin(4 theta_jk), returns
+        z[s, l]        = prod_{j != l} C_jl
+        sin[s, k, l]   = S_kl
+        cross[s, k, l] = prod_{i != k,l} C_il
+        diff[s, k, l]  = prod_{j != k,l} (C_jk C_jl + S_jk S_jl)
+                         - prod_{j != k,l} (C_jk C_jl - S_jk S_jl)
+
+    with zero diagonals in the (S, N, N) tables.  For a twisted product
+    state of polarizations P (Foss-Feig et al., PRA 87, 042101, 2013):
+    <sz_l> = P_l z_l, <sx_k sy_l> = -P_l S_kl cross_kl and
+    <sy_k sy_l> = P_k P_l diff_kl / 2.  A sample's values do not depend on
+    S or on its place in the stack, so they do not depend on chunking.
     """
     n_samples, n, _ = theta.shape
     c = np.cos(4.0 * theta)
@@ -147,21 +157,16 @@ def _components(theta: np.ndarray, p: np.ndarray, th: float) -> tuple[np.ndarray
     col_log = log_c.sum(axis=1)
     col_sign = sign_c.prod(axis=1)
     col_zeros = zero_c.sum(axis=1)
-
-    # B/N
     col_prod = np.where(col_zeros > 0, 0.0, col_sign * np.exp(col_log))
-    # one dot per sample: a batched matrix product sums in an order that
-    # depends on S
-    b_norm = np.array([np.dot(p, row) for row in col_prod]) / n
 
-    # cross term: prod_{i != k,l} C_il from full-column accumulators
+    # prod_{i != k,l} C_il from full-column accumulators
     zeros_excl = col_zeros[:, None, :] - zero_c
     log_excl = col_log[:, None, :] - log_c
     sign_excl = col_sign[:, None, :] * sign_c
     prod_excl = np.where(zeros_excl > 0, 0.0, sign_excl * np.exp(log_excl))
-    cross_sum = np.einsum("skl,skl,l->s", s, prod_excl, p)
+    prod_excl[:, diag, diag] = 0.0
 
-    # transverse pair term.  prod_{j != k,l} (C_jk C_jl +/- S_jk S_jl) is
+    # diff: prod_{j != k,l} (C_jk C_jl +/- S_jk S_jl) is
     # symmetric in (k, l), so only l > k is computed, for blocks of k sized
     # by _CHUNK_BYTES, on a (j, +/-, sample, k, l) layout: the product over
     # j is a sequential axis-0 reduction (the +/- axis gives each j at
@@ -191,6 +196,18 @@ def _components(theta: np.ndarray, p: np.ndarray, th: float) -> tuple[np.ndarray
             for b in range(d.shape[1]):  # keep l > k of each row
                 diff[:, k0 + b, k0 + 1 + b:] = d[:, b, b:]
                 diff[:, k0 + 1 + b:, k0 + b] = d[:, b, b:]
+    return col_prod, s, prod_excl, diff
+
+
+def _components(theta: np.ndarray, p: np.ndarray, th: float) -> tuple[np.ndarray, np.ndarray]:
+    """(A/N, B/N) of each coupling matrix in an (S, N, N) stack: the
+    ``_pair_terms`` weighted by the polarizations and summed."""
+    n = theta.shape[1]
+    col_prod, s, prod_excl, diff = _pair_terms(theta)
+    # one dot per sample: a batched matrix product sums in an order that
+    # depends on S
+    b_norm = np.array([np.dot(p, row) for row in col_prod]) / n
+    cross_sum = np.einsum("skl,skl,l->s", s, prod_excl, p)
     weights = np.outer(p, p)
     np.fill_diagonal(weights, 0.0)
     yy_sum = np.array([np.einsum("kl,kl->", weights, d) for d in diff])  # as b_norm
@@ -227,8 +244,10 @@ def quadrature_components(couplings, pols, theta: float) -> tuple[float, float]:
 
     and xi2(th) = A/B.  Products are accumulated in log-magnitude + sign
     form so cos^N factors do not underflow at large N.  The evaluation is
-    O(N^3) time and O(N^2) memory; the Monte Carlo runs the same kernel on
-    stacks of samples.
+    O(N^3) time and O(N^2) memory.  One kernel, ``_pair_terms``, computes
+    the products: the Monte Carlo runs it on stacks of samples, and
+    ``verify variable_coupling`` checks its per-pair terms against the
+    exact unitary.
     """
     th_mat = _as_couplings(couplings).theta
     n = th_mat.shape[0]

@@ -564,7 +564,6 @@ class MetrologyResult:
 
     signal_slope: float      # d<quadrature mean>/dB_y along the measured angle
     noise: float             # sqrt of the B_y = 0 second central moment
-    snr_estimate: float      # slope * B_y * sqrt(tau/T) / noise
     theta_min: float         # measured quadrature angle
     b_step: float
 
@@ -576,15 +575,18 @@ def simulate_metrology(
     cfg: IntegratorConfig,
     measure_angle: float | None = None,
 ) -> MetrologyResult:
-    """Probe-field response from three master-equation runs.
+    """Probe-field response from two master-equation runs, at B_y = 0 and +B_y.
 
     The measured quadrature defaults to the angle of minimal variance in
     the B_y = 0 run (pass ``measure_angle`` to override, e.g. for J = 0
-    where the variance is isotropic); the signal slope comes from a
-    central finite difference at +/-B_y and the noise from the B_y = 0
-    variance.  ``proto.signal_field`` sets the probe step B_y and is zeroed
-    for the noise run; when it is zero, a default step keeps the
-    linear-response error below the integrator tolerance.
+    where the variance is isotropic), and the noise is that run's
+    variance.  A pi rotation about z leaves J*SX^2, all three channels and
+    the z-polarized initial state unchanged and flips the sign of B_y, so
+    the quadrature mean is odd in B_y: the difference quotient from the
+    B_y = 0 run equals the central difference at +/-B_y.
+    ``proto.signal_field`` sets the probe step B_y and is zeroed for the
+    noise run; when it is zero, a default step keeps the linear-response
+    error below the integrator tolerance.
     """
     b = proto.signal_field
     if b == 0.0:
@@ -603,7 +605,5 @@ def simulate_metrology(
         second = mom0.second_moment(theta)
     mean0 = mom0.quadrature_mean(theta)
     noise = math.sqrt(max(second - mean0 * mean0, 0.0))
-    slope = (moments_at(+b).quadrature_mean(theta)
-             - moments_at(-b).quadrature_mean(theta)) / (2.0 * b)
-    snr = slope * b * math.sqrt(proto.total_time / proto.squeeze_time) / noise
-    return MetrologyResult(slope, noise, snr, theta, b)
+    slope = (moments_at(b).quadrature_mean(theta) - mean0) / b
+    return MetrologyResult(slope, noise, theta, b)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analytic
 from .core import DecoherenceRates, EnsembleParams, ProtocolParams, ValidationError
-from .inhomogeneous import xi2_theta_couplings
+from .inhomogeneous import _pair_terms, xi2_theta_couplings
 from .oracle import (
     DensityMatrix,
     IntegratorConfig,
@@ -55,6 +55,7 @@ _N_CAPS = {
     "uniform_coupling": (12,),
     "dephasing": (6,),
 }
+_TRIALS = 100  # random coupling matrices per variable_coupling run
 
 
 def suite_sizes(name: str, n: int) -> tuple[int, ...]:
@@ -197,47 +198,33 @@ def suite_factorization(n_range=range(2, 7)) -> dict:
                    raw_gap_fixed_njt=[[n, g] for n, g in zip(ns, raw)])
 
 
-def suite_variable_coupling(n_max: int = 6, trials: int = 100, seed: int = 0) -> dict:
-    """Closed-form moments and quadrature ratio vs the exact pair unitary."""
+def suite_variable_coupling(n_max: int = 6, seed: int = 0) -> dict:
+    """The shipped kernel's per-site and per-pair terms (``_pair_terms``,
+    weighted by the polarizations) and quadrature ratio vs the exact pair
+    unitary, on _TRIALS random coupling matrices and polarizations."""
     (n_max,) = suite_sizes("variable_coupling", n_max)
     if n_max < 2:
         raise ValidationError(["variable_coupling needs n >= 2: it checks spin pairs"])
     rng = np.random.default_rng(seed)
     worst = {"site_polarization": 0.0, "pair_xx_zero": 0.0, "pair_yy": 0.0,
              "pair_xy": 0.0, "quadrature_ratio": 0.0}
-    for _ in range(trials):
+    for _ in range(_TRIALS):
         n = int(rng.integers(2, n_max + 1))
         theta = _random_couplings(rng, n)
         pols = rng.uniform(0.3, 1.0, size=n)
         mom = evolve_variable_coupling(theta, pols)
-        c = np.cos(4 * theta)
-        s = np.sin(4 * theta)
-        np.fill_diagonal(c, 1.0)
-        np.fill_diagonal(s, 0.0)
-        for k in range(n):
-            mask = np.ones(n, bool)
-            mask[k] = False
-            want_z = pols[k] * np.prod(c[mask, k])
-            worst["site_polarization"] = max(worst["site_polarization"],
-                                             abs(mom.site_z[k] - want_z))
-            for l in range(n):
-                if l == k:
-                    continue
-                m2 = mask.copy()
-                m2[l] = False
-                plus = np.prod(c[m2, k] * c[m2, l] + s[m2, k] * s[m2, l])
-                minus = np.prod(c[m2, k] * c[m2, l] - s[m2, k] * s[m2, l])
-                yy = 0.5 * pols[k] * pols[l] * (plus - minus)
-                xy = -pols[l] * s[k, l] * np.prod(c[m2, l])
-                worst["pair_yy"] = max(worst["pair_yy"], abs(mom.pair_yy[k, l] - yy))
-                worst["pair_xy"] = max(worst["pair_xy"], abs(mom.pair_xy[k, l] - xy))
-                worst["pair_xx_zero"] = max(worst["pair_xx_zero"], abs(mom.pair_xx[k, l]))
+        z, s, cross, diff = (term[0] for term in _pair_terms(theta[None]))
+        for name, got, want in (("site_polarization", mom.site_z, pols * z),
+                                ("pair_xx_zero", mom.pair_xx, 0.0),
+                                ("pair_yy", mom.pair_yy, 0.5 * pols[:, None] * pols * diff),
+                                ("pair_xy", mom.pair_xy, -pols * s * cross)):
+            worst[name] = max(worst[name], float(np.max(np.abs(got - want))))
         for th in rng.uniform(0.0, math.pi, 3):
             got = xi2_theta_couplings(theta, pols, th)
             worst["quadrature_ratio"] = max(worst["quadrature_ratio"],
                                             abs(got - mom.xi2(th)) / abs(mom.xi2(th)))
     checks = [_check(name, val, 1e-10) for name, val in worst.items()]
-    return _finish("variable_coupling", checks, trials=trials)
+    return _finish("variable_coupling", checks, trials=_TRIALS)
 
 
 def suite_uniform_coupling(n_max: int = 10) -> dict:
@@ -445,8 +432,7 @@ def suite_constants() -> dict:
 _SUITE_FUNCS = {
     "lindblad": (suite_lindblad, {"n": "n"}),
     "factorization": (suite_factorization, {"n_range": "n_range"}),
-    "variable_coupling": (suite_variable_coupling,
-                          {"n": "n_max", "trials": "trials", "seed": "seed"}),
+    "variable_coupling": (suite_variable_coupling, {"n": "n_max", "seed": "seed"}),
     "uniform_coupling": (suite_uniform_coupling, {"n": "n_max"}),
     "dephasing": (suite_dephasing, {"n": "n", "seed": "seed"}),
     "metrology": (suite_metrology, {}),

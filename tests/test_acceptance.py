@@ -108,7 +108,7 @@ def test_criterion_03_uniform_coupling_oracle_equivalence():
 
 def test_criterion_04_variable_coupling_oracle_equivalence():
     start = time.perf_counter()
-    rep = suite_variable_coupling(n_max=6, trials=100, seed=0)
+    rep = suite_variable_coupling(n_max=6, seed=0)
     elapsed = time.perf_counter() - start
     worst = max(c["value"] for c in rep["checks"])
     ok = rep["passed"] and elapsed < 120.0

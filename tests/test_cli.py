@@ -261,6 +261,29 @@ def test_verify_dephasing_suite(tmp_path):
     assert payload["quoted_form_deviation_p1"] > 0.01
 
 
+def test_verify_metrology_suite(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify", "metrology", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["passed"] is True
+    assert all(check["passed"] for check in payload["checks"])
+    assert [check["name"] for check in payload["checks"]] == [
+        "single_spin_rotation_slope", "zero_field_zero_signal",
+        "effective_field_transverse_only", "effective_field_mixed_rates",
+        "snr_vs_formula_factor2", "sensitivity_equals_snr_limit"]
+
+
+def test_verify_failing_check_exits_2(tmp_path, monkeypatch, capsys):
+    def failing_suite():
+        return verify._finish("constants", [verify._check("always_fails", 1.0, 0.5)])
+
+    monkeypatch.setitem(verify._SUITE_FUNCS, "constants", (failing_suite, {}))
+    out = tmp_path / "report.json"
+    assert main(["verify", "constants", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "failing checks: always_fails\n"
+    assert json.loads(out.read_text())["passed"] is False
+
+
 def test_verify_lindblad_eigenvalue_floor_is_never_negative_zero():
     # regression: -min(0.0, lowest) reported -0.0 for a non-negative spectrum
     report = verify.run_suite("lindblad", n=3)
@@ -607,3 +630,13 @@ def test_only_the_cli_writes_artifacts():
                 func = node.func
                 called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 assert called != "open", name
+
+
+def test_verify_has_no_closed_forms_of_its_own():
+    # closed forms live in analytic and inhomogeneous: verify checks the
+    # shipped kernels against the oracle, not a private copy of them
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    called = {node.func.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"}
+    assert not called & {"cos", "sin", "prod"}

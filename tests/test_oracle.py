@@ -616,6 +616,12 @@ def test_metrology_noise_run_ignores_the_probe_field():
     probed = simulate_metrology(params, rates, replace(proto, signal_field=0.01), cfg)
     assert (probed.noise, probed.theta_min) == (zero.noise, zero.theta_min)
     assert (probed.b_step, zero.b_step) == (0.01, 1e-6 * rates.gamma_sum)
+    # the quadrature mean is odd in B_y, so the slope needs no -B_y run
+    rho0 = build_initial_state(params)
+    f_plus, f_minus = (
+        evolve(rho0, cfg, params, rates, replace(proto, signal_field=b))
+        .moments[-1].quadrature_mean(probed.theta_min) for b in (0.01, -0.01))
+    assert abs(f_plus + f_minus) <= 1e-15
 
 
 def test_metrology_single_spin_rotation():
