@@ -123,13 +123,6 @@ def _validate_pols(pols, n) -> np.ndarray:
     return p
 
 
-def _signed_logs(t: np.ndarray):
-    """(log|t| with zeros as 0, sign with zeros as +1, zero mask)."""
-    zero = t == 0.0
-    mag = np.where(zero, 1.0, np.abs(t))
-    return np.log(mag), np.where(t < 0.0, -1.0, 1.0), zero
-
-
 def _pair_terms(theta: np.ndarray):
     """Per-site and per-pair products of each coupling matrix in an (S, N, N) stack.
 
@@ -153,61 +146,59 @@ def _pair_terms(theta: np.ndarray):
     c[:, diag, diag] = 1.0  # harmless identities in every product
     s[:, diag, diag] = 0.0
 
-    log_c, sign_c, zero_c = _signed_logs(c)
-    col_log = log_c.sum(axis=1)
-    col_sign = sign_c.prod(axis=1)
-    col_zeros = zero_c.sum(axis=1)
-    col_prod = np.where(col_zeros > 0, 0.0, col_sign * np.exp(col_log))
+    # prod_{i != k,l} C_il = (prod_{i < k} C_il)(prod_{i > k} C_il), where
+    # C_ll = 1 stands in for the excluded i = l: exclusive prefix and suffix
+    # products down each column
+    prefix = np.ones_like(c)
+    np.cumprod(c[:, :-1], axis=1, out=prefix[:, 1:])
+    cross = np.ones_like(c)
+    np.cumprod(c[:, :0:-1], axis=1, out=cross[:, -2::-1])
+    z = prefix[:, -1] * c[:, -1]
+    cross *= prefix
+    cross[:, diag, diag] = 0.0
 
-    # prod_{i != k,l} C_il from full-column accumulators
-    zeros_excl = col_zeros[:, None, :] - zero_c
-    log_excl = col_log[:, None, :] - log_c
-    sign_excl = col_sign[:, None, :] * sign_c
-    prod_excl = np.where(zeros_excl > 0, 0.0, sign_excl * np.exp(log_excl))
-    prod_excl[:, diag, diag] = 0.0
-
-    # diff: prod_{j != k,l} (C_jk C_jl +/- S_jk S_jl) is
-    # symmetric in (k, l), so only l > k is computed, for blocks of k sized
-    # by _CHUNK_BYTES, on a (j, +/-, sample, k, l) layout: the product over
-    # j is a sequential axis-0 reduction (the +/- axis gives each j at
-    # least two outputs; with one, numpy would sum pairwise).  It is a sum
-    # of logs, so cos^N factors cannot underflow; a zero factor has log
-    # -inf and makes the product 0.
+    # diff: prod_{j != k,l} (C_jk C_jl +/- S_jk S_jl) is symmetric in
+    # (k, l), so only l > k is computed, for blocks of k sized by
+    # _CHUNK_BYTES, on a (j, +/-, sample, k, l) layout: the product over j
+    # is a sequential axis-0 reduction, so a sample's bits do not depend on
+    # S or on the blocks.  Each factor is cos(4 theta_jk -/+ 4 theta_jl), so
+    # a running product never grows and a zero factor makes it exactly 0.
     ct = np.ascontiguousarray(c.transpose(1, 0, 2))
     st = np.ascontiguousarray(s.transpose(1, 0, 2))
     block = min(n - 1, max(1, _CHUNK_BYTES // (8 * n * n * n_samples)))
-    buf = np.empty(2 * n * n_samples * block * (n - 1))
+    size = n * n_samples * block * (n - 1)
+    cc_buf, ss_buf, t_buf = np.empty(size), np.empty(size), np.empty(2 * size)
     diff = np.zeros_like(theta)
-    with np.errstate(divide="ignore"):
-        for k0 in range(0, n - 1, block):
-            ks = slice(k0, min(k0 + block, n - 1))
-            cc = ct[:, :, ks, None] * ct[:, :, None, k0 + 1:]
-            ss = st[:, :, ks, None] * st[:, :, None, k0 + 1:]
-            t = buf[:2 * cc.size].reshape(n, 2, *cc.shape[1:])
-            np.add(cc, ss, out=t[:, 0])
-            np.subtract(cc, ss, out=t[:, 1])
-            np.einsum("jasjl->asjl", t[ks])[...] = 1.0  # drop j = k
-            np.einsum("jaskj->askj", t[k0 + 1:])[...] = 1.0  # drop j = l
-            odd = np.logical_xor.reduce(t < 0.0, axis=0)  # parity of negative factors
-            np.log(np.abs(t, out=t), out=t)
-            prod = np.exp(t.sum(axis=0))
-            np.negative(prod, out=prod, where=odd)
-            d = prod[0] - prod[1]
-            for b in range(d.shape[1]):  # keep l > k of each row
-                diff[:, k0 + b, k0 + 1 + b:] = d[:, b, b:]
-                diff[:, k0 + 1 + b:, k0 + b] = d[:, b, b:]
-    return col_prod, s, prod_excl, diff
+    for k0 in range(0, n - 1, block):
+        ks = slice(k0, min(k0 + block, n - 1))
+        shape = (n, n_samples, ks.stop - k0, n - 1 - k0)
+        used = math.prod(shape)
+        cc = np.multiply(ct[:, :, ks, None], ct[:, :, None, k0 + 1:],
+                         out=cc_buf[:used].reshape(shape))
+        ss = np.multiply(st[:, :, ks, None], st[:, :, None, k0 + 1:],
+                         out=ss_buf[:used].reshape(shape))
+        t = t_buf[:2 * used].reshape(n, 2, *shape[1:])
+        np.add(cc, ss, out=t[:, 0])
+        np.subtract(cc, ss, out=t[:, 1])
+        np.einsum("jasjl->asjl", t[ks])[...] = 1.0  # drop j = k
+        np.einsum("jaskj->askj", t[k0 + 1:])[...] = 1.0  # drop j = l
+        prod = np.multiply.reduce(t, axis=0)
+        d = prod[0] - prod[1]
+        for b in range(d.shape[1]):  # keep l > k of each row
+            diff[:, k0 + b, k0 + 1 + b:] = d[:, b, b:]
+            diff[:, k0 + 1 + b:, k0 + b] = d[:, b, b:]
+    return z, s, cross, diff
 
 
-def _components(theta: np.ndarray, p: np.ndarray, th: float) -> tuple[np.ndarray, np.ndarray]:
-    """(A/N, B/N) of each coupling matrix in an (S, N, N) stack: the
-    ``_pair_terms`` weighted by the polarizations and summed."""
-    n = theta.shape[1]
-    col_prod, s, prod_excl, diff = _pair_terms(theta)
+def _components(terms, p: np.ndarray, th: float) -> tuple[np.ndarray, np.ndarray]:
+    """(A/N, B/N) of each sample from its ``_pair_terms``, weighted by the
+    polarizations and summed."""
+    z, s, cross, diff = terms
+    n = z.shape[1]
     # one dot per sample: a batched matrix product sums in an order that
     # depends on S
-    b_norm = np.array([np.dot(p, row) for row in col_prod]) / n
-    cross_sum = np.einsum("skl,skl,l->s", s, prod_excl, p)
+    b_norm = np.array([np.dot(p, row) for row in z]) / n
+    cross_sum = np.einsum("skl,skl,l->s", s, cross, p)
     weights = np.outer(p, p)
     np.fill_diagonal(weights, 0.0)
     yy_sum = np.array([np.einsum("kl,kl->", weights, d) for d in diff])  # as b_norm
@@ -242,9 +233,12 @@ def quadrature_components(couplings, pols, theta: float) -> tuple[float, float]:
                     - sin(2 th) * sum_{k != l} P_l S_kl prod_{i != k,l} C_il ] / N
         B/N = sum_k P_k prod_{j != k} C_jk / N
 
-    and xi2(th) = A/B.  Products are accumulated in log-magnitude + sign
-    form so cos^N factors do not underflow at large N.  The evaluation is
-    O(N^3) time and O(N^2) memory.  One kernel, ``_pair_terms``, computes
+    and xi2(th) = A/B.  Each product is a plain running product of factors
+    of magnitude at most 1 (C_jk C_jl +/- S_jk S_jl = cos(4 theta_jk -/+
+    4 theta_jl)), so it never overflows, and it underflows only below about
+    1e-308: such a term cannot move A/N = 1 + ..., and a B/N that small is
+    rejected as degenerate.  The evaluation is O(N^3) time and O(N^2)
+    memory.  One kernel, ``_pair_terms``, computes
     the products: the Monte Carlo runs it on stacks of samples, and
     ``verify variable_coupling`` checks its per-pair terms against the
     exact unitary.
@@ -254,7 +248,7 @@ def quadrature_components(couplings, pols, theta: float) -> tuple[float, float]:
     if n < 2:
         raise ValidationError(["n_spins >= 2 for pair couplings"])
     _require_memory(n, 1, 1)
-    a_norm, b_norm = _components(th_mat[None], _validate_pols(pols, n), theta)
+    a_norm, b_norm = _components(_pair_terms(th_mat[None]), _validate_pols(pols, n), theta)
     return float(a_norm[0]), float(b_norm[0])
 
 
@@ -401,7 +395,7 @@ def monte_carlo_mean_xi2(
     for start in range(0, spec.n_samples, chunk):
         stop = min(start + chunk, spec.n_samples)
         a_norm[start:stop], b_norm[start:stop] = _components(
-            _coupling_stack(spec, n, start, stop - start), p, theta)
+            _pair_terms(_coupling_stack(spec, n, start, stop - start)), p, theta)
     degenerate = np.abs(b_norm) <= _DEGENERATE_FRACTION
     rejected = np.flatnonzero(degenerate).tolist()
     if len(rejected) > 0.01 * spec.n_samples:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analytic
 from .core import DecoherenceRates, EnsembleParams, ProtocolParams, ValidationError
-from .inhomogeneous import _pair_terms, xi2_theta_couplings
+from .inhomogeneous import _components, _pair_terms
 from .oracle import (
     DensityMatrix,
     IntegratorConfig,
@@ -213,14 +213,16 @@ def suite_variable_coupling(n_max: int = 6, seed: int = 0) -> dict:
         theta = _random_couplings(rng, n)
         pols = rng.uniform(0.3, 1.0, size=n)
         mom = evolve_variable_coupling(theta, pols)
-        z, s, cross, diff = (term[0] for term in _pair_terms(theta[None]))
+        terms = _pair_terms(theta[None])
+        z, s, cross, diff = (term[0] for term in terms)
         for name, got, want in (("site_polarization", mom.site_z, pols * z),
                                 ("pair_xx_zero", mom.pair_xx, 0.0),
                                 ("pair_yy", mom.pair_yy, 0.5 * pols[:, None] * pols * diff),
                                 ("pair_xy", mom.pair_xy, -pols * s * cross)):
             worst[name] = max(worst[name], float(np.max(np.abs(got - want))))
         for th in rng.uniform(0.0, math.pi, 3):
-            got = xi2_theta_couplings(theta, pols, th)
+            a, b = _components(terms, pols, th)
+            got = a[0] / b[0]
             worst["quadrature_ratio"] = max(worst["quadrature_ratio"],
                                             abs(got - mom.xi2(th)) / abs(mom.xi2(th)))
     checks = [_check(name, val, 1e-10) for name, val in worst.items()]

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,7 +154,8 @@ def test_components_are_per_spin_normalized():
 
 
 def direct_components(theta, pols, th):
-    """(A/N, B/N) term by term with np.prod, as verify's variable_coupling suite."""
+    """(A/N, B/N) term by term with one np.prod per product: the reference
+    for the blocked kernel."""
     n = len(pols)
     c = np.cos(4.0 * theta)
     s = np.sin(4.0 * theta)
@@ -197,19 +199,89 @@ def test_components_match_direct_products(case):
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+def mixed_couplings(rng, n):
+    """Small angles as in the Monte Carlo, with 2% of the pairs anywhere in
+    [-pi/2, pi/2], so that some C_jk and some pair factors are negative."""
+    upper = rng.normal(0.05, 0.03, size=n * (n - 1) // 2)
+    wide = rng.random(upper.size) < 0.02
+    upper[wide] = rng.uniform(-math.pi / 2, math.pi / 2, size=int(wide.sum()))
+    theta = np.zeros((n, n))
+    theta[np.triu_indices(n, k=1)] = upper
+    return theta + theta.T
+
+
+def test_components_match_direct_products_across_k_blocks():
+    # up to n = 10 the kernel runs its half-triangle as one k-block; a single
+    # matrix at N = 40 takes 2 blocks and at N = 70 12 blocks
+    rng = np.random.default_rng(4)
+    for n in (40, 70):
+        theta = mixed_couplings(rng, n)
+        pols = rng.uniform(0.3, 1.0, size=n)
+        th = rng.uniform(0.0, math.pi)
+        got = quadrature_components(theta, pols, th)
+        want = direct_components(theta, pols, th)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_monte_carlo_chunk_matches_direct_products():
+    # the Monte Carlo chunk at N = 64 is 8 samples, one k per block
+    n = 64
+    spec = DisorderSpec(theta0=0.3 * n ** (-2.0 / 3.0), kappa=0.1, master_seed=2, n_samples=8)
+    stack = inhomogeneous._coupling_stack(spec, n, 0, 8)
+    pols = np.random.default_rng(6).uniform(0.3, 1.0, size=n)
+    th = 8.0 * spec.theta0 + math.pi / 2.0
+    a_norm, b_norm = inhomogeneous._components(inhomogeneous._pair_terms(stack), pols, th)
+    for i, theta in enumerate(stack):
+        want = direct_components(theta, pols, th)
+        assert np.allclose((a_norm[i], b_norm[i]), want, rtol=1e-12, atol=1e-12)
+
+
+def test_underflowing_products_stay_finite():
+    # every 4 theta within 0.1% of pi/2: |C_jk| < 2e-3, so at N = 256 the
+    # site and cross products underflow to 0 without a floating-point error
+    n = 256
+    rng = np.random.default_rng(8)
+    theta = np.zeros((n, n))
+    upper = math.pi / 8.0 * (1.0 + rng.uniform(-1e-3, 1e-3, n * (n - 1) // 2))
+    theta[np.triu_indices(n, k=1)] = upper
+    theta += theta.T
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        terms = inhomogeneous._pair_terms(theta[None])
+    assert all(np.all(np.isfinite(term)) for term in terms)
+    assert np.all(terms[0] == 0.0)
+    with pytest.raises(DomainError):
+        xi2_theta_couplings(theta, 1.0, 0.7)
+
+
+@pytest.mark.parametrize("n", [20, 64, 160])
+def test_kernel_peak_memory_within_charge(n):
+    # _require_memory charges 21 N^2 doubles per sample of a chunk
+    chunk = max(1, inhomogeneous._CHUNK_BYTES // (8 * n * n))
+    spec = DisorderSpec(theta0=0.3 * n ** (-2.0 / 3.0), kappa=0.1, n_samples=chunk)
+    stack = inhomogeneous._coupling_stack(spec, n, 0, chunk)
+    tracemalloc.start()
+    try:
+        inhomogeneous._components(inhomogeneous._pair_terms(stack), np.full(n, 0.9), 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 21 * 8 * chunk * n * n
+
+
 # (A/N, B/N) of samples 0-3 for seed 0, kappa 0.1, theta0 = 0.3 N^(-2/3),
 # P = 0.9 and quadrature angle 8 theta0 + pi/2, recorded as float.hex from
-# the earlier per-sample evaluation (one full pair tensor for N <= 128,
-# row slabs above); N = 160 summed the pair term in another order
+# the half-triangle kernel that multiplies its pair products directly
+# (N = 20, 64); N = 160 was recorded from an earlier per-sample evaluation
+# that summed the pair term in another order
 RECORDED_COMPONENTS = {
     20: [("0x1.a7a2c4d43807dp+2", "0x1.64f8d962eb5e2p-1"),
-         ("0x1.a56427d015a7dp+2", "0x1.65e8d490ce9e2p-1"),
-         ("0x1.a47ac9176b4cap+2", "0x1.6660e0b36da60p-1"),
-         ("0x1.a7d1bd3239e74p+2", "0x1.64cfb086c51e2p-1")],
-    64: [("0x1.d1aa0b9d26638p+3", "0x1.81ddc733c1851p-1"),
+         ("0x1.a56427d015a7bp+2", "0x1.65e8d490ce9e2p-1"),
+         ("0x1.a47ac9176b4cap+2", "0x1.6660e0b36da5fp-1"),
+         ("0x1.a7d1bd3239e75p+2", "0x1.64cfb086c51e3p-1")],
+    64: [("0x1.d1aa0b9d26638p+3", "0x1.81ddc733c1850p-1"),
          ("0x1.d238947ca3a25p+3", "0x1.81b97cae98b26p-1"),
-         ("0x1.d34cf57ae7716p+3", "0x1.8175741b39b62p-1"),
-         ("0x1.d167f84971a46p+3", "0x1.81eeb2ee9bf45p-1")],
+         ("0x1.d34cf57ae7717p+3", "0x1.8175741b39b62p-1"),
+         ("0x1.d167f84971a45p+3", "0x1.81eeb2ee9bf45p-1")],
     160: [("0x1.be98167903790p+4", "0x1.93976d26bd5a0p-1"),
           ("0x1.be5980123b973p+4", "0x1.93a150c9b7f97p-1"),
           ("0x1.beebb41bffd56p+4", "0x1.9388ef4793029p-1"),
