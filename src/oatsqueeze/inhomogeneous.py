@@ -58,6 +58,17 @@ def _as_couplings(couplings) -> CouplingMatrix:
     return couplings if isinstance(couplings, CouplingMatrix) else CouplingMatrix(couplings)
 
 
+def _per_spin(pols, n: int) -> np.ndarray:
+    """Polarizations as one float per spin, from a scalar P or n values;
+    each caller checks the range it accepts."""
+    p = np.asarray(pols, dtype=float)
+    if p.ndim == 0:
+        p = np.full(n, float(p))
+    if p.shape != (n,):
+        raise ValidationError(["polarizations must be scalar or length n_spins"])
+    return p
+
+
 @dataclass(frozen=True)
 class DisorderSpec:
     """Gaussian disorder model for the pair angles.
@@ -113,11 +124,7 @@ class DisorderSpec:
 # ---------------------------------------------------------------------------
 
 def _validate_pols(pols, n) -> np.ndarray:
-    p = np.asarray(pols, dtype=float)
-    if p.ndim == 0:
-        p = np.full(n, float(p))
-    if p.shape != (n,):
-        raise ValidationError(["polarizations must be scalar or length n_spins"])
+    p = _per_spin(pols, n)
     if np.any(p <= 0.0) or np.any(p > 1.0):
         raise ValidationError(["polarizations must lie in (0, 1]"])
     return p
@@ -339,9 +346,10 @@ class MonteCarloResult:
     ``mean_of_ratios`` is the plain sample mean of the per-sample ratios;
     the two differ by a ratio-nonlinearity bias of order Var(B)/B^2.
     ``values`` holds the kept ratios in sample order; ``rejected_indices``
-    names the sample indices that were dropped.  ``stderr_at_rounding_level``
-    is true when the delta-method error fell below eps*|mean|, where it is
-    rounding noise of identical samples, and ``stderr`` is reported as 0.
+    names the sample indices that were dropped, and ``n_rejected`` counts
+    them.  ``stderr_at_rounding_level`` is true when the delta-method error
+    fell below eps*|mean|, where it is rounding noise of identical
+    samples, and ``stderr`` is reported as 0.
     """
 
     mean: float
@@ -349,11 +357,14 @@ class MonteCarloResult:
     mean_of_ratios: float
     stderr_of_ratios: float
     n_samples: int
-    n_rejected: int
     master_seed: int
     values: np.ndarray | None = None
     rejected_indices: tuple[int, ...] = ()
     stderr_at_rounding_level: bool = False
+
+    @property
+    def n_rejected(self) -> int:
+        return len(self.rejected_indices)
 
     def summary(self) -> dict:
         return {
@@ -421,6 +432,6 @@ def monte_carlo_mean_xi2(
         stderr_ratios = float(ratio.std(ddof=1) / math.sqrt(kept))
     return MonteCarloResult(
         mean, stderr, float(ratio.mean()), stderr_ratios,
-        spec.n_samples, len(rejected), spec.master_seed,
+        spec.n_samples, spec.master_seed,
         ratio if keep_values else None, tuple(rejected), at_rounding,
     )

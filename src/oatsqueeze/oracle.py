@@ -48,14 +48,13 @@ from .core import (
     ResourceError,
     ValidationError,
 )
-from .inhomogeneous import _as_couplings
+from .inhomogeneous import _as_couplings, _per_spin
 
 SPIN_CAP = 12
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
-RESYMMETRIZE_EVERY = 100  # steps between rho <- (rho + rho^dag)/2
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +138,7 @@ def _product_state(polarizations, n: int) -> np.ndarray:
     rho[a, b] = 2**-n prod_{i in a ^ b} P_i."""
     if n < 1:
         raise ValidationError(["n_spins >= 1"])
-    pols = np.asarray(polarizations, dtype=float)
-    if pols.ndim == 0:
-        pols = np.full(n, float(pols))
-    if pols.shape != (n,):
-        raise ValidationError(["polarizations must be scalar or length n_spins"])
+    pols = _per_spin(polarizations, n)
     if not np.all((pols >= 0.0) & (pols <= 1.0)):
         raise ValidationError(["polarization in [0, 1] for state preparation"])
     _require_dense(n)
@@ -168,7 +163,9 @@ class CollectiveMoments:
     <SX^2>, <SY^2> and <SX SY + SY SX> for SX = sum_i sigma_x^i etc., which
     determine the quadrature second moment at every angle.  ``pair_*``
     tables hold <sigma_alpha^k sigma_beta^l> for k != l (diagonal entries
-    are zero placeholders); they are filled only on request.
+    are zero placeholders); they are filled only on request.  Every spin
+    operator on one site commutes with those on another, so
+    <sigma_y^k sigma_x^l> is ``pair_xy.T``.
     """
 
     mean_x: float
@@ -179,7 +176,6 @@ class CollectiveMoments:
     xy_sym: float
     pair_xx: np.ndarray | None = None
     pair_xy: np.ndarray | None = None
-    pair_yx: np.ndarray | None = None
     pair_yy: np.ndarray | None = None
     site_z: np.ndarray | None = None  # per-site <sigma_z^i>, filled with pair tables
 
@@ -233,7 +229,7 @@ def compute_moments(state: DensityMatrix, pair_correlations: bool = False) -> Co
     np.fill_diagonal(pxy, 0.0)
     n_trace = n * pops.sum()
 
-    tables = (pxx, pxy, pxy.T.copy(), pyy, site_z) if pair_correlations else ()
+    tables = (pxx, pxy, pyy, site_z) if pair_correlations else ()
     return CollectiveMoments(
         float((z @ pops).sum()), float(z_im.sum()), float(site_z.sum()),
         float(n_trace + pxx.sum()), float(n_trace + pyy.sum()), float(2.0 * pxy.sum()),
@@ -340,7 +336,6 @@ class Trajectory:
 
     times: list[float] = field(default_factory=list)
     moments: list[CollectiveMoments] = field(default_factory=list)
-    traces: list[float] = field(default_factory=list)
     purities: list[float] = field(default_factory=list)
     final: DensityMatrix | None = None
     max_hermiticity_defect: float = 0.0  # worst margins require_valid saw at checkpoints
@@ -367,13 +362,16 @@ def evolve(
 
     The generator is that of ``lindblad_rhs``, probe field
     ``proto.signal_field`` included, and ``params.n_spins`` must match the
-    state.  Each checkpoint records the collective moments, trace and
-    purity.  Hermiticity and trace are verified at every checkpoint, and
-    the worst margins are kept on the trajectory; the state is
-    re-symmetrized every ``RESYMMETRIZE_EVERY`` steps to damp float drift.
-    A positivity violation beyond tolerance raises NumericalError naming
-    the offending time.  ``final`` is the state at t_final, in the same
-    x frame as the input.
+    state.  Each checkpoint records the collective moments and purity.
+    Hermiticity and trace are verified at every checkpoint, and the worst
+    margins are kept on the trajectory.  The state is never resymmetrized:
+    every term of ``_raw_rhs`` maps a Hermitian matrix to an exactly
+    Hermitian one, so without a probe field the hermiticity defect stays
+    0.0.  The probe's row and column adds are summed in a different order
+    at (a, b) and (b, a), which leaves roundoff (about 1e-17 at n = 3 with
+    B_y = 1e-3 and rates 0.02, 0.03).  A positivity violation beyond
+    tolerance raises NumericalError naming the offending time.  ``final``
+    is the state at t_final, in the same x frame as the input.
     """
     n = _spin_count(state, params)
     n_steps = cfg.steps()
@@ -387,7 +385,6 @@ def evolve(
         traj._record(*dm.require_valid(check_positivity=check_positivity, when=f"t={t:.6g}"))
         traj.times.append(t)
         traj.moments.append(compute_moments(dm))
-        traj.traces.append(float(np.real(np.trace(r))))
         traj.purities.append(dm.purity())
         traj.final = dm
 
@@ -399,8 +396,6 @@ def evolve(
         k3 = _raw_rhs(rho + 0.5 * dt * k2, n, *gen)
         k4 = _raw_rhs(rho + dt * k3, n, *gen)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if step % RESYMMETRIZE_EVERY == 0:
-            rho = (rho + rho.conj().T) / 2.0
         if step % every == 0 or step == n_steps:
             checkpoint(step * dt, rho)
     return traj
@@ -565,7 +560,6 @@ class MetrologyResult:
     signal_slope: float      # d<quadrature mean>/dB_y along the measured angle
     noise: float             # sqrt of the B_y = 0 second central moment
     theta_min: float         # measured quadrature angle
-    b_step: float
 
 
 def simulate_metrology(
@@ -575,7 +569,9 @@ def simulate_metrology(
     cfg: IntegratorConfig,
     measure_angle: float | None = None,
 ) -> MetrologyResult:
-    """Probe-field response from two master-equation runs, at B_y = 0 and +B_y.
+    """Probe-field response from two master-equation runs, at B_y = 0 and
+    at the step B_y = 1e-6 * (Gamma_par + Gamma_perp), or 1e-6 /
+    ``proto.squeeze_time`` without rates.
 
     The measured quadrature defaults to the angle of minimal variance in
     the B_y = 0 run (pass ``measure_angle`` to override, e.g. for J = 0
@@ -583,15 +579,12 @@ def simulate_metrology(
     variance.  A pi rotation about z leaves J*SX^2, all three channels and
     the z-polarized initial state unchanged and flips the sign of B_y, so
     the quadrature mean is odd in B_y: the difference quotient from the
-    B_y = 0 run equals the central difference at +/-B_y.
-    ``proto.signal_field`` sets the probe step B_y and is zeroed for the
-    noise run; when it is zero, a default step keeps the linear-response
-    error below the integrator tolerance.
+    B_y = 0 run equals the central difference at +/-B_y.  The step keeps
+    the linear-response error below the integrator tolerance.
+    ``proto.signal_field`` is ignored: the slope is per unit field.
     """
-    b = proto.signal_field
-    if b == 0.0:
-        gs = rates.gamma_sum
-        b = 1e-6 * gs if gs > 0.0 else 1e-6 / proto.squeeze_time
+    gs = rates.gamma_sum
+    b = 1e-6 * gs if gs > 0.0 else 1e-6 / proto.squeeze_time
     rho0 = build_initial_state(params)
 
     def moments_at(b_y):
@@ -606,4 +599,4 @@ def simulate_metrology(
     mean0 = mom0.quadrature_mean(theta)
     noise = math.sqrt(max(second - mean0 * mean0, 0.0))
     slope = (moments_at(b).quadrature_mean(theta) - mean0) / b
-    return MetrologyResult(slope, noise, theta, b)
+    return MetrologyResult(slope, noise, theta)

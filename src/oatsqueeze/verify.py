@@ -22,6 +22,7 @@ from . import analytic
 from .core import DecoherenceRates, EnsembleParams, ProtocolParams, ValidationError
 from .inhomogeneous import _components, _pair_terms
 from .oracle import (
+    SPIN_CAP,
     DensityMatrix,
     IntegratorConfig,
     apply_dephasing,
@@ -36,31 +37,12 @@ from .oracle import (
     variable_coupling_state,
 )
 
-SUITES = (
-    "lindblad",
-    "factorization",
-    "variable_coupling",
-    "uniform_coupling",
-    "dephasing",
-    "metrology",
-    "constants",
-)
-
-
-# largest spin counts a suite runs (the dense oracle is 4^n in memory); a
-# larger requested n is clamped to them
-_N_CAPS = {
-    "lindblad": (8, 4, 5),  # main checks, polarization decay, twisting energy
-    "variable_coupling": (12,),
-    "uniform_coupling": (12,),
-    "dephasing": (6,),
-}
 _TRIALS = 100  # random coupling matrices per variable_coupling run
 
 
 def suite_sizes(name: str, n: int) -> tuple[int, ...]:
     """The spin counts suite ``name`` runs when asked for ``n`` (its n_max)."""
-    return tuple(min(n, cap) for cap in _N_CAPS.get(name, ()))
+    return tuple(min(n, cap) for cap in _SUITE_TABLE[name][2])
 
 
 def _check(name, value, tolerance, passed=None, **context):
@@ -119,11 +101,11 @@ def suite_lindblad(n: int = 6) -> dict:
         traj = evolve(build_initial_state(params), cfg, params, rates, proto,
                       check_positivity=True)
         finals.append(traj)
-    drift = max(abs(tr - 1.0) for tr in finals[-1].traces)
-    checks.append(_check("trace_drift", drift, 1e-12))
+    # the worst margins over the run's checkpoints
+    checks.append(_check("trace_drift", finals[-1].max_trace_defect, 1e-12))
     checks.append(_check("min_eigenvalue_floor",
-                         max(0.0, -finals[-1].final.min_eigenvalue()), 1e-10))
-    checks.append(_check("hermiticity", finals[-1].final.hermiticity_defect(), 1e-12))
+                         max(0.0, -finals[-1].min_eigenvalue), 1e-10))
+    checks.append(_check("hermiticity", finals[-1].max_hermiticity_defect, 1e-12))
     a, b = finals[0].moments[-1], finals[1].moments[-1]
     rel = max(
         abs(a.mean_z - b.mean_z) / abs(b.mean_z),
@@ -185,12 +167,7 @@ def suite_factorization(n_range=range(2, 7)) -> dict:
                          table=[[n, g] for n, g in zip(ns, per_spin)]))
 
     n2jt = 0.8
-    rates = DecoherenceRates(gst / (2 * t_final), gst / (2 * t_final))
-    cfg = IntegratorConfig(dt=1e-2, t_final=t_final)
-    raw2 = []
-    for n in ns:
-        proto = ProtocolParams(coupling=n2jt / (n * n * t_final), squeeze_time=t_final)
-        raw2.append(factorization_gap(EnsembleParams(n, 1.0), rates, proto, cfg))
+    raw2 = [factorization_gap_table([n], n2jt / n, gst, t_final, dt=1e-2)[0][1] for n in ns]
     dec2 = all(raw2[i] > raw2[i + 1] for i in range(len(raw2) - 1))
     checks.append(_check("gap_decreases_fixed_n2jt", 0.0, 0.0, passed=dec2,
                          table=[[n, g] for n, g in zip(ns, raw2)]))
@@ -429,28 +406,32 @@ def suite_constants() -> dict:
     return _finish("constants", checks, constants=table)
 
 
-# suite -> (function, {run_suite keyword: parameter it sets}); a suite
-# reads only the keywords listed for it
-_SUITE_FUNCS = {
-    "lindblad": (suite_lindblad, {"n": "n"}),
-    "factorization": (suite_factorization, {"n_range": "n_range"}),
-    "variable_coupling": (suite_variable_coupling, {"n": "n_max", "seed": "seed"}),
-    "uniform_coupling": (suite_uniform_coupling, {"n": "n_max"}),
-    "dephasing": (suite_dephasing, {"n": "n", "seed": "seed"}),
-    "metrology": (suite_metrology, {}),
-    "constants": (suite_constants, {}),
+# suite -> (function, {run_suite keyword: parameter it sets}, largest spin
+# counts it runs).  A suite reads only the keywords listed for it, and a
+# larger requested n is clamped to its caps (the dense oracle is 4^n in memory).
+_SUITE_TABLE = {
+    # lindblad caps: main checks, polarization decay, twisting energy
+    "lindblad": (suite_lindblad, {"n": "n"}, (8, 4, 5)),
+    "factorization": (suite_factorization, {"n_range": "n_range"}, ()),
+    "variable_coupling": (suite_variable_coupling, {"n": "n_max", "seed": "seed"},
+                          (SPIN_CAP,)),
+    "uniform_coupling": (suite_uniform_coupling, {"n": "n_max"}, (SPIN_CAP,)),
+    "dephasing": (suite_dephasing, {"n": "n", "seed": "seed"}, (6,)),
+    "metrology": (suite_metrology, {}, ()),
+    "constants": (suite_constants, {}, ()),
 }
+SUITES = tuple(_SUITE_TABLE)
 
 
 def suite_inputs(name: str) -> tuple[str, ...]:
     """The run_suite keywords that suite ``name`` reads; it ignores all others."""
-    return tuple(_SUITE_FUNCS[name][1])
+    return tuple(_SUITE_TABLE[name][1])
 
 
 def run_suite(name: str, **kwargs) -> dict:
-    if name not in _SUITE_FUNCS:
+    if name not in _SUITE_TABLE:
         raise ValueError(f"unknown verification suite {name!r}; choose from {SUITES}")
-    func, inputs = _SUITE_FUNCS[name]
+    func, inputs, _ = _SUITE_TABLE[name]
     start = time.perf_counter()
     report = func(**{param: kwargs[key] for key, param in inputs.items() if key in kwargs})
     report["elapsed_s"] = time.perf_counter() - start

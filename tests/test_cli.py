@@ -239,7 +239,8 @@ def test_verify_constants_suite(tmp_path, capsys):
     # the wall time is in the console summary and the report, not the file
     assert "elapsed_s" not in payload
     assert capsys.readouterr().out.startswith("constants: pass in ")
-    report = verify.run_suite("constants")
+    # a suite ignores keywords it does not read, such as variable_coupling's trials
+    report = verify.run_suite("constants", n=3, trials=100)
     assert 0.0 < report["elapsed_s"] < 60.0
     assert [[c["name"], c["value"]] for c in report["checks"]] == \
         [[c["name"], c["value"]] for c in payload["checks"]]
@@ -277,7 +278,7 @@ def test_verify_failing_check_exits_2(tmp_path, monkeypatch, capsys):
     def failing_suite():
         return verify._finish("constants", [verify._check("always_fails", 1.0, 0.5)])
 
-    monkeypatch.setitem(verify._SUITE_FUNCS, "constants", (failing_suite, {}))
+    monkeypatch.setitem(verify._SUITE_TABLE, "constants", (failing_suite, {}, ()))
     out = tmp_path / "report.json"
     assert main(["verify", "constants", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "failing checks: always_fails\n"

@@ -480,10 +480,9 @@ def test_mc_csv_and_json_exports():
 def test_mc_csv_numbers_rows_by_true_sample_index():
     # regression: rows after a rejected sample were numbered by position
     result = MonteCarloResult(mean=1.3, stderr=0.1, mean_of_ratios=1.3,
-                              stderr_of_ratios=0.1, n_samples=3, n_rejected=1,
-                              master_seed=4, values=np.array([1.25, 1.5]),
-                              rejected_indices=(1,))
+                              stderr_of_ratios=0.1, n_samples=3, master_seed=4,
+                              values=np.array([1.25, 1.5]), rejected_indices=(1,))
     lines = _mc_csv(result).strip().splitlines()
     assert lines[1:3] == ["0,1.25", "2,1.5"]
-    assert lines[-1].startswith("# summary mean=")
+    assert lines[-1].startswith("# summary mean=") and "n_rejected=1 " in lines[-1]
     assert result.summary()["rejected_indices"] == [1]
