@@ -6,9 +6,14 @@ This module formats and writes every artifact; the numerics modules
 return values and write nothing.  A sweep is plot-ready CSV (a
 '#'-prefixed parameter echo, then the header) or JSON; the inhomo-mc
 per-sample CSV ends in a '# summary' row; reports and summaries are JSON.
-Every CSV number has 17 significant digits, and every run is deterministic
-for a fixed configuration and seed.  Exit codes: 0 success, 1 validation
-error, 2 numerical/statistical failure.
+Every CSV number has 17 significant digits through one format,
+``NUMBER_FORMAT``, which a table applies with one row template; every run is
+deterministic for a fixed configuration and seed.  Exit codes: 0 success,
+1 validation error, 2 numerical/statistical failure.
+
+The parser is built once per process: a parse stores nothing in it, since
+each returns a fresh namespace holding only the flags given, and a parse
+error raises instead of exiting.
 
 Every subcommand accepts every flag and names, in one stderr line, each
 given flag it does not read.  Flags may also be supplied through a flat
@@ -20,6 +25,7 @@ take precedence.  OAT_SEED in the environment supplies the default seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -115,6 +121,11 @@ def _env_seed() -> int:
         raise ValidationError([f"OAT_SEED {exc}"]) from None
 
 
+# the longest sweep, refused before any point is built: 250 times the
+# benchmark's 4000-point sweeps, and a few hundred MB of rows and text
+MAX_SWEEP_POINTS = 10 ** 6
+
+
 def _parse_sweep(text: str):
     """param:lo:hi:points:lin|log -> (param, values list)."""
     parts = text.split(":")
@@ -127,17 +138,28 @@ def _parse_sweep(text: str):
         raise ValidationError(["--sweep bounds must be numeric and points an integer"])
     if pts < 2:
         raise ValidationError(["sweep points >= 2"])
+    if pts > MAX_SWEEP_POINTS:
+        raise ResourceError(f"--sweep asks for {pts} points, above "
+                            f"MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError(["--sweep bounds must be finite"])
     if not (lo < hi):
         raise ValidationError(["sweep lo < hi"])
-    if scale == "lin":
-        vals = [lo + (hi - lo) * i / (pts - 1) for i in range(pts)]
-    elif scale == "log":
-        if lo <= 0.0:
-            raise ValidationError(["log sweep requires lo > 0"])
-        ratio = math.log(hi / lo)
-        vals = [lo * math.exp(ratio * i / (pts - 1)) for i in range(pts)]
-    else:
-        raise ValidationError(["sweep scale must be lin or log"])
+    try:
+        if scale == "lin":
+            vals = [lo + (hi - lo) * i / (pts - 1) for i in range(pts)]
+        elif scale == "log":
+            if lo <= 0.0:
+                raise ValidationError(["log sweep requires lo > 0"])
+            ratio = math.log(hi / lo)
+            vals = [lo * math.exp(ratio * i / (pts - 1)) for i in range(pts)]
+        else:
+            raise ValidationError(["sweep scale must be lin or log"])
+    except OverflowError:  # exp past the largest double
+        vals = [math.inf]
+    # both formulas are monotone in i, so the sweep is finite if its last point is
+    if not math.isfinite(vals[-1]):
+        raise ValidationError([f"--sweep {text} has points beyond the largest double"])
     return name.replace("-", "_"), vals
 
 
@@ -154,13 +176,18 @@ def _bundle(args, signal_field=0.0):
 # artifact writers
 # ---------------------------------------------------------------------------
 
+# a CSV number: 17 significant digits, which round-trip a double
+NUMBER_FORMAT = "%.17g"
+
+
 def _number(value) -> str:
-    """A CSV number: 17 significant digits, which round-trip a double."""
-    return f"{value:.17g}"
+    """One CSV number, formatted as every cell of a ``_csv`` row."""
+    return NUMBER_FORMAT % value
 
 
 def _csv(header, rows) -> str:
-    lines = [",".join(header)] + [",".join(map(_number, row)) for row in rows]
+    row_template = ",".join([NUMBER_FORMAT] * len(header))
+    lines = [",".join(header)] + [row_template % tuple(row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -274,6 +301,8 @@ def cmd_metrology(args) -> int:
         raise ValidationError(["gamma_par + gamma_perp > 0 required for metrology"])
     if proto.coupling <= 0.0:
         raise ValidationError(["coupling > 0 required for metrology"])
+    if args.tau is not None and not math.isfinite(args.tau):
+        raise ValidationError(["--tau must be finite"])
     n, p = params.n_spins, params.polarization
     rows = []
     for value in values:
@@ -285,7 +314,7 @@ def cmd_metrology(args) -> int:
         reference = analytic.sensitivity(big, n, p, rates, proto.coupling,
                                          analytic.SENSITIVITY_COEFF_REFERENCE)
         tau = args.tau if args.tau is not None else t
-        if not tau >= t:  # also rejects NaN
+        if tau < t:
             raise ValidationError(["total_time >= squeeze_time along the sweep"])
         snr = analytic.signal_to_noise(
             params, rates,
@@ -384,7 +413,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError([message])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared after it."""
     # SUPPRESS: the namespace holds only the flags that were given.  Every
     # subparser shares these actions, which is safe because none sets defaults.
     flags = _Parser(add_help=False, argument_default=argparse.SUPPRESS)

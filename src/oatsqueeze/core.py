@@ -14,7 +14,7 @@ dedicated oracle test).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 DECOHERENCE_DOMINATED = "decoherence_dominated"
 OVERSQUEEZING_DOMINATED = "oversqueezing_dominated"
@@ -52,15 +52,19 @@ class EnsembleParams:
 
 @dataclass(frozen=True)
 class DecoherenceRates:
-    """Longitudinal (Gamma_par) and transverse (Gamma_perp) relaxation rates."""
+    """Longitudinal (Gamma_par) and transverse (Gamma_perp) relaxation rates.
+
+    ``gamma_sum`` is the combined rate Gamma_par + Gamma_perp entering every
+    decay exponent.  It is stored at construction, because the closed forms
+    read it on every call, and it stays out of ``repr`` and ``==``.
+    """
 
     gamma_par: float = 0.0
     gamma_perp: float = 0.0
+    gamma_sum: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def gamma_sum(self) -> float:
-        """Combined rate Gamma_par + Gamma_perp entering every decay exponent."""
-        return self.gamma_par + self.gamma_perp
+    def __post_init__(self):
+        object.__setattr__(self, "gamma_sum", self.gamma_par + self.gamma_perp)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@ import contextlib
 import io
 import json
 import math
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +13,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oatsqueeze
-from oatsqueeze import analytic, inhomogeneous, oracle, verify
-from oatsqueeze.cli import FLAGS, SUBCOMMANDS, _parse_sweep, main
+from oatsqueeze import analytic, cli, inhomogeneous, oracle, verify
+from oatsqueeze.cli import FLAGS, SUBCOMMANDS, _csv, _parse_sweep, main
 from oatsqueeze.core import DecoherenceRates, theta_big
 
 
@@ -539,9 +541,79 @@ def test_metrology_total_time_below_unit_squeeze_time(capsys):
     rows = [line for line in capsys.readouterr().out.splitlines()
             if not line.startswith("#")][1:]
     assert len(rows) == 3
-    # regression: tau = nan passed the tau >= t check and wrote NaN rows
-    assert main(argv + ["--tau", "nan"]) == 1
-    assert len(capsys.readouterr().err.splitlines()) == 1
+    # regression: tau = nan passed the tau >= t check and wrote NaN rows, and
+    # tau = inf wrote NaN in every snr row at the default B_y = 0
+    for tau in ("nan", "inf"):
+        assert main(argv + ["--tau", tau]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and "--tau" in err
+
+
+@pytest.mark.parametrize("sweep", [
+    "t:0.1:inf:3:lin", "t:nan:1:3:lin", "t:0.1:1e308:3:log", "t:-1e308:1e308:3:lin",
+    "t:0:1e308:3:lin", f"t:1:{sys.float_info.max!r}:48:log",
+])
+def test_sweeps_beyond_the_largest_double_exit_1(sweep, capsys):
+    # regression: these built NaN or inf points, and squeeze-curve then blamed
+    # the polarization; exp rounding past the largest double raised exit 2
+    assert main(["squeeze-curve", "--j", "1e-3", "--sweep", sweep]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and "--sweep" in err
+
+
+def test_oversized_sweep_exits_1_before_building_a_point(monkeypatch, capsys):
+    def no_point(x):
+        raise AssertionError("built a sweep point")
+
+    monkeypatch.setattr(math, "exp", no_point)  # the log sweep's point formula
+    assert main(["squeeze-curve", "--j", "1e-3",
+                 "--sweep", "t:0.1:10:10000000000:log"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "MAX_SWEEP_POINTS" in err
+    assert cli.MAX_SWEEP_POINTS >= 100 * 4000  # far above the benchmark's sweeps
+
+
+def test_csv_rows_match_one_number_per_cell():
+    # the row template gives the bytes of formatting each cell on its own
+    def reference(header, rows):
+        lines = [",".join(header)] + [",".join(f"{v:.17g}" for v in row) for row in rows]
+        return "\n".join(lines) + "\n"
+
+    edge = [-0.0, 0.0, 5e-324, sys.float_info.max, -sys.float_info.max, math.inf,
+            -math.inf, math.nan, 0.1, 1.0 / 3.0, 1e-300, 123456789012345678.0]
+    rows = [edge[:6], edge[6:], [np.float64(x) for x in edge[:6]],
+            [0, 7, 10 ** 20, np.int64(3), np.int64(-9), np.float64(2.5)]]
+    header = list("abcdef")
+    assert _csv(header, rows) == reference(header, rows)
+    assert _csv(header, []) == "a,b,c,d,e,f\n"
+    # _mc_csv's rows: Python int sample indices and numpy float64 values
+    header = ["sample_index", "xi2"]
+    indexed = list(zip([0, 2, 10 ** 6], np.array([0.25, -0.0, 1e-310])))
+    assert _csv(header, indexed) == reference(header, indexed)
+
+
+@pytest.mark.parametrize("first, then", [
+    (["metrology", "--n", "50", "--j", "1e-5", "--gamma-par", "0.02",
+      "--sweep", "t:0.1:0.4:3:lin", "--tau", "40"],
+     ["metrology", "--n", "50", "--j", "1e-5", "--gamma-par", "0.02",
+      "--sweep", "t:0.1:0.4:3:lin"]),
+    (["squeeze-curve", "--config", "{cfg}"],
+     ["squeeze-curve", "--j", "1e-3", "--sweep", "t:0.1:1:3:lin"]),
+    (["squeeze-curve", "--n", "abc"],
+     ["squeeze-curve", "--j", "1e-3", "--sweep", "t:0.1:1:3:lin", "--kappa", "1"]),
+])
+def test_successive_runs_share_no_state(first, then, tmp_path, capsys):
+    # the parser is built once per process, so a run must leave nothing in it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 10\np = 0.5\nj = 2e-3\ngamma-par = 0.1\nsweep = t:0.2:2:4:log\n")
+    first = [arg.format(cfg=cfg) for arg in first]
+    cli.build_parser.cache_clear()
+    want = main(then), capsys.readouterr()
+    assert want[0] == 0
+    cli.build_parser.cache_clear()
+    main(first)
+    capsys.readouterr()
+    assert (main(then), capsys.readouterr()) == want
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +687,7 @@ def test_every_input_exits_with_a_code_and_one_line(cli_dir, data):
         assert len(lines) == 1
     else:
         assert len(lines) <= 1  # at most the note on flags the run does not read
+        assert not re.search(r"\bnan\b", out.getvalue(), re.IGNORECASE)
 
 
 def test_only_the_cli_writes_artifacts():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -68,7 +69,13 @@ def test_total_time_defaults_to_squeeze_time():
 
 
 def test_gamma_sum_accessor():
-    assert DecoherenceRates(0.01, 0.02).gamma_sum == pytest.approx(0.03)
+    rates = DecoherenceRates(0.01, 0.02)
+    assert rates.gamma_sum == 0.01 + 0.02  # stored at construction, the same bits
+    assert dataclasses.replace(rates, gamma_perp=0.5).gamma_sum == 0.01 + 0.5
+    # the stored sum is outside repr, == and hash
+    assert repr(rates) == "DecoherenceRates(gamma_par=0.01, gamma_perp=0.02)"
+    assert rates == DecoherenceRates(0.01, 0.02)
+    assert hash(rates) == hash(DecoherenceRates(0.01, 0.02))
 
 
 def test_theta_big_definition():
