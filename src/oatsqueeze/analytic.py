@@ -165,19 +165,6 @@ def optimal_time_pure(n: int, p: float, coupling: float) -> tuple[float, float]:
     return t_star, xi2_min_approx(n, p, coupling, t_star)
 
 
-def xi2_theta_approx_angle(n: int, p: float, theta0: float, theta: float) -> float:
-    """Angle-resolved small-angle quadrature around the squeezed direction:
-
-        xi2_min + (P^-1 + 16 (N-1)(N-2) P t0^2 - xi2_min)
-                  * (1 - cos(2*(theta - 8 t0))).
-    """
-    if theta0 <= 0.0:
-        raise DomainError("theta0 > 0 required by the small-angle expansion")
-    xi2_min = xi2_min_approx(n, p, 1.0, theta0)
-    height = 1.0 / p + 16.0 * (n - 1) * (n - 2) * p * theta0 * theta0 - xi2_min
-    return xi2_min + height * (1.0 - math.cos(2.0 * (theta - 8.0 * theta0)))
-
-
 # ---------------------------------------------------------------------------
 # squeezing under decoherence
 # ---------------------------------------------------------------------------

@@ -163,6 +163,11 @@ def _parse_sweep(text: str):
     return name.replace("-", "_"), vals
 
 
+def _beyond_a_double(name: str, value: float, exc: ArithmeticError) -> NumericalError:
+    """The error of a sweep row whose closed forms leave the range of a double."""
+    return NumericalError(f"sweep {name}={value!r} gives a value beyond a double ({exc})")
+
+
 def _bundle(args, signal_field=0.0):
     """The validated ensemble, rates and coupling.  Every subcommand sweeps or
     optimizes the squeezing time itself, so the bundle's squeeze time is 1."""
@@ -243,6 +248,8 @@ def cmd_squeeze_curve(args) -> int:
         except DomainError as exc:
             raise ValidationError([f"sweep t={t!r} lies outside the closed forms' "
                                    f"domain ({exc})"]) from None
+        except ArithmeticError as exc:
+            raise _beyond_a_double("t", t, exc) from None
         rows.append([t, theta_big(rates, t), xi2_dec, xi2_pure, p_eff, theta_min])
     header = ["t", "theta_big", "xi2_decoherence", "xi2_pure",
               "effective_polarization", "theta_min_angle"]
@@ -310,16 +317,19 @@ def cmd_metrology(args) -> int:
             big, t = value, value / (2.0 * gs)
         else:
             big, t = theta_big(rates, value), value
-        derived = analytic.sensitivity(big, n, p, rates, proto.coupling)
-        reference = analytic.sensitivity(big, n, p, rates, proto.coupling,
-                                         analytic.SENSITIVITY_COEFF_REFERENCE)
-        tau = args.tau if args.tau is not None else t
-        if tau < t:
-            raise ValidationError(["total_time >= squeeze_time along the sweep"])
-        snr = analytic.signal_to_noise(
-            params, rates,
-            ProtocolParams(coupling=proto.coupling, squeeze_time=t,
-                           signal_field=proto.signal_field, total_time=tau))
+        try:
+            derived = analytic.sensitivity(big, n, p, rates, proto.coupling)
+            reference = analytic.sensitivity(big, n, p, rates, proto.coupling,
+                                             analytic.SENSITIVITY_COEFF_REFERENCE)
+            tau = args.tau if args.tau is not None else t
+            if tau < t:
+                raise ValidationError(["total_time >= squeeze_time along the sweep"])
+            snr = analytic.signal_to_noise(
+                params, rates,
+                ProtocolParams(coupling=proto.coupling, squeeze_time=t,
+                               signal_field=proto.signal_field, total_time=tau))
+        except ArithmeticError as exc:
+            raise _beyond_a_double(sweep_name, value, exc) from None
         rows.append([big, t, snr, derived, reference])
     header = ["theta_big", "t", "snr", "sensitivity_c_derived", "sensitivity_c_reference"]
     if args.format == "json":

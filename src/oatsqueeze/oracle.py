@@ -18,16 +18,29 @@ a basis index and bit value 0 is sigma_x = +1.  In this frame the model is
 an Ising model with decoherence.  sigma_x is diagonal, so the twisting
 Hamiltonian, the sigma_x channel and the trace counterterm form one
 elementwise factor; the sigma_y and sigma_z channels, the probe field and
-dephasing are strided adds over the matrix viewed per bit.
+dephasing are strided adds over the matrix viewed per bit
+(``lindblad_rhs``, which accepts any matrix).
 ``compute_moments`` reads sigma_x from the diagonal and sigma_z, sigma_y
 (W sigma_z W = sigma_x, W sigma_y W = -sigma_y) by index gathers over
 O(n^2 2**n) entries instead of forming operator products.  Trace, purity,
 eigenvalues and trace distance do not depend on the basis.
 
+``evolve`` integrates in the pair-type basis of permutation-symmetric
+states.  Site i of an entry rho[a, b] has one of four kinds (bit_i(a),
+bit_i(b)); the model commutes with permuting the sites, so a symmetric
+state depends only on the counts (n00, n01, n10, n11) of the kinds, which
+are C(n+3, 3) numbers (165 at n = 8, 455 at n = 12) instead of 4**n.  The
+generator there is the same elementwise factor plus count-weighted
+gathers from neighbouring types.  Every state ``evolve`` is given must be
+permutation-symmetric (uniform J, uniform P, collective probe, identical
+per-site channels make it so); at each checkpoint the type values are
+expanded to the dense matrix with one index gather, so moments, purity
+and the validity checks have one dense owner.
+
 Pair couplings are given as an ``inhomogeneous.CouplingMatrix`` or as a
 plain matrix that passes its checks.  The oracle exists to validate
-formulas, not to scale: everything is dense and the spin count is capped
-at ``SPIN_CAP``.
+formulas, not to scale: states are dense at the checkpoints, and the spin
+count is capped at ``SPIN_CAP``.
 """
 
 from __future__ import annotations
@@ -35,6 +48,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +67,7 @@ from .inhomogeneous import _as_couplings, _per_spin
 SPIN_CAP = 12
 
 HERMITICITY_TOL = 1e-12
+SYMMETRY_TOL = 1e-12  # evolve: largest spread of the entries of one pair type
 TRACE_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
 
@@ -70,6 +85,64 @@ def _site_signs(n: int) -> tuple[np.ndarray, np.ndarray]:
     weight = z.T @ z
     z.flags.writeable = weight.flags.writeable = False  # shared by every caller
     return z, weight
+
+
+class _PairTypes(NamedTuple):
+    counts: np.ndarray       # [k] = (n00, n01, n10, n11), sites of each kind
+    mirror: np.ndarray       # [k] = type of the transposed entries, n01 <-> n10
+    local_moves: np.ndarray  # [m, k] = k itself, then k after one site 00 -> 11, 11 -> 00
+    row_moves: np.ndarray    # [m, k] = k after one site 00 -> 10, 01 -> 11, 10 -> 00, 11 -> 01
+    index: np.ndarray        # [a, b] = type of rho[a, b] (int16)
+    first: np.ndarray        # [k] = flat position a * 2**n + b of one entry of type k
+
+
+@functools.cache
+def _pair_types(n: int) -> _PairTypes:
+    """Per-n tables of the pair-type basis.
+
+    Site i of an entry rho[a, b] has kind (bit_i(a), bit_i(b)), numbered
+    00, 01, 10, 11.  A permutation-symmetric matrix depends only on the
+    counts (n00, n01, n10, n11) of the four kinds, its type, so it is
+    C(n+3, 3) numbers.  A move turns one site of one kind into another;
+    where no site has the source kind it returns the type itself, and its
+    weight (the source count) is zero.  ``index`` is read from the
+    ``_site_signs`` overlaps by (ones of a, ones of b, hamming(a, b)).
+    """
+    counts = np.array([(n - n01 - n10 - n11, n01, n10, n11)
+                       for n01 in range(n + 1) for n10 in range(n + 1 - n01)
+                       for n11 in range(n + 1 - n01 - n10)])
+    lut = np.zeros((n + 1,) * 3, dtype=np.int16)
+
+    def key(c):
+        return c[:, 2] + c[:, 3], c[:, 1] + c[:, 3], c[:, 1] + c[:, 2]
+
+    lut[key(counts)] = np.arange(len(counts))
+
+    def moves(*pairs):
+        out = []
+        for src, dst in pairs:
+            moved = counts.copy()
+            moved[:, src] -= 1
+            moved[:, dst] += 1
+            empty = counts[:, src] == 0
+            moved[empty] = counts[empty]
+            out.append(lut[key(moved)])
+        return np.array(out, dtype=np.intp)
+
+    z, weight = _site_signs(n)
+    ones = ((n - z.sum(axis=0)) / 2.0).astype(np.intp)
+    index = lut[ones[:, None], ones[None, :], ((n - weight) / 2.0).astype(np.int8)]
+    # one entry per type: sites in kind order 00, 01, 10, 11 from site 0
+    _, n01, n10, n11 = counts.T
+    a = (1 << (n10 + n11)) - 1
+    b = ((1 << n01) - 1) << (n10 + n11) | ((1 << n11) - 1)
+    tables = _PairTypes(counts=counts, mirror=lut[key(counts[:, [0, 2, 1, 3]])].astype(np.intp),
+                        local_moves=moves((0, 0), (0, 3), (3, 0)),
+                        row_moves=moves((0, 2), (1, 3), (2, 0), (3, 1)),
+                        index=index, first=a << n | b)
+    for table in tables:
+        table.flags.writeable = False  # shared by every caller
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +329,11 @@ def lindblad_rhs(
     trace-preserving counterterm N*(gamma_par + 2*gamma_perp)*rho.  Signal
     part: -i*B_y*[SY, rho] with B_y = ``proto.signal_field``.  A term drops
     out when its parameter is zero.  ``params.n_spins`` must match the state.
+    Any matrix is accepted, and the generator is applied densely: it is the
+    reference for the pair-type generator that ``evolve`` integrates.
     """
     n = _spin_count(state, params)
-    return DensityMatrix(_raw_rhs(state.entries, n, *_generator(n, rates, proto)), n)
+    return DensityMatrix(_dense_rhs(state.entries, n, *_dense_generator(n, rates, proto)), n)
 
 
 def _spin_count(state: DensityMatrix, params: EnsembleParams) -> int:
@@ -268,8 +343,8 @@ def _spin_count(state: DensityMatrix, params: EnsembleParams) -> int:
     return state.n_spins
 
 
-def _generator(n, rates: DecoherenceRates, proto: ProtocolParams):
-    """Inputs of ``_raw_rhs``: the elementwise factor, gamma_perp and B_y.
+def _dense_generator(n, rates: DecoherenceRates, proto: ProtocolParams):
+    """Inputs of ``_dense_rhs``: the elementwise factor, gamma_perp and B_y.
 
     The elementwise factor is, with sigma_x -> z_i in the x frame and
     h_a = (sum_i z_i[a])^2 the eigenvalue of SX^2,
@@ -283,7 +358,7 @@ def _generator(n, rates: DecoherenceRates, proto: ProtocolParams):
     return diag, gamma_perp, proto.signal_field
 
 
-def _raw_rhs(rho, n, diag, gamma_perp, signal_field):
+def _dense_rhs(rho, n, diag, gamma_perp, signal_field):
     """Generator on the entries: ``diag * rho`` plus the per-site strided terms.
 
     sigma_y and sigma_z conjugation together move rho[a ^ e_i, b ^ e_i] to
@@ -307,6 +382,61 @@ def _raw_rhs(rho, n, diag, gamma_perp, signal_field):
                 dst = out.reshape(shape)
                 dst[:, 0] += signal_field * src[:, 1]
                 dst[:, 1] -= signal_field * src[:, 0]
+    return out
+
+
+def _type_generator(n, rates: DecoherenceRates, proto: ProtocolParams):
+    """Inputs of ``_raw_rhs``.
+
+    ``local`` holds the weights and moves of the terms that keep a
+    Hermitian r Hermitian by themselves: ``_dense_generator``'s elementwise
+    factor per type on r itself (h_a = (n - 2 (n10 + n11))**2,
+    hamming(a, b) = n01 + n10), then, when gamma_perp is nonzero, the
+    sigma_y/sigma_z flip.  ``probe`` holds those of the probe's row term,
+    or None when B_y is zero.
+    """
+    types = _pair_types(n)
+    n00, n01, n10, n11 = types.counts.T.astype(float)
+    h_a, h_b = (n - 2.0 * (n10 + n11)) ** 2, (n - 2.0 * (n01 + n11)) ** 2
+    gamma_par, gamma_perp, field_y = rates.gamma_par, rates.gamma_perp, proto.signal_field
+    weights = [(-1j * proto.coupling) * (h_a - h_b)
+               + (gamma_par * (n - 2.0 * (n01 + n10)) - n * (gamma_par + 2.0 * gamma_perp))]
+    if gamma_perp != 0.0:
+        weights += [(2.0 * gamma_perp) * n00, (2.0 * gamma_perp) * n11]
+    local = np.array(weights), types.local_moves[:len(weights)]
+    probe = None
+    if field_y != 0.0:
+        probe = field_y * np.array([n00, n01, -n10, -n11]), types.row_moves
+    return local, probe, types.mirror
+
+
+def _gather(r, weights, moves):
+    """sum_m weights[m] * r[moves[m]], added in row order."""
+    terms = weights * r[moves]
+    out = terms[0]
+    for term in terms[1:]:
+        out += term
+    return out
+
+
+def _raw_rhs(r, local, probe, mirror):
+    """``_dense_rhs`` on the pair-type values ``r`` of a permutation-symmetric
+    Hermitian matrix: count-weighted gathers.
+
+    The elementwise factor multiplies r itself.  The sigma_y and sigma_z
+    channels move rho[a ^ e_i, b ^ e_i] to (a, b) where bit i agrees in a
+    and b: from the type with one site of kind 00 turned into 11 (n00 such
+    sites) and from the converse (n11 sites), at weight 2 gamma_perp each.
+    The probe's row term B z_i[a] rho[a ^ e_i, b] flips the bit of a in one
+    site: +B per site of kind 00 or 01, -B per site of kind 10 or 11.  Its
+    column term at a type is the conjugate of the row term at the mirrored
+    type; the two are summed before they are added, so every term maps a
+    Hermitian r (r[mirror] = conj(r)) to an exactly Hermitian one.
+    """
+    out = _gather(r, *local)
+    if probe is not None:
+        rows = _gather(r, *probe)
+        out += rows + rows[mirror].conj()
     return out
 
 
@@ -358,18 +488,22 @@ def evolve(
     proto: ProtocolParams,
     check_positivity: bool = False,
 ) -> Trajectory:
-    """Integrate the master equation with fixed-step RK4.
+    """Integrate the master equation with fixed-step RK4 in the pair-type basis.
 
     The generator is that of ``lindblad_rhs``, probe field
     ``proto.signal_field`` included, and ``params.n_spins`` must match the
-    state.  Each checkpoint records the collective moments and purity.
-    Hermiticity and trace are verified at every checkpoint, and the worst
-    margins are kept on the trajectory.  The state is never resymmetrized:
-    every term of ``_raw_rhs`` maps a Hermitian matrix to an exactly
-    Hermitian one, so without a probe field the hermiticity defect stays
-    0.0.  The probe's row and column adds are summed in a different order
-    at (a, b) and (b, a), which leaves roundoff (about 1e-17 at n = 3 with
-    B_y = 1e-3 and rates 0.02, 0.03).  A positivity violation beyond
+    state.  Every term of the model (SX^2, SY, identical per-site channels)
+    commutes with permuting the sites, so a permutation-symmetric state
+    stays so, and RK4 runs on its C(n+3, 3) pair-type values (``_raw_rhs``)
+    instead of 4**n entries.  The input is validated at t = 0 like every
+    checkpoint, and then refused with ValidationError when entries of one
+    pair type differ by more than ``SYMMETRY_TOL``.  Each checkpoint expands
+    the type values to the dense matrix with one index gather and records
+    the collective moments and purity.  Hermiticity and trace are verified
+    at every checkpoint, and the worst margins are kept on the trajectory.
+    The state is never resymmetrized: every term of ``_raw_rhs`` maps a
+    Hermitian state to an exactly Hermitian one, so the hermiticity defect
+    of a Hermitian input stays 0.0.  A positivity violation beyond
     tolerance raises NumericalError naming the offending time.  ``final``
     is the state at t_final, in the same x frame as the input.
     """
@@ -377,27 +511,34 @@ def evolve(
     n_steps = cfg.steps()
     dt = cfg.t_final / n_steps
     every = cfg.checkpoint_every if cfg.checkpoint_every > 0 else n_steps
-    gen = _generator(n, rates, proto)
+    gen = _type_generator(n, rates, proto)
+    types = _pair_types(n)
     traj = Trajectory()
 
-    def checkpoint(t, r):
-        dm = DensityMatrix(r, n)
+    def checkpoint(t, rho):
+        dm = DensityMatrix(rho, n)
         traj._record(*dm.require_valid(check_positivity=check_positivity, when=f"t={t:.6g}"))
         traj.times.append(t)
         traj.moments.append(compute_moments(dm))
         traj.purities.append(dm.purity())
         traj.final = dm
 
-    rho = state.entries.astype(complex)
+    rho = np.asarray(state.entries, dtype=complex)
     checkpoint(0.0, rho)
+    r = rho.reshape(-1)[types.first]
+    deviation = r[types.index]
+    deviation -= rho
+    if np.max(np.abs(deviation)) > SYMMETRY_TOL:
+        raise ValidationError([f"evolve needs a permutation-symmetric state: entries of "
+                               f"one pair type differ by more than {SYMMETRY_TOL}"])
     for step in range(1, n_steps + 1):
-        k1 = _raw_rhs(rho, n, *gen)
-        k2 = _raw_rhs(rho + 0.5 * dt * k1, n, *gen)
-        k3 = _raw_rhs(rho + 0.5 * dt * k2, n, *gen)
-        k4 = _raw_rhs(rho + dt * k3, n, *gen)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = _raw_rhs(r, *gen)
+        k2 = _raw_rhs(r + 0.5 * dt * k1, *gen)
+        k3 = _raw_rhs(r + 0.5 * dt * k2, *gen)
+        k4 = _raw_rhs(r + dt * k3, *gen)
+        r = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if step % every == 0 or step == n_steps:
-            checkpoint(step * dt, rho)
+            checkpoint(step * dt, r[types.index])
     return traj
 
 

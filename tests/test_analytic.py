@@ -155,25 +155,6 @@ def test_optimal_time_scaling_laws():
     assert x_low / x1 == pytest.approx(8.0 ** (7.0 / 3.0), rel=1e-12)
 
 
-def test_angle_resolved_approximation_structure():
-    n, p, theta0 = 8, 1.0, 0.03
-    xi2_min = analytic.xi2_min_approx(n, p, 1.0, theta0)
-    at_min = analytic.xi2_theta_approx_angle(n, p, theta0, 8.0 * theta0)
-    assert at_min == pytest.approx(xi2_min, rel=1e-12)
-    height = 1.0 / p + 16.0 * (n - 1) * (n - 2) * p * theta0 ** 2 - xi2_min
-    at_max = analytic.xi2_theta_approx_angle(n, p, theta0, 8.0 * theta0 + math.pi / 2.0)
-    assert at_max == pytest.approx(xi2_min + 2.0 * height, rel=1e-12)
-
-
-def test_angle_resolved_approximation_vs_exact_is_coarse():
-    # At N=8, theta0=0.03 the small-angle regime does not hold (2*N*theta0
-    # is order one) and the angle-resolved form is only qualitative: the
-    # measured deviation at theta=0.5 is ~1.4x the exact value.
-    exact = analytic.xi2_theta_finite_polarization(8, 1.0, 0.03, 0.5)
-    approx = analytic.xi2_theta_approx_angle(8, 1.0, 0.03, 0.5)
-    assert abs(approx - exact) / exact < 1.6
-
-
 # ---------------------------------------------------------------------------
 # squeezing under decoherence
 # ---------------------------------------------------------------------------

@@ -561,6 +561,24 @@ def test_sweeps_beyond_the_largest_double_exit_1(sweep, capsys):
     assert out == "" and len(err.splitlines()) == 1 and "--sweep" in err
 
 
+@pytest.mark.parametrize("argv, row", [
+    # cos^999(4 theta0) underflows to 0 and xi2_min_finite_polarization divides by it
+    (["squeeze-curve", "--n", "1000", "--p", "1", "--j", "1e-3",
+      "--sweep", "t:1:316:2:lin"], "t=316.0"),
+    # e^{2 Gs t} overflows in xi2_min_decoherence
+    (["squeeze-curve", "--n", "1000", "--p", "1", "--j", "1e-3", "--gamma-par", "0.05",
+      "--sweep", "t:1:1e5:2:lin"], "t=100000.0"),
+    (["metrology", "--n", "50", "--p", "1", "--j", "1e-5", "--gamma-par", "0.02",
+      "--sweep", "t:1:1e5:2:lin"], "t=100000.0"),
+])
+def test_rows_beyond_a_double_name_the_row_and_exit_2(argv, row, capsys):
+    # regression: these printed only "float division by zero" or "math range error"
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert f"sweep {row} gives a value beyond a double" in err
+
+
 def test_oversized_sweep_exits_1_before_building_a_point(monkeypatch, capsys):
     def no_point(x):
         raise AssertionError("built a sweep point")

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -307,6 +308,100 @@ def test_pair_convention_pin():
         want = evolve_variable_coupling(uniform_couplings(n, 0.04), 1.0)
         for attr in ("mean_z", "xx2", "yy2", "xy_sym"):
             assert getattr(got, attr) == pytest.approx(getattr(want, attr), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# pair-type basis
+# ---------------------------------------------------------------------------
+
+def symmetrized(rho, n):
+    """The average of rho over every permutation of the sites, built from
+    bit permutations of the basis indices alone."""
+    idx = np.arange(1 << n)
+    bits = [(idx >> (n - 1 - i)) & 1 for i in range(n)]
+    out = np.zeros_like(rho)
+    perms = list(itertools.permutations(range(n)))
+    for perm in perms:
+        moved = sum(bits[perm[i]] << (n - 1 - i) for i in range(n))
+        out += rho[np.ix_(moved, moved)]
+    return out / len(perms)
+
+
+def random_symmetric_state(rng, n):
+    rho = symmetrized(random_density_matrix(rng, n).entries, n)
+    return (rho + rho.conj().T) / 2.0
+
+
+def test_pair_type_tables():
+    # C(n+3, 3) types; each dense entry's type has the site-kind counts of
+    # (bit_i(a), bit_i(b)) read bit by bit, and ``first`` is an entry of its type
+    for n in range(1, 7):
+        types = oracle._pair_types(n)
+        assert len(types.counts) == math.comb(n + 3, 3)
+        dim = 1 << n
+        a, b = np.divmod(np.arange(dim * dim), dim)
+        kinds = np.zeros((dim * dim, 4), dtype=int)
+        for i in range(n):
+            kinds[np.arange(dim * dim), 2 * ((a >> i) & 1) + ((b >> i) & 1)] += 1
+        assert np.array_equal(types.counts[types.index.reshape(-1)], kinds), f"n={n}"
+        assert np.array_equal(types.index.reshape(-1)[types.first],
+                              np.arange(len(types.counts)))
+        assert np.array_equal(types.index.T[types.first // dim, types.first % dim],
+                              types.mirror)
+
+
+@pytest.mark.parametrize("rates, field", [
+    (DecoherenceRates(), 0.0), (DecoherenceRates(), 0.2),
+    (DecoherenceRates(0.05, 0.1), 0.0), (DecoherenceRates(0.05, 0.1), 0.2),
+])
+def test_pair_type_rhs_matches_dense_generator(rates, field):
+    rng = np.random.default_rng(13)
+    proto = ProtocolParams(coupling=0.3, squeeze_time=1.0, signal_field=field)
+    for n in range(1, 7):
+        rho = random_symmetric_state(rng, n)
+        want = lindblad_rhs(DensityMatrix(rho, n), EnsembleParams(n, 1.0), rates, proto)
+        types = oracle._pair_types(n)
+        got = oracle._raw_rhs(rho.reshape(-1)[types.first],
+                              *oracle._type_generator(n, rates, proto))
+        assert np.max(np.abs(got[types.index] - want.entries)) <= 1e-15, f"n={n}"
+
+
+@pytest.mark.parametrize("field", [0.0, 0.2])
+def test_evolve_matches_dense_rk4(field):
+    # a dense RK4 loop over lindblad_rhs, the integrator evolve replaced
+    rates = DecoherenceRates(0.03, 0.05)
+    for n in range(1, 7):
+        params = EnsembleParams(n, 0.9)
+        proto = ProtocolParams(coupling=0.07, squeeze_time=0.5, signal_field=field)
+        cfg = IntegratorConfig(dt=0.01, t_final=0.5, checkpoint_every=25)
+        rho = build_initial_state(params)
+        traj = evolve(rho, cfg, params, rates, proto)
+        for step in range(1, 51):
+            def rhs(x):
+                return lindblad_rhs(DensityMatrix(x, n), params, rates, proto).entries
+
+            k1 = rhs(rho.entries)
+            k2 = rhs(rho.entries + 0.005 * k1)
+            k3 = rhs(rho.entries + 0.005 * k2)
+            k4 = rhs(rho.entries + 0.01 * k3)
+            rho = DensityMatrix(rho.entries + (0.01 / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), n)
+            if step % 25 == 0:
+                want = compute_moments(rho)
+                got = traj.moments[step // 25]
+                for name in ("mean_x", "mean_y", "mean_z", "xx2", "yy2", "xy_sym"):
+                    assert abs(getattr(got, name) - getattr(want, name)) <= 1e-14, \
+                        f"n={n} step={step} {name}"
+        assert np.max(np.abs(traj.final.entries - rho.entries)) <= 1e-14, f"n={n}"
+        assert traj.max_hermiticity_defect == 0.0, f"n={n}"
+
+
+def test_evolve_refuses_a_state_that_is_not_permutation_symmetric():
+    params = EnsembleParams(2, 0.9)
+    state = DensityMatrix(oracle._product_state([0.9, 0.5], 2), 2)
+    cfg = IntegratorConfig(dt=0.01, t_final=0.01)
+    with pytest.raises(ValidationError, match="permutation-symmetric") as info:
+        evolve(state, cfg, params, DecoherenceRates(), ProtocolParams(0.0, 0.01))
+    assert len(str(info.value).splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------
