@@ -31,9 +31,13 @@ bit_i(b)); the model commutes with permuting the sites, so a symmetric
 state depends only on the counts (n00, n01, n10, n11) of the kinds, which
 are C(n+3, 3) numbers (165 at n = 8, 455 at n = 12) instead of 4**n.  The
 generator there is the same elementwise factor plus count-weighted
-gathers from neighbouring types.  Every state ``evolve`` is given must be
+gathers from neighbouring types (``_raw_rhs``).  A Hermitian symmetric
+state is fixed by as many real coordinates, so ``evolve`` builds the
+generator once per call as a real square matrix L on them and takes each
+RK4 step as one matrix-vector product with the precomputed increment
+matrix of dt L.  Every state ``evolve`` is given must be
 permutation-symmetric (uniform J, uniform P, collective probe, identical
-per-site channels make it so); at each checkpoint the type values are
+per-site channels make it so); at each checkpoint the coordinates are
 expanded to the dense matrix with one index gather, so moments, purity
 and the validity checks have one dense owner.
 
@@ -94,6 +98,8 @@ class _PairTypes(NamedTuple):
     row_moves: np.ndarray    # [m, k] = k after one site 00 -> 10, 01 -> 11, 10 -> 00, 11 -> 01
     index: np.ndarray        # [a, b] = type of rho[a, b] (int16)
     first: np.ndarray        # [k] = flat position a * 2**n + b of one entry of type k
+    real: np.ndarray         # types k <= mirror[k]: their Re r_k are coordinates
+    imag: np.ndarray         # types k < mirror[k]: their Im r_k are coordinates
 
 
 @functools.cache
@@ -107,6 +113,10 @@ def _pair_types(n: int) -> _PairTypes:
     where no site has the source kind it returns the type itself, and its
     weight (the source count) is zero.  ``index`` is read from the
     ``_site_signs`` overlaps by (ones of a, ones of b, hamming(a, b)).
+
+    A Hermitian matrix has r[mirror] = conj(r), so it is fixed by K =
+    C(n+3, 3) real coordinates: Re r_k of each type in ``real``, then Im r_k
+    of each type in ``imag``.
     """
     counts = np.array([(n - n01 - n10 - n11, n01, n10, n11)
                        for n01 in range(n + 1) for n10 in range(n + 1 - n01)
@@ -136,10 +146,13 @@ def _pair_types(n: int) -> _PairTypes:
     _, n01, n10, n11 = counts.T
     a = (1 << (n10 + n11)) - 1
     b = ((1 << n01) - 1) << (n10 + n11) | ((1 << n11) - 1)
-    tables = _PairTypes(counts=counts, mirror=lut[key(counts[:, [0, 2, 1, 3]])].astype(np.intp),
+    mirror = lut[key(counts[:, [0, 2, 1, 3]])].astype(np.intp)
+    tables = _PairTypes(counts=counts, mirror=mirror,
                         local_moves=moves((0, 0), (0, 3), (3, 0)),
                         row_moves=moves((0, 2), (1, 3), (2, 0), (3, 1)),
-                        index=index, first=a << n | b)
+                        index=index, first=a << n | b,
+                        real=np.flatnonzero(np.arange(len(counts)) <= mirror),
+                        imag=np.flatnonzero(np.arange(len(counts)) < mirror))
     for table in tables:
         table.flags.writeable = False  # shared by every caller
     return tables
@@ -165,7 +178,11 @@ class DensityMatrix:
         return abs(np.trace(self.entries) - 1.0)
 
     def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.entries - self.entries.conj().T)))
+        """max |rho - rho^dagger|; the transpose is read once, into a copy."""
+        diff = self.entries.T.copy()
+        np.conjugate(diff, out=diff)
+        np.subtract(self.entries, diff, out=diff)
+        return float(np.max(np.abs(diff)))
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh((self.entries + self.entries.conj().T) / 2.0)[0])
@@ -411,8 +428,12 @@ def _type_generator(n, rates: DecoherenceRates, proto: ProtocolParams):
 
 
 def _gather(r, weights, moves):
-    """sum_m weights[m] * r[moves[m]], added in row order."""
-    terms = weights * r[moves]
+    """sum_m weights[m] * r[moves[m]], added in row order; r may carry a
+    trailing batch axis."""
+    # r[moves] is a copy; scale it in place, because for a batch a second
+    # array of its size costs more in fresh pages than the multiply itself
+    terms = r[moves]
+    terms *= weights.reshape(weights.shape + (1,) * (r.ndim - 1))
     out = terms[0]
     for term in terms[1:]:
         out += term
@@ -421,7 +442,9 @@ def _gather(r, weights, moves):
 
 def _raw_rhs(r, local, probe, mirror):
     """``_dense_rhs`` on the pair-type values ``r`` of a permutation-symmetric
-    Hermitian matrix: count-weighted gathers.
+    Hermitian matrix: count-weighted gathers.  ``r`` is one type vector or
+    a batch of them along a trailing axis; ``evolve`` applies this once, to
+    the batch of its coordinate basis vectors, to build its generator.
 
     The elementwise factor multiplies r itself.  The sigma_y and sigma_z
     channels move rho[a ^ e_i, b ^ e_i] to (a, b) where bit i agrees in a
@@ -430,8 +453,8 @@ def _raw_rhs(r, local, probe, mirror):
     The probe's row term B z_i[a] rho[a ^ e_i, b] flips the bit of a in one
     site: +B per site of kind 00 or 01, -B per site of kind 10 or 11.  Its
     column term at a type is the conjugate of the row term at the mirrored
-    type; the two are summed before they are added, so every term maps a
-    Hermitian r (r[mirror] = conj(r)) to an exactly Hermitian one.
+    type.  Every term maps a Hermitian r (r[mirror] = conj(r)) to a
+    Hermitian one, so the result is fixed by its real coordinates.
     """
     out = _gather(r, *local)
     if probe is not None:
@@ -493,27 +516,48 @@ def evolve(
     The generator is that of ``lindblad_rhs``, probe field
     ``proto.signal_field`` included, and ``params.n_spins`` must match the
     state.  Every term of the model (SX^2, SY, identical per-site channels)
-    commutes with permuting the sites, so a permutation-symmetric state
-    stays so, and RK4 runs on its C(n+3, 3) pair-type values (``_raw_rhs``)
-    instead of 4**n entries.  The input is validated at t = 0 like every
-    checkpoint, and then refused with ValidationError when entries of one
-    pair type differ by more than ``SYMMETRY_TOL``.  Each checkpoint expands
-    the type values to the dense matrix with one index gather and records
-    the collective moments and purity.  Hermiticity and trace are verified
-    at every checkpoint, and the worst margins are kept on the trajectory.
-    The state is never resymmetrized: every term of ``_raw_rhs`` maps a
-    Hermitian state to an exactly Hermitian one, so the hermiticity defect
-    of a Hermitian input stays 0.0.  A positivity violation beyond
-    tolerance raises NumericalError naming the offending time.  ``final``
-    is the state at t_final, in the same x frame as the input.
+    commutes with permuting the sites, so a permutation-symmetric Hermitian
+    state stays so and is fixed by K = C(n+3, 3) real coordinates (the
+    ``_pair_types`` tables ``real`` and ``imag``) instead of 4**n entries.
+    The input is validated at t = 0 like every checkpoint, and then refused
+    with ValidationError when entries of one pair type differ by more than
+    ``SYMMETRY_TOL``.
+
+    The generator is linear and constant, so it is built once per call as
+    a real K x K matrix L: ``_raw_rhs`` applied to the K basis vectors in
+    one batch, read back in coordinates.  With A = dt L, one classical RK4
+    step is v -> v + N v for N = A (I + A (I/2 + A (I/6 + A/24))), formed
+    once; the increment is added to v rather than applying I + N, whose
+    rounded diagonal would repeat the same error every step.
+
+    Each checkpoint expands the coordinates to type values (mirrored types
+    conjugate, self-mirror types real) and those to the dense matrix with
+    one index gather, so every checkpoint state is exactly Hermitian, and
+    records the collective moments and purity.  Hermiticity and trace are
+    verified at every checkpoint, and the worst margins are kept on the
+    trajectory.  A positivity violation beyond tolerance raises
+    NumericalError naming the offending time.  ``final`` is the state at
+    t_final, in the same x frame as the input.
     """
     n = _spin_count(state, params)
     n_steps = cfg.steps()
     dt = cfg.t_final / n_steps
     every = cfg.checkpoint_every if cfg.checkpoint_every > 0 else n_steps
-    gen = _type_generator(n, rates, proto)
     types = _pair_types(n)
     traj = Trajectory()
+
+    def coordinates(r):
+        return np.concatenate((r[types.real].real, r[types.imag].imag))
+
+    def type_values(v):
+        """Inverse of ``coordinates``, also for a batch along a trailing axis:
+        mirrored types conjugate, self-mirror types real, so exactly Hermitian."""
+        re, im = v[:len(types.real)], v[len(types.real):]
+        r = np.zeros(v.shape, dtype=complex)
+        r.real[types.real] = r.real[types.mirror[types.real]] = re
+        r.imag[types.imag] = im
+        r.imag[types.mirror[types.imag]] = -im
+        return r
 
     def checkpoint(t, rho):
         dm = DensityMatrix(rho, n)
@@ -531,14 +575,14 @@ def evolve(
     if np.max(np.abs(deviation)) > SYMMETRY_TOL:
         raise ValidationError([f"evolve needs a permutation-symmetric state: entries of "
                                f"one pair type differ by more than {SYMMETRY_TOL}"])
+    eye = np.eye(len(r))
+    a = dt * coordinates(_raw_rhs(type_values(eye), *_type_generator(n, rates, proto)))
+    increment = a @ (eye + a @ (eye / 2.0 + a @ (eye / 6.0 + a / 24.0)))
+    v = coordinates(r)
     for step in range(1, n_steps + 1):
-        k1 = _raw_rhs(r, *gen)
-        k2 = _raw_rhs(r + 0.5 * dt * k1, *gen)
-        k3 = _raw_rhs(r + 0.5 * dt * k2, *gen)
-        k4 = _raw_rhs(r + dt * k3, *gen)
-        r = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        v += increment @ v
         if step % every == 0 or step == n_steps:
-            checkpoint(step * dt, r[types.index])
+            checkpoint(step * dt, type_values(v)[types.index])
     return traj
 
 

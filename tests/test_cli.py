@@ -708,6 +708,25 @@ def test_every_input_exits_with_a_code_and_one_line(cli_dir, data):
         assert not re.search(r"\bnan\b", out.getvalue(), re.IGNORECASE)
 
 
+@settings(max_examples=200)
+@given(data=st.data())
+def test_metrology_with_a_drawn_tau_exits_with_a_code_and_one_line(cli_dir, data):
+    # the table-wide property test seldom reaches a metrology run that gets
+    # past validation with --tau set; this one always builds such a run
+    argv = ["metrology", "--j", data.draw(st.sampled_from(("1e-3", "0.01", "0.3"))),
+            data.draw(st.sampled_from(("--gamma-par", "--gamma-perp"))),
+            data.draw(st.sampled_from(("0.01", "0.1", "10"))),
+            "--tau", data.draw(_flag_values("tau", cli_dir) | st.floats(0.01, 1e6).map(repr))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    lines = err.getvalue().splitlines()
+    event(f"exit {rc}")
+    assert rc in (0, 1, 2)
+    assert len(lines) == (1 if rc else 0)
+    assert not re.search(r"\bnan\b", out.getvalue(), re.IGNORECASE)
+
+
 def test_only_the_cli_writes_artifacts():
     # the numerics modules return values; cli.py formats and writes every
     # CSV and JSON artifact

@@ -395,6 +395,44 @@ def test_evolve_matches_dense_rk4(field):
         assert traj.max_hermiticity_defect == 0.0, f"n={n}"
 
 
+@pytest.mark.parametrize("rates, field", [
+    (DecoherenceRates(), 0.0), (DecoherenceRates(), 0.2),
+    (DecoherenceRates(0.03, 0.05), 0.0), (DecoherenceRates(0.03, 0.05), 0.2),
+])
+def test_evolve_matches_stagewise_rk4_beyond_the_dense_test(rates, field):
+    # four _raw_rhs stages per step on the complex type values, at the spin
+    # counts where the dense reference loop is too slow
+    for n in (7, 8):
+        params = EnsembleParams(n, 0.9)
+        proto = ProtocolParams(coupling=0.07, squeeze_time=0.5, signal_field=field)
+        cfg = IntegratorConfig(dt=0.01, t_final=0.5, checkpoint_every=25)
+        traj = evolve(build_initial_state(params), cfg, params, rates, proto)
+        types = oracle._pair_types(n)
+        gen = oracle._type_generator(n, rates, proto)
+        r = build_initial_state(params).entries.reshape(-1)[types.first]
+        for step in range(1, 51):
+            k1 = oracle._raw_rhs(r, *gen)
+            k2 = oracle._raw_rhs(r + 0.005 * k1, *gen)
+            k3 = oracle._raw_rhs(r + 0.005 * k2, *gen)
+            k4 = oracle._raw_rhs(r + 0.01 * k3, *gen)
+            r = r + (0.01 / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if step % 25 == 0:
+                want = compute_moments(DensityMatrix(r[types.index], n))
+                got = traj.moments[step // 25]
+                for name in ("mean_x", "mean_y", "mean_z", "xx2", "yy2", "xy_sym"):
+                    assert abs(getattr(got, name) - getattr(want, name)) <= 1e-14, \
+                        f"n={n} step={step} {name}"
+
+
+def test_hermiticity_defect_is_the_direct_expression():
+    rng = np.random.default_rng(5)
+    for n in (1, 3, 6, 8):
+        dim = 1 << n
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        want = float(np.max(np.abs(m - m.conj().T)))
+        assert DensityMatrix(m, n).hermiticity_defect() == want, f"n={n}"
+
+
 def test_evolve_refuses_a_state_that_is_not_permutation_symmetric():
     params = EnsembleParams(2, 0.9)
     state = DensityMatrix(oracle._product_state([0.9, 0.5], 2), 2)
@@ -852,9 +890,9 @@ def test_trajectory_margins_from_checkpoints(monkeypatch):
 
 
 def test_rk4_keeps_hermiticity_without_resymmetrizing():
-    # every _raw_rhs term maps a Hermitian matrix to an exactly Hermitian
-    # one; only the probe's row and column adds, summed in a different order
-    # at (a, b) and (b, a), leave roundoff
+    # evolve steps the real coordinates of a Hermitian state and expands
+    # them with mirrored types conjugate, so every checkpoint is exactly
+    # Hermitian, probe field included
     rates = DecoherenceRates(0.02, 0.03)
     for n in (4, 6):
         params = EnsembleParams(n, 0.9)
@@ -868,6 +906,17 @@ def test_rk4_keeps_hermiticity_without_resymmetrizing():
     for run_rates, bound in ((DecoherenceRates(), 1e-18), (rates, 1e-16)):
         traj = evolve(build_initial_state(params), cfg, params, run_rates, proto)
         assert traj.max_hermiticity_defect <= bound, run_rates
+
+
+def test_probe_run_is_exactly_hermitian_at_every_step():
+    for n in (3, 6):
+        params = EnsembleParams(n, 0.9)
+        cfg = IntegratorConfig(dt=0.01, t_final=0.99, checkpoint_every=1)
+        proto = ProtocolParams(coupling=0.05, squeeze_time=0.99, signal_field=1e-3)
+        traj = evolve(build_initial_state(params), cfg, params,
+                      DecoherenceRates(0.02, 0.03), proto)
+        assert len(traj.times) == 100
+        assert traj.max_hermiticity_defect == 0.0, f"n={n}"
 
 
 def test_evolve_raises_on_crossed_margin():
