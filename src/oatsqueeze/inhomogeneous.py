@@ -24,8 +24,8 @@ from .core import DomainError, NumericalError, ResourceError, ValidationError
 
 ALPHA_CONCENTRATED = 1e15  # alpha at or above this samples exactly theta0
 _DEGENERATE_FRACTION = 1e-12  # |B| <= this (per spin) is a degenerate denominator
-# bytes of one Monte Carlo chunk of (S, N, N) couplings, and of one block of
-# the pair kernel: keeps its working set in L2 cache
+# bytes of one Monte Carlo chunk of (S, N, N) couplings; the pair kernel's
+# per-offset working set is 7 planes of this size, so it stays in a 2 MB L2
 _CHUNK_BYTES = 1 << 18
 # bytes a Monte Carlo run or one kernel call may take; larger runs raise
 # ResourceError before they allocate
@@ -130,6 +130,55 @@ def _validate_pols(pols, n) -> np.ndarray:
     return p
 
 
+def _pair_diffs(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The diff table of ``_pair_terms`` from its (S, N, N) tables C and S.
+
+    prod_{j != k,l} (C_jk C_jl +/- S_jk S_jl) is symmetric in (k, l), so
+    each pair is visited once as (k, (k + m) mod n) for the offsets
+    m = 1 .. n//2 (twice at m = n/2 for even n), on (j, k, sample) planes
+    with the samples innermost: C_jl and S_jl are windows of ``c2`` and
+    ``s2``, whose k axis is doubled, and the product over j is a sequential
+    reduction, so a sample's bits do not depend on S.  Each factor is
+    cos(4 theta_jk -/+ 4 theta_jl), so a running product never grows and a
+    zero factor makes it exactly 0.
+    """
+    n_samples, n, _ = c.shape
+    c2 = np.empty((n, 2 * n, n_samples))  # [j, k mod n, sample]
+    s2 = np.empty_like(c2)
+    c2[:, :n] = c.transpose(1, 2, 0)
+    s2[:, :n] = s.transpose(1, 2, 0)
+    c2[:, n:] = c2[:, :n]
+    s2[:, n:] = s2[:, :n]
+    ct, st = c2[:, :n], s2[:, :n]
+    t = np.empty((2, n, n, n_samples))  # [+/-, j, k, sample]
+    cells = t.reshape(2, n * n, n_samples)
+    ss = np.empty_like(t[0])
+    prods = np.empty((n // 2, 2, n, n_samples))  # [m - 1, +/-, k, sample]
+    for m in range(1, n // 2 + 1):
+        np.multiply(ct, c2[:, m:m + n], out=t[0])
+        np.multiply(st, s2[:, m:m + n], out=ss)
+        np.subtract(t[0], ss, out=t[1])
+        np.add(t[0], ss, out=t[0])
+        # drop j = k and j = l, the flat cells j*n + k with j = k, then
+        # with j = k + m (k < n - m), then with j = k + m - n (k >= n - m)
+        cells[:, ::n + 1] = 1.0
+        cells[:, m * n::n + 1] = 1.0
+        cells[:, n - m:m * n:n + 1] = 1.0
+        np.multiply.reduce(t, axis=1, out=prods[m - 1])
+    pairs = (prods[:, 0] - prods[:, 1]).transpose(0, 2, 1)  # [m - 1, sample, k]
+    diff = np.zeros((n_samples, n, n))  # C order: _components sums each sample in it
+    flat = diff.reshape(n_samples, n * n)
+    for m in range(1, n // 2 + 1):
+        # (k, l) at k*n + l, then (l, k) at l*n + k, each for k < n - m
+        # (l = k + m), then for k >= n - m (l = k + m - n)
+        near, wrap = pairs[m - 1, :, :n - m], pairs[m - 1, :, n - m:]
+        flat[:, m:n * (n - m):n + 1] = near
+        flat[:, n * (n - m)::n + 1] = wrap
+        flat[:, m * n::n + 1] = near
+        flat[:, n - m:m * n:n + 1] = wrap
+    return diff
+
+
 def _pair_terms(theta: np.ndarray):
     """Per-site and per-pair products of each coupling matrix in an (S, N, N) stack.
 
@@ -152,6 +201,7 @@ def _pair_terms(theta: np.ndarray):
     diag = np.arange(n)
     c[:, diag, diag] = 1.0  # harmless identities in every product
     s[:, diag, diag] = 0.0
+    diff = _pair_diffs(c, s)  # first, so that its temporaries are gone before cross
 
     # prod_{i != k,l} C_il = (prod_{i < k} C_il)(prod_{i > k} C_il), where
     # C_ll = 1 stands in for the excluded i = l: exclusive prefix and suffix
@@ -163,37 +213,6 @@ def _pair_terms(theta: np.ndarray):
     z = prefix[:, -1] * c[:, -1]
     cross *= prefix
     cross[:, diag, diag] = 0.0
-
-    # diff: prod_{j != k,l} (C_jk C_jl +/- S_jk S_jl) is symmetric in
-    # (k, l), so only l > k is computed, for blocks of k sized by
-    # _CHUNK_BYTES, on a (j, +/-, sample, k, l) layout: the product over j
-    # is a sequential axis-0 reduction, so a sample's bits do not depend on
-    # S or on the blocks.  Each factor is cos(4 theta_jk -/+ 4 theta_jl), so
-    # a running product never grows and a zero factor makes it exactly 0.
-    ct = np.ascontiguousarray(c.transpose(1, 0, 2))
-    st = np.ascontiguousarray(s.transpose(1, 0, 2))
-    block = min(n - 1, max(1, _CHUNK_BYTES // (8 * n * n * n_samples)))
-    size = n * n_samples * block * (n - 1)
-    cc_buf, ss_buf, t_buf = np.empty(size), np.empty(size), np.empty(2 * size)
-    diff = np.zeros_like(theta)
-    for k0 in range(0, n - 1, block):
-        ks = slice(k0, min(k0 + block, n - 1))
-        shape = (n, n_samples, ks.stop - k0, n - 1 - k0)
-        used = math.prod(shape)
-        cc = np.multiply(ct[:, :, ks, None], ct[:, :, None, k0 + 1:],
-                         out=cc_buf[:used].reshape(shape))
-        ss = np.multiply(st[:, :, ks, None], st[:, :, None, k0 + 1:],
-                         out=ss_buf[:used].reshape(shape))
-        t = t_buf[:2 * used].reshape(n, 2, *shape[1:])
-        np.add(cc, ss, out=t[:, 0])
-        np.subtract(cc, ss, out=t[:, 1])
-        np.einsum("jasjl->asjl", t[ks])[...] = 1.0  # drop j = k
-        np.einsum("jaskj->askj", t[k0 + 1:])[...] = 1.0  # drop j = l
-        prod = np.multiply.reduce(t, axis=0)
-        d = prod[0] - prod[1]
-        for b in range(d.shape[1]):  # keep l > k of each row
-            diff[:, k0 + b, k0 + 1 + b:] = d[:, b, b:]
-            diff[:, k0 + 1 + b:, k0 + b] = d[:, b, b:]
     return z, s, cross, diff
 
 
@@ -218,9 +237,10 @@ def _components(terms, p: np.ndarray, th: float) -> tuple[np.ndarray, np.ndarray
 def _require_memory(n: int, chunk: int, n_samples: int) -> None:
     """Raise ResourceError when a run would need more than _MEMORY_CAP bytes.
 
-    Counts 16 B per sample for the per-run results, and per sample of a
-    chunk one N x N coupling matrix plus about 20 N^2 doubles of kernel
-    temporaries.
+    Counts 16 B per sample for the per-run results, and 21 N^2 doubles per
+    sample of a chunk.  The chunk's peak is about 12.5 of them: the
+    coupling matrix, C and S (2), their k-doubled copies (4), the three
+    factor planes, and the per-offset products (1.5) with diff (1).
     """
     need = 16 * n_samples + 21 * 8 * chunk * n * n
     if need > _MEMORY_CAP:

@@ -291,6 +291,33 @@ class CollectiveMoments:
         return self.second_moment(theta) / self.mean_z
 
 
+class _MomentGathers(NamedTuple):
+    k: np.ndarray       # [p] = k of the p-th pair k < l
+    l: np.ndarray       # [p] = l of the p-th pair
+    single: np.ndarray  # [k, b] = flat position of rho[b, b ^ e_k]
+    pair: np.ndarray    # [p, b] = flat position of rho[b, b ^ e_k ^ e_l]
+    zz: np.ndarray      # [p, b] = z_k[b] z_l[b]
+
+
+@functools.cache
+def _moment_gathers(n: int) -> _MomentGathers:
+    """Per-n gather tables of ``compute_moments``, kept for the life of the
+    process, so stored small: positions as int32, exact up to n = 15 (a
+    matrix of 4**16 entries would take 64 GiB), and the signs zz as int8,
+    which multiply a float exactly."""
+    z, _ = _site_signs(n)
+    idx = np.arange(1 << n, dtype=np.int32)
+    bit = 1 << np.arange(n - 1, -1, -1, dtype=np.int32)  # e_k for site k
+    k, l = np.triu_indices(n, 1)
+    tables = _MomentGathers(k=k, l=l,
+                            single=idx << n | idx ^ bit[:, None],
+                            pair=idx << n | idx ^ (bit[k] | bit[l])[:, None],
+                            zz=(z[k] * z[l]).astype(np.int8))
+    for table in tables:
+        table.flags.writeable = False  # shared by every caller
+    return tables
+
+
 def compute_moments(state: DensityMatrix, pair_correlations: bool = False) -> CollectiveMoments:
     """Collective first/second moments (and optional pair tables) of any
     matrix; the result is trace-linear.
@@ -302,19 +329,17 @@ def compute_moments(state: DensityMatrix, pair_correlations: bool = False) -> Co
     """
     rho, n = state.entries, state.n_spins
     z, _ = _site_signs(n)
-    idx = np.arange(1 << n)
-    bit = 1 << np.arange(n - 1, -1, -1)  # e_k for site k
-    k, l = np.triu_indices(n, 1)
+    g = _moment_gathers(n)
 
     pops = np.real(np.diagonal(rho))
-    single = rho[idx, idx ^ bit[:, None]]             # [k, b] = f_k[b]
+    single = np.take(rho, g.single)  # [k, b] = f_k[b]
     z_im = z * single.imag
     site_z = single.real.sum(axis=1)
-    pair = rho[idx, idx ^ (bit[k] | bit[l])[:, None]]  # [p, b] = g_kl[b]
-    pxx = (z * pops) @ z.T                             # <sx_k sx_l>, trace on the diagonal
-    pxy = z @ z_im.T                                   # <sx_k sy_l> off the diagonal
+    pair = np.take(rho, g.pair)      # [p, b] = g_kl[b]
+    pxx = (z * pops) @ z.T           # <sx_k sx_l>, trace on the diagonal
+    pxy = z @ z_im.T                 # <sx_k sy_l> off the diagonal
     pyy = np.zeros((n, n))
-    pyy[k, l] = pyy[l, k] = -np.sum(z[k] * z[l] * pair.real, axis=1)  # <sy_k sy_l>
+    pyy[g.k, g.l] = pyy[g.l, g.k] = -np.sum(g.zz * pair.real, axis=1)  # <sy_k sy_l>
     np.fill_diagonal(pxx, 0.0)
     np.fill_diagonal(pxy, 0.0)
     n_trace = n * pops.sum()

@@ -155,7 +155,7 @@ def test_components_are_per_spin_normalized():
 
 def direct_components(theta, pols, th):
     """(A/N, B/N) term by term with one np.prod per product: the reference
-    for the blocked kernel."""
+    for the pair kernel."""
     n = len(pols)
     c = np.cos(4.0 * theta)
     s = np.sin(4.0 * theta)
@@ -211,8 +211,9 @@ def mixed_couplings(rng, n):
 
 
 def test_components_match_direct_products_across_k_blocks():
-    # up to n = 10 the kernel runs its half-triangle as one k-block; a single
-    # matrix at N = 40 takes 2 blocks and at N = 70 12 blocks
+    # single matrices beyond the sizes of the property test (n <= 10): the
+    # kernel runs 20 and 35 circulant offsets, and its last one visits each
+    # pair twice
     rng = np.random.default_rng(4)
     for n in (40, 70):
         theta = mixed_couplings(rng, n)
@@ -223,8 +224,43 @@ def test_components_match_direct_products_across_k_blocks():
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+def looped_diffs(theta):
+    """diff of ``_pair_terms`` with each product a running product over
+    j = 0 .. n-1 in order, one pair at a time, vectorized only over samples."""
+    c = np.cos(4.0 * theta)
+    s = np.sin(4.0 * theta)
+    n_samples, n, _ = theta.shape
+    diff = np.zeros_like(theta)
+    for k in range(n):
+        for l in range(k + 1, n):
+            plus = np.ones(n_samples)
+            minus = np.ones(n_samples)
+            for j in range(n):
+                if j not in (k, l):
+                    cc = c[:, j, k] * c[:, j, l]
+                    ss = s[:, j, k] * s[:, j, l]
+                    plus *= cc + ss
+                    minus *= cc - ss
+            diff[:, k, l] = diff[:, l, k] = plus - minus
+    return diff
+
+
+@pytest.mark.parametrize("n", [*range(2, 10), 20, 21])
+def test_pair_diffs_match_looped_products_bit_for_bit(n):
+    # odd and even n: at even n the last offset m = n/2 visits each pair twice
+    rng = np.random.default_rng(n)
+    for n_samples in (1, 3, 81):
+        theta = np.stack([mixed_couplings(rng, n) for _ in range(n_samples)])
+        diff = inhomogeneous._pair_terms(theta)[3]
+        assert diff.flags.c_contiguous
+        assert np.array_equal(diff, looped_diffs(theta))
+        assert np.array_equal(diff, diff.transpose(0, 2, 1))
+        assert np.all(np.diagonal(diff, axis1=1, axis2=2) == 0.0)
+
+
 def test_monte_carlo_chunk_matches_direct_products():
-    # the Monte Carlo chunk at N = 64 is 8 samples, one k per block
+    # the Monte Carlo chunk at N = 64 is 8 samples, which the kernel's
+    # planes hold side by side, innermost
     n = 64
     spec = DisorderSpec(theta0=0.3 * n ** (-2.0 / 3.0), kappa=0.1, master_seed=2, n_samples=8)
     stack = inhomogeneous._coupling_stack(spec, n, 0, 8)
