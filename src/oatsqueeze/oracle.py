@@ -37,14 +37,15 @@ generator once per call as a real square matrix L on them and takes each
 RK4 step as one matrix-vector product with the precomputed increment
 matrix of dt L.  Every state ``evolve`` is given must be
 permutation-symmetric (uniform J, uniform P, collective probe, identical
-per-site channels make it so); at each checkpoint the coordinates are
-expanded to the dense matrix with one index gather, so moments, purity
-and the validity checks have one dense owner.
+per-site channels make it so).  Its checkpoints read moments, purity and
+the trace from the coordinates with per-n weights (``_type_weights``);
+only the final state, and each checked eigenvalue, is expanded to the
+dense matrix.
 
 Pair couplings are given as an ``inhomogeneous.CouplingMatrix`` or as a
 plain matrix that passes its checks.  The oracle exists to validate
-formulas, not to scale: states are dense at the checkpoints, and the spin
-count is capped at ``SPIN_CAP``.
+formulas, not to scale: states are dense wherever a matrix is returned,
+and the spin count is capped at ``SPIN_CAP``.
 """
 
 from __future__ import annotations
@@ -158,6 +159,55 @@ def _pair_types(n: int) -> _PairTypes:
     return tables
 
 
+class _TypeWeights(NamedTuple):
+    mult: np.ndarray      # [k] = n! / (n00! n01! n10! n11!), the entries of type k
+    diagonal: np.ndarray  # types with n01 = n10 = 0, those on the diagonal
+    moments: np.ndarray   # [7, K] on the coordinates: trace, then mean_x .. xy_sym
+    purity: np.ndarray    # [K] on the squared coordinates
+
+
+@functools.cache
+def _type_weights(n: int) -> _TypeWeights:
+    """Per-n weights that read trace, collective moments and purity of a
+    permutation-symmetric Hermitian matrix from its ``_pair_types``
+    coordinates v, in closed form from the counts.
+
+    On the type values r, with mult the entries of a type, sigma = n01 - n10
+    and n10 + n11 the ones of the row index (the sums of ``compute_moments``
+    taken over all entries of a type at once):
+    trace = sum_diag mult r, mean_x = sum_diag mult (n - 2 n11) r,
+    xx2 = sum_diag mult (n - 2 n11)**2 r, over the n01 + n10 = 1 types
+    mean_z = sum mult Re r, mean_y = sum sigma mult Im r and
+    xy_sym = 2 sum mult ((n - 2 (n10 + n11)) sigma - 1) Im r, and
+    yy2 = n trace - 2 sum mult (1 - 2 n01 n10) Re r over n01 + n10 = 2;
+    purity = sum mult |r|**2.  A coordinate stands for its type and, where
+    that differs, the mirrored one, whose Re r is equal and Im r opposite.
+    """
+    types = _pair_types(n)
+    mult = np.array([math.factorial(n) // math.prod(map(math.factorial, kinds))
+                     for kinds in types.counts.tolist()], dtype=float)
+    _, n01, n10, n11 = types.counts.T
+    flips = n01 + n10
+    trace, one, two = (mult * (flips == f) for f in (0, 1, 2))
+    sigma = n01 - n10
+    x = n - 2.0 * n11
+    zero = np.zeros(len(mult))
+    re = np.array([trace, x * trace, zero, one, x * x * trace,
+                   n * trace - 2.0 * (1 - 2 * n01 * n10) * two, zero])
+    im = np.array([zero, zero, sigma * one, zero, zero, zero,
+                   2.0 * ((n - 2.0 * (n10 + n11)) * sigma - 1.0) * one])
+    real_mirror, imag_mirror = types.mirror[types.real], types.mirror[types.imag]
+    paired = real_mirror != types.real
+    moments = np.concatenate((re[:, types.real] + re[:, real_mirror] * paired,
+                              im[:, types.imag] - im[:, imag_mirror]), axis=1)
+    purity = np.concatenate((mult[types.real] * (1.0 + paired), 2.0 * mult[types.imag]))
+    tables = _TypeWeights(mult=mult, diagonal=np.flatnonzero(flips == 0),
+                          moments=moments, purity=purity)
+    for table in tables:
+        table.flags.writeable = False  # shared by every caller
+    return tables
+
+
 # ---------------------------------------------------------------------------
 # density matrices
 # ---------------------------------------------------------------------------
@@ -194,17 +244,24 @@ class DensityMatrix:
                       when: str = "") -> tuple[float, float, float | None]:
         """Raise NumericalError past a tolerance; else return the hermiticity
         defect, trace defect and lowest eigenvalue (None unless checked)."""
-        where = f" at {when}" if when else ""
-        herm = self.hermiticity_defect()
-        if herm > HERMITICITY_TOL:
-            raise NumericalError(f"hermiticity defect exceeds {HERMITICITY_TOL}{where}")
-        trace = self.trace_defect()
-        if trace > TRACE_TOL:
-            raise NumericalError(f"trace defect exceeds {TRACE_TOL}{where}")
-        low = self.min_eigenvalue() if check_positivity else None
-        if low is not None and low < -POSITIVITY_TOL:
-            raise NumericalError(f"negative eigenvalue below -{POSITIVITY_TOL}{where}")
-        return herm, trace, low
+        return _require_margins(self.hermiticity_defect(), self.trace_defect(), when,
+                                self.min_eigenvalue if check_positivity else None)
+
+
+def _require_margins(herm: float, trace: float, when: str,
+                     min_eigenvalue=None) -> tuple[float, float, float | None]:
+    """Raise NumericalError when the hermiticity or trace defect, or then the
+    lowest eigenvalue (called only if given), crosses its tolerance; else
+    return the three margins."""
+    where = f" at {when}" if when else ""
+    if herm > HERMITICITY_TOL:
+        raise NumericalError(f"hermiticity defect exceeds {HERMITICITY_TOL}{where}")
+    if trace > TRACE_TOL:
+        raise NumericalError(f"trace defect exceeds {TRACE_TOL}{where}")
+    low = min_eigenvalue() if min_eigenvalue is not None else None
+    if low is not None and low < -POSITIVITY_TOL:
+        raise NumericalError(f"negative eigenvalue below -{POSITIVITY_TOL}{where}")
+    return herm, trace, low
 
 
 def build_initial_state(params: EnsembleParams) -> DensityMatrix:
@@ -510,13 +567,19 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
-    """Checkpointed observables of one master-equation run."""
+    """Checkpointed observables of one master-equation run.
+
+    ``evolve`` reads ``moments``, ``purities`` and the margins at each
+    checkpoint from its pair-type coordinates; ``final`` is the only dense
+    state it keeps, and ``min_eigenvalue`` comes from a dense expansion of
+    each checkpoint, made only when positivity is checked.
+    """
 
     times: list[float] = field(default_factory=list)
     moments: list[CollectiveMoments] = field(default_factory=list)
     purities: list[float] = field(default_factory=list)
     final: DensityMatrix | None = None
-    max_hermiticity_defect: float = 0.0  # worst margins require_valid saw at checkpoints
+    max_hermiticity_defect: float = 0.0  # worst margins seen at the input and checkpoints
     max_trace_defect: float = 0.0
     min_eigenvalue: float | None = None   # None unless positivity was checked
 
@@ -544,9 +607,9 @@ def evolve(
     commutes with permuting the sites, so a permutation-symmetric Hermitian
     state stays so and is fixed by K = C(n+3, 3) real coordinates (the
     ``_pair_types`` tables ``real`` and ``imag``) instead of 4**n entries.
-    The input is validated at t = 0 like every checkpoint, and then refused
-    with ValidationError when entries of one pair type differ by more than
-    ``SYMMETRY_TOL``.
+    The input is validated densely at t = 0 (``DensityMatrix.require_valid``)
+    and then refused with ValidationError when entries of one pair type
+    differ by more than ``SYMMETRY_TOL``.
 
     The generator is linear and constant, so it is built once per call as
     a real K x K matrix L: ``_raw_rhs`` applied to the K basis vectors in
@@ -555,20 +618,25 @@ def evolve(
     once; the increment is added to v rather than applying I + N, whose
     rounded diagonal would repeat the same error every step.
 
-    Each checkpoint expands the coordinates to type values (mirrored types
-    conjugate, self-mirror types real) and those to the dense matrix with
-    one index gather, so every checkpoint state is exactly Hermitian, and
-    records the collective moments and purity.  Hermiticity and trace are
-    verified at every checkpoint, and the worst margins are kept on the
-    trajectory.  A positivity violation beyond tolerance raises
-    NumericalError naming the offending time.  ``final`` is the state at
-    t_final, in the same x frame as the input.
+    Each checkpoint, t = 0 included, reads the state from the coordinates
+    in O(K) with the ``_type_weights`` tables: the collective moments and
+    the trace as one small product, the purity from the squared
+    coordinates.  Its hermiticity defect, max |r - conj(r[mirror])| over
+    the type values (mirrored types conjugate, self-mirror types real), is
+    zero by construction and still checked, like the trace defect; the
+    worst margins are kept on the trajectory.  Only two things expand the
+    type values to the dense matrix, with one index gather: ``final``, the
+    state at t_final in the same x frame as the input, and the lowest
+    eigenvalue of each checkpoint after t = 0 when ``check_positivity`` is
+    set.  A margin crossed beyond tolerance raises NumericalError naming
+    the offending time.
     """
     n = _spin_count(state, params)
     n_steps = cfg.steps()
     dt = cfg.t_final / n_steps
     every = cfg.checkpoint_every if cfg.checkpoint_every > 0 else n_steps
     types = _pair_types(n)
+    weights = _type_weights(n)
     traj = Trajectory()
 
     def coordinates(r):
@@ -584,16 +652,21 @@ def evolve(
         r.imag[types.mirror[types.imag]] = -im
         return r
 
-    def checkpoint(t, rho):
-        dm = DensityMatrix(rho, n)
-        traj._record(*dm.require_valid(check_positivity=check_positivity, when=f"t={t:.6g}"))
+    def checkpoint(t, v, positivity=False, final=False):
+        r = type_values(v)
+        herm = float(np.max(np.abs(r - r[types.mirror].conj())))
+        trace, *moments = (weights.moments @ v).tolist()
+        dense = DensityMatrix(r[types.index], n) if positivity or final else None
+        traj._record(*_require_margins(herm, abs(trace - 1.0), f"t={t:.6g}",
+                                       dense.min_eigenvalue if positivity else None))
         traj.times.append(t)
-        traj.moments.append(compute_moments(dm))
-        traj.purities.append(dm.purity())
-        traj.final = dm
+        traj.moments.append(CollectiveMoments(*moments))
+        traj.purities.append(float(weights.purity @ (v * v)))
+        if final:
+            traj.final = dense
 
     rho = np.asarray(state.entries, dtype=complex)
-    checkpoint(0.0, rho)
+    traj._record(*DensityMatrix(rho, n).require_valid(check_positivity, when="t=0"))
     r = rho.reshape(-1)[types.first]
     deviation = r[types.index]
     deviation -= rho
@@ -604,10 +677,11 @@ def evolve(
     a = dt * coordinates(_raw_rhs(type_values(eye), *_type_generator(n, rates, proto)))
     increment = a @ (eye + a @ (eye / 2.0 + a @ (eye / 6.0 + a / 24.0)))
     v = coordinates(r)
+    checkpoint(0.0, v)
     for step in range(1, n_steps + 1):
         v += increment @ v
         if step % every == 0 or step == n_steps:
-            checkpoint(step * dt, type_values(v)[types.index])
+            checkpoint(step * dt, v, check_positivity, step == n_steps)
     return traj
 
 

@@ -350,6 +350,69 @@ def test_pair_type_tables():
                               types.mirror)
 
 
+def test_type_weight_tables():
+    # the entries of each type, counted from the dense index table; the
+    # tables of n > 8 are large, so the caches are emptied afterwards
+    try:
+        for n in range(1, 13):
+            types, weights = oracle._pair_types(n), oracle._type_weights(n)
+            assert weights.mult.sum() == 4 ** n, f"n={n}"
+            assert weights.mult[weights.diagonal].sum() == 2 ** n, f"n={n}"
+            assert np.array_equal(weights.mult, np.bincount(types.index.reshape(-1))), f"n={n}"
+            assert not types.counts[weights.diagonal, 1:3].any(), f"n={n}"
+    finally:
+        for cache in (oracle._site_signs, oracle._pair_types, oracle._type_weights):
+            cache.cache_clear()
+
+
+@pytest.mark.parametrize("rates, field", [
+    (DecoherenceRates(), 0.0), (DecoherenceRates(), 1e-3),
+    (DecoherenceRates(0.02, 0.03), 0.0), (DecoherenceRates(0.02, 0.03), 1e-3),
+])
+def test_checkpoints_match_the_dense_owners(monkeypatch, rates, field):
+    # check_positivity expands every checkpoint after t = 0 to the dense
+    # matrix for its eigenvalue; the moments, purity and trace defect each
+    # checkpoint reads from the coordinates are those of that matrix
+    states, traces = [], []
+    min_eigenvalue, require_margins = DensityMatrix.min_eigenvalue, oracle._require_margins
+
+    def expanded(self):
+        states.append(self)
+        return min_eigenvalue(self)
+
+    def margins(herm, trace, when, low=None):
+        traces.append(trace)
+        return require_margins(herm, trace, when, low)
+
+    for n in range(1, 9):
+        params = EnsembleParams(n, 0.9)
+        proto = ProtocolParams(coupling=0.07, squeeze_time=0.1, signal_field=field)
+        cfg = IntegratorConfig(dt=0.01, t_final=0.1, checkpoint_every=1)
+        plain = evolve(build_initial_state(params), cfg, params, rates, proto)
+        with monkeypatch.context() as patch:
+            patch.setattr(DensityMatrix, "min_eigenvalue", expanded)
+            patch.setattr(oracle, "_require_margins", margins)
+            states.clear()
+            traces.clear()
+            traj = evolve(build_initial_state(params), cfg, params, rates, proto,
+                          check_positivity=True)
+        assert traj.moments == plain.moments and traj.purities == plain.purities
+        # the input check at t = 0 comes first, then one per checkpoint
+        assert len(states) == len(traces) - 1 == len(traj.times) == 11, f"n={n}"
+        assert traj.final is states[-1]
+        for t, state, mom, purity, trace in zip(traj.times, states, traj.moments,
+                                                traj.purities, traces[1:]):
+            dense = compute_moments(state)
+            names = ("mean_x", "mean_y", "mean_z", "xx2", "yy2", "xy_sym")
+            got = {name: getattr(mom, name) for name in names}
+            want = {name: getattr(dense, name) for name in names}
+            got.update(purity=purity, trace_defect=trace)
+            want.update(purity=state.purity(), trace_defect=state.trace_defect())
+            for name, value in want.items():
+                assert abs(got[name] - value) <= 1e-14 * max(abs(value), 1.0), \
+                    f"n={n} t={t} {name}"
+
+
 @pytest.mark.parametrize("rates, field", [
     (DecoherenceRates(), 0.0), (DecoherenceRates(), 0.2),
     (DecoherenceRates(0.05, 0.1), 0.0), (DecoherenceRates(0.05, 0.1), 0.2),
@@ -888,6 +951,19 @@ def test_trajectory_margins_from_checkpoints(monkeypatch):
     assert -1e-10 <= traj.min_eigenvalue <= min_eigenvalue(traj.final)
     assert traj.max_hermiticity_defect >= traj.final.hermiticity_defect()
 
+    # the minimum over the dense eigenvalues of every checkpoint, t = 0 included
+    lows = []
+
+    def kept(self):
+        lows.append(min_eigenvalue(self))
+        return lows[-1]
+
+    monkeypatch.setattr(DensityMatrix, "min_eigenvalue", kept)
+    traj = evolve(build_initial_state(params), replace(cfg, checkpoint_every=1), params,
+                  rates, proto, check_positivity=True)
+    assert len(lows) == len(traj.times) == 101
+    assert traj.min_eigenvalue == min(lows)
+
 
 def test_rk4_keeps_hermiticity_without_resymmetrizing():
     # evolve steps the real coordinates of a Hermitian state and expands
@@ -927,3 +1003,23 @@ def test_evolve_raises_on_crossed_margin():
     with pytest.raises(NumericalError, match="hermiticity defect .* at t=0"):
         evolve(DensityMatrix(rho, 2), cfg, params, DecoherenceRates(),
                ProtocolParams(coupling=0.0, squeeze_time=0.01))
+
+
+def test_coordinate_checkpoint_raises_on_crossed_trace_margin(monkeypatch):
+    # a generator that does not preserve the trace: the valid input passes
+    # at t = 0, and the first coordinate checkpoint past TRACE_TOL raises
+    type_generator = oracle._type_generator
+
+    def leaky(n, rates, proto):
+        (weights, moves), probe, mirror = type_generator(n, rates, proto)
+        weights = weights.copy()
+        weights[0] += 1e-10
+        return (weights, moves), probe, mirror
+
+    monkeypatch.setattr(oracle, "_type_generator", leaky)
+    params = EnsembleParams(4, 0.9)
+    cfg = IntegratorConfig(dt=0.01, t_final=0.2, checkpoint_every=5)
+    with pytest.raises(NumericalError, match=r"trace defect exceeds 1e-12 at t=0\.05$") as info:
+        evolve(build_initial_state(params), cfg, params, DecoherenceRates(0.02, 0.03),
+               ProtocolParams(coupling=0.05, squeeze_time=0.2))
+    assert len(str(info.value).splitlines()) == 1
