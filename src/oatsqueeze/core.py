@@ -125,10 +125,7 @@ def violations(
         else:
             # P = 0 is rejected: the closed forms carry P^-1 and P^-2 factors.
             out.append("polarization > 0")
-    if not (rates.gamma_par >= 0.0 and math.isfinite(rates.gamma_par)):
-        out.append("gamma_par >= 0")
-    if not (rates.gamma_perp >= 0.0 and math.isfinite(rates.gamma_perp)):
-        out.append("gamma_perp >= 0")
+    out += rate_violations(rates)
     if not (proto.coupling >= 0.0 and math.isfinite(proto.coupling)):
         out.append("coupling >= 0")
     if not (proto.squeeze_time > 0.0 and math.isfinite(proto.squeeze_time)):
@@ -137,6 +134,16 @@ def violations(
         out.append("total_time >= squeeze_time")
     if not math.isfinite(proto.signal_field):
         out.append("signal_field finite")
+    return out
+
+
+def rate_violations(rates: DecoherenceRates) -> list[str]:
+    """List the violated invariants of ``rates``: each rate finite and >= 0."""
+    out = []
+    if not (rates.gamma_par >= 0.0 and math.isfinite(rates.gamma_par)):
+        out.append("gamma_par >= 0")
+    if not (rates.gamma_perp >= 0.0 and math.isfinite(rates.gamma_perp)):
+        out.append("gamma_perp >= 0")
     return out
 
 

@@ -9,7 +9,8 @@ closed form in :mod:`oatsqueeze.analytic` and
   Hamiltonian, per-site relaxation channels and a weak probe field,
 * exact unitary evolution for arbitrary pair couplings (a diagonal
   phase, no integrator),
-* exact per-site channels: dephasing, and the T1/T2 dissipator alone,
+* one exact per-site Pauli channel kernel: dephasing, and the T1/T2
+  dissipator alone, are two settings of it,
 * collective quadrature moments, pair correlations and trace distance.
 
 Every ``DensityMatrix`` is in one basis, the collective-x frame W rho_z W
@@ -17,9 +18,10 @@ with W the Hadamard on every site: site 0 is the most significant bit of
 a basis index and bit value 0 is sigma_x = +1.  In this frame the model is
 an Ising model with decoherence.  sigma_x is diagonal, so the twisting
 Hamiltonian, the sigma_x channel and the trace counterterm form one
-elementwise factor; the sigma_y and sigma_z channels, the probe field and
-dephasing are strided adds over the matrix viewed per bit
-(``lindblad_rhs``, which accepts any matrix).
+elementwise factor; the sigma_y and sigma_z channels and the probe field
+are strided adds over the matrix viewed per bit (``lindblad_rhs``, which
+accepts any matrix), and a Pauli channel mixes each entry with the one
+flipped in the same site's row and column bit.
 ``compute_moments`` reads sigma_x from the diagonal and sigma_z, sigma_y
 (W sigma_z W = sigma_x, W sigma_y W = -sigma_y) by index gathers over
 O(n^2 2**n) entries instead of forming operator products.  Trace, purity,
@@ -66,6 +68,7 @@ from .core import (
     ProtocolParams,
     ResourceError,
     ValidationError,
+    rate_violations,
 )
 from .inhomogeneous import _as_couplings, _per_spin
 
@@ -82,14 +85,13 @@ POSITIVITY_TOL = 1e-10
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def _site_signs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-n tables z[i, a] = (-1)**bit_i(a) and their overlaps z.T @ z,
-    sum_i z_i[a] z_i[b] = n - 2 * hamming(a, b), exact in float."""
+def _site_signs(n: int) -> np.ndarray:
+    """Per-n table z[i, a] = (-1)**bit_i(a), the sigma_x eigenvalue of site i
+    in the x frame."""
     bits = (np.arange(1 << n)[None, :] >> np.arange(n - 1, -1, -1)[:, None]) & 1
     z = 1.0 - 2.0 * bits
-    weight = z.T @ z
-    z.flags.writeable = weight.flags.writeable = False  # shared by every caller
-    return z, weight
+    z.flags.writeable = False  # shared by every caller
+    return z
 
 
 class _PairTypes(NamedTuple):
@@ -112,8 +114,8 @@ def _pair_types(n: int) -> _PairTypes:
     counts (n00, n01, n10, n11) of the four kinds, its type, so it is
     C(n+3, 3) numbers.  A move turns one site of one kind into another;
     where no site has the source kind it returns the type itself, and its
-    weight (the source count) is zero.  ``index`` is read from the
-    ``_site_signs`` overlaps by (ones of a, ones of b, hamming(a, b)).
+    weight (the source count) is zero.  ``index`` is looked up by (ones of
+    a, ones of b, hamming(a, b)), the bit counts of a, b and a ^ b.
 
     A Hermitian matrix has r[mirror] = conj(r), so it is fixed by K =
     C(n+3, 3) real coordinates: Re r_k of each type in ``real``, then Im r_k
@@ -140,9 +142,9 @@ def _pair_types(n: int) -> _PairTypes:
             out.append(lut[key(moved)])
         return np.array(out, dtype=np.intp)
 
-    z, weight = _site_signs(n)
-    ones = ((n - z.sum(axis=0)) / 2.0).astype(np.intp)
-    index = lut[ones[:, None], ones[None, :], ((n - weight) / 2.0).astype(np.int8)]
+    ones = ((n - _site_signs(n).sum(axis=0)) / 2.0).astype(np.int8)
+    idx = np.arange(1 << n, dtype=np.uint16)
+    index = lut[ones[:, None], ones[None, :], ones[idx[:, None] ^ idx]]
     # one entry per type: sites in kind order 00, 01, 10, 11 from site 0
     _, n01, n10, n11 = counts.T
     a = (1 << (n10 + n11)) - 1
@@ -251,15 +253,15 @@ class DensityMatrix:
 def _require_margins(herm: float, trace: float, when: str,
                      min_eigenvalue=None) -> tuple[float, float, float | None]:
     """Raise NumericalError when the hermiticity or trace defect, or then the
-    lowest eigenvalue (called only if given), crosses its tolerance; else
-    return the three margins."""
+    lowest eigenvalue (called only if given), crosses its tolerance or is
+    NaN; else return the three margins."""
     where = f" at {when}" if when else ""
-    if herm > HERMITICITY_TOL:
+    if not herm <= HERMITICITY_TOL:
         raise NumericalError(f"hermiticity defect exceeds {HERMITICITY_TOL}{where}")
-    if trace > TRACE_TOL:
+    if not trace <= TRACE_TOL:
         raise NumericalError(f"trace defect exceeds {TRACE_TOL}{where}")
     low = min_eigenvalue() if min_eigenvalue is not None else None
-    if low is not None and low < -POSITIVITY_TOL:
+    if low is not None and not low >= -POSITIVITY_TOL:
         raise NumericalError(f"negative eigenvalue below -{POSITIVITY_TOL}{where}")
     return herm, trace, low
 
@@ -362,7 +364,7 @@ def _moment_gathers(n: int) -> _MomentGathers:
     process, so stored small: positions as int32, exact up to n = 15 (a
     matrix of 4**16 entries would take 64 GiB), and the signs zz as int8,
     which multiply a float exactly."""
-    z, _ = _site_signs(n)
+    z = _site_signs(n)
     idx = np.arange(1 << n, dtype=np.int32)
     bit = 1 << np.arange(n - 1, -1, -1, dtype=np.int32)  # e_k for site k
     k, l = np.triu_indices(n, 1)
@@ -385,7 +387,7 @@ def compute_moments(state: DensityMatrix, pair_correlations: bool = False) -> Co
     and <sy_k sy_l> = -sum_b z_k z_l Re g_kl.
     """
     rho, n = state.entries, state.n_spins
-    z, _ = _site_signs(n)
+    z = _site_signs(n)
     g = _moment_gathers(n)
 
     pops = np.real(np.diagonal(rho))
@@ -449,11 +451,11 @@ def _dense_generator(n, rates: DecoherenceRates, proto: ProtocolParams):
     h_a = (sum_i z_i[a])^2 the eigenvalue of SX^2,
     -iJ (h_a - h_b) + gamma_par sum_i z_i[a] z_i[b] - n (gamma_par + 2 gamma_perp).
     """
-    z, weight = _site_signs(n)
+    z = _site_signs(n)
     h = z.sum(axis=0) ** 2
     gamma_par, gamma_perp = rates.gamma_par, rates.gamma_perp
     diag = (-1j * proto.coupling) * np.subtract.outer(h, h) \
-        + (gamma_par * weight - n * (gamma_par + 2.0 * gamma_perp))
+        + (gamma_par * (z.T @ z) - n * (gamma_par + 2.0 * gamma_perp))
     return diag, gamma_perp, proto.signal_field
 
 
@@ -607,9 +609,11 @@ def evolve(
     commutes with permuting the sites, so a permutation-symmetric Hermitian
     state stays so and is fixed by K = C(n+3, 3) real coordinates (the
     ``_pair_types`` tables ``real`` and ``imag``) instead of 4**n entries.
-    The input is validated densely at t = 0 (``DensityMatrix.require_valid``)
-    and then refused with ValidationError when entries of one pair type
-    differ by more than ``SYMMETRY_TOL``.
+    Negative or non-finite rates (a channel that is not completely
+    positive), and a non-finite coupling or probe field, are refused with
+    ValidationError.  The input is validated densely at t = 0
+    (``DensityMatrix.require_valid``) and then refused with ValidationError
+    when entries of one pair type differ by more than ``SYMMETRY_TOL``.
 
     The generator is linear and constant, so it is built once per call as
     a real K x K matrix L: ``_raw_rhs`` applied to the K basis vectors in
@@ -632,6 +636,12 @@ def evolve(
     the offending time.
     """
     n = _spin_count(state, params)
+    problems = rate_violations(rates) + [
+        f"{name} finite" for name, value in (("coupling", proto.coupling),
+                                             ("signal_field", proto.signal_field))
+        if not math.isfinite(value)]
+    if problems:
+        raise ValidationError(problems)
     n_steps = cfg.steps()
     dt = cfg.t_final / n_steps
     every = cfg.checkpoint_every if cfg.checkpoint_every > 0 else n_steps
@@ -692,7 +702,7 @@ def evolve(
 def _coupling_phases(theta: np.ndarray) -> np.ndarray:
     """Eigenphases s^T theta s of the ordered-pair twisting generator."""
     n = theta.shape[0]
-    s = _site_signs(n)[0].T  # [a, i] = sigma_x eigenvalue in the x frame
+    s = _site_signs(n).T  # [a, i] = sigma_x eigenvalue in the x frame
     return np.einsum("ai,ij,aj->a", s, theta, s)
 
 
@@ -720,26 +730,53 @@ def evolve_variable_coupling(couplings, polarizations) -> CollectiveMoments:
 
 
 # ---------------------------------------------------------------------------
-# dephasing channel: per-site Kraus set {sqrt(s) I, sqrt(1-s)|0><0|, sqrt(1-s)|1><1|}
+# per-site Pauli channels: rho <- sum_alpha p_alpha sigma_alpha rho sigma_alpha
 # ---------------------------------------------------------------------------
 
-def apply_dephasing(state: DensityMatrix, survival: float) -> DensityMatrix:
-    """Apply the product dephasing channel with survival amplitude ``survival``.
+def _pauli_channel(rho, n, lx: float, ly: float, lz: float) -> np.ndarray:
+    """The Pauli channel that scales each site's Bloch components (x, y, z)
+    by (lx, ly, lz), applied to a copy of the entries, site by site in place.
 
-    In the x frame sz flips a bit, so per site i the channel is
-    rho <- (1+s)/2 rho + (1-s)/2 (rho with bit i flipped in row and column):
-    z populations are untouched, single-site transverse coherences scale by
-    s, transverse pair correlations by s**2.  The map is completely
-    positive and trace preserving for 0 <= s <= 1.
+    A site's block in the x frame is [[1 + x, z + iy], [z - iy, 1 - x]] / 2,
+    so per site each entry mixes with the entry whose site bit is flipped in
+    both row and column: where the row and column bits agree at weights
+    (1 +/- lx)/2, elsewhere at (lz +/- ly)/2.  The map is completely positive
+    and trace preserving when 1 + lz >= |lx + ly| and 1 - lz >= |lx - ly|.
     """
+    keep = np.array([[1.0 + lx, lz + ly], [lz + ly, 1.0 + lx]])[:, None, None, :, None] / 2.0
+    move = np.array([[1.0 - lx, lz - ly], [lz - ly, 1.0 - lx]])[:, None, None, :, None] / 2.0
+    dim = 1 << n
+    out, moved = rho.astype(complex, order="C"), np.empty((dim, dim), complex)
+    for i in range(n):
+        six = (1 << i, 2, dim >> (i + 1), 1 << i, 2, dim >> (i + 1))
+        v, m = out.reshape(six), moved.reshape(six)
+        np.multiply(move, v[:, ::-1, :, :, ::-1], out=m)
+        v *= keep
+        v += m
+    return out
+
+
+def apply_dephasing(state: DensityMatrix, survival: float) -> DensityMatrix:
+    """Apply the product dephasing channel with survival amplitude ``survival``:
+    the Pauli channel (s, s, 1), which mixes each entry with its bit flip at
+    weights (1 +/- s)/2.  z populations are untouched, single-site transverse
+    coherences scale by s, transverse pair correlations by s**2.  Completely
+    positive and trace preserving for 0 <= s <= 1."""
     s = float(survival)
     if not (0.0 <= s <= 1.0):
         raise DomainError("survival amplitude must lie in [0, 1]")
-    n = state.n_spins
-    rho = state.entries.reshape((2,) * (2 * n))  # axes: row bits, then column bits
-    for i in range(n):
-        rho = ((1.0 + s) / 2.0) * rho + ((1.0 - s) / 2.0) * np.flip(rho, (i, n + i))
-    return DensityMatrix(rho.reshape(state.entries.shape), n)
+    return DensityMatrix(_pauli_channel(state.entries, state.n_spins, s, s, 1.0), state.n_spins)
+
+
+def _dissipate(rho, n, rates: DecoherenceRates, t: float) -> np.ndarray:
+    """exp(t L_D) on the entries: the dissipator of ``_dense_rhs`` without
+    J or B_y, applied exactly.  The sigma_x channel at gamma_par and the
+    sigma_y, sigma_z channels at gamma_perp commute and form the Pauli
+    channel lx = exp(-4 gamma_perp t), ly = lz = exp(-2 (gamma_par +
+    gamma_perp) t).
+    """
+    decay = math.exp(-2.0 * rates.gamma_sum * t)
+    return _pauli_channel(rho, n, math.exp(-4.0 * rates.gamma_perp * t), decay, decay)
 
 
 # ---------------------------------------------------------------------------
@@ -753,31 +790,6 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     diff = a.entries - b.entries
     diff = (diff + diff.conj().T) / 2.0
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
-
-
-def _dissipate(rho, n, rates: DecoherenceRates, t: float) -> np.ndarray:
-    """exp(t L_D) on the entries: the dissipator of ``_raw_rhs`` without
-    J or B_y, applied exactly as a product of commuting per-site channels.
-
-    Per site i, with r and c the row and column bits of site i: where
-    r = c the sigma_y and sigma_z channels mix rho with its bit-i flip,
-    rho <- (1+e)/2 rho + (1-e)/2 rho[a ^ e_i, b ^ e_i] with e =
-    exp(-4 gamma_perp t); where r != c all three channels damp rho by
-    exp(-2 (gamma_par + gamma_perp) t).
-    """
-    flip = (1.0 - math.exp(-4.0 * rates.gamma_perp * t)) / 2.0
-    damp = math.exp(-2.0 * rates.gamma_sum * t)
-    out = rho.copy()
-    dim = 1 << n
-    for i in range(n):
-        lead, trail = 1 << i, dim >> (i + 1)
-        v = out.reshape(lead, 2, trail, lead, 2, trail)
-        mix = flip * (v[:, 1, :, :, 1] - v[:, 0, :, :, 0])
-        v[:, 0, :, :, 0] += mix
-        v[:, 1, :, :, 1] -= mix
-        v[:, 0, :, :, 1] *= damp
-        v[:, 1, :, :, 0] *= damp
-    return out
 
 
 def factorization_gap(

@@ -584,8 +584,31 @@ def test_variable_coupling_rejects_out_of_range_polarization():
 
 
 # ---------------------------------------------------------------------------
-# dephasing channel
+# per-site Pauli channels: dephasing and the exact dissipation leg
 # ---------------------------------------------------------------------------
+
+def test_pauli_channel_matches_kraus_sum():
+    # anisotropic (lx, ly, lz) inside the CPTP tetrahedron, against the
+    # z-basis Kraus sum sum_alpha p_alpha sigma_alpha rho sigma_alpha taken
+    # site by site with Kronecker-product Paulis
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3):
+        dim = 1 << n
+        for _ in range(5):
+            p0, px, py, pz = rng.dirichlet(np.ones(4))
+            lx, ly, lz = p0 + px - py - pz, p0 - px + py - pz, p0 - px - py + pz
+            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            rho = a @ a.conj().T / np.trace(a @ a.conj().T)
+            want = rho
+            for i in range(n):
+                want = p0 * want + sum(p * kron_site(alpha, i, n) @ want @ kron_site(alpha, i, n)
+                                       for alpha, p in (("x", px), ("y", py), ("z", pz)))
+            entries = to_x_frame(rho)
+            before = entries.copy()
+            got = oracle._pauli_channel(entries, n, lx, ly, lz)
+            assert np.max(np.abs(got - to_x_frame(want))) <= 1e-14, (n, lx, ly, lz)
+            assert np.array_equal(entries, before)  # the kernel works on its own copy
+
 
 def test_dephasing_identity_channel():
     rng = np.random.default_rng(5)
@@ -1003,6 +1026,38 @@ def test_evolve_raises_on_crossed_margin():
     with pytest.raises(NumericalError, match="hermiticity defect .* at t=0"):
         evolve(DensityMatrix(rho, 2), cfg, params, DecoherenceRates(),
                ProtocolParams(coupling=0.0, squeeze_time=0.01))
+
+
+def test_nan_margin_raises_one_line():
+    # a finite rate whose generator overflows leaves NaN coordinates; every
+    # margin comparison with NaN is False, and the checkpoint must still raise
+    params = EnsembleParams(3, 1.0)
+    cfg = IntegratorConfig(dt=0.01, t_final=0.1)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match=r"defect exceeds 1e-12 at t=0\.1$") as info:
+        evolve(build_initial_state(params), cfg, params, DecoherenceRates(1e306, 0.0),
+               ProtocolParams(coupling=0.05, squeeze_time=0.1))
+    assert len(str(info.value).splitlines()) == 1
+    nan = float("nan")
+    for args in ((nan, 0.0, "t=1"), (0.0, nan, "t=1"), (0.0, 0.0, "t=1", lambda: nan)):
+        with pytest.raises(NumericalError, match="at t=1$"):
+            oracle._require_margins(*args)
+
+
+@pytest.mark.parametrize("rates, proto, message", [
+    (DecoherenceRates(-0.05, -0.1), ProtocolParams(0.05, 0.1), "gamma_par >= 0; gamma_perp >= 0"),
+    (DecoherenceRates(math.nan, 0.0), ProtocolParams(0.05, 0.1), "gamma_par >= 0"),
+    (DecoherenceRates(0.0, math.inf), ProtocolParams(0.05, 0.1), "gamma_perp >= 0"),
+    (DecoherenceRates(), ProtocolParams(math.inf, 0.1), "coupling finite"),
+    (DecoherenceRates(), ProtocolParams(0.05, 0.1, signal_field=math.nan), "signal_field finite"),
+])
+def test_evolve_refuses_unphysical_rates_and_fields(rates, proto, message):
+    # a negative rate is a channel that is not completely positive: at n = 3
+    # DecoherenceRates(-0.05, -0.1) drives the purity above 1
+    params = EnsembleParams(3, 0.9)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        evolve(build_initial_state(params), IntegratorConfig(dt=0.01, t_final=0.1), params,
+               rates, proto)
 
 
 def test_coordinate_checkpoint_raises_on_crossed_trace_margin(monkeypatch):
