@@ -8,7 +8,8 @@ closed form in :mod:`oatsqueeze.analytic` and
 * master-equation integration (fixed-step RK4) of the twisting
   Hamiltonian, per-site relaxation channels and a weak probe field,
 * exact unitary evolution for arbitrary pair couplings (a diagonal
-  phase, no integrator),
+  phase, no integrator), whose moments are read from the eigenphases for
+  a stack of coupling matrices at once, without the dense state,
 * one exact per-site Pauli channel kernel: dephasing, and the T1/T2
   dissipator alone, are two settings of it,
 * collective quadrature moments, pair correlations and trace distance.
@@ -22,9 +23,11 @@ elementwise factor; the sigma_y and sigma_z channels and the probe field
 are strided adds over the matrix viewed per bit (``lindblad_rhs``, which
 accepts any matrix), and a Pauli channel mixes each entry with the one
 flipped in the same site's row and column bit.
-``compute_moments`` reads sigma_x from the diagonal and sigma_z, sigma_y
-(W sigma_z W = sigma_x, W sigma_y W = -sigma_y) by index gathers over
-O(n^2 2**n) entries instead of forming operator products.  Trace, purity,
+The moments read sigma_x from the diagonal and sigma_z, sigma_y
+(W sigma_z W = sigma_x, W sigma_y W = -sigma_y) from O(n^2 2**n) entries
+instead of forming operator products: ``compute_moments`` gathers them
+from a dense matrix, ``evolve_variable_coupling`` forms them from the
+eigenphases, and one kernel (``_moments``) reduces them.  Trace, purity,
 eigenvalues and trace distance do not depend on the basis.
 
 ``evolve`` integrates in the pair-type basis of permutation-symmetric
@@ -46,8 +49,11 @@ dense matrix.
 
 Pair couplings are given as an ``inhomogeneous.CouplingMatrix`` or as a
 plain matrix that passes its checks.  The oracle exists to validate
-formulas, not to scale: states are dense wherever a matrix is returned,
-and the spin count is capped at ``SPIN_CAP``.
+formulas, not to scale: every state it returns (a ``DensityMatrix``,
+``Trajectory.final``, a channel's output) is a dense matrix, but moments
+need none: ``evolve`` expands only its final state and each checked
+eigenvalue, and ``evolve_variable_coupling`` forms no 4**n array.  The
+spin count is capped at ``SPIN_CAP``.
 """
 
 from __future__ import annotations
@@ -78,6 +84,9 @@ HERMITICITY_TOL = 1e-12
 SYMMETRY_TOL = 1e-12  # evolve: largest spread of the entries of one pair type
 TRACE_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
+# largest dt * rho(L) that evolve accepts: classical RK4 is stable on the left
+# half-disk of radius 2.6156, where a Lindbladian's spectrum lies
+RK4_STABLE_STEP = 2.6
 
 
 # ---------------------------------------------------------------------------
@@ -282,22 +291,40 @@ def _require_dense(n: int) -> None:
         raise ResourceError(f"n_spins = {n} exceeds the dense oracle's SPIN_CAP = {SPIN_CAP}")
 
 
-def _product_state(polarizations, n: int) -> np.ndarray:
-    """Entries of the product of (I + P_i sx)/2, P a scalar or one per spin:
-    rho[a, b] = 2**-n prod_{i in a ^ b} P_i."""
+def _product_row(polarizations, n: int) -> np.ndarray:
+    """Row 0 of the product of (I + P_i sx)/2, P a scalar or one per spin.
+
+    An entry rho[a, b] depends only on the mask a ^ b: it is row[a ^ b] =
+    the product over sites, site 0 first, of 0.5 where the mask bit is 0 and
+    P_i/2 where it is 1, i.e. 2**-n prod_{i in a ^ b} P_i.  Every other
+    function takes these values from here, so they share one rounding.
+    """
     if n < 1:
         raise ValidationError(["n_spins >= 1"])
     pols = _per_spin(polarizations, n)
     if not np.all((pols >= 0.0) & (pols <= 1.0)):
         raise ValidationError(["polarization in [0, 1] for state preparation"])
     _require_dense(n)
-    rho = np.ones((1, 1))
-    for p in pols:  # np.kron(rho, [[1, p], [p, 1]] / 2), written by 2x2 block entry
-        nxt = np.empty((len(rho), 2, len(rho), 2))
-        nxt[:, 0, :, 0] = nxt[:, 1, :, 1] = rho * 0.5
-        nxt[:, 0, :, 1] = nxt[:, 1, :, 0] = rho * (p / 2.0)
-        rho = nxt.reshape(2 * len(rho), -1)
-    return rho.astype(complex)
+    row = np.ones(1)
+    for p in pols.tolist():
+        row = np.multiply.outer(row, (0.5, p / 2.0)).reshape(-1)
+    return row
+
+
+def _product_state(polarizations, n: int) -> np.ndarray:
+    """Entries of the product of (I + P_i sx)/2: rho[a, b] = row[a ^ b] for
+    ``_product_row``, copied without arithmetic.  Rows h .. 2h - 1 are rows
+    0 .. h - 1 with the two column halves of every 2h-block swapped."""
+    row = _product_row(polarizations, n)
+    dim = len(row)
+    rho = np.empty((dim, dim), dtype=complex)
+    rho[0] = row
+    h = 1
+    while h < dim:
+        blocks = (h, dim // (2 * h), 2, h)
+        rho[h:2 * h].reshape(blocks)[...] = rho[:h].reshape(blocks)[:, :, ::-1]
+        h *= 2
+    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +387,10 @@ class _MomentGathers(NamedTuple):
 
 @functools.cache
 def _moment_gathers(n: int) -> _MomentGathers:
-    """Per-n gather tables of ``compute_moments``, kept for the life of the
-    process, so stored small: positions as int32, exact up to n = 15 (a
-    matrix of 4**16 entries would take 64 GiB), and the signs zz as int8,
-    which multiply a float exactly."""
+    """Per-n gather tables of the moments, kept for the life of the process,
+    so stored small: positions as int32, exact up to n = 15 (a matrix of
+    4**16 entries would take 64 GiB), and the signs zz as int8, which
+    multiply a float exactly."""
     z = _site_signs(n)
     idx = np.arange(1 << n, dtype=np.int32)
     bit = 1 << np.arange(n - 1, -1, -1, dtype=np.int32)  # e_k for site k
@@ -379,36 +406,48 @@ def _moment_gathers(n: int) -> _MomentGathers:
 
 def compute_moments(state: DensityMatrix, pair_correlations: bool = False) -> CollectiveMoments:
     """Collective first/second moments (and optional pair tables) of any
-    matrix; the result is trace-linear.
-
-    With rho = ``state.entries``, f_k[b] = rho[b, b ^ e_k] and g_kl[b] =
-    rho[b, b ^ e_k ^ e_l]: <sx_k sx_l> = sum_b z_k z_l rho[b, b], <sz_k> =
-    sum_b Re f_k, <sy_k> = sum_b z_k Im f_k, <sx_k sy_l> = sum_b z_k z_l Im f_l
-    and <sy_k sy_l> = -sum_b z_k z_l Re g_kl.
+    matrix; the result is trace-linear.  Gathers the entries that
+    ``_moments`` reads: the diagonal, rho[b, b ^ e_k] and rho[b, b ^ e_k ^ e_l].
     """
     rho, n = state.entries, state.n_spins
+    g = _moment_gathers(n)
+    return _moments(np.real(np.diagonal(rho))[None], np.take(rho, g.single)[None],
+                    np.take(rho, g.pair)[None], n, pair_correlations)[0]
+
+
+def _moments(pops, single, pair, n: int, pair_correlations: bool) -> list[CollectiveMoments]:
+    """Moments of each matrix of a stack from the entries it reads.
+
+    For matrix s, with pops[s, b] = Re rho[b, b], single[s, k, b] = f_k[b] =
+    rho[b, b ^ e_k] and pair[s, p, b] = g_kl[b] = rho[b, b ^ e_k ^ e_l]:
+    <sx_k sx_l> = sum_b z_k z_l rho[b, b], <sz_k> = sum_b Re f_k, <sy_k> =
+    sum_b z_k Im f_k, <sx_k sy_l> = sum_b z_k z_l Im f_l and <sy_k sy_l> =
+    -sum_b z_k z_l Re g_kl.  On C-ordered stacks every product and sum runs
+    per matrix, along its rows (a stacked matmul is one BLAS call per
+    matrix), so a matrix's bits do not depend on the stack it is in.
+    """
     z = _site_signs(n)
     g = _moment_gathers(n)
-
-    pops = np.real(np.diagonal(rho))
-    single = np.take(rho, g.single)  # [k, b] = f_k[b]
+    count = len(pops)
     z_im = z * single.imag
-    site_z = single.real.sum(axis=1)
-    pair = np.take(rho, g.pair)      # [p, b] = g_kl[b]
-    pxx = (z * pops) @ z.T           # <sx_k sx_l>, trace on the diagonal
-    pxy = z @ z_im.T                 # <sx_k sy_l> off the diagonal
-    pyy = np.zeros((n, n))
-    pyy[g.k, g.l] = pyy[g.l, g.k] = -np.sum(g.zz * pair.real, axis=1)  # <sy_k sy_l>
-    np.fill_diagonal(pxx, 0.0)
-    np.fill_diagonal(pxy, 0.0)
-    n_trace = n * pops.sum()
+    site_z = single.real.sum(axis=-1)
+    pxx = (z * pops[:, None]) @ z.T                # <sx_k sx_l>, trace on the diagonal
+    pxy = z @ z_im.transpose(0, 2, 1)              # <sx_k sy_l> off the diagonal
+    pyy = np.zeros((count, n, n))
+    pyy[:, g.k, g.l] = pyy[:, g.l, g.k] = -np.sum(g.zz * pair.real, axis=-1)  # <sy_k sy_l>
+    pxx.reshape(count, -1)[:, ::n + 1] = 0.0
+    pxy.reshape(count, -1)[:, ::n + 1] = 0.0
+    n_trace = n * pops.sum(axis=-1)
 
-    tables = (pxx, pxy, pyy, site_z) if pair_correlations else ()
-    return CollectiveMoments(
-        float((z @ pops).sum()), float(z_im.sum()), float(site_z.sum()),
-        float(n_trace + pxx.sum()), float(n_trace + pyy.sum()), float(2.0 * pxy.sum()),
-        *tables,
-    )
+    def total(table):  # sum of each matrix's table, as one flat sum
+        return table.reshape(count, -1).sum(axis=-1)
+
+    scalars = zip(*(values.tolist() for values in (
+        total(z @ pops[..., None]), total(z_im), total(site_z),
+        n_trace + total(pxx), n_trace + total(pyy), 2.0 * total(pxy))))
+    return [CollectiveMoments(*values,
+                              *((pxx[s], pxy[s], pyy[s], site_z[s]) if pair_correlations else ()))
+            for s, values in enumerate(scalars)]
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +550,21 @@ def _type_generator(n, rates: DecoherenceRates, proto: ProtocolParams):
     return local, probe, types.mirror
 
 
+def _require_stable_step(dt: float, n: int, generator, signal_field: float) -> None:
+    """Refuse with ValidationError an RK4 step with dt * bound beyond
+    ``RK4_STABLE_STEP`` (or NaN), for bound the Gershgorin bound on the
+    spectral radius of ``_raw_rhs``: the largest sum of |local weights| over
+    the types, plus 2 |B_y| n for the probe's row and column terms."""
+    (weights, _), _, _ = generator
+    bound = float(np.max(np.abs(weights).sum(axis=0))) + 2.0 * abs(signal_field) * n
+    if not dt * bound <= RK4_STABLE_STEP:
+        passing = (f"dt = {0.8 * RK4_STABLE_STEP / bound:.2g} would pass"
+                   if math.isfinite(bound) else "no step passes")
+        raise ValidationError([
+            f"dt = {dt:.6g} is outside RK4's stability region: dt times the generator bound "
+            f"{bound:.6g} exceeds {RK4_STABLE_STEP}; {passing}"])
+
+
 def _gather(r, weights, moves):
     """sum_m weights[m] * r[moves[m]], added in row order; r may carry a
     trailing batch axis."""
@@ -610,7 +664,8 @@ def evolve(
     state stays so and is fixed by K = C(n+3, 3) real coordinates (the
     ``_pair_types`` tables ``real`` and ``imag``) instead of 4**n entries.
     Negative or non-finite rates (a channel that is not completely
-    positive), and a non-finite coupling or probe field, are refused with
+    positive), a non-finite coupling or probe field, and a step outside
+    RK4's stability region (``_require_stable_step``) are refused with
     ValidationError.  The input is validated densely at t = 0
     (``DensityMatrix.require_valid``) and then refused with ValidationError
     when entries of one pair type differ by more than ``SYMMETRY_TOL``.
@@ -644,6 +699,8 @@ def evolve(
         raise ValidationError(problems)
     n_steps = cfg.steps()
     dt = cfg.t_final / n_steps
+    generator = _type_generator(n, rates, proto)
+    _require_stable_step(dt, n, generator, proto.signal_field)
     every = cfg.checkpoint_every if cfg.checkpoint_every > 0 else n_steps
     types = _pair_types(n)
     weights = _type_weights(n)
@@ -684,7 +741,7 @@ def evolve(
         raise ValidationError([f"evolve needs a permutation-symmetric state: entries of "
                                f"one pair type differ by more than {SYMMETRY_TOL}"])
     eye = np.eye(len(r))
-    a = dt * coordinates(_raw_rhs(type_values(eye), *_type_generator(n, rates, proto)))
+    a = dt * coordinates(_raw_rhs(type_values(eye), *generator))
     increment = a @ (eye + a @ (eye / 2.0 + a @ (eye / 6.0 + a / 24.0)))
     v = coordinates(r)
     checkpoint(0.0, v)
@@ -700,10 +757,11 @@ def evolve(
 # ---------------------------------------------------------------------------
 
 def _coupling_phases(theta: np.ndarray) -> np.ndarray:
-    """Eigenphases s^T theta s of the ordered-pair twisting generator."""
-    n = theta.shape[0]
+    """Eigenphases s^T theta s of the ordered-pair twisting generator, for
+    one matrix or each of a stack."""
+    n = theta.shape[-1]
     s = _site_signs(n).T  # [a, i] = sigma_x eigenvalue in the x frame
-    return np.einsum("ai,ij,aj->a", s, theta, s)
+    return np.einsum("ai,...ij,aj->...a", s, theta, s)
 
 
 def variable_coupling_state(couplings, polarizations) -> DensityMatrix:
@@ -724,18 +782,53 @@ def variable_coupling_state(couplings, polarizations) -> DensityMatrix:
 
 
 def evolve_variable_coupling(couplings, polarizations) -> CollectiveMoments:
-    """Exact moments and pair tables of ``variable_coupling_state``."""
-    return compute_moments(variable_coupling_state(couplings, polarizations),
-                           pair_correlations=True)
+    """Exact moments and pair tables of ``variable_coupling_state``, read
+    from its eigenphases without forming the state."""
+    theta = _as_couplings(couplings).theta
+    return _variable_coupling_moments(theta[None], [polarizations])[0]
+
+
+def _variable_coupling_moments(theta: np.ndarray, polarizations) -> list[CollectiveMoments]:
+    """``evolve_variable_coupling`` for each checked matrix of an (S, n, n)
+    stack, with polarizations[s] (a scalar or n values) for matrix s.
+
+    In the x frame the state is rho[a, b] = (row[a ^ b] phase[a])
+    conj(phase[b]), with row = ``_product_row`` and phase = exp(-i s^T theta
+    s).  ``_moments`` reads only the diagonal, rho[b, b ^ e_k] and rho[b, b ^
+    e_k ^ e_l], so those O(n^2 2**n) entries are formed, with the same
+    products in the same order as ``variable_coupling_state``, and no 4**n
+    matrix: each matrix's moments equal those of ``compute_moments`` on the
+    dense state bit for bit, and do not depend on the stack.
+    """
+    n = theta.shape[-1]
+    rows = np.array([_product_row(p, n) for p in polarizations], dtype=complex)
+    g = _moment_gathers(n)
+    phase = np.exp(-1j * _coupling_phases(theta))
+    conj = phase.conj()
+
+    def entries(positions):  # [s, m, b] = (row[b ^ c] phase[b]) conj(phase[c]), c = column
+        columns = positions & (len(phase[0]) - 1)  # the low n bits of a flat position
+        # in C order, so that each sum of ``_moments`` runs along a row
+        out = np.empty((len(rows),) + columns.shape, dtype=complex)
+        np.multiply(rows[:, columns[:, 0], None], phase[:, None], out=out)  # b = 0: the masks
+        out *= conj[:, columns]
+        return out
+
+    pops = (rows[:, :1] * phase * conj).real
+    single, pair = entries(g.single), entries(g.pair)
+    return _moments(pops, single, pair, n, pair_correlations=True)
 
 
 # ---------------------------------------------------------------------------
 # per-site Pauli channels: rho <- sum_alpha p_alpha sigma_alpha rho sigma_alpha
 # ---------------------------------------------------------------------------
 
-def _pauli_channel(rho, n, lx: float, ly: float, lz: float) -> np.ndarray:
+def _pauli_channel(rho, n, lx, ly, lz) -> np.ndarray:
     """The Pauli channel that scales each site's Bloch components (x, y, z)
     by (lx, ly, lz), applied to a copy of the entries, site by site in place.
+    ``rho`` is one matrix with scalar weights, or a stack along a trailing
+    axis, (2**n, 2**n, S), with lx, ly, lz one value per matrix (shape (S,));
+    every entry gets the same products, so each matrix the same bits as alone.
 
     A site's block in the x frame is [[1 + x, z + iy], [z - iy, 1 - x]] / 2,
     so per site each entry mixes with the entry whose site bit is flipped in
@@ -743,12 +836,14 @@ def _pauli_channel(rho, n, lx: float, ly: float, lz: float) -> np.ndarray:
     (1 +/- lx)/2, elsewhere at (lz +/- ly)/2.  The map is completely positive
     and trace preserving when 1 + lz >= |lx + ly| and 1 - lz >= |lx - ly|.
     """
+    # [row bit, 1, 1, column bit, 1, *stack]: the stack axis, if any, is last
     keep = np.array([[1.0 + lx, lz + ly], [lz + ly, 1.0 + lx]])[:, None, None, :, None] / 2.0
     move = np.array([[1.0 - lx, lz - ly], [lz - ly, 1.0 - lx]])[:, None, None, :, None] / 2.0
     dim = 1 << n
-    out, moved = rho.astype(complex, order="C"), np.empty((dim, dim), complex)
+    out = rho.astype(complex, order="C")
+    moved = np.empty_like(out)
     for i in range(n):
-        six = (1 << i, 2, dim >> (i + 1), 1 << i, 2, dim >> (i + 1))
+        six = (1 << i, 2, dim >> (i + 1), 1 << i, 2, dim >> (i + 1)) + out.shape[2:]
         v, m = out.reshape(six), moved.reshape(six)
         np.multiply(move, v[:, ::-1, :, :, ::-1], out=m)
         v *= keep

@@ -23,13 +23,13 @@ from .core import DecoherenceRates, EnsembleParams, ProtocolParams, ValidationEr
 from .inhomogeneous import _components, _pair_terms
 from .oracle import (
     SPIN_CAP,
-    DensityMatrix,
     IntegratorConfig,
+    _pauli_channel,
+    _variable_coupling_moments,
     apply_dephasing,
     build_initial_state,
     compute_moments,
     evolve,
-    evolve_variable_coupling,
     factorization_gap,
     factorization_gap_table,
     lindblad_rhs,
@@ -178,56 +178,69 @@ def suite_factorization(n_range=range(2, 7)) -> dict:
 def suite_variable_coupling(n_max: int = 6, seed: int = 0) -> dict:
     """The shipped kernel's per-site and per-pair terms (``_pair_terms``,
     weighted by the polarizations) and quadrature ratio vs the exact pair
-    unitary, on _TRIALS random coupling matrices and polarizations."""
+    unitary, on _TRIALS random coupling matrices and polarizations.
+
+    Every trial is drawn first (n, couplings, polarizations, then three
+    quadrature angles); then the trials of each spin count go through
+    ``_pair_terms`` and the exact moments as one stack.  A matrix's values
+    do not depend on its stack, so they are those of one call per trial."""
     (n_max,) = suite_sizes("variable_coupling", n_max)
     if n_max < 2:
         raise ValidationError(["variable_coupling needs n >= 2: it checks spin pairs"])
     rng = np.random.default_rng(seed)
-    worst = {"site_polarization": 0.0, "pair_xx_zero": 0.0, "pair_yy": 0.0,
-             "pair_xy": 0.0, "quadrature_ratio": 0.0}
+    trials = []
     for _ in range(_TRIALS):
         n = int(rng.integers(2, n_max + 1))
         theta = _random_couplings(rng, n)
         pols = rng.uniform(0.3, 1.0, size=n)
-        mom = evolve_variable_coupling(theta, pols)
-        terms = _pair_terms(theta[None])
-        z, s, cross, diff = (term[0] for term in terms)
-        for name, got, want in (("site_polarization", mom.site_z, pols * z),
-                                ("pair_xx_zero", mom.pair_xx, 0.0),
-                                ("pair_yy", mom.pair_yy, 0.5 * pols[:, None] * pols * diff),
-                                ("pair_xy", mom.pair_xy, -pols * s * cross)):
-            worst[name] = max(worst[name], float(np.max(np.abs(got - want))))
-        for th in rng.uniform(0.0, math.pi, 3):
-            a, b = _components(terms, pols, th)
-            got = a[0] / b[0]
-            worst["quadrature_ratio"] = max(worst["quadrature_ratio"],
-                                            abs(got - mom.xi2(th)) / abs(mom.xi2(th)))
+        trials.append((n, theta, pols, rng.uniform(0.0, math.pi, 3)))
+    worst = {"site_polarization": 0.0, "pair_xx_zero": 0.0, "pair_yy": 0.0,
+             "pair_xy": 0.0, "quadrature_ratio": 0.0}
+    for n in sorted({trial[0] for trial in trials}):
+        group = [trial for trial in trials if trial[0] == n]
+        thetas = np.array([theta for _, theta, _, _ in group])
+        stack_terms = _pair_terms(thetas)
+        moments = _variable_coupling_moments(thetas, [pols for _, _, pols, _ in group])
+        for i, ((_, _, pols, angles), mom) in enumerate(zip(group, moments)):
+            terms = tuple(term[i:i + 1] for term in stack_terms)
+            z, s, cross, diff = (term[0] for term in terms)
+            for name, got, want in (("site_polarization", mom.site_z, pols * z),
+                                    ("pair_xx_zero", mom.pair_xx, 0.0),
+                                    ("pair_yy", mom.pair_yy, 0.5 * pols[:, None] * pols * diff),
+                                    ("pair_xy", mom.pair_xy, -pols * s * cross)):
+                worst[name] = max(worst[name], float(np.max(np.abs(got - want))))
+            for th in angles:
+                a, b = _components(terms, pols, th)
+                got = a[0] / b[0]
+                worst["quadrature_ratio"] = max(worst["quadrature_ratio"],
+                                                abs(got - mom.xi2(th)) / abs(mom.xi2(th)))
     checks = [_check(name, val, 1e-10) for name, val in worst.items()]
     return _finish("variable_coupling", checks, trials=_TRIALS)
 
 
 def suite_uniform_coupling(n_max: int = 10) -> dict:
-    """Uniform-coupling closed form vs the exact unitary over a grid."""
+    """Uniform-coupling closed form vs the exact unitary over a grid: the
+    six (P, theta0) cases of each spin count run as one stack."""
     (n_max,) = suite_sizes("uniform_coupling", n_max)
     if n_max < 2:
         raise ValidationError(["uniform_coupling needs n >= 2: it checks spin pairs"])
     worst_theta = 0.0
     worst_min = 0.0
     angles = np.linspace(0.0, math.pi, 16, endpoint=False)
+    cases = [(p, theta0) for p in (0.5, 1.0) for theta0 in (0.01, 0.05, 0.1)]
     for n in range(2, n_max + 1):
-        for p in (0.5, 1.0):
-            for theta0 in (0.01, 0.05, 0.1):
-                mat = np.full((n, n), theta0)
-                np.fill_diagonal(mat, 0.0)
-                mom = evolve_variable_coupling(mat, p)
-                for th in angles:
-                    want = mom.xi2(th)
-                    got = analytic.xi2_theta_finite_polarization(n, p, theta0, th)
-                    worst_theta = max(worst_theta, abs(got - want) / abs(want))
-                xi2_min, _ = analytic.xi2_min_finite_polarization(n, p, theta0)
-                theta_scan, second = mom.minimize_second_moment()
-                worst_min = max(worst_min,
-                                abs(xi2_min - second / mom.mean_z) / (second / mom.mean_z))
+        off_diagonal = 1.0 - np.eye(n)
+        thetas = np.array([theta0 * off_diagonal for _, theta0 in cases])
+        moments = _variable_coupling_moments(thetas, [p for p, _ in cases])
+        for (p, theta0), mom in zip(cases, moments):
+            for th in angles:
+                want = mom.xi2(th)
+                got = analytic.xi2_theta_finite_polarization(n, p, theta0, th)
+                worst_theta = max(worst_theta, abs(got - want) / abs(want))
+            xi2_min, _ = analytic.xi2_min_finite_polarization(n, p, theta0)
+            theta_scan, second = mom.minimize_second_moment()
+            worst_min = max(worst_min,
+                            abs(xi2_min - second / mom.mean_z) / (second / mom.mean_z))
     checks = [
         _check("quadrature_ratio_vs_oracle", worst_theta, 1e-10),
         _check("minimum_vs_oracle", worst_min, 1e-10),
@@ -241,7 +254,9 @@ def suite_dephasing(n: int = 6, seed: int = 0) -> dict:
     Asserts the exact identity (s^2 xi2 + (1-s^2)/P) to 1e-10 and channel
     CPTP properties; records the deviation of the quoted form
     1 - (P - xi2) s^2, which is nonzero for any twisted state because the
-    quoted normalization drops a 1/P factor.
+    quoted normalization drops a 1/P factor.  The CPTP checks draw 200
+    random 3-spin states and survival amplitudes first and then run the
+    channel, trace and eigenvalues once over the stack.
     """
     (n,) = suite_sizes("dephasing", n)
     rng = np.random.default_rng(seed)
@@ -268,18 +283,22 @@ def suite_dephasing(n: int = 6, seed: int = 0) -> dict:
         checks.append(_check(f"exact_identity_p{p0:g}", worst_exact, 1e-10))
         deviations[f"quoted_form_deviation_p{p0:g}"] = worst_quoted
 
-    worst_trace = 0.0
-    worst_eig = 0.0
     dim = 1 << 3
-    for _ in range(200):
-        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        rho = a @ a.conj().T
-        rho = DensityMatrix(rho / np.trace(rho), 3)
-        out = apply_dephasing(rho, float(rng.uniform()))
-        worst_trace = max(worst_trace, out.trace_defect())
-        worst_eig = max(worst_eig, -min(out.min_eigenvalue(), 0.0))
-    checks.append(_check("channel_trace_preserving", worst_trace, 1e-12))
-    checks.append(_check("channel_positivity", worst_eig, 1e-12))
+    a = np.empty((200, dim, dim), dtype=complex)
+    survival = np.empty(200)
+    for i in range(200):
+        a[i] = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        survival[i] = rng.uniform()
+    rho = a @ a.conj().transpose(0, 2, 1)
+    rho /= np.trace(rho, axis1=1, axis2=2)[:, None, None]
+    # the channel takes the stack along a trailing axis; back in C order,
+    # each trace sums one matrix's diagonal as it does alone
+    out = np.ascontiguousarray(_pauli_channel(rho.transpose(1, 2, 0), 3, survival, survival,
+                                              np.ones_like(survival)).transpose(2, 0, 1))
+    trace_defects = np.abs(np.trace(out, axis1=1, axis2=2) - 1.0)
+    low = np.linalg.eigvalsh((out + out.conj().transpose(0, 2, 1)) / 2.0)[:, 0]
+    checks.append(_check("channel_trace_preserving", float(trace_defects.max()), 1e-12))
+    checks.append(_check("channel_positivity", max(0.0, float(-low.min())), 1e-12))
     return _finish("dephasing", checks, **deviations)
 
 

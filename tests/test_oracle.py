@@ -583,9 +583,72 @@ def test_variable_coupling_rejects_out_of_range_polarization():
         evolve_variable_coupling(np.zeros((3, 3)), [1.0, 0.5])
 
 
+MOMENT_FIELDS = ("mean_x", "mean_y", "mean_z", "xx2", "yy2", "xy_sym",
+                 "pair_xx", "pair_xy", "pair_yy", "site_z")
+
+
+def assert_same_moments(got, want, label):
+    for name in MOMENT_FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), f"{label} {name}"
+
+
+def random_couplings(rng, n, count=None):
+    shape = (n, n) if count is None else (count, n, n)
+    theta = rng.normal(0.05, 0.1, size=shape)
+    theta = (theta + np.swapaxes(theta, -1, -2)) / 2.0
+    theta[..., np.arange(n), np.arange(n)] = 0.0
+    return theta
+
+
+def test_phase_read_moments_equal_the_dense_state_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for n in range(1, 11):
+        for theta in (random_couplings(rng, n), np.zeros((n, n))):
+            for pols in (0.7, rng.uniform(0.0, 1.0, size=n), 0.0, 1.0):
+                want = compute_moments(variable_coupling_state(theta, pols),
+                                       pair_correlations=True)
+                assert_same_moments(evolve_variable_coupling(theta, pols), want, f"n={n}")
+
+
+def test_variable_coupling_moments_do_not_depend_on_the_stack():
+    rng = np.random.default_rng(22)
+    for n, count in ((2, 9), (5, 4), (8, 6), (9, 3), (12, 2)):
+        theta = random_couplings(rng, n, count)
+        pols = [rng.uniform(0.3, 1.0, size=n) if i % 2 else float(rng.uniform())
+                for i in range(count)]
+        stacked = oracle._variable_coupling_moments(theta, pols)
+        for i in range(count):
+            assert_same_moments(stacked[i], evolve_variable_coupling(theta[i], pols[i]),
+                                f"n={n} matrix {i}")
+
+
+def test_product_row_is_row_zero_of_the_product_state():
+    rng = np.random.default_rng(23)
+    for n in range(1, SPIN_CAP + 1):
+        pols = rng.uniform(0.0, 1.0, size=n)
+        row = oracle._product_row(pols, n)
+        assert np.array_equal(oracle._product_state(pols, n)[0], row), f"n={n}"
+    rho = oracle._product_state([0.9, 0.4, 0.7], 3)
+    idx = np.arange(8)
+    assert np.array_equal(rho, rho[0][idx[:, None] ^ idx])  # rho[a, b] = row[a ^ b]
+
+
 # ---------------------------------------------------------------------------
 # per-site Pauli channels: dephasing and the exact dissipation leg
 # ---------------------------------------------------------------------------
+
+def test_stacked_pauli_channel_equals_each_matrix_alone():
+    rng = np.random.default_rng(24)
+    for n in (1, 3, 5):
+        dim = 1 << n
+        a = rng.normal(size=(7, dim, dim)) + 1j * rng.normal(size=(7, dim, dim))
+        rho = a @ a.conj().transpose(0, 2, 1)
+        survival = rng.uniform(size=7)
+        out = oracle._pauli_channel(rho.transpose(1, 2, 0), n, survival, survival, np.ones(7))
+        for i in range(7):
+            want = apply_dephasing(DensityMatrix(rho[i], n), survival[i]).entries
+            assert np.array_equal(out[..., i], want), f"n={n} matrix {i}"
+
 
 def test_pauli_channel_matches_kraus_sum():
     # anisotropic (lx, ly, lz) inside the CPTP tetrahedron, against the
@@ -1028,20 +1091,67 @@ def test_evolve_raises_on_crossed_margin():
                ProtocolParams(coupling=0.0, squeeze_time=0.01))
 
 
-def test_nan_margin_raises_one_line():
-    # a finite rate whose generator overflows leaves NaN coordinates; every
-    # margin comparison with NaN is False, and the checkpoint must still raise
+def test_nan_margin_raises_one_line(monkeypatch):
+    # a generator whose probe term is NaN (the step check bounds the probe
+    # by B_y = 0) leaves NaN coordinates; every margin comparison with NaN is
+    # False, and the checkpoint must still raise
+    type_generator = oracle._type_generator
+
+    def nan_probe(n, rates, proto):
+        local, _, mirror = type_generator(n, rates, proto)
+        types = oracle._pair_types(n)
+        return local, (np.full(types.row_moves.shape, np.nan), types.row_moves), mirror
+
+    monkeypatch.setattr(oracle, "_type_generator", nan_probe)
     params = EnsembleParams(3, 1.0)
     cfg = IntegratorConfig(dt=0.01, t_final=0.1)
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(NumericalError, match=r"defect exceeds 1e-12 at t=0\.1$") as info:
-        evolve(build_initial_state(params), cfg, params, DecoherenceRates(1e306, 0.0),
+    with pytest.raises(NumericalError, match=r"defect exceeds 1e-12 at t=0\.1$") as info:
+        evolve(build_initial_state(params), cfg, params, DecoherenceRates(0.02, 0.03),
                ProtocolParams(coupling=0.05, squeeze_time=0.1))
     assert len(str(info.value).splitlines()) == 1
     nan = float("nan")
     for args in ((nan, 0.0, "t=1"), (0.0, nan, "t=1"), (0.0, 0.0, "t=1", lambda: nan)):
         with pytest.raises(NumericalError, match="at t=1$"):
             oracle._require_margins(*args)
+
+
+def test_evolve_refuses_a_step_outside_rk4_stability():
+    # regression: at dt * bound = 6000 the pair-type step once returned purity
+    # 2.9e273 with trace and hermiticity defects exactly 0
+    params = EnsembleParams(3, 0.9)
+    rates = DecoherenceRates(1e5, 0.0)
+    proto = ProtocolParams(coupling=0.05, squeeze_time=0.1)
+    with pytest.raises(ValidationError, match=r"^dt = 0\.01 is outside RK4's stability region: "
+                                              r"dt times the generator bound 600000 exceeds 2\.6; "
+                                              r"dt = \S+ would pass$") as info:
+        evolve(build_initial_state(params), IntegratorConfig(dt=0.01, t_final=0.1), params,
+               rates, proto)
+    assert len(str(info.value).splitlines()) == 1
+    step = float(str(info.value).split()[-3])
+    traj = evolve(build_initial_state(params), IntegratorConfig(dt=step, t_final=1e-3), params,
+                  rates, proto)
+    assert traj.purities[-1] <= 1.0
+
+
+def test_step_bound_is_the_gershgorin_bound_of_the_generator():
+    # the dense generator's spectral radius never exceeds the bound, and the
+    # probe adds 2 |B_y| n
+    for n, rates, field_y in ((2, DecoherenceRates(0.3, 0.7), 0.0),
+                              (3, DecoherenceRates(0.02, 0.5), 0.4)):
+        proto = ProtocolParams(coupling=0.9, squeeze_time=1.0, signal_field=field_y)
+        generator = oracle._type_generator(n, rates, proto)
+        dim = 1 << n
+        columns = [lindblad_rhs(DensityMatrix(np.eye(dim * dim)[k].reshape(dim, dim), n),
+                                EnsembleParams(n, 1.0), rates, proto).entries.reshape(-1)
+                   for k in range(dim * dim)]
+        radius = np.max(np.abs(np.linalg.eigvals(np.array(columns).T)))
+        (weights, _), _, _ = generator
+        bound = np.max(np.abs(weights).sum(axis=0)) + 2.0 * field_y * n
+        assert radius <= bound * (1.0 + 1e-12)
+        oracle._require_stable_step(0.999 * oracle.RK4_STABLE_STEP / bound, n, generator, field_y)
+        with pytest.raises(ValidationError, match="outside RK4's stability region"):
+            oracle._require_stable_step(1.01 * oracle.RK4_STABLE_STEP / bound, n, generator,
+                                        field_y)
 
 
 @pytest.mark.parametrize("rates, proto, message", [
