@@ -216,19 +216,24 @@ def _pair_terms(theta: np.ndarray):
     return z, s, cross, diff
 
 
-def _components(terms, p: np.ndarray, th: float) -> tuple[np.ndarray, np.ndarray]:
-    """(A/N, B/N) of each sample from its ``_pair_terms``, weighted by the
-    polarizations and summed."""
+def _sums(terms, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The angle-independent sums of each sample from its ``_pair_terms``,
+    weighted by the polarizations: B/N, sum_kl S_kl cross_kl P_l and
+    sum_{k != l} P_k P_l diff_kl."""
     z, s, cross, diff = terms
-    n = z.shape[1]
     # one dot per sample: a batched matrix product sums in an order that
     # depends on S
-    b_norm = np.array([np.dot(p, row) for row in z]) / n
+    b_norm = np.array([np.dot(p, row) for row in z]) / z.shape[1]
     cross_sum = np.einsum("skl,skl,l->s", s, cross, p)
     weights = np.outer(p, p)
     np.fill_diagonal(weights, 0.0)
     yy_sum = np.array([np.einsum("kl,kl->", weights, d) for d in diff])  # as b_norm
+    return b_norm, cross_sum, yy_sum
 
+
+def _components(sums, n: int, th: float) -> tuple[np.ndarray, np.ndarray]:
+    """(A/N, B/N) of each sample at quadrature angle ``th`` from its ``_sums``."""
+    b_norm, cross_sum, yy_sum = sums
     sin_th = math.sin(th)
     a_norm = 1.0 + (0.5 * sin_th * sin_th * yy_sum - math.sin(2.0 * th) * cross_sum) / n
     return a_norm, b_norm
@@ -275,7 +280,8 @@ def quadrature_components(couplings, pols, theta: float) -> tuple[float, float]:
     if n < 2:
         raise ValidationError(["n_spins >= 2 for pair couplings"])
     _require_memory(n, 1, 1)
-    a_norm, b_norm = _components(_pair_terms(th_mat[None]), _validate_pols(pols, n), theta)
+    a_norm, b_norm = _components(_sums(_pair_terms(th_mat[None]), _validate_pols(pols, n)),
+                                 n, theta)
     return float(a_norm[0]), float(b_norm[0])
 
 
@@ -426,7 +432,7 @@ def monte_carlo_mean_xi2(
     for start in range(0, spec.n_samples, chunk):
         stop = min(start + chunk, spec.n_samples)
         a_norm[start:stop], b_norm[start:stop] = _components(
-            _pair_terms(_coupling_stack(spec, n, start, stop - start)), p, theta)
+            _sums(_pair_terms(_coupling_stack(spec, n, start, stop - start)), p), n, theta)
     degenerate = np.abs(b_norm) <= _DEGENERATE_FRACTION
     rejected = np.flatnonzero(degenerate).tolist()
     if len(rejected) > 0.01 * spec.n_samples:

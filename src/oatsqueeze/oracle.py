@@ -4,14 +4,13 @@ Dense 2**n x 2**n density-matrix dynamics used as ground truth for every
 closed form in :mod:`oatsqueeze.analytic` and
 :mod:`oatsqueeze.inhomogeneous`:
 
-* product-state preparation at partial polarization,
+* product-state preparation at partial polarization (``ProductState``),
 * master-equation integration (fixed-step RK4) of the twisting
   Hamiltonian, per-site relaxation channels and a weak probe field,
 * exact unitary evolution for arbitrary pair couplings (a diagonal
   phase, no integrator), whose moments are read from the eigenphases for
   a stack of coupling matrices at once, without the dense state,
-* one exact per-site Pauli channel kernel: dephasing, and the T1/T2
-  dissipator alone, are two settings of it,
+* one exact per-site Pauli channel kernel, of which dephasing is a setting,
 * collective quadrature moments, pair correlations and trace distance.
 
 Every ``DensityMatrix`` is in one basis, the collective-x frame W rho_z W
@@ -40,12 +39,12 @@ gathers from neighbouring types (``_raw_rhs``).  A Hermitian symmetric
 state is fixed by as many real coordinates, so ``evolve`` builds the
 generator once per call as a real square matrix L on them and takes each
 RK4 step as one matrix-vector product with the precomputed increment
-matrix of dt L.  Every state ``evolve`` is given must be
-permutation-symmetric (uniform J, uniform P, collective probe, identical
-per-site channels make it so).  Its checkpoints read moments, purity and
-the trace from the coordinates with per-n weights (``_type_weights``);
-only the final state, and each checked eigenvalue, is expanded to the
-dense matrix.
+matrix of dt L.  ``evolve`` starts from the ``ProductState`` of
+``build_initial_state`` and forms its start coordinates from (n, P), not
+from the 4**n entries.  Its checkpoints read moments, purity and the
+trace from the coordinates with per-n weights (``_type_weights``); only
+the final state, and each checked eigenvalue, is expanded to the dense
+matrix.
 
 Pair couplings are given as an ``inhomogeneous.CouplingMatrix`` or as a
 plain matrix that passes its checks.  The oracle exists to validate
@@ -81,7 +80,6 @@ from .inhomogeneous import _as_couplings, _per_spin
 SPIN_CAP = 12
 
 HERMITICITY_TOL = 1e-12
-SYMMETRY_TOL = 1e-12  # evolve: largest spread of the entries of one pair type
 TRACE_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
 # largest dt * rho(L) that evolve accepts: classical RK4 is stable on the left
@@ -109,7 +107,6 @@ class _PairTypes(NamedTuple):
     local_moves: np.ndarray  # [m, k] = k itself, then k after one site 00 -> 11, 11 -> 00
     row_moves: np.ndarray    # [m, k] = k after one site 00 -> 10, 01 -> 11, 10 -> 00, 11 -> 01
     index: np.ndarray        # [a, b] = type of rho[a, b] (int16)
-    first: np.ndarray        # [k] = flat position a * 2**n + b of one entry of type k
     real: np.ndarray         # types k <= mirror[k]: their Re r_k are coordinates
     imag: np.ndarray         # types k < mirror[k]: their Im r_k are coordinates
 
@@ -154,15 +151,11 @@ def _pair_types(n: int) -> _PairTypes:
     ones = ((n - _site_signs(n).sum(axis=0)) / 2.0).astype(np.int8)
     idx = np.arange(1 << n, dtype=np.uint16)
     index = lut[ones[:, None], ones[None, :], ones[idx[:, None] ^ idx]]
-    # one entry per type: sites in kind order 00, 01, 10, 11 from site 0
-    _, n01, n10, n11 = counts.T
-    a = (1 << (n10 + n11)) - 1
-    b = ((1 << n01) - 1) << (n10 + n11) | ((1 << n11) - 1)
     mirror = lut[key(counts[:, [0, 2, 1, 3]])].astype(np.intp)
     tables = _PairTypes(counts=counts, mirror=mirror,
                         local_moves=moves((0, 0), (0, 3), (3, 0)),
                         row_moves=moves((0, 2), (1, 3), (2, 0), (3, 1)),
-                        index=index, first=a << n | b,
+                        index=index,
                         real=np.flatnonzero(np.arange(len(counts)) <= mirror),
                         imag=np.flatnonzero(np.arange(len(counts)) < mirror))
     for table in tables:
@@ -223,7 +216,7 @@ def _type_weights(n: int) -> _TypeWeights:
 # density matrices
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class DensityMatrix:
     """Dense complex density matrix for ``n_spins`` spin-1/2 particles, in
     the collective-x frame (site 0 the most significant bit, bit 0 sigma_x = +1)."""
@@ -239,24 +232,14 @@ class DensityMatrix:
         return abs(np.trace(self.entries) - 1.0)
 
     def hermiticity_defect(self) -> float:
-        """max |rho - rho^dagger|; the transpose is read once, into a copy."""
-        diff = self.entries.T.copy()
-        np.conjugate(diff, out=diff)
-        np.subtract(self.entries, diff, out=diff)
-        return float(np.max(np.abs(diff)))
+        """max |rho - rho^dagger|."""
+        return float(np.max(np.abs(self.entries - self.entries.conj().T)))
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh((self.entries + self.entries.conj().T) / 2.0)[0])
 
     def purity(self) -> float:
         return float(np.real(np.sum(self.entries * self.entries.T)))
-
-    def require_valid(self, check_positivity: bool = False,
-                      when: str = "") -> tuple[float, float, float | None]:
-        """Raise NumericalError past a tolerance; else return the hermiticity
-        defect, trace defect and lowest eigenvalue (None unless checked)."""
-        return _require_margins(self.hermiticity_defect(), self.trace_defect(), when,
-                                self.min_eigenvalue if check_positivity else None)
 
 
 def _require_margins(herm: float, trace: float, when: str,
@@ -275,7 +258,15 @@ def _require_margins(herm: float, trace: float, when: str,
     return herm, trace, low
 
 
-def build_initial_state(params: EnsembleParams) -> DensityMatrix:
+@dataclass(frozen=True)
+class ProductState(DensityMatrix):
+    """The state of ``build_initial_state`` and its polarization P, the start
+    of ``evolve``; frozen, with read-only entries, so they keep to P."""
+
+    polarization: float
+
+
+def build_initial_state(params: EnsembleParams) -> ProductState:
     """Product state with per-spin Bloch vector (0, 0, P).
 
     Written per spin in the x frame as (I + P*sx)/2 = [[1/2, P/2], [P/2, 1/2]]
@@ -283,7 +274,9 @@ def build_initial_state(params: EnsembleParams) -> DensityMatrix:
     here even though the squeezing formulas reject it.
     """
     n = params.n_spins
-    return DensityMatrix(_product_state(params.polarization, n), n)
+    rho = _product_state(params.polarization, n)
+    rho.flags.writeable = False
+    return ProductState(rho, n, params.polarization)
 
 
 def _require_dense(n: int) -> None:
@@ -325,6 +318,16 @@ def _product_state(polarizations, n: int) -> np.ndarray:
         rho[h:2 * h].reshape(blocks)[...] = rho[:h].reshape(blocks)[:, :, ::-1]
         h *= 2
     return rho
+
+
+def _product_types(n: int, polarization: float) -> np.ndarray:
+    """Pair-type values of ``_product_state`` at uniform P: a type with
+    m = n01 + n10 ones in a ^ b has r = 2**-(n - m) (P/2)**m, a sequential
+    product as in ``_product_row`` and exact factors 0.5, so the same bits."""
+    _, n01, n10, _ = _pair_types(n).counts.T
+    powers = np.cumprod(np.concatenate(([1.0], np.full(n, polarization / 2.0))))
+    m = n01 + n10
+    return np.ldexp(powers[m], m - n)
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +638,7 @@ class Trajectory:
     moments: list[CollectiveMoments] = field(default_factory=list)
     purities: list[float] = field(default_factory=list)
     final: DensityMatrix | None = None
-    max_hermiticity_defect: float = 0.0  # worst margins seen at the input and checkpoints
+    max_hermiticity_defect: float = 0.0  # worst margins seen at the checkpoints
     max_trace_defect: float = 0.0
     min_eigenvalue: float | None = None   # None unless positivity was checked
 
@@ -648,7 +651,7 @@ class Trajectory:
 
 
 def evolve(
-    state: DensityMatrix,
+    state: ProductState,
     cfg: IntegratorConfig,
     params: EnsembleParams,
     rates: DecoherenceRates,
@@ -663,12 +666,12 @@ def evolve(
     commutes with permuting the sites, so a permutation-symmetric Hermitian
     state stays so and is fixed by K = C(n+3, 3) real coordinates (the
     ``_pair_types`` tables ``real`` and ``imag``) instead of 4**n entries.
-    Negative or non-finite rates (a channel that is not completely
-    positive), a non-finite coupling or probe field, and a step outside
-    RK4's stability region (``_require_stable_step``) are refused with
-    ValidationError.  The input is validated densely at t = 0
-    (``DensityMatrix.require_valid``) and then refused with ValidationError
-    when entries of one pair type differ by more than ``SYMMETRY_TOL``.
+    The state must be the ``ProductState`` of ``build_initial_state``; its
+    start coordinates come from (n, P) in O(K) (``_product_types``), and
+    its entries are not read.  Any other state, negative or non-finite
+    rates (a channel that is not completely positive), a non-finite
+    coupling or probe field, and a step outside RK4's stability region
+    (``_require_stable_step``) are refused with ValidationError.
 
     The generator is linear and constant, so it is built once per call as
     a real K x K matrix L: ``_raw_rhs`` applied to the K basis vectors in
@@ -686,10 +689,12 @@ def evolve(
     worst margins are kept on the trajectory.  Only two things expand the
     type values to the dense matrix, with one index gather: ``final``, the
     state at t_final in the same x frame as the input, and the lowest
-    eigenvalue of each checkpoint after t = 0 when ``check_positivity`` is
-    set.  A margin crossed beyond tolerance raises NumericalError naming
+    eigenvalue of each checkpoint, t = 0 included, when ``check_positivity``
+    is set.  A margin crossed beyond tolerance raises NumericalError naming
     the offending time.
     """
+    if not isinstance(state, ProductState):
+        raise ValidationError(["evolve starts from the ProductState of build_initial_state"])
     n = _spin_count(state, params)
     problems = rate_violations(rates) + [
         f"{name} finite" for name, value in (("coupling", proto.coupling),
@@ -732,19 +737,11 @@ def evolve(
         if final:
             traj.final = dense
 
-    rho = np.asarray(state.entries, dtype=complex)
-    traj._record(*DensityMatrix(rho, n).require_valid(check_positivity, when="t=0"))
-    r = rho.reshape(-1)[types.first]
-    deviation = r[types.index]
-    deviation -= rho
-    if np.max(np.abs(deviation)) > SYMMETRY_TOL:
-        raise ValidationError([f"evolve needs a permutation-symmetric state: entries of "
-                               f"one pair type differ by more than {SYMMETRY_TOL}"])
-    eye = np.eye(len(r))
+    eye = np.eye(len(types.counts))
     a = dt * coordinates(_raw_rhs(type_values(eye), *generator))
     increment = a @ (eye + a @ (eye / 2.0 + a @ (eye / 6.0 + a / 24.0)))
-    v = coordinates(r)
-    checkpoint(0.0, v)
+    v = coordinates(_product_types(n, state.polarization))
+    checkpoint(0.0, v, check_positivity)
     for step in range(1, n_steps + 1):
         v += increment @ v
         if step % every == 0 or step == n_steps:
@@ -863,17 +860,6 @@ def apply_dephasing(state: DensityMatrix, survival: float) -> DensityMatrix:
     return DensityMatrix(_pauli_channel(state.entries, state.n_spins, s, s, 1.0), state.n_spins)
 
 
-def _dissipate(rho, n, rates: DecoherenceRates, t: float) -> np.ndarray:
-    """exp(t L_D) on the entries: the dissipator of ``_dense_rhs`` without
-    J or B_y, applied exactly.  The sigma_x channel at gamma_par and the
-    sigma_y, sigma_z channels at gamma_perp commute and form the Pauli
-    channel lx = exp(-4 gamma_perp t), ly = lz = exp(-2 (gamma_par +
-    gamma_perp) t).
-    """
-    decay = math.exp(-2.0 * rates.gamma_sum * t)
-    return _pauli_channel(rho, n, math.exp(-4.0 * rates.gamma_perp * t), decay, decay)
-
-
 # ---------------------------------------------------------------------------
 # trace distance, factorization gap, metrology
 # ---------------------------------------------------------------------------
@@ -897,8 +883,9 @@ def factorization_gap(
 
     Compares exp[T(L_H + L_D)] rho against exp[T L_H] exp[T L_D] rho.  The
     joint leg and the twist-only leg exp[T L_H] are integrated with the
-    same RK4 configuration; the dissipation-only leg exp[T L_D] is exact
-    (``_dissipate``).  The twist leg stays on RK4 although it is a diagonal
+    same RK4 configuration; the dissipation-only leg exp[T L_D] is exact:
+    it takes the product state at P to the one at P exp(-2 Gamma_sum T).
+    The twist leg stays on RK4 although it is a diagonal
     phase in the x frame: at zero rates the joint leg is the same RK4 run,
     so the two legs' integrator errors cancel and the gap is zero to
     roundoff, where an exact phase would leave the joint leg's RK4 error
@@ -909,11 +896,11 @@ def factorization_gap(
     field is part of neither L_H nor L_D: ``proto.signal_field`` is ignored.
     """
     proto = replace(proto, signal_field=0.0)
-    rho0 = build_initial_state(params)
-    n = params.n_spins
-    joint = evolve(rho0, cfg, params, rates, proto).final
-    diss_first = DensityMatrix(_dissipate(rho0.entries, n, rates, cfg.t_final), n)
-    factored = evolve(diss_first, cfg, params, DecoherenceRates(), proto).final
+    joint = evolve(build_initial_state(params), cfg, params, rates, proto).final
+    dissipated = replace(params, polarization=params.polarization
+                         * math.exp(-2.0 * rates.gamma_sum * cfg.t_final))
+    factored = evolve(build_initial_state(dissipated), cfg, dissipated, DecoherenceRates(),
+                      proto).final
     return trace_distance(joint, factored)
 
 

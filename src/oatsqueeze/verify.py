@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analytic
 from .core import DecoherenceRates, EnsembleParams, ProtocolParams, ValidationError
-from .inhomogeneous import _components, _pair_terms
+from .inhomogeneous import _components, _pair_terms, _sums
 from .oracle import (
     SPIN_CAP,
     IntegratorConfig,
@@ -209,8 +209,9 @@ def suite_variable_coupling(n_max: int = 6, seed: int = 0) -> dict:
                                     ("pair_yy", mom.pair_yy, 0.5 * pols[:, None] * pols * diff),
                                     ("pair_xy", mom.pair_xy, -pols * s * cross)):
                 worst[name] = max(worst[name], float(np.max(np.abs(got - want))))
+            sums = _sums(terms, pols)
             for th in angles:
-                a, b = _components(terms, pols, th)
+                a, b = _components(sums, n, th)
                 got = a[0] / b[0]
                 worst["quadrature_ratio"] = max(worst["quadrature_ratio"],
                                                 abs(got - mom.xi2(th)) / abs(mom.xi2(th)))

@@ -266,7 +266,8 @@ def test_monte_carlo_chunk_matches_direct_products():
     stack = inhomogeneous._coupling_stack(spec, n, 0, 8)
     pols = np.random.default_rng(6).uniform(0.3, 1.0, size=n)
     th = 8.0 * spec.theta0 + math.pi / 2.0
-    a_norm, b_norm = inhomogeneous._components(inhomogeneous._pair_terms(stack), pols, th)
+    a_norm, b_norm = inhomogeneous._components(
+        inhomogeneous._sums(inhomogeneous._pair_terms(stack), pols), n, th)
     for i, theta in enumerate(stack):
         want = direct_components(theta, pols, th)
         assert np.allclose((a_norm[i], b_norm[i]), want, rtol=1e-12, atol=1e-12)
@@ -297,7 +298,8 @@ def test_kernel_peak_memory_within_charge(n):
     stack = inhomogeneous._coupling_stack(spec, n, 0, chunk)
     tracemalloc.start()
     try:
-        inhomogeneous._components(inhomogeneous._pair_terms(stack), np.full(n, 0.9), 1.0)
+        inhomogeneous._components(
+            inhomogeneous._sums(inhomogeneous._pair_terms(stack), np.full(n, 0.9)), n, 1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

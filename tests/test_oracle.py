@@ -332,9 +332,15 @@ def random_symmetric_state(rng, n):
     return (rho + rho.conj().T) / 2.0
 
 
+def first_of_each_type(types):
+    """Flat position a * 2**n + b of one dense entry of each pair type."""
+    return np.unique(types.index.ravel(), return_index=True)[1]
+
+
 def test_pair_type_tables():
-    # C(n+3, 3) types; each dense entry's type has the site-kind counts of
-    # (bit_i(a), bit_i(b)) read bit by bit, and ``first`` is an entry of its type
+    # C(n+3, 3) types, each on some entry; each dense entry's type has the
+    # site-kind counts of (bit_i(a), bit_i(b)) read bit by bit, and the
+    # transposed entry has the mirrored type
     for n in range(1, 7):
         types = oracle._pair_types(n)
         assert len(types.counts) == math.comb(n + 3, 3)
@@ -344,10 +350,9 @@ def test_pair_type_tables():
         for i in range(n):
             kinds[np.arange(dim * dim), 2 * ((a >> i) & 1) + ((b >> i) & 1)] += 1
         assert np.array_equal(types.counts[types.index.reshape(-1)], kinds), f"n={n}"
-        assert np.array_equal(types.index.reshape(-1)[types.first],
-                              np.arange(len(types.counts)))
-        assert np.array_equal(types.index.T[types.first // dim, types.first % dim],
-                              types.mirror)
+        values, first = np.unique(types.index.ravel(), return_index=True)
+        assert np.array_equal(values, np.arange(len(types.counts)))
+        assert np.array_equal(types.index.T[first // dim, first % dim], types.mirror)
 
 
 def test_type_weight_tables():
@@ -370,7 +375,7 @@ def test_type_weight_tables():
     (DecoherenceRates(0.02, 0.03), 0.0), (DecoherenceRates(0.02, 0.03), 1e-3),
 ])
 def test_checkpoints_match_the_dense_owners(monkeypatch, rates, field):
-    # check_positivity expands every checkpoint after t = 0 to the dense
+    # check_positivity expands every checkpoint, t = 0 included, to the dense
     # matrix for its eigenvalue; the moments, purity and trace defect each
     # checkpoint reads from the coordinates are those of that matrix
     states, traces = [], []
@@ -397,11 +402,11 @@ def test_checkpoints_match_the_dense_owners(monkeypatch, rates, field):
             traj = evolve(build_initial_state(params), cfg, params, rates, proto,
                           check_positivity=True)
         assert traj.moments == plain.moments and traj.purities == plain.purities
-        # the input check at t = 0 comes first, then one per checkpoint
-        assert len(states) == len(traces) - 1 == len(traj.times) == 11, f"n={n}"
+        # one per checkpoint
+        assert len(states) == len(traces) == len(traj.times) == 11, f"n={n}"
         assert traj.final is states[-1]
         for t, state, mom, purity, trace in zip(traj.times, states, traj.moments,
-                                                traj.purities, traces[1:]):
+                                                traj.purities, traces):
             dense = compute_moments(state)
             names = ("mean_x", "mean_y", "mean_z", "xx2", "yy2", "xy_sym")
             got = {name: getattr(mom, name) for name in names}
@@ -424,7 +429,7 @@ def test_pair_type_rhs_matches_dense_generator(rates, field):
         rho = random_symmetric_state(rng, n)
         want = lindblad_rhs(DensityMatrix(rho, n), EnsembleParams(n, 1.0), rates, proto)
         types = oracle._pair_types(n)
-        got = oracle._raw_rhs(rho.reshape(-1)[types.first],
+        got = oracle._raw_rhs(rho.reshape(-1)[first_of_each_type(types)],
                               *oracle._type_generator(n, rates, proto))
         assert np.max(np.abs(got[types.index] - want.entries)) <= 1e-15, f"n={n}"
 
@@ -472,7 +477,7 @@ def test_evolve_matches_stagewise_rk4_beyond_the_dense_test(rates, field):
         traj = evolve(build_initial_state(params), cfg, params, rates, proto)
         types = oracle._pair_types(n)
         gen = oracle._type_generator(n, rates, proto)
-        r = build_initial_state(params).entries.reshape(-1)[types.first]
+        r = build_initial_state(params).entries.reshape(-1)[first_of_each_type(types)]
         for step in range(1, 51):
             k1 = oracle._raw_rhs(r, *gen)
             k2 = oracle._raw_rhs(r + 0.005 * k1, *gen)
@@ -500,9 +505,39 @@ def test_evolve_refuses_a_state_that_is_not_permutation_symmetric():
     params = EnsembleParams(2, 0.9)
     state = DensityMatrix(oracle._product_state([0.9, 0.5], 2), 2)
     cfg = IntegratorConfig(dt=0.01, t_final=0.01)
-    with pytest.raises(ValidationError, match="permutation-symmetric") as info:
+    with pytest.raises(ValidationError, match="build_initial_state") as info:
         evolve(state, cfg, params, DecoherenceRates(), ProtocolParams(0.0, 0.01))
     assert len(str(info.value).splitlines()) == 1
+
+
+@pytest.mark.parametrize("polarization", [0.0, 1e-3, 0.37, 0.9, 1.0])
+def test_product_types_are_the_dense_entries_bit_for_bit(polarization):
+    # evolve's closed-form start against the dense state: expanded, up to
+    # n = 10; beyond, against one entry per type, row[a ^ b] of the row that
+    # the dense state copies, for a ^ b with ones at the n01 + n10 sites
+    # that follow the type's n00 sites
+    try:
+        for n in range(1, 13):
+            types = oracle._pair_types(n)
+            got = oracle._product_types(n, polarization)
+            _, n01, n10, n11 = types.counts.T
+            want = oracle._product_row(polarization, n)[((1 << (n01 + n10)) - 1) << n11]
+            assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()], f"n={n}"
+            if n <= 10:
+                assert np.array_equal(got[types.index], oracle._product_state(polarization, n))
+    finally:
+        for cache in (oracle._site_signs, oracle._pair_types):
+            cache.cache_clear()
+
+
+def test_initial_state_entries_are_read_only():
+    # evolve reads the recorded P, not the entries: neither may change
+    state = build_initial_state(EnsembleParams(3, 0.8))
+    assert isinstance(state, oracle.ProductState) and state.polarization == 0.8
+    with pytest.raises(ValueError, match="read-only"):
+        state.entries[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        state.polarization = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -832,17 +867,19 @@ def _exact_factorization_gap(n, coupling, gamma_par, gamma_perp, polarization, t
 
 @pytest.mark.parametrize("gamma_par, gamma_perp", [(0.0, 0.1), (0.04, 0.16)])
 def test_exact_dissipation_leg_matches_dense_exponential(gamma_par, gamma_perp):
-    # A generic state: the product states of factorization_gap are invariant
-    # under the sigma_y/sigma_z mixing of rho with its bit flips, so no gap
-    # tells its weight (1 - exp(-4 gamma_perp T))/2 from another.
+    # factorization_gap's dissipation-only leg: exp(T L_D) of the z-product
+    # state at P is the product state at P exp(-2 (gamma_par + gamma_perp) T)
     n, t = 3, 0.7
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    rho = a @ a.conj().T / np.trace(a @ a.conj().T)
+    rates = DecoherenceRates(gamma_par, gamma_perp)
     _, l_diss = _kron_liouvillians(n, 0.0, gamma_par, gamma_perp)
-    want = to_x_frame((_expm(t * l_diss) @ rho.reshape(-1)).reshape(8, 8))
-    got = oracle._dissipate(to_x_frame(rho), n, DecoherenceRates(gamma_par, gamma_perp), t)
-    assert np.max(np.abs(got - want)) <= 1e-14
+    for polarization in (1.0, 0.7):
+        rho = np.eye(1)
+        for _ in range(n):
+            rho = np.kron(rho, np.diag([1.0 + polarization, 1.0 - polarization]) / 2.0)
+        want = to_x_frame((_expm(t * l_diss) @ rho.astype(complex).reshape(-1)).reshape(8, 8))
+        decayed = polarization * math.exp(-2.0 * rates.gamma_sum * t)
+        got = build_initial_state(EnsembleParams(n, decayed)).entries
+        assert np.max(np.abs(got - want)) <= 1e-14, f"P={polarization}"
 
 
 def test_factorization_gap_matches_exact_exponential():
@@ -1079,16 +1116,6 @@ def test_probe_run_is_exactly_hermitian_at_every_step():
                       DecoherenceRates(0.02, 0.03), proto)
         assert len(traj.times) == 100
         assert traj.max_hermiticity_defect == 0.0, f"n={n}"
-
-
-def test_evolve_raises_on_crossed_margin():
-    params = EnsembleParams(2, 1.0)
-    rho = build_initial_state(params).entries
-    rho[0, 1] = 1e-9  # not Hermitian
-    cfg = IntegratorConfig(dt=0.01, t_final=0.01)
-    with pytest.raises(NumericalError, match="hermiticity defect .* at t=0"):
-        evolve(DensityMatrix(rho, 2), cfg, params, DecoherenceRates(),
-               ProtocolParams(coupling=0.0, squeeze_time=0.01))
 
 
 def test_nan_margin_raises_one_line(monkeypatch):
