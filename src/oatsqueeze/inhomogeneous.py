@@ -14,7 +14,9 @@ Monte Carlo average reproduces the analytic one.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +26,9 @@ from .core import DomainError, NumericalError, ResourceError, ValidationError
 
 ALPHA_CONCENTRATED = 1e15  # alpha at or above this samples exactly theta0
 _DEGENERATE_FRACTION = 1e-12  # |B| <= this (per spin) is a degenerate denominator
-# bytes of one Monte Carlo chunk of (S, N, N) couplings; the pair kernel's
-# per-offset working set is 7 planes of this size, so it stays in a 2 MB L2
+# bytes of one Monte Carlo chunk of (S, N, N) couplings; per offset, each
+# thread of the pair kernel reads 4 planes of this size and writes its own 3,
+# so its working set stays in its core's 2 MB L2
 _CHUNK_BYTES = 1 << 18
 # bytes a Monte Carlo run or one kernel call may take; larger runs raise
 # ResourceError before they allocate
@@ -130,31 +133,14 @@ def _validate_pols(pols, n) -> np.ndarray:
     return p
 
 
-def _pair_diffs(c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The diff table of ``_pair_terms`` from its (S, N, N) tables C and S.
-
-    prod_{j != k,l} (C_jk C_jl +/- S_jk S_jl) is symmetric in (k, l), so
-    each pair is visited once as (k, (k + m) mod n) for the offsets
-    m = 1 .. n//2 (twice at m = n/2 for even n), on (j, k, sample) planes
-    with the samples innermost: C_jl and S_jl are windows of ``c2`` and
-    ``s2``, whose k axis is doubled, and the product over j is a sequential
-    reduction, so a sample's bits do not depend on S.  Each factor is
-    cos(4 theta_jk -/+ 4 theta_jl), so a running product never grows and a
-    zero factor makes it exactly 0.
-    """
-    n_samples, n, _ = c.shape
-    c2 = np.empty((n, 2 * n, n_samples))  # [j, k mod n, sample]
-    s2 = np.empty_like(c2)
-    c2[:, :n] = c.transpose(1, 2, 0)
-    s2[:, :n] = s.transpose(1, 2, 0)
-    c2[:, n:] = c2[:, :n]
-    s2[:, n:] = s2[:, :n]
+def _offset_products(c2: np.ndarray, s2: np.ndarray, prods: np.ndarray, offsets: range,
+                     t: np.ndarray, ss: np.ndarray) -> None:
+    """prods[m - 1] of ``_pair_diffs`` for each offset m in ``offsets``, on
+    the factor planes ``t`` and ``ss`` of the calling thread."""
+    n = c2.shape[0]
     ct, st = c2[:, :n], s2[:, :n]
-    t = np.empty((2, n, n, n_samples))  # [+/-, j, k, sample]
-    cells = t.reshape(2, n * n, n_samples)
-    ss = np.empty_like(t[0])
-    prods = np.empty((n // 2, 2, n, n_samples))  # [m - 1, +/-, k, sample]
-    for m in range(1, n // 2 + 1):
+    cells = t.reshape(2, n * n, -1)
+    for m in offsets:
         np.multiply(ct, c2[:, m:m + n], out=t[0])
         np.multiply(st, s2[:, m:m + n], out=ss)
         np.subtract(t[0], ss, out=t[1])
@@ -165,6 +151,65 @@ def _pair_diffs(c: np.ndarray, s: np.ndarray) -> np.ndarray:
         cells[:, m * n::n + 1] = 1.0
         cells[:, n - m:m * n:n + 1] = 1.0
         np.multiply.reduce(t, axis=1, out=prods[m - 1])
+
+
+def _factor_planes(n: int, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """One thread's factor planes for ``_offset_products``: t [+/-, j, k, sample] and ss."""
+    return np.empty((2, n, n, n_samples)), np.empty((n, n, n_samples))
+
+
+def _split_offsets(pool, c2: np.ndarray, s2: np.ndarray, prods: np.ndarray) -> None:
+    """``_offset_products`` over all offsets, cut into one contiguous group per
+    thread: the caller's and each worker's of ``pool``.
+
+    Group g starts at offset 1 + ceil(g M / threads), M = n//2, so the
+    caller's group is never empty.  The caller allocates every group's
+    factor planes, and waits for the workers also when its own group raises.
+    """
+    n, _, n_samples = c2.shape
+    threads = 1 + pool._max_workers
+    bounds = [1 + (g * (n // 2) + threads - 1) // threads for g in range(threads + 1)]
+    groups = [(range(lo, hi), *_factor_planes(n, n_samples))
+              for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    futures = [pool.submit(_offset_products, c2, s2, prods, *group) for group in groups[1:]]
+    try:
+        _offset_products(c2, s2, prods, *groups[0])
+    finally:
+        for future in futures:
+            future.exception()  # wait: the workers write into prods
+    for future in futures:
+        future.result()
+
+
+def _pair_diffs(c: np.ndarray, s: np.ndarray, pool=None) -> np.ndarray:
+    """The diff table of ``_pair_terms`` from its (S, N, N) tables C and S.
+
+    prod_{j != k,l} (C_jk C_jl +/- S_jk S_jl) is symmetric in (k, l), so
+    each pair is visited once as (k, (k + m) mod n) for the offsets
+    m = 1 .. n//2 (twice at m = n/2 for even n), on (j, k, sample) planes
+    with the samples innermost: C_jl and S_jl are windows of ``c2`` and
+    ``s2``, whose k axis is doubled, and the product over j is a sequential
+    reduction, so a sample's bits do not depend on S.  Each factor is
+    cos(4 theta_jk -/+ 4 theta_jl), so a running product never grows and a
+    zero factor makes it exactly 0.
+
+    With a thread ``pool``, ``_split_offsets`` runs the offsets in one
+    contiguous group per thread; each thread writes only its own rows of
+    ``prods``, and each product keeps its factors and their order, so the
+    bits do not depend on the pool.
+    """
+    n_samples, n, _ = c.shape
+    c2 = np.empty((n, 2 * n, n_samples))  # [j, k mod n, sample]
+    s2 = np.empty_like(c2)
+    c2[:, :n] = c.transpose(1, 2, 0)
+    s2[:, :n] = s.transpose(1, 2, 0)
+    c2[:, n:] = c2[:, :n]
+    s2[:, n:] = s2[:, :n]
+    prods = np.empty((n // 2, 2, n, n_samples))  # [m - 1, +/-, k, sample]
+    if pool is None:
+        _offset_products(c2, s2, prods, range(1, n // 2 + 1), *_factor_planes(n, n_samples))
+    else:
+        _split_offsets(pool, c2, s2, prods)
     pairs = (prods[:, 0] - prods[:, 1]).transpose(0, 2, 1)  # [m - 1, sample, k]
     diff = np.zeros((n_samples, n, n))  # C order: _components sums each sample in it
     flat = diff.reshape(n_samples, n * n)
@@ -179,7 +224,7 @@ def _pair_diffs(c: np.ndarray, s: np.ndarray) -> np.ndarray:
     return diff
 
 
-def _pair_terms(theta: np.ndarray):
+def _pair_terms(theta: np.ndarray, pool=None):
     """Per-site and per-pair products of each coupling matrix in an (S, N, N) stack.
 
     With C_jk = cos(4 theta_jk) and S_jk = sin(4 theta_jk), returns
@@ -201,7 +246,7 @@ def _pair_terms(theta: np.ndarray):
     diag = np.arange(n)
     c[:, diag, diag] = 1.0  # harmless identities in every product
     s[:, diag, diag] = 0.0
-    diff = _pair_diffs(c, s)  # first, so that its temporaries are gone before cross
+    diff = _pair_diffs(c, s, pool)  # first, so that its temporaries are gone before cross
 
     # prod_{i != k,l} C_il = (prod_{i < k} C_il)(prod_{i > k} C_il), where
     # C_ll = 1 stands in for the excluded i = l: exclusive prefix and suffix
@@ -239,15 +284,16 @@ def _components(sums, n: int, th: float) -> tuple[np.ndarray, np.ndarray]:
     return a_norm, b_norm
 
 
-def _require_memory(n: int, chunk: int, n_samples: int) -> None:
+def _require_memory(n: int, chunk: int, n_samples: int, workers: int = 0) -> None:
     """Raise ResourceError when a run would need more than _MEMORY_CAP bytes.
 
-    Counts 16 B per sample for the per-run results, and 21 N^2 doubles per
-    sample of a chunk.  The chunk's peak is about 12.5 of them: the
-    coupling matrix, C and S (2), their k-doubled copies (4), the three
-    factor planes, and the per-offset products (1.5) with diff (1).
+    Counts 16 B per sample for the per-run results, and 21 + 3 w N^2
+    doubles per sample of a chunk, with w pool workers beside the caller.
+    The chunk's peak is about 12.5 + 3 w of them: the coupling matrix, C
+    and S (2), their k-doubled copies (4), three factor planes per thread,
+    and the per-offset products (1.5) with diff (1).
     """
-    need = 16 * n_samples + 21 * 8 * chunk * n * n
+    need = 16 * n_samples + (21 + 3 * workers) * 8 * chunk * n * n
     if need > _MEMORY_CAP:
         raise ResourceError(
             f"n = {n} with {n_samples} samples needs about {need / 2**30:.3g} GiB, "
@@ -406,6 +452,24 @@ class MonteCarloResult:
         }
 
 
+@functools.cache
+def _mc_pool():
+    """The Monte Carlo's thread pool, one worker per CPU of the process's
+    affinity set beyond the caller's, or None with one CPU.  It is made,
+    and concurrent.futures imported, on the first Monte Carlo call."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    if cpus < 2:
+        return None
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(cpus - 1, thread_name_prefix="oatsqueeze-mc")
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
+    os.register_at_fork(after_in_child=_mc_pool.cache_clear)
+
+
 def monte_carlo_mean_xi2(
     spec: DisorderSpec, n: int, pols, theta: float, keep_values: bool = False
 ) -> MonteCarloResult:
@@ -419,6 +483,14 @@ def monte_carlo_mean_xi2(
     rejections raises NumericalError.  A delta-method standard error below
     eps*|mean| is rounding noise and is reported as 0.  A run that would
     need more than _MEMORY_CAP bytes raises ResourceError before it starts.
+
+    With more than one CPU in the process's affinity set, each chunk's pair
+    kernel splits its offsets m = 1 .. N//2 into contiguous groups, one for
+    the caller and one for each worker of a thread pool with one worker
+    per extra CPU (``_mc_pool``, made on the first call).  Every product
+    keeps its factors and their order, so the values are the same bits as
+    on one CPU, where no thread is started.  Single-matrix calls
+    (``quadrature_components``) never use the pool.
     """
     if n < 2:
         raise ValidationError(["n_spins >= 2"])
@@ -426,13 +498,14 @@ def monte_carlo_mean_xi2(
     if not math.isfinite(theta):
         raise ValidationError(["quadrature angle finite"])
     chunk = max(1, _CHUNK_BYTES // (8 * n * n))
-    _require_memory(n, chunk, spec.n_samples)
+    pool = _mc_pool()
+    _require_memory(n, chunk, spec.n_samples, 0 if pool is None else pool._max_workers)
     a_norm = np.empty(spec.n_samples)
     b_norm = np.empty(spec.n_samples)
     for start in range(0, spec.n_samples, chunk):
         stop = min(start + chunk, spec.n_samples)
         a_norm[start:stop], b_norm[start:stop] = _components(
-            _sums(_pair_terms(_coupling_stack(spec, n, start, stop - start)), p), n, theta)
+            _sums(_pair_terms(_coupling_stack(spec, n, start, stop - start), pool), p), n, theta)
     degenerate = np.abs(b_norm) <= _DEGENERATE_FRACTION
     rejected = np.flatnonzero(degenerate).tolist()
     if len(rejected) > 0.01 * spec.n_samples:

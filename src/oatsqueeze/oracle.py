@@ -661,11 +661,12 @@ def evolve(
     """Integrate the master equation with fixed-step RK4 in the pair-type basis.
 
     The generator is that of ``lindblad_rhs``, probe field
-    ``proto.signal_field`` included, and ``params.n_spins`` must match the
-    state.  Every term of the model (SX^2, SY, identical per-site channels)
-    commutes with permuting the sites, so a permutation-symmetric Hermitian
-    state stays so and is fixed by K = C(n+3, 3) real coordinates (the
-    ``_pair_types`` tables ``real`` and ``imag``) instead of 4**n entries.
+    ``proto.signal_field`` included, and ``params.n_spins`` and
+    ``params.polarization`` must match the state.  Every term of the model
+    (SX^2, SY, identical per-site channels) commutes with permuting the
+    sites, so a permutation-symmetric Hermitian state stays so and is fixed
+    by K = C(n+3, 3) real coordinates (the ``_pair_types`` tables ``real``
+    and ``imag``) instead of 4**n entries.
     The state must be the ``ProductState`` of ``build_initial_state``; its
     start coordinates come from (n, P) in O(K) (``_product_types``), and
     its entries are not read.  Any other state, negative or non-finite
@@ -696,6 +697,9 @@ def evolve(
     if not isinstance(state, ProductState):
         raise ValidationError(["evolve starts from the ProductState of build_initial_state"])
     n = _spin_count(state, params)
+    if params.polarization != state.polarization:
+        raise ValidationError([f"params.polarization = {params.polarization!r} does not match "
+                               f"state.polarization = {state.polarization!r}"])
     problems = rate_violations(rates) + [
         f"{name} finite" for name, value in (("coupling", proto.coupling),
                                              ("signal_field", proto.signal_field))

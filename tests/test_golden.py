@@ -6,10 +6,14 @@ change that moves any result by one ulp fails here.  Rewrite a file only
 for an intended change of output, and say why in the change log.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import oatsqueeze
 from oatsqueeze.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -48,3 +52,20 @@ def test_inhomo_mc_files_match_golden(tmp_path):
         (GOLDEN / "inhomo_mc.csv").read_text(encoding="utf-8")
     assert (tmp_path / "mc.csv.summary.json").read_text(encoding="utf-8") == \
         (GOLDEN / "inhomo_mc.summary.json").read_text(encoding="utf-8")
+
+
+def test_inhomo_mc_fresh_process_matches_golden(tmp_path):
+    # the CLI in a new interpreter, whose Monte Carlo may start pool workers:
+    # it exits within the timeout, so no worker holds up interpreter exit, and
+    # every byte it writes matches
+    out = tmp_path / "mc.csv"
+    src = str(Path(oatsqueeze.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "oatsqueeze", *CASES["inhomo_mc.summary.json"], "--out", str(out)],
+        env=env, capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, b""), proc.stderr
+    assert out.read_bytes() == (GOLDEN / "inhomo_mc.csv").read_bytes()
+    assert (tmp_path / "mc.csv.summary.json").read_bytes() == \
+        (GOLDEN / "inhomo_mc.summary.json").read_bytes()

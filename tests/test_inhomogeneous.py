@@ -1,7 +1,14 @@
 import dataclasses
+import functools
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,8 +298,10 @@ def test_underflowing_products_stay_finite():
 
 
 @pytest.mark.parametrize("n", [20, 64, 160])
-def test_kernel_peak_memory_within_charge(n):
-    # _require_memory charges 21 N^2 doubles per sample of a chunk
+def test_kernel_peak_memory_within_charge(n, monkeypatch):
+    # _require_memory charges 21 + 3 w N^2 doubles per sample of a chunk with
+    # w pool workers: the kernel alone (w = 0), then a whole run of two chunks
+    # on a pool of one worker, whose allocations tracemalloc sees too
     chunk = max(1, inhomogeneous._CHUNK_BYTES // (8 * n * n))
     spec = DisorderSpec(theta0=0.3 * n ** (-2.0 / 3.0), kappa=0.1, n_samples=chunk)
     stack = inhomogeneous._coupling_stack(spec, n, 0, chunk)
@@ -304,6 +313,17 @@ def test_kernel_peak_memory_within_charge(n):
     finally:
         tracemalloc.stop()
     assert peak < 21 * 8 * chunk * n * n
+
+    with ThreadPoolExecutor(1) as pool:
+        monkeypatch.setattr(inhomogeneous, "_mc_pool", lambda: pool)
+        run = dataclasses.replace(spec, n_samples=2 * chunk)
+        tracemalloc.start()
+        try:
+            monte_carlo_mean_xi2(run, n, 0.9, 1.0, keep_values=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 16 * run.n_samples + 24 * 8 * chunk * n * n
 
 
 # (A/N, B/N) of samples 0-3 for seed 0, kappa 0.1, theta0 = 0.3 N^(-2/3),
@@ -410,6 +430,111 @@ def test_mc_values_independent_of_chunking(monkeypatch):
     chunked = monte_carlo_mean_xi2(spec, n, pols, theta, keep_values=True)
     assert chunked.values.tolist() == direct
     assert (chunked.mean, chunked.stderr) == (large.mean, large.stderr)
+
+
+@pytest.fixture(params=[None, 1, 3], ids=["one_cpu", "one_worker", "three_workers"])
+def mc_pool(request, monkeypatch):
+    """The Monte Carlo's pool for one test, whatever the host's CPU count:
+    none (the one-CPU path) or this many workers.  A short switch interval
+    interleaves the threads as often as the interpreter can."""
+    if request.param is None:
+        monkeypatch.setattr(inhomogeneous, "_mc_pool", lambda: None)
+        yield None
+        return
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(request.param) as pool:
+            monkeypatch.setattr(inhomogeneous, "_mc_pool", lambda: pool)
+            yield pool
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("n, n_samples", [(20, 200), (64, 10), (160, 2)])
+def test_pooled_mc_values_equal_single_matrix_calls(mc_pool, n, n_samples):
+    # N = 20 spans three chunks and 64 two; N = 160 runs one sample per
+    # chunk.  Every chunk's offsets split across the pool, and each value
+    # keeps the bits of the single-matrix call, which runs on the caller only
+    spec = DisorderSpec(theta0=0.3 * n ** (-2.0 / 3.0), kappa=0.1, n_samples=n_samples,
+                        master_seed=4)
+    theta = 8.0 * spec.theta0 + math.pi / 2.0
+    direct = [xi2_theta_couplings(sample_couplings(spec, n, i), 0.9, theta)
+              for i in range(n_samples)]
+    assert monte_carlo_mean_xi2(spec, n, 0.9, theta, keep_values=True).values.tolist() == direct
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    spec = DisorderSpec(theta0=0.04, kappa=0.3, n_samples=30, master_seed=9)
+    offset_products = inhomogeneous._offset_products
+    boom = RuntimeError("worker failed")
+
+    def fail_on_worker(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise boom
+        offset_products(*args)
+
+    with ThreadPoolExecutor(1) as pool:
+        monkeypatch.setattr(inhomogeneous, "_mc_pool", lambda: pool)
+        want = monte_carlo_mean_xi2(spec, 12, 0.8, 1.1, keep_values=True).values.tolist()
+        monkeypatch.setattr(inhomogeneous, "_offset_products", fail_on_worker)
+        with pytest.raises(RuntimeError) as raised:
+            monte_carlo_mean_xi2(spec, 12, 0.8, 1.1)
+        assert raised.value is boom
+        monkeypatch.setattr(inhomogeneous, "_offset_products", offset_products)
+        assert monte_carlo_mean_xi2(spec, 12, 0.8, 1.1, keep_values=True).values.tolist() == want
+
+
+def test_one_cpu_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(inhomogeneous, "_mc_pool",
+                        functools.cache(inhomogeneous._mc_pool.__wrapped__))
+    before = threading.active_count()
+    monte_carlo_mean_xi2(DisorderSpec(theta0=0.05, kappa=0.1, n_samples=200), 20, 1.0, 0.7)
+    assert inhomogeneous._mc_pool() is None
+    assert threading.active_count() == before
+
+
+def _fresh_process(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this package's sources."""
+    src = str(Path(inhomogeneous.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))])}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_cli_and_single_matrix_calls_start_no_thread():
+    # a fresh process: importing the CLI and a single-matrix call neither
+    # start a thread nor import concurrent.futures
+    code = ("import sys, threading\n"
+            "before = threading.active_count()\n"
+            "import oatsqueeze.cli\n"
+            "from oatsqueeze.inhomogeneous import quadrature_components\n"
+            "quadrature_components([[0.0, 0.1, 0.2], [0.1, 0.0, 0.3], [0.2, 0.3, 0.0]], 0.9, 1.0)\n"
+            "assert threading.active_count() == before, threading.enumerate()\n"
+            "assert 'concurrent.futures' not in sys.modules\n")
+    proc = _fresh_process(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_makes_its_own_pool():
+    # a child forked after a pooled run has none of the parent's threads: its
+    # first Monte Carlo call makes a pool of its own instead of waiting on them
+    code = ("import os, signal\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from oatsqueeze.inhomogeneous import DisorderSpec, monte_carlo_mean_xi2\n"
+            "spec = DisorderSpec(theta0=0.05, kappa=0.1, n_samples=5)\n"
+            "want = monte_carlo_mean_xi2(spec, 40, 1.0, 0.7, keep_values=True).values.tolist()\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(30)\n"
+            "    got = monte_carlo_mean_xi2(spec, 40, 1.0, 0.7, keep_values=True).values.tolist()\n"
+            "    os._exit(0 if got == want else 1)\n"
+            "assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0\n")
+    proc = _fresh_process(code)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_mc_stderr_at_rounding_level_is_zero():

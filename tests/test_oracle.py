@@ -1027,6 +1027,17 @@ def test_spin_count_mismatch_is_rejected():
         lindblad_rhs(state, params, DecoherenceRates(), proto)
 
 
+def test_polarization_mismatch_is_rejected():
+    # regression: params at P = 0.5 with a P = 0.9 state once ran at P = 0.9 silently
+    state = build_initial_state(EnsembleParams(3, 0.9))
+    proto = ProtocolParams(coupling=0.05, squeeze_time=0.1)
+    cfg = IntegratorConfig(dt=0.01, t_final=0.1)
+    with pytest.raises(ValidationError,
+                       match=r"^params.polarization = 0.5 does not match state.polarization = 0.9$"):
+        evolve(state, cfg, EnsembleParams(3, 0.5), DecoherenceRates(), proto)
+    evolve(state, cfg, EnsembleParams(3, 0.9), DecoherenceRates(), proto)
+
+
 def test_evolve_variable_coupling_matches_recorded_values():
     # recorded from the z-basis implementation; relative 1e-14 with a floor of 1
     path = Path(__file__).parent / "data" / "variable_coupling_moments.json"
