@@ -45,6 +45,7 @@ from .core import (
 )
 from .inhomogeneous import (
     DisorderSpec,
+    _mc_plan,
     mean_xi2_analytic,
     monte_carlo_mean_xi2,
     suppression_report,
@@ -374,8 +375,10 @@ def cmd_inhomo_mc(args) -> int:
     spec = DisorderSpec(theta0=args.theta0, n_samples=args.samples,
                         master_seed=args.seed, alpha=args.alpha, kappa=args.kappa)
     theta = args.theta if args.theta is not None else 8.0 * args.theta0 + math.pi / 2.0
-    result = monte_carlo_mean_xi2(spec, args.n, args.p, theta, keep_values=True)
+    # the run's own refusals, then a degenerate average, fail before any draw
+    _mc_plan(spec, args.n, args.p, theta)
     analytic_mean = mean_xi2_analytic(spec, args.n, theta)
+    result = monte_carlo_mean_xi2(spec, args.n, args.p, theta, keep_values=True)
     pair, single, negligible = suppression_report(spec, args.n)
     z = 0.0 if result.stderr == 0.0 else (result.mean - analytic_mean) / result.stderr
     summary = _json(result.summary() | {

@@ -26,9 +26,9 @@ from .core import DomainError, NumericalError, ResourceError, ValidationError
 
 ALPHA_CONCENTRATED = 1e15  # alpha at or above this samples exactly theta0
 _DEGENERATE_FRACTION = 1e-12  # |B| <= this (per spin) is a degenerate denominator
-# bytes of one Monte Carlo chunk of (S, N, N) couplings; per offset, each
-# thread of the pair kernel reads 4 planes of this size and writes its own 3,
-# so its working set stays in its core's 2 MB L2
+# bytes of one Monte Carlo chunk of (S, N, N) couplings; per offset, the pair
+# kernel reads 4 planes of this size and writes 3, so the working set of each
+# thread's chunk stays in its core's 2 MB L2
 _CHUNK_BYTES = 1 << 18
 # bytes a Monte Carlo run or one kernel call may take; larger runs raise
 # ResourceError before they allocate
@@ -78,8 +78,9 @@ class DisorderSpec:
 
     At least one of ``alpha`` and ``kappa`` must be given (the other is
     derived through 1/alpha = kappa^2 theta0^2); when both are given they
-    must agree to 1e-12 relative.  kappa = 0 maps to the concentrated
-    branch alpha = ALPHA_CONCENTRATED.
+    must agree to 1e-12 relative.  kappa^2 theta0^2 = 0, also when it
+    underflows, maps to the concentrated branch alpha = ALPHA_CONCENTRATED,
+    and a kappa^2 theta0^2 that overflows is refused.
     """
 
     theta0: float
@@ -102,14 +103,14 @@ class DisorderSpec:
         if alpha is not None and not alpha > 0.0:
             problems.append("alpha > 0")
         if not problems and kappa is not None:
-            derived = ALPHA_CONCENTRATED if kappa == 0.0 or self.theta0 == 0.0 \
-                else 1.0 / (kappa * kappa * self.theta0 * self.theta0)
-            if alpha is None:
-                alpha = derived
-            else:
-                kk = kappa * kappa * self.theta0 * self.theta0
-                if abs(1.0 / alpha - kk) > 1e-12 * max(1.0 / alpha, kk):
-                    problems.append("alpha and kappa inconsistent with 1/alpha = kappa^2 theta0^2")
+            kk = kappa * kappa * self.theta0 * self.theta0
+            if not math.isfinite(kk):
+                problems.append(f"kappa^2 theta0^2 finite (kappa = {kappa!r}, "
+                                f"theta0 = {self.theta0!r})")
+            elif alpha is None:
+                alpha = ALPHA_CONCENTRATED if kk == 0.0 else 1.0 / kk
+            elif abs(1.0 / alpha - kk) > 1e-12 * max(1.0 / alpha, kk):
+                problems.append("alpha and kappa inconsistent with 1/alpha = kappa^2 theta0^2")
         if problems:
             raise ValidationError(problems)
         object.__setattr__(self, "alpha", alpha)
@@ -133,14 +134,29 @@ def _validate_pols(pols, n) -> np.ndarray:
     return p
 
 
-def _offset_products(c2: np.ndarray, s2: np.ndarray, prods: np.ndarray, offsets: range,
-                     t: np.ndarray, ss: np.ndarray) -> None:
-    """prods[m - 1] of ``_pair_diffs`` for each offset m in ``offsets``, on
-    the factor planes ``t`` and ``ss`` of the calling thread."""
-    n = c2.shape[0]
+def _columns(table: np.ndarray, diagonal: float) -> np.ndarray:
+    """An (S, N, N) table, with ``diagonal`` written on its diagonal, as
+    [j, k mod n, sample] planes whose k axis runs on to n + n//2, so that
+    columns k + m for the offsets m <= n//2 are one window."""
+    n_samples, n, _ = table.shape
+    table.reshape(n_samples, n * n)[:, ::n + 1] = diagonal
+    out = np.empty((n, n + n // 2, n_samples))
+    out[:, :n] = table.transpose(1, 2, 0)
+    out[:, n:] = out[:, :n // 2]
+    return out
+
+
+def _offset_pairs(c2: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """prod_{j != k,l} (C_jk C_jl + S_jk S_jl) - prod_{j != k,l} (C_jk C_jl - S_jk S_jl)
+    for l = (k + m) mod n, as [m - 1, sample, k], from the ``_columns`` of C
+    and S; its factor planes are freed when it returns."""
+    n, _, n_samples = c2.shape
     ct, st = c2[:, :n], s2[:, :n]
-    cells = t.reshape(2, n * n, -1)
-    for m in offsets:
+    t = np.empty((2, n, n, n_samples))  # [+/-, j, k, sample]
+    cells = t.reshape(2, n * n, n_samples)
+    ss = np.empty_like(t[0])
+    prods = np.empty((n // 2, 2, n, n_samples))  # [m - 1, +/-, k, sample]
+    for m in range(1, n // 2 + 1):
         np.multiply(ct, c2[:, m:m + n], out=t[0])
         np.multiply(st, s2[:, m:m + n], out=ss)
         np.subtract(t[0], ss, out=t[1])
@@ -151,66 +167,23 @@ def _offset_products(c2: np.ndarray, s2: np.ndarray, prods: np.ndarray, offsets:
         cells[:, m * n::n + 1] = 1.0
         cells[:, n - m:m * n:n + 1] = 1.0
         np.multiply.reduce(t, axis=1, out=prods[m - 1])
+    return (prods[:, 0] - prods[:, 1]).transpose(0, 2, 1)
 
 
-def _factor_planes(n: int, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """One thread's factor planes for ``_offset_products``: t [+/-, j, k, sample] and ss."""
-    return np.empty((2, n, n, n_samples)), np.empty((n, n, n_samples))
-
-
-def _split_offsets(pool, c2: np.ndarray, s2: np.ndarray, prods: np.ndarray) -> None:
-    """``_offset_products`` over all offsets, cut into one contiguous group per
-    thread: the caller's and each worker's of ``pool``.
-
-    Group g starts at offset 1 + ceil(g M / threads), M = n//2, so the
-    caller's group is never empty.  The caller allocates every group's
-    factor planes, and waits for the workers also when its own group raises.
-    """
-    n, _, n_samples = c2.shape
-    threads = 1 + pool._max_workers
-    bounds = [1 + (g * (n // 2) + threads - 1) // threads for g in range(threads + 1)]
-    groups = [(range(lo, hi), *_factor_planes(n, n_samples))
-              for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    futures = [pool.submit(_offset_products, c2, s2, prods, *group) for group in groups[1:]]
-    try:
-        _offset_products(c2, s2, prods, *groups[0])
-    finally:
-        for future in futures:
-            future.exception()  # wait: the workers write into prods
-    for future in futures:
-        future.result()
-
-
-def _pair_diffs(c: np.ndarray, s: np.ndarray, pool=None) -> np.ndarray:
-    """The diff table of ``_pair_terms`` from its (S, N, N) tables C and S.
+def _pair_diffs(c2: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """The diff table of ``_pair_terms`` from the ``_columns`` of its C and S.
 
     prod_{j != k,l} (C_jk C_jl +/- S_jk S_jl) is symmetric in (k, l), so
     each pair is visited once as (k, (k + m) mod n) for the offsets
     m = 1 .. n//2 (twice at m = n/2 for even n), on (j, k, sample) planes
-    with the samples innermost: C_jl and S_jl are windows of ``c2`` and
-    ``s2``, whose k axis is doubled, and the product over j is a sequential
+    with the samples innermost (``_offset_pairs``): C_jl and S_jl are
+    windows of the column planes, and the product over j is a sequential
     reduction, so a sample's bits do not depend on S.  Each factor is
     cos(4 theta_jk -/+ 4 theta_jl), so a running product never grows and a
     zero factor makes it exactly 0.
-
-    With a thread ``pool``, ``_split_offsets`` runs the offsets in one
-    contiguous group per thread; each thread writes only its own rows of
-    ``prods``, and each product keeps its factors and their order, so the
-    bits do not depend on the pool.
     """
-    n_samples, n, _ = c.shape
-    c2 = np.empty((n, 2 * n, n_samples))  # [j, k mod n, sample]
-    s2 = np.empty_like(c2)
-    c2[:, :n] = c.transpose(1, 2, 0)
-    s2[:, :n] = s.transpose(1, 2, 0)
-    c2[:, n:] = c2[:, :n]
-    s2[:, n:] = s2[:, :n]
-    prods = np.empty((n // 2, 2, n, n_samples))  # [m - 1, +/-, k, sample]
-    if pool is None:
-        _offset_products(c2, s2, prods, range(1, n // 2 + 1), *_factor_planes(n, n_samples))
-    else:
-        _split_offsets(pool, c2, s2, prods)
-    pairs = (prods[:, 0] - prods[:, 1]).transpose(0, 2, 1)  # [m - 1, sample, k]
+    n, _, n_samples = c2.shape
+    pairs = _offset_pairs(c2, s2)  # [m - 1, sample, k]
     diff = np.zeros((n_samples, n, n))  # C order: _components sums each sample in it
     flat = diff.reshape(n_samples, n * n)
     for m in range(1, n // 2 + 1):
@@ -224,7 +197,7 @@ def _pair_diffs(c: np.ndarray, s: np.ndarray, pool=None) -> np.ndarray:
     return diff
 
 
-def _pair_terms(theta: np.ndarray, pool=None):
+def _pair_terms(theta: np.ndarray):
     """Per-site and per-pair products of each coupling matrix in an (S, N, N) stack.
 
     With C_jk = cos(4 theta_jk) and S_jk = sin(4 theta_jk), returns
@@ -239,25 +212,29 @@ def _pair_terms(theta: np.ndarray, pool=None):
     <sz_l> = P_l z_l, <sx_k sy_l> = -P_l S_kl cross_kl and
     <sy_k sy_l> = P_k P_l diff_kl / 2.  A sample's values do not depend on
     S or on its place in the stack, so they do not depend on chunking.
+
+    C and S are held only as their ``_columns`` planes, with the harmless
+    identities C_jj = 1 and S_jj = 0 in every product, so that no (S, N, N)
+    copy of them sits beside the factor planes: S comes back to C order
+    after the pair products, and C is read through a view.
     """
     n_samples, n, _ = theta.shape
-    c = np.cos(4.0 * theta)
-    s = np.sin(4.0 * theta)
-    diag = np.arange(n)
-    c[:, diag, diag] = 1.0  # harmless identities in every product
-    s[:, diag, diag] = 0.0
-    diff = _pair_diffs(c, s, pool)  # first, so that its temporaries are gone before cross
+    c2 = _columns(np.cos(4.0 * theta), 1.0)
+    s2 = _columns(np.sin(4.0 * theta), 0.0)
+    diff = _pair_diffs(c2, s2)
+    c = c2[:, :n].transpose(2, 0, 1)
+    s = s2[:, :n].transpose(2, 0, 1).copy()  # C order: _sums reads it with cross
 
     # prod_{i != k,l} C_il = (prod_{i < k} C_il)(prod_{i > k} C_il), where
     # C_ll = 1 stands in for the excluded i = l: exclusive prefix and suffix
     # products down each column
-    prefix = np.ones_like(c)
+    prefix = np.ones((n_samples, n, n))
     np.cumprod(c[:, :-1], axis=1, out=prefix[:, 1:])
-    cross = np.ones_like(c)
+    cross = np.ones((n_samples, n, n))
     np.cumprod(c[:, :0:-1], axis=1, out=cross[:, -2::-1])
     z = prefix[:, -1] * c[:, -1]
     cross *= prefix
-    cross[:, diag, diag] = 0.0
+    cross.reshape(n_samples, n * n)[:, ::n + 1] = 0.0
     return z, s, cross, diff
 
 
@@ -284,20 +261,24 @@ def _components(sums, n: int, th: float) -> tuple[np.ndarray, np.ndarray]:
     return a_norm, b_norm
 
 
-def _require_memory(n: int, chunk: int, n_samples: int, workers: int = 0) -> None:
-    """Raise ResourceError when a run would need more than _MEMORY_CAP bytes.
+def _require_memory(n: int, chunk: int, n_samples: int, threads: int = 1) -> int:
+    """How many of ``threads`` chunks in flight fit under _MEMORY_CAP, at
+    least one; raise ResourceError when not even one does.
 
-    Counts 16 B per sample for the per-run results, and 21 + 3 w N^2
-    doubles per sample of a chunk, with w pool workers beside the caller.
-    The chunk's peak is about 12.5 + 3 w of them: the coupling matrix, C
-    and S (2), their k-doubled copies (4), three factor planes per thread,
-    and the per-offset products (1.5) with diff (1).
+    Counts 16 B per sample for the per-run results, and 21 N^2 doubles per
+    sample of each chunk in flight, one per thread.  A chunk's peak is
+    about 9 of them, in the pair products: the coupling matrix, the
+    ``_columns`` planes of C and S (3), the three factor planes, and the
+    per-offset products (1) with their differences (0.5).
     """
-    need = 16 * n_samples + (21 + 3 * workers) * 8 * chunk * n * n
-    if need > _MEMORY_CAP:
+    per_chunk = 21 * 8 * chunk * n * n
+    fit = (_MEMORY_CAP - 16 * n_samples) // per_chunk
+    if fit < 1:
+        need = 16 * n_samples + per_chunk
         raise ResourceError(
             f"n = {n} with {n_samples} samples needs about {need / 2**30:.3g} GiB, "
             f"above the {_MEMORY_CAP / 2**30:g} GiB cap")
+    return min(threads, fit)
 
 
 def quadrature_components(couplings, pols, theta: float) -> tuple[float, float]:
@@ -402,9 +383,14 @@ def mean_xi2_analytic(spec: DisorderSpec, n: int, theta: float) -> float:
 
     with Sp, Ss the suppression factors above.  Without disorder (kappa = 0)
     both are exactly one and this is the uniform-coupling closed form.
+    Raises DomainError when the denominator, the averaged B/N, is
+    degenerate by the per-sample rule (|B/N| <= 1e-12).
     """
     a, b, d = _twist_terms(n, 1.0, spec.theta0)
     sp, ss, _ = suppression_report(spec, n)
+    if abs(d * ss) <= _DEGENERATE_FRACTION:
+        raise DomainError("degenerate averaged quadrature denominator: "
+                          f"cos^(N-1)(4 theta0) exp(-4 (N-1)/alpha) = {d * ss!r}")
     return (1.0 + math.sin(theta) ** 2 * sp * a - math.sin(2.0 * theta) * ss * b) / (d * ss)
 
 
@@ -470,6 +456,28 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's thr
     os.register_at_fork(after_in_child=_mc_pool.cache_clear)
 
 
+def _mc_plan(spec: DisorderSpec, n: int, pols, theta: float) -> tuple[np.ndarray, int, int]:
+    """The checked polarizations, the chunk size and the thread count of a
+    ``monte_carlo_mean_xi2`` run; raises its ValidationError or
+    ResourceError before anything is drawn."""
+    if n < 2:
+        raise ValidationError(["n_spins >= 2"])
+    p = _validate_pols(pols, n)
+    if not math.isfinite(theta):
+        raise ValidationError(["quadrature angle finite"])
+    chunk = max(1, _CHUNK_BYTES // (8 * n * n))
+    pool = _mc_pool()
+    threads = min(-(-spec.n_samples // chunk), 1 if pool is None else 1 + pool._max_workers)
+    return p, chunk, _require_memory(n, chunk, spec.n_samples, threads)
+
+
+def _chunk_components(spec: DisorderSpec, n: int, p: np.ndarray, theta: float,
+                      start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A/N, B/N) of the Monte Carlo samples start .. stop-1."""
+    return _components(_sums(_pair_terms(_coupling_stack(spec, n, start, stop - start)), p),
+                       n, theta)
+
+
 def monte_carlo_mean_xi2(
     spec: DisorderSpec, n: int, pols, theta: float, keep_values: bool = False
 ) -> MonteCarloResult:
@@ -484,28 +492,49 @@ def monte_carlo_mean_xi2(
     eps*|mean| is rounding noise and is reported as 0.  A run that would
     need more than _MEMORY_CAP bytes raises ResourceError before it starts.
 
-    With more than one CPU in the process's affinity set, each chunk's pair
-    kernel splits its offsets m = 1 .. N//2 into contiguous groups, one for
-    the caller and one for each worker of a thread pool with one worker
-    per extra CPU (``_mc_pool``, made on the first call).  Every product
-    keeps its factors and their order, so the values are the same bits as
-    on one CPU, where no thread is started.  Single-matrix calls
+    With more than one CPU in the process's affinity set, the chunks are
+    dealt round-robin: chunk i goes to thread i mod T, where the caller is
+    thread 0 and the others are the workers of a thread pool with one worker
+    per extra CPU (``_mc_pool``, made on the first call).  Each thread
+    draws, evaluates and sums its own chunks and writes only their slices of
+    the results, so exactly one chunk per thread is in flight.  T is the
+    smallest of the pool's thread count, the number of chunks and the number
+    of chunks in flight that fit under _MEMORY_CAP, so a run that fits on one
+    thread is never refused for the pool.  A sample's value does not depend
+    on its chunk or thread, so the values are the same bits as on one CPU,
+    where no thread is started.  When a thread raises, the others stop
+    before their next chunk; the caller waits for every worker and raises
+    its own exception, else the first worker's.  Single-matrix calls
     (``quadrature_components``) never use the pool.
     """
-    if n < 2:
-        raise ValidationError(["n_spins >= 2"])
-    p = _validate_pols(pols, n)
-    if not math.isfinite(theta):
-        raise ValidationError(["quadrature angle finite"])
-    chunk = max(1, _CHUNK_BYTES // (8 * n * n))
+    p, chunk, threads = _mc_plan(spec, n, pols, theta)
     pool = _mc_pool()
-    _require_memory(n, chunk, spec.n_samples, 0 if pool is None else pool._max_workers)
     a_norm = np.empty(spec.n_samples)
     b_norm = np.empty(spec.n_samples)
-    for start in range(0, spec.n_samples, chunk):
-        stop = min(start + chunk, spec.n_samples)
-        a_norm[start:stop], b_norm[start:stop] = _components(
-            _sums(_pair_terms(_coupling_stack(spec, n, start, stop - start), pool), p), n, theta)
+
+    failed = False
+
+    def run_chunks(first: int) -> None:
+        nonlocal failed
+        try:
+            for start in range(first * chunk, spec.n_samples, threads * chunk):
+                if failed:
+                    return
+                stop = min(start + chunk, spec.n_samples)
+                a_norm[start:stop], b_norm[start:stop] = _chunk_components(
+                    spec, n, p, theta, start, stop)
+        except BaseException:
+            failed = True  # the other threads stop before their next chunk
+            raise
+
+    futures = [pool.submit(run_chunks, first) for first in range(1, threads)]
+    try:
+        run_chunks(0)
+    finally:
+        for future in futures:
+            future.exception()  # wait: the workers write into a_norm and b_norm
+    for future in futures:
+        future.result()
     degenerate = np.abs(b_norm) <= _DEGENERATE_FRACTION
     rejected = np.flatnonzero(degenerate).tolist()
     if len(rejected) > 0.01 * spec.n_samples:

@@ -424,13 +424,44 @@ def test_verify_notes_clamped_spin_count(tmp_path, capsys):
     ["squeeze-curve", "--n", "100", "--p", "1e-200", "--j", "1e-3",
      "--sweep", "t:0.1:1:3:lin"],
     ["squeeze-curve", "--n", "100", "--j", "1e-3", "--sweep", "t:1e-320:1:3:lin"],
-    ["inhomo-mc", "--n", "8", "--samples", "10", "--kappa", "1e300", "--theta0", "0.01"],
+    ["inhomo-mc", "--n", "8", "--samples", "10", "--alpha", "1e-320", "--theta0", "0.01"],
 ])
 def test_arithmetic_faults_exit_2(argv, capsys):
     # regression: OverflowError and ZeroDivisionError ended in a traceback
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("numerical error:")
+
+
+@pytest.mark.parametrize("kappa", ["1e200", "1e300"])
+def test_inhomo_mc_overflowing_kappa_theta0_exits_1(kappa, capsys):
+    # regression: kappa^2 theta0^2 = inf gave alpha = 0.0, and the draw then
+    # failed with "float division by zero" and exit 2
+    assert main(["inhomo-mc", "--n", "20", "--samples", "2", "--theta0", "0.05",
+                 "--kappa", kappa]) == 1
+    err = capsys.readouterr().err
+    assert err == f"validation error: kappa^2 theta0^2 finite (kappa = {float(kappa)!r}, " \
+                  "theta0 = 0.05)\n"
+
+
+def test_inhomo_mc_underflowing_kappa_theta0_runs_concentrated(capsys):
+    # regression: kappa^2 theta0^2 = 0 by underflow raised ZeroDivisionError
+    assert main(["inhomo-mc", "--n", "20", "--samples", "2", "--theta0", "1e-200",
+                 "--kappa", "1e-200"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["mean"], summary["analytic_mean"], summary["stderr"]) == (1.0, 1.0, 0.0)
+
+
+def test_inhomo_mc_degenerate_average_fails_before_the_monte_carlo(monkeypatch, capsys):
+    def no_monte_carlo(*args, **kwargs):
+        raise AssertionError("ran the Monte Carlo")
+
+    monkeypatch.setattr(cli, "monte_carlo_mean_xi2", no_monte_carlo)
+    assert main(["inhomo-mc", "--n", "20", "--samples", "20000", "--theta0", "0.05",
+                 "--alpha", "1e-320"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("numerical error: degenerate averaged quadrature denominator")
 
 
 def test_non_integer_oat_seed_exits_1(monkeypatch, capsys):

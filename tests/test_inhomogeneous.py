@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -67,6 +68,23 @@ def test_disorder_spec_alpha_kappa_relation():
     with pytest.raises(ValidationError):
         DisorderSpec(theta0=0.05, kappa=0.1, n_samples=0)
     assert DisorderSpec(theta0=0.05, kappa=0.0).alpha == ALPHA_CONCENTRATED
+
+
+def test_disorder_spec_refuses_an_overflowing_kappa_theta0():
+    # regression: kappa^2 theta0^2 = inf stored alpha = 0.0 past "alpha > 0"
+    with pytest.raises(ValidationError) as raised:
+        DisorderSpec(theta0=0.05, kappa=1e200)
+    assert raised.value.messages == ["kappa^2 theta0^2 finite (kappa = 1e+200, theta0 = 0.05)"]
+    with pytest.raises(ValidationError, match="kappa\\^2 theta0\\^2 finite"):
+        DisorderSpec(theta0=0.05, kappa=1e200, alpha=1.0)
+
+
+def test_underflowing_kappa_theta0_is_concentrated():
+    # regression: kappa^2 theta0^2 underflowing to 0 raised ZeroDivisionError
+    spec = DisorderSpec(theta0=1e-200, kappa=1e-200, n_samples=2)
+    assert spec.alpha == ALPHA_CONCENTRATED
+    assert spec.sample_std == 0.0
+    assert monte_carlo_mean_xi2(spec, 20, 1.0, 0.7).mean == 1.0
 
 
 def test_sample_std_definition():
@@ -299,9 +317,11 @@ def test_underflowing_products_stay_finite():
 
 @pytest.mark.parametrize("n", [20, 64, 160])
 def test_kernel_peak_memory_within_charge(n, monkeypatch):
-    # _require_memory charges 21 + 3 w N^2 doubles per sample of a chunk with
-    # w pool workers: the kernel alone (w = 0), then a whole run of two chunks
-    # on a pool of one worker, whose allocations tracemalloc sees too
+    # _require_memory charges 21 N^2 doubles per sample of each chunk in
+    # flight.  The kernel alone peaks at about 8 of them (9 with the coupling
+    # matrix, allocated here before tracing); a whole run of two chunks on a
+    # pool of one worker, one chunk per thread, whose allocations tracemalloc
+    # sees too, peaks at about twice that, inside the charge for two
     chunk = max(1, inhomogeneous._CHUNK_BYTES // (8 * n * n))
     spec = DisorderSpec(theta0=0.3 * n ** (-2.0 / 3.0), kappa=0.1, n_samples=chunk)
     stack = inhomogeneous._coupling_stack(spec, n, 0, chunk)
@@ -312,18 +332,20 @@ def test_kernel_peak_memory_within_charge(n, monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 21 * 8 * chunk * n * n
+    assert peak < 9 * 8 * chunk * n * n
 
     with ThreadPoolExecutor(1) as pool:
         monkeypatch.setattr(inhomogeneous, "_mc_pool", lambda: pool)
         run = dataclasses.replace(spec, n_samples=2 * chunk)
+        assert inhomogeneous._require_memory(n, chunk, run.n_samples, 2) == 2
         tracemalloc.start()
         try:
             monte_carlo_mean_xi2(run, n, 0.9, 1.0, keep_values=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert peak < 16 * run.n_samples + 24 * 8 * chunk * n * n
+    charge = 16 * run.n_samples + 2 * 21 * 8 * chunk * n * n
+    assert peak < 16 * run.n_samples + 2 * 10 * 8 * chunk * n * n < charge
 
 
 # (A/N, B/N) of samples 0-3 for seed 0, kappa 0.1, theta0 = 0.3 N^(-2/3),
@@ -383,6 +405,18 @@ def test_mean_structure_at_zero_angles():
     spec0 = DisorderSpec(theta0=0.0, alpha=1e4)
     _, single0, _ = suppression_report(spec0, 20)
     assert mean_xi2_analytic(spec0, 20, 0.7) == pytest.approx(1.0 / single0, rel=1e-12)
+
+
+def test_degenerate_averaged_denominator_raises():
+    # regression: cos^(N-1)(4 theta0) exp(-4 (N-1)/alpha) underflowed to 0
+    # and the average divided by it; the per-sample rule applies instead
+    with pytest.raises(DomainError, match="degenerate averaged quadrature denominator"):
+        mean_xi2_analytic(DisorderSpec(theta0=0.05, alpha=1e-320), 20, 0.7)
+    # exp(-4 * 19 / 2.7) = 6e-13 is degenerate, exp(-4 * 19 / 2.8) = 1.6e-12 is not
+    with pytest.raises(DomainError):
+        mean_xi2_analytic(DisorderSpec(theta0=0.0, alpha=2.7), 20, 0.7)
+    assert mean_xi2_analytic(DisorderSpec(theta0=0.0, alpha=2.8), 20, 0.0) == \
+        pytest.approx(math.exp(4 * 19 / 2.8), rel=1e-12)
 
 
 def test_mc_within_three_standard_errors():
@@ -454,8 +488,8 @@ def mc_pool(request, monkeypatch):
 @pytest.mark.parametrize("n, n_samples", [(20, 200), (64, 10), (160, 2)])
 def test_pooled_mc_values_equal_single_matrix_calls(mc_pool, n, n_samples):
     # N = 20 spans three chunks and 64 two; N = 160 runs one sample per
-    # chunk.  Every chunk's offsets split across the pool, and each value
-    # keeps the bits of the single-matrix call, which runs on the caller only
+    # chunk.  The chunks are dealt across the pool, and each value keeps
+    # the bits of the single-matrix call, which runs on the caller only
     spec = DisorderSpec(theta0=0.3 * n ** (-2.0 / 3.0), kappa=0.1, n_samples=n_samples,
                         master_seed=4)
     theta = 8.0 * spec.theta0 + math.pi / 2.0
@@ -465,24 +499,118 @@ def test_pooled_mc_values_equal_single_matrix_calls(mc_pool, n, n_samples):
 
 
 def test_worker_exception_reaches_the_caller(monkeypatch):
+    # three samples per chunk, ten chunks dealt round-robin to two threads:
+    # chunk 1 always runs on the worker, which raises there
     spec = DisorderSpec(theta0=0.04, kappa=0.3, n_samples=30, master_seed=9)
-    offset_products = inhomogeneous._offset_products
+    monkeypatch.setattr(inhomogeneous, "_CHUNK_BYTES", 3 * 8 * 12 * 12)
+    chunk_components = inhomogeneous._chunk_components
     boom = RuntimeError("worker failed")
+    caller_chunks = []
 
-    def fail_on_worker(*args):
+    def fail_on_worker(spec, n, p, theta, start, stop):
         if threading.current_thread() is not threading.main_thread():
             raise boom
-        offset_products(*args)
+        caller_chunks.append(start)
+        return chunk_components(spec, n, p, theta, start, stop)
 
     with ThreadPoolExecutor(1) as pool:
         monkeypatch.setattr(inhomogeneous, "_mc_pool", lambda: pool)
         want = monte_carlo_mean_xi2(spec, 12, 0.8, 1.1, keep_values=True).values.tolist()
-        monkeypatch.setattr(inhomogeneous, "_offset_products", fail_on_worker)
+        monkeypatch.setattr(inhomogeneous, "_chunk_components", fail_on_worker)
         with pytest.raises(RuntimeError) as raised:
             monte_carlo_mean_xi2(spec, 12, 0.8, 1.1)
         assert raised.value is boom
-        monkeypatch.setattr(inhomogeneous, "_offset_products", offset_products)
+        # the caller runs only its own chunks, in order, and may stop early
+        assert caller_chunks == [0, 6, 12, 18, 24][:len(caller_chunks)]
+        monkeypatch.setattr(inhomogeneous, "_chunk_components", chunk_components)
         assert monte_carlo_mean_xi2(spec, 12, 0.8, 1.1, keep_values=True).values.tolist() == want
+
+
+def test_caller_exception_stops_the_workers(monkeypatch):
+    # the caller's first chunk raises while the worker is inside chunk 1: the
+    # caller waits for it, the worker stops before chunk 3, and the caller's
+    # exception is the one raised
+    spec = DisorderSpec(theta0=0.04, kappa=0.3, n_samples=30, master_seed=9)
+    monkeypatch.setattr(inhomogeneous, "_CHUNK_BYTES", 3 * 8 * 12 * 12)
+    chunk_components = inhomogeneous._chunk_components
+    boom = RuntimeError("caller failed")
+    inside = threading.Event()
+    worker_chunks = []
+
+    def fail_on_caller(spec, n, p, theta, start, stop):
+        if threading.current_thread() is threading.main_thread():
+            assert inside.wait(30)
+            raise boom
+        worker_chunks.append(start)
+        inside.set()
+        time.sleep(0.2)  # the caller raises meanwhile
+        return chunk_components(spec, n, p, theta, start, stop)
+
+    with ThreadPoolExecutor(1) as pool:
+        monkeypatch.setattr(inhomogeneous, "_mc_pool", lambda: pool)
+        monkeypatch.setattr(inhomogeneous, "_chunk_components", fail_on_caller)
+        with pytest.raises(RuntimeError) as raised:
+            monte_carlo_mean_xi2(spec, 12, 0.8, 1.1)
+    assert raised.value is boom
+    assert worker_chunks == [3]
+
+
+def _chunk_threads(monkeypatch) -> dict:
+    """Record, per chunk start, the thread that evaluates each Monte Carlo chunk."""
+    chunk_components = inhomogeneous._chunk_components
+    seen = {}
+
+    def record(spec, n, p, theta, start, stop):
+        seen[start] = threading.current_thread().name
+        return chunk_components(spec, n, p, theta, start, stop)
+
+    monkeypatch.setattr(inhomogeneous, "_chunk_components", record)
+    return seen
+
+
+def test_fewer_chunks_than_threads_run_on_the_caller(monkeypatch):
+    # one sample at N = 160 is one chunk: three workers wait and the caller
+    # evaluates it alone
+    n = 160
+    spec = DisorderSpec(theta0=0.3 * n ** (-2.0 / 3.0), kappa=0.1, n_samples=1, master_seed=4)
+    theta = 8.0 * spec.theta0 + math.pi / 2.0
+    seen = _chunk_threads(monkeypatch)
+    with ThreadPoolExecutor(3) as pool:
+        monkeypatch.setattr(inhomogeneous, "_mc_pool", lambda: pool)
+        got = monte_carlo_mean_xi2(spec, n, 0.9, theta, keep_values=True).values.tolist()
+    assert seen == {0: threading.main_thread().name}
+    assert got == [xi2_theta_couplings(sample_couplings(spec, n, 0), 0.9, theta)]
+
+
+def test_memory_cap_runs_fewer_threads_instead_of_refusing(monkeypatch):
+    # eight chunks of three samples and a pool of three workers: with room
+    # for two chunks in flight the run uses two threads, with room for one
+    # it runs on the caller alone, and the values keep their bits
+    spec = DisorderSpec(theta0=0.04, kappa=0.3, n_samples=24, master_seed=9)
+    n, pols, theta = 12, 0.8, 1.1
+    chunk = 3
+    monkeypatch.setattr(inhomogeneous, "_CHUNK_BYTES", chunk * 8 * n * n)
+    direct = [xi2_theta_couplings(sample_couplings(spec, n, i), pols, theta)
+              for i in range(spec.n_samples)]
+    seen = _chunk_threads(monkeypatch)
+    with ThreadPoolExecutor(3) as pool:
+        monkeypatch.setattr(inhomogeneous, "_mc_pool", lambda: pool)
+        for in_flight in (2, 1):
+            seen.clear()
+            monkeypatch.setattr(inhomogeneous, "_MEMORY_CAP",
+                                16 * spec.n_samples + in_flight * 21 * 8 * chunk * n * n)
+            got = monte_carlo_mean_xi2(spec, n, pols, theta, keep_values=True)
+            assert got.values.tolist() == direct
+            assert sorted(seen) == list(range(0, spec.n_samples, chunk))
+            # chunk i runs on thread i mod T: the caller takes chunks 0, T, 2T, ...
+            main = threading.main_thread().name
+            assert [start for start, name in seen.items() if name == main] == \
+                list(range(0, spec.n_samples, in_flight * chunk))
+            assert len(set(seen.values())) <= in_flight
+        monkeypatch.setattr(inhomogeneous, "_MEMORY_CAP",
+                            16 * spec.n_samples + 21 * 8 * chunk * n * n - 1)
+        with pytest.raises(ResourceError, match="GiB"):
+            monte_carlo_mean_xi2(spec, n, pols, theta)
 
 
 def test_one_cpu_starts_no_thread(monkeypatch):
@@ -526,6 +654,25 @@ def test_forked_child_makes_its_own_pool():
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "from oatsqueeze.inhomogeneous import DisorderSpec, monte_carlo_mean_xi2\n"
             "spec = DisorderSpec(theta0=0.05, kappa=0.1, n_samples=5)\n"
+            "want = monte_carlo_mean_xi2(spec, 40, 1.0, 0.7, keep_values=True).values.tolist()\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(30)\n"
+            "    got = monte_carlo_mean_xi2(spec, 40, 1.0, 0.7, keep_values=True).values.tolist()\n"
+            "    os._exit(0 if got == want else 1)\n"
+            "assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0\n")
+    proc = _fresh_process(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_after_a_threaded_run_makes_its_own_pool():
+    # three chunks at N = 40 put a chunk on the worker, so the pool's thread
+    # exists when the parent forks; a run of one chunk never starts it
+    code = ("import os, signal\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from oatsqueeze.inhomogeneous import DisorderSpec, monte_carlo_mean_xi2\n"
+            "spec = DisorderSpec(theta0=0.05, kappa=0.1, n_samples=60)\n"
             "want = monte_carlo_mean_xi2(spec, 40, 1.0, 0.7, keep_values=True).values.tolist()\n"
             "pid = os.fork()\n"
             "if pid == 0:\n"
