@@ -86,8 +86,16 @@ def theta_big(rates: DecoherenceRates, squeeze_time: float) -> float:
     return 2.0 * rates.gamma_sum * squeeze_time
 
 
+def require_finite_angle(theta: float) -> None:
+    """Refuse a quadrature angle that is infinite or NaN with ValidationError."""
+    if not math.isfinite(theta):
+        raise ValidationError(["quadrature angle finite"])
+
+
 def canonical_angle(theta: float) -> float:
-    """Reduce a quadrature angle to [0, pi); quadrature variances have period pi."""
+    """Reduce a finite quadrature angle to [0, pi); quadrature variances have
+    period pi.  A non-finite angle is refused (``require_finite_angle``)."""
+    require_finite_angle(theta)
     out = math.fmod(theta, math.pi)
     if out < 0.0:
         out += math.pi

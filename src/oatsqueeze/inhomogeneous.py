@@ -22,7 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import _twist_terms
-from .core import DomainError, NumericalError, ResourceError, ValidationError
+from .core import (
+    DomainError,
+    NumericalError,
+    ResourceError,
+    ValidationError,
+    require_finite_angle,
+)
 
 ALPHA_CONCENTRATED = 1e15  # alpha at or above this samples exactly theta0
 _DEGENERATE_FRACTION = 1e-12  # |B| <= this (per spin) is a degenerate denominator
@@ -129,7 +135,7 @@ class DisorderSpec:
 
 def _validate_pols(pols, n) -> np.ndarray:
     p = _per_spin(pols, n)
-    if np.any(p <= 0.0) or np.any(p > 1.0):
+    if not np.all((p > 0.0) & (p <= 1.0)):  # a NaN fails both comparisons
         raise ValidationError(["polarizations must lie in (0, 1]"])
     return p
 
@@ -300,12 +306,14 @@ def quadrature_components(couplings, pols, theta: float) -> tuple[float, float]:
     memory.  One kernel, ``_pair_terms``, computes
     the products: the Monte Carlo runs it on stacks of samples, and
     ``verify variable_coupling`` checks its per-pair terms against the
-    exact unitary.
+    exact unitary.  A non-finite ``theta``, and a polarization outside
+    (0, 1] or NaN, is refused with ValidationError.
     """
     th_mat = _as_couplings(couplings).theta
     n = th_mat.shape[0]
     if n < 2:
         raise ValidationError(["n_spins >= 2 for pair couplings"])
+    require_finite_angle(theta)
     _require_memory(n, 1, 1)
     a_norm, b_norm = _components(_sums(_pair_terms(th_mat[None]), _validate_pols(pols, n)),
                                  n, theta)
@@ -384,8 +392,10 @@ def mean_xi2_analytic(spec: DisorderSpec, n: int, theta: float) -> float:
     with Sp, Ss the suppression factors above.  Without disorder (kappa = 0)
     both are exactly one and this is the uniform-coupling closed form.
     Raises DomainError when the denominator, the averaged B/N, is
-    degenerate by the per-sample rule (|B/N| <= 1e-12).
+    degenerate by the per-sample rule (|B/N| <= 1e-12), and ValidationError
+    when ``theta`` is not finite.
     """
+    require_finite_angle(theta)
     a, b, d = _twist_terms(n, 1.0, spec.theta0)
     sp, ss, _ = suppression_report(spec, n)
     if abs(d * ss) <= _DEGENERATE_FRACTION:
@@ -463,8 +473,7 @@ def _mc_plan(spec: DisorderSpec, n: int, pols, theta: float) -> tuple[np.ndarray
     if n < 2:
         raise ValidationError(["n_spins >= 2"])
     p = _validate_pols(pols, n)
-    if not math.isfinite(theta):
-        raise ValidationError(["quadrature angle finite"])
+    require_finite_angle(theta)
     chunk = max(1, _CHUNK_BYTES // (8 * n * n))
     pool = _mc_pool()
     threads = min(-(-spec.n_samples // chunk), 1 if pool is None else 1 + pool._max_workers)

@@ -27,7 +27,10 @@ The moments read sigma_x from the diagonal and sigma_z, sigma_y
 instead of forming operator products: ``compute_moments`` gathers them
 from a dense matrix, ``evolve_variable_coupling`` forms them from the
 eigenphases, and one kernel (``_moments``) reduces them.  Trace, purity,
-eigenvalues and trace distance do not depend on the basis.
+eigenvalues and trace distance do not depend on the basis.  Each basis
+has one per-n table: ``_bit_tables`` holds the site signs and the gather
+positions of the moments on the 2**n basis indices, ``_pair_types`` the
+types, their moves and their weights.
 
 ``evolve`` integrates in the pair-type basis of permutation-symmetric
 states.  Site i of an entry rho[a, b] has one of four kinds (bit_i(a),
@@ -42,7 +45,7 @@ RK4 step as one matrix-vector product with the precomputed increment
 matrix of dt L.  ``evolve`` starts from the ``ProductState`` of
 ``build_initial_state`` and forms its start coordinates from (n, P), not
 from the 4**n entries.  Its checkpoints read moments, purity and the
-trace from the coordinates with per-n weights (``_type_weights``); only
+trace from the coordinates with the weights of ``_pair_types``; only
 the final state, and each checked eigenvalue, is expanded to the dense
 matrix.
 
@@ -74,6 +77,7 @@ from .core import (
     ResourceError,
     ValidationError,
     rate_violations,
+    require_finite_angle,
 )
 from .inhomogeneous import _as_couplings, _per_spin
 
@@ -88,17 +92,36 @@ RK4_STABLE_STEP = 2.6
 
 
 # ---------------------------------------------------------------------------
-# per-site tables
+# per-n tables: one on the 2**n basis indices, one on the pair types
 # ---------------------------------------------------------------------------
 
+class _BitTables(NamedTuple):
+    z: np.ndarray       # [i, a] = (-1)**bit_i(a), the sigma_x eigenvalue of site i
+    k: np.ndarray       # [p] = k of the p-th pair k < l
+    l: np.ndarray       # [p] = l of the p-th pair
+    single: np.ndarray  # [k, b] = flat position of rho[b, b ^ e_k]
+    pair: np.ndarray    # [p, b] = flat position of rho[b, b ^ e_k ^ e_l]
+    zz: np.ndarray      # [p, b] = z_k[b] z_l[b]
+
+
 @functools.cache
-def _site_signs(n: int) -> np.ndarray:
-    """Per-n table z[i, a] = (-1)**bit_i(a), the sigma_x eigenvalue of site i
-    in the x frame."""
-    bits = (np.arange(1 << n)[None, :] >> np.arange(n - 1, -1, -1)[:, None]) & 1
-    z = 1.0 - 2.0 * bits
-    z.flags.writeable = False  # shared by every caller
-    return z
+def _bit_tables(n: int) -> _BitTables:
+    """Per-n tables on the 2**n basis indices: the site signs z in the x
+    frame, and the positions and signs that the moments gather.  Kept for
+    the life of the process, so stored small: positions as int32, exact up
+    to n = 15 (a matrix of 4**16 entries would take 64 GiB), and the signs
+    zz as int8, which multiply a float exactly."""
+    idx = np.arange(1 << n, dtype=np.int32)
+    bit = 1 << np.arange(n - 1, -1, -1, dtype=np.int32)  # e_k for site k
+    z = 1.0 - 2.0 * ((idx & bit[:, None]) != 0)
+    k, l = np.triu_indices(n, 1)
+    tables = _BitTables(z=z, k=k, l=l,
+                        single=idx << n | idx ^ bit[:, None],
+                        pair=idx << n | idx ^ (bit[k] | bit[l])[:, None],
+                        zz=(z[k] * z[l]).astype(np.int8))
+    for table in tables:
+        table.flags.writeable = False  # shared by every caller
+    return tables
 
 
 class _PairTypes(NamedTuple):
@@ -106,9 +129,14 @@ class _PairTypes(NamedTuple):
     mirror: np.ndarray       # [k] = type of the transposed entries, n01 <-> n10
     local_moves: np.ndarray  # [m, k] = k itself, then k after one site 00 -> 11, 11 -> 00
     row_moves: np.ndarray    # [m, k] = k after one site 00 -> 10, 01 -> 11, 10 -> 00, 11 -> 01
-    index: np.ndarray        # [a, b] = type of rho[a, b] (int16)
+    # [a, b] = type of rho[a, b] (int16): the one 4**n table, which a
+    # pair-type oracle beyond SPIN_CAP has to build apart from the others
+    index: np.ndarray
     real: np.ndarray         # types k <= mirror[k]: their Re r_k are coordinates
     imag: np.ndarray         # types k < mirror[k]: their Im r_k are coordinates
+    mult: np.ndarray         # [k] = n! / (n00! n01! n10! n11!), the entries of type k
+    moments: np.ndarray      # [7, K] on the coordinates: trace, then mean_x .. xy_sym
+    purity: np.ndarray       # [K] on the squared coordinates
 
 
 @functools.cache
@@ -124,8 +152,19 @@ def _pair_types(n: int) -> _PairTypes:
     a, ones of b, hamming(a, b)), the bit counts of a, b and a ^ b.
 
     A Hermitian matrix has r[mirror] = conj(r), so it is fixed by K =
-    C(n+3, 3) real coordinates: Re r_k of each type in ``real``, then Im r_k
-    of each type in ``imag``.
+    C(n+3, 3) real coordinates v: Re r_k of each type in ``real``, then
+    Im r_k of each type in ``imag``.  ``moments`` and ``purity`` read the
+    trace, collective moments and purity from v, in closed form from the
+    counts.  On the type values r, with mult the entries of a type, sigma =
+    n01 - n10 and n10 + n11 the ones of the row index (the sums of
+    ``compute_moments`` taken over all entries of a type at once):
+    trace = sum_diag mult r, mean_x = sum_diag mult (n - 2 n11) r,
+    xx2 = sum_diag mult (n - 2 n11)**2 r, over the n01 + n10 = 1 types
+    mean_z = sum mult Re r, mean_y = sum sigma mult Im r and
+    xy_sym = 2 sum mult ((n - 2 (n10 + n11)) sigma - 1) Im r, and
+    yy2 = n trace - 2 sum mult (1 - 2 n01 n10) Re r over n01 + n10 = 2;
+    purity = sum mult |r|**2.  A coordinate stands for its type and, where
+    that differs, the mirrored one, whose Re r is equal and Im r opposite.
     """
     counts = np.array([(n - n01 - n10 - n11, n01, n10, n11)
                        for n01 in range(n + 1) for n10 in range(n + 1 - n01)
@@ -148,51 +187,15 @@ def _pair_types(n: int) -> _PairTypes:
             out.append(lut[key(moved)])
         return np.array(out, dtype=np.intp)
 
-    ones = ((n - _site_signs(n).sum(axis=0)) / 2.0).astype(np.int8)
     idx = np.arange(1 << n, dtype=np.uint16)
-    index = lut[ones[:, None], ones[None, :], ones[idx[:, None] ^ idx]]
+    ones = sum((idx >> i) & 1 for i in range(n)).astype(np.int8)
     mirror = lut[key(counts[:, [0, 2, 1, 3]])].astype(np.intp)
-    tables = _PairTypes(counts=counts, mirror=mirror,
-                        local_moves=moves((0, 0), (0, 3), (3, 0)),
-                        row_moves=moves((0, 2), (1, 3), (2, 0), (3, 1)),
-                        index=index,
-                        real=np.flatnonzero(np.arange(len(counts)) <= mirror),
-                        imag=np.flatnonzero(np.arange(len(counts)) < mirror))
-    for table in tables:
-        table.flags.writeable = False  # shared by every caller
-    return tables
-
-
-class _TypeWeights(NamedTuple):
-    mult: np.ndarray      # [k] = n! / (n00! n01! n10! n11!), the entries of type k
-    diagonal: np.ndarray  # types with n01 = n10 = 0, those on the diagonal
-    moments: np.ndarray   # [7, K] on the coordinates: trace, then mean_x .. xy_sym
-    purity: np.ndarray    # [K] on the squared coordinates
-
-
-@functools.cache
-def _type_weights(n: int) -> _TypeWeights:
-    """Per-n weights that read trace, collective moments and purity of a
-    permutation-symmetric Hermitian matrix from its ``_pair_types``
-    coordinates v, in closed form from the counts.
-
-    On the type values r, with mult the entries of a type, sigma = n01 - n10
-    and n10 + n11 the ones of the row index (the sums of ``compute_moments``
-    taken over all entries of a type at once):
-    trace = sum_diag mult r, mean_x = sum_diag mult (n - 2 n11) r,
-    xx2 = sum_diag mult (n - 2 n11)**2 r, over the n01 + n10 = 1 types
-    mean_z = sum mult Re r, mean_y = sum sigma mult Im r and
-    xy_sym = 2 sum mult ((n - 2 (n10 + n11)) sigma - 1) Im r, and
-    yy2 = n trace - 2 sum mult (1 - 2 n01 n10) Re r over n01 + n10 = 2;
-    purity = sum mult |r|**2.  A coordinate stands for its type and, where
-    that differs, the mirrored one, whose Re r is equal and Im r opposite.
-    """
-    types = _pair_types(n)
+    real = np.flatnonzero(np.arange(len(counts)) <= mirror)
+    imag = np.flatnonzero(np.arange(len(counts)) < mirror)
     mult = np.array([math.factorial(n) // math.prod(map(math.factorial, kinds))
-                     for kinds in types.counts.tolist()], dtype=float)
-    _, n01, n10, n11 = types.counts.T
-    flips = n01 + n10
-    trace, one, two = (mult * (flips == f) for f in (0, 1, 2))
+                     for kinds in counts.tolist()], dtype=float)
+    _, n01, n10, n11 = counts.T
+    trace, one, two = (mult * (n01 + n10 == f) for f in (0, 1, 2))
     sigma = n01 - n10
     x = n - 2.0 * n11
     zero = np.zeros(len(mult))
@@ -200,13 +203,15 @@ def _type_weights(n: int) -> _TypeWeights:
                    n * trace - 2.0 * (1 - 2 * n01 * n10) * two, zero])
     im = np.array([zero, zero, sigma * one, zero, zero, zero,
                    2.0 * ((n - 2.0 * (n10 + n11)) * sigma - 1.0) * one])
-    real_mirror, imag_mirror = types.mirror[types.real], types.mirror[types.imag]
-    paired = real_mirror != types.real
-    moments = np.concatenate((re[:, types.real] + re[:, real_mirror] * paired,
-                              im[:, types.imag] - im[:, imag_mirror]), axis=1)
-    purity = np.concatenate((mult[types.real] * (1.0 + paired), 2.0 * mult[types.imag]))
-    tables = _TypeWeights(mult=mult, diagonal=np.flatnonzero(flips == 0),
-                          moments=moments, purity=purity)
+    paired = mirror[real] != real
+    tables = _PairTypes(counts=counts, mirror=mirror,
+                        local_moves=moves((0, 0), (0, 3), (3, 0)),
+                        row_moves=moves((0, 2), (1, 3), (2, 0), (3, 1)),
+                        index=lut[ones[:, None], ones[None, :], ones[idx[:, None] ^ idx]],
+                        real=real, imag=imag, mult=mult,
+                        moments=np.concatenate((re[:, real] + re[:, mirror[real]] * paired,
+                                                im[:, imag] - im[:, mirror[imag]]), axis=1),
+                        purity=np.concatenate((mult[real] * (1.0 + paired), 2.0 * mult[imag])))
     for table in tables:
         table.flags.writeable = False  # shared by every caller
     return tables
@@ -380,40 +385,13 @@ class CollectiveMoments:
         return self.second_moment(theta) / self.mean_z
 
 
-class _MomentGathers(NamedTuple):
-    k: np.ndarray       # [p] = k of the p-th pair k < l
-    l: np.ndarray       # [p] = l of the p-th pair
-    single: np.ndarray  # [k, b] = flat position of rho[b, b ^ e_k]
-    pair: np.ndarray    # [p, b] = flat position of rho[b, b ^ e_k ^ e_l]
-    zz: np.ndarray      # [p, b] = z_k[b] z_l[b]
-
-
-@functools.cache
-def _moment_gathers(n: int) -> _MomentGathers:
-    """Per-n gather tables of the moments, kept for the life of the process,
-    so stored small: positions as int32, exact up to n = 15 (a matrix of
-    4**16 entries would take 64 GiB), and the signs zz as int8, which
-    multiply a float exactly."""
-    z = _site_signs(n)
-    idx = np.arange(1 << n, dtype=np.int32)
-    bit = 1 << np.arange(n - 1, -1, -1, dtype=np.int32)  # e_k for site k
-    k, l = np.triu_indices(n, 1)
-    tables = _MomentGathers(k=k, l=l,
-                            single=idx << n | idx ^ bit[:, None],
-                            pair=idx << n | idx ^ (bit[k] | bit[l])[:, None],
-                            zz=(z[k] * z[l]).astype(np.int8))
-    for table in tables:
-        table.flags.writeable = False  # shared by every caller
-    return tables
-
-
 def compute_moments(state: DensityMatrix, pair_correlations: bool = False) -> CollectiveMoments:
     """Collective first/second moments (and optional pair tables) of any
     matrix; the result is trace-linear.  Gathers the entries that
     ``_moments`` reads: the diagonal, rho[b, b ^ e_k] and rho[b, b ^ e_k ^ e_l].
     """
     rho, n = state.entries, state.n_spins
-    g = _moment_gathers(n)
+    g = _bit_tables(n)
     return _moments(np.real(np.diagonal(rho))[None], np.take(rho, g.single)[None],
                     np.take(rho, g.pair)[None], n, pair_correlations)[0]
 
@@ -429,8 +407,8 @@ def _moments(pops, single, pair, n: int, pair_correlations: bool) -> list[Collec
     per matrix, along its rows (a stacked matmul is one BLAS call per
     matrix), so a matrix's bits do not depend on the stack it is in.
     """
-    z = _site_signs(n)
-    g = _moment_gathers(n)
+    g = _bit_tables(n)
+    z = g.z
     count = len(pops)
     z_im = z * single.imag
     site_z = single.real.sum(axis=-1)
@@ -493,7 +471,7 @@ def _dense_generator(n, rates: DecoherenceRates, proto: ProtocolParams):
     h_a = (sum_i z_i[a])^2 the eigenvalue of SX^2,
     -iJ (h_a - h_b) + gamma_par sum_i z_i[a] z_i[b] - n (gamma_par + 2 gamma_perp).
     """
-    z = _site_signs(n)
+    z = _bit_tables(n).z
     h = z.sum(axis=0) ** 2
     gamma_par, gamma_perp = rates.gamma_par, rates.gamma_perp
     diag = (-1j * proto.coupling) * np.subtract.outer(h, h) \
@@ -682,7 +660,7 @@ def evolve(
     rounded diagonal would repeat the same error every step.
 
     Each checkpoint, t = 0 included, reads the state from the coordinates
-    in O(K) with the ``_type_weights`` tables: the collective moments and
+    in O(K) with the ``_pair_types`` weights: the collective moments and
     the trace as one small product, the purity from the squared
     coordinates.  Its hermiticity defect, max |r - conj(r[mirror])| over
     the type values (mirrored types conjugate, self-mirror types real), is
@@ -712,7 +690,6 @@ def evolve(
     _require_stable_step(dt, n, generator, proto.signal_field)
     every = cfg.checkpoint_every if cfg.checkpoint_every > 0 else n_steps
     types = _pair_types(n)
-    weights = _type_weights(n)
     traj = Trajectory()
 
     def coordinates(r):
@@ -731,13 +708,13 @@ def evolve(
     def checkpoint(t, v, positivity=False, final=False):
         r = type_values(v)
         herm = float(np.max(np.abs(r - r[types.mirror].conj())))
-        trace, *moments = (weights.moments @ v).tolist()
+        trace, *moments = (types.moments @ v).tolist()
         dense = DensityMatrix(r[types.index], n) if positivity or final else None
         traj._record(*_require_margins(herm, abs(trace - 1.0), f"t={t:.6g}",
                                        dense.min_eigenvalue if positivity else None))
         traj.times.append(t)
         traj.moments.append(CollectiveMoments(*moments))
-        traj.purities.append(float(weights.purity @ (v * v)))
+        traj.purities.append(float(types.purity @ (v * v)))
         if final:
             traj.final = dense
 
@@ -761,7 +738,7 @@ def _coupling_phases(theta: np.ndarray) -> np.ndarray:
     """Eigenphases s^T theta s of the ordered-pair twisting generator, for
     one matrix or each of a stack."""
     n = theta.shape[-1]
-    s = _site_signs(n).T  # [a, i] = sigma_x eigenvalue in the x frame
+    s = _bit_tables(n).z.T  # [a, i] = sigma_x eigenvalue in the x frame
     return np.einsum("ai,...ij,aj->...a", s, theta, s)
 
 
@@ -803,7 +780,7 @@ def _variable_coupling_moments(theta: np.ndarray, polarizations) -> list[Collect
     """
     n = theta.shape[-1]
     rows = np.array([_product_row(p, n) for p in polarizations], dtype=complex)
-    g = _moment_gathers(n)
+    g = _bit_tables(n)
     phase = np.exp(-1j * _coupling_phases(theta))
     conj = phase.conj()
 
@@ -963,8 +940,12 @@ def simulate_metrology(
     the quadrature mean is odd in B_y: the difference quotient from the
     B_y = 0 run equals the central difference at +/-B_y.  The step keeps
     the linear-response error below the integrator tolerance.
-    ``proto.signal_field`` is ignored: the slope is per unit field.
+    ``proto.signal_field`` is ignored: the slope is per unit field.  A
+    non-finite ``measure_angle`` is refused with ValidationError before
+    either run.
     """
+    if measure_angle is not None:
+        require_finite_angle(measure_angle)
     gs = rates.gamma_sum
     b = 1e-6 * gs if gs > 0.0 else 1e-6 / proto.squeeze_time
     rho0 = build_initial_state(params)

@@ -76,6 +76,12 @@ def test_xi2_theta_rejects_bad_polarization():
         analytic.xi2_theta_finite_polarization(1, 1.0, 0.05, 0.2)
 
 
+@pytest.mark.parametrize("theta", (math.inf, -math.inf, math.nan))
+def test_xi2_theta_refuses_a_non_finite_angle(theta):
+    with pytest.raises(ValidationError, match="quadrature angle finite"):
+        analytic.xi2_theta_finite_polarization(4, 1.0, 0.05, theta)
+
+
 def test_xi2_min_unsqueezed_limit():
     assert analytic.xi2_min_finite_polarization(37, 1.0, 0.0) == (1.0, 0.0)
     xi2, theta = analytic.xi2_min_finite_polarization(37, 0.4, 0.0)

@@ -218,6 +218,14 @@ def test_validation_exit_code(tmp_path):
     assert rc == 1
 
 
+def test_inhomo_mc_refuses_a_nan_polarization(capsys):
+    rc = main(["inhomo-mc", "--p", "nan", "--samples", "3", "--kappa", "0.1"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["validation error: polarizations must lie in (0, 1]"]
+
+
 def test_numerical_exit_code():
     # theta0 = pi/8 makes every sample's denominator degenerate
     rc = main(["inhomo-mc", "--n", "6", "--theta0", str(math.pi / 8.0),

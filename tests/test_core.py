@@ -87,3 +87,9 @@ def test_angle_canonicalization():
     assert canonical_angle(math.pi) == 0.0
     assert canonical_angle(-0.1) == pytest.approx(math.pi - 0.1)
     assert canonical_angle(3.5 * math.pi + 0.2) == pytest.approx(0.5 * math.pi + 0.2)
+
+
+@pytest.mark.parametrize("theta", (math.inf, -math.inf, math.nan))
+def test_canonical_angle_refuses_a_non_finite_angle(theta):
+    with pytest.raises(ValidationError, match="quadrature angle finite"):
+        canonical_angle(theta)

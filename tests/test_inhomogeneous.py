@@ -172,6 +172,37 @@ def test_pols_validation():
         xi2_theta_couplings(uniform(4, 0.05), [0.5, 0.5], 0.3)
 
 
+@pytest.mark.parametrize("pols", [math.nan, [0.9, math.nan, 0.9, 0.9]])
+def test_nan_polarizations_are_refused(pols):
+    spec = DisorderSpec(theta0=0.05, kappa=0.1, n_samples=3)
+    for call in (lambda: quadrature_components(uniform(4, 0.05), pols, 0.3),
+                 lambda: xi2_theta_couplings(uniform(4, 0.05), pols, 0.3),
+                 lambda: monte_carlo_mean_xi2(spec, 4, pols, 0.3)):
+        with pytest.raises(ValidationError, match=r"polarizations must lie in \(0, 1\]"):
+            call()
+
+
+NON_FINITE = (math.inf, -math.inf, math.nan)
+
+
+@pytest.mark.parametrize("theta", NON_FINITE)
+def test_quadrature_components_refuse_a_non_finite_angle(theta):
+    with pytest.raises(ValidationError, match="quadrature angle finite"):
+        quadrature_components(uniform(4, 0.05), 0.9, theta)
+
+
+@pytest.mark.parametrize("theta", NON_FINITE)
+def test_xi2_theta_couplings_refuses_a_non_finite_angle(theta):
+    with pytest.raises(ValidationError, match="quadrature angle finite"):
+        xi2_theta_couplings(uniform(4, 0.05), 0.9, theta)
+
+
+@pytest.mark.parametrize("theta", NON_FINITE)
+def test_mean_xi2_analytic_refuses_a_non_finite_angle(theta):
+    with pytest.raises(ValidationError, match="quadrature angle finite"):
+        mean_xi2_analytic(DisorderSpec(theta0=0.05, kappa=0.1, n_samples=3), 4, theta)
+
+
 def test_components_are_per_spin_normalized():
     a, b = quadrature_components(uniform(5, 0.0), 0.5, 1.0)
     assert a == pytest.approx(1.0, rel=1e-14)
@@ -642,6 +673,16 @@ def test_cli_and_single_matrix_calls_start_no_thread():
             "quadrature_components([[0.0, 0.1, 0.2], [0.1, 0.0, 0.3], [0.2, 0.3, 0.0]], 0.9, 1.0)\n"
             "assert threading.active_count() == before, threading.enumerate()\n"
             "assert 'concurrent.futures' not in sys.modules\n")
+    proc = _fresh_process(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_closed_forms_import_no_numpy():
+    # a fresh process: the package, core and the closed forms start without
+    # numpy, which only the oracle, the Monte Carlo and the CLI need
+    code = ("import sys\n"
+            "import oatsqueeze, oatsqueeze.core, oatsqueeze.analytic\n"
+            "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if 'numpy' in m)\n")
     proc = _fresh_process(code)
     assert proc.returncode == 0, proc.stderr
 

@@ -360,13 +360,14 @@ def test_type_weight_tables():
     # tables of n > 8 are large, so the caches are emptied afterwards
     try:
         for n in range(1, 13):
-            types, weights = oracle._pair_types(n), oracle._type_weights(n)
-            assert weights.mult.sum() == 4 ** n, f"n={n}"
-            assert weights.mult[weights.diagonal].sum() == 2 ** n, f"n={n}"
-            assert np.array_equal(weights.mult, np.bincount(types.index.reshape(-1))), f"n={n}"
-            assert not types.counts[weights.diagonal, 1:3].any(), f"n={n}"
+            types = oracle._pair_types(n)
+            diagonal = np.flatnonzero(types.counts[:, 1] + types.counts[:, 2] == 0)
+            assert types.mult.sum() == 4 ** n, f"n={n}"
+            assert types.mult[diagonal].sum() == 2 ** n, f"n={n}"
+            assert np.array_equal(types.mult, np.bincount(types.index.reshape(-1))), f"n={n}"
+            assert not types.counts[diagonal, 1:3].any(), f"n={n}"
     finally:
-        for cache in (oracle._site_signs, oracle._pair_types, oracle._type_weights):
+        for cache in (oracle._bit_tables, oracle._pair_types):
             cache.cache_clear()
 
 
@@ -526,7 +527,7 @@ def test_product_types_are_the_dense_entries_bit_for_bit(polarization):
             if n <= 10:
                 assert np.array_equal(got[types.index], oracle._product_state(polarization, n))
     finally:
-        for cache in (oracle._site_signs, oracle._pair_types):
+        for cache in (oracle._bit_tables, oracle._pair_types):
             cache.cache_clear()
 
 
@@ -949,6 +950,14 @@ def test_metrology_single_spin_rotation():
     res = simulate_metrology(EnsembleParams(1, 1.0), DecoherenceRates(), proto, cfg,
                              measure_angle=0.0)
     assert res.signal_slope == pytest.approx(2.0 * proto.squeeze_time, rel=1e-6)
+
+
+@pytest.mark.parametrize("angle", (math.inf, -math.inf, math.nan))
+def test_metrology_refuses_a_non_finite_measure_angle(angle):
+    with pytest.raises(ValidationError, match="quadrature angle finite"):
+        simulate_metrology(EnsembleParams(2, 1.0), DecoherenceRates(0.01, 0.01),
+                           ProtocolParams(coupling=0.1, squeeze_time=1.0),
+                           IntegratorConfig(dt=1e-2, t_final=1.0), measure_angle=angle)
 
 
 def test_metrology_effective_field():
