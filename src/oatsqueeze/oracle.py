@@ -42,20 +42,18 @@ gathers from neighbouring types (``_raw_rhs``).  A Hermitian symmetric
 state is fixed by as many real coordinates, so ``evolve`` builds the
 generator once per call as a real square matrix L on them and takes each
 RK4 step as one matrix-vector product with the precomputed increment
-matrix of dt L.  ``evolve`` starts from the ``ProductState`` of
-``build_initial_state`` and forms its start coordinates from (n, P), not
-from the 4**n entries.  Its checkpoints read moments, purity and the
-trace from the coordinates with the weights of ``_pair_types``; only
-the final state, and each checked eigenvalue, is expanded to the dense
-matrix.
+matrix of dt L.  Its checkpoints read moments, purity and the trace from
+the coordinates with the weights of ``_pair_types``, O(K) at any n.  A
+symmetric state is held as its type values in a ``_SymmetricState`` (the
+start ``ProductState`` of ``build_initial_state``, built in O(K), each
+checkpoint and ``Trajectory.final``), whose 4**n entries are gathered
+through ``_type_index``, the one 4**n table, only when first read.
 
 Pair couplings are given as an ``inhomogeneous.CouplingMatrix`` or as a
 plain matrix that passes its checks.  The oracle exists to validate
-formulas, not to scale: every state it returns (a ``DensityMatrix``,
-``Trajectory.final``, a channel's output) is a dense matrix, but moments
-need none: ``evolve`` expands only its final state and each checked
-eigenvalue, and ``evolve_variable_coupling`` forms no 4**n array.  The
-spin count is capped at ``SPIN_CAP``.
+formulas, not to scale: every state it returns reads as a dense matrix,
+but moments need none, and no 4**n array is formed unless one is read.
+The spin count is capped at ``SPIN_CAP``.
 """
 
 from __future__ import annotations
@@ -129,9 +127,7 @@ class _PairTypes(NamedTuple):
     mirror: np.ndarray       # [k] = type of the transposed entries, n01 <-> n10
     local_moves: np.ndarray  # [m, k] = k itself, then k after one site 00 -> 11, 11 -> 00
     row_moves: np.ndarray    # [m, k] = k after one site 00 -> 10, 01 -> 11, 10 -> 00, 11 -> 01
-    # [a, b] = type of rho[a, b] (int16): the one 4**n table, which a
-    # pair-type oracle beyond SPIN_CAP has to build apart from the others
-    index: np.ndarray
+    lookup: np.ndarray       # [ones of a, ones of b, hamming(a, b)] = type of rho[a, b]
     real: np.ndarray         # types k <= mirror[k]: their Re r_k are coordinates
     imag: np.ndarray         # types k < mirror[k]: their Im r_k are coordinates
     mult: np.ndarray         # [k] = n! / (n00! n01! n10! n11!), the entries of type k
@@ -148,8 +144,7 @@ def _pair_types(n: int) -> _PairTypes:
     counts (n00, n01, n10, n11) of the four kinds, its type, so it is
     C(n+3, 3) numbers.  A move turns one site of one kind into another;
     where no site has the source kind it returns the type itself, and its
-    weight (the source count) is zero.  ``index`` is looked up by (ones of
-    a, ones of b, hamming(a, b)), the bit counts of a, b and a ^ b.
+    weight (the source count) is zero.  Each table is O(K) at any n.
 
     A Hermitian matrix has r[mirror] = conj(r), so it is fixed by K =
     C(n+3, 3) real coordinates v: Re r_k of each type in ``real``, then
@@ -187,8 +182,6 @@ def _pair_types(n: int) -> _PairTypes:
             out.append(lut[key(moved)])
         return np.array(out, dtype=np.intp)
 
-    idx = np.arange(1 << n, dtype=np.uint16)
-    ones = sum((idx >> i) & 1 for i in range(n)).astype(np.int8)
     mirror = lut[key(counts[:, [0, 2, 1, 3]])].astype(np.intp)
     real = np.flatnonzero(np.arange(len(counts)) <= mirror)
     imag = np.flatnonzero(np.arange(len(counts)) < mirror)
@@ -206,8 +199,7 @@ def _pair_types(n: int) -> _PairTypes:
     paired = mirror[real] != real
     tables = _PairTypes(counts=counts, mirror=mirror,
                         local_moves=moves((0, 0), (0, 3), (3, 0)),
-                        row_moves=moves((0, 2), (1, 3), (2, 0), (3, 1)),
-                        index=lut[ones[:, None], ones[None, :], ones[idx[:, None] ^ idx]],
+                        row_moves=moves((0, 2), (1, 3), (2, 0), (3, 1)), lookup=lut,
                         real=real, imag=imag, mult=mult,
                         moments=np.concatenate((re[:, real] + re[:, mirror[real]] * paired,
                                                 im[:, imag] - im[:, mirror[imag]]), axis=1),
@@ -215,6 +207,17 @@ def _pair_types(n: int) -> _PairTypes:
     for table in tables:
         table.flags.writeable = False  # shared by every caller
     return tables
+
+
+@functools.cache
+def _type_index(n: int) -> np.ndarray:
+    """[a, b] = type of rho[a, b] (int16): the one 4**n table, which only
+    the dense expansion of a ``_SymmetricState`` reads."""
+    idx = np.arange(1 << n, dtype=np.uint16)
+    ones = sum((idx >> i) & 1 for i in range(n)).astype(np.int8)
+    index = _pair_types(n).lookup[ones[:, None], ones[None, :], ones[idx[:, None] ^ idx]]
+    index.flags.writeable = False  # shared by every caller
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -264,29 +267,57 @@ def _require_margins(herm: float, trace: float, when: str,
 
 
 @dataclass(frozen=True)
-class ProductState(DensityMatrix):
+class _SymmetricState(DensityMatrix):
+    """A permutation-symmetric matrix held as its read-only pair-type values;
+    its read-only ``entries``, values[``_type_index``], are formed on first read."""
+
+    entries: np.ndarray = field(init=False, repr=False, compare=False)
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.values.flags.writeable = False
+
+    def __getattr__(self, name):  # called only while ``entries`` is unset
+        if name != "entries":
+            raise AttributeError(name)
+        object.__setattr__(self, "entries", self.values[_type_index(self.n_spins)])
+        self.entries.flags.writeable = False
+        return self.entries
+
+
+@dataclass(frozen=True)
+class ProductState(_SymmetricState):
     """The state of ``build_initial_state`` and its polarization P, the start
-    of ``evolve``; frozen, with read-only entries, so they keep to P."""
+    of ``evolve``; frozen, with read-only values and entries, so they keep to P."""
 
     polarization: float
 
 
 def build_initial_state(params: EnsembleParams) -> ProductState:
-    """Product state with per-spin Bloch vector (0, 0, P).
+    """Product state with per-spin Bloch vector (0, 0, P), built in O(K).
 
     Written per spin in the x frame as (I + P*sx)/2 = [[1/2, P/2], [P/2, 1/2]]
-    so the total trace is exactly one.  P = 0 (maximally mixed) is allowed
-    here even though the squeezing formulas reject it.
+    so the total trace is exactly one.  A type with m = n01 + n10 ones in a ^ b
+    has r = 2**-(n - m) (P/2)**m, the bits of row[a ^ b] (``_product_row``:
+    sequential products, exact factors 0.5).  P = 0 (maximally mixed) is allowed.
     """
-    n = params.n_spins
-    rho = _product_state(params.polarization, n)
-    rho.flags.writeable = False
-    return ProductState(rho, n, params.polarization)
+    n, polarization = params.n_spins, params.polarization
+    _product_polarizations(polarization, n)
+    m = _pair_types(n).counts[:, 1:3].sum(axis=1)  # n01 + n10
+    powers = np.cumprod(np.concatenate(([1.0], np.full(n, polarization / 2.0))))
+    return ProductState(n, np.ldexp(powers[m], m - n).astype(complex), polarization)
 
 
-def _require_dense(n: int) -> None:
+def _product_polarizations(polarizations, n: int) -> np.ndarray:
+    """P per spin of a product state, refused unless n >= 1, P in [0, 1], n <= SPIN_CAP."""
+    if n < 1:
+        raise ValidationError(["n_spins >= 1"])
+    pols = _per_spin(polarizations, n)
+    if not np.all((pols >= 0.0) & (pols <= 1.0)):
+        raise ValidationError(["polarization in [0, 1] for state preparation"])
     if n > SPIN_CAP:
         raise ResourceError(f"n_spins = {n} exceeds the dense oracle's SPIN_CAP = {SPIN_CAP}")
+    return pols
 
 
 def _product_row(polarizations, n: int) -> np.ndarray:
@@ -295,44 +326,13 @@ def _product_row(polarizations, n: int) -> np.ndarray:
     An entry rho[a, b] depends only on the mask a ^ b: it is row[a ^ b] =
     the product over sites, site 0 first, of 0.5 where the mask bit is 0 and
     P_i/2 where it is 1, i.e. 2**-n prod_{i in a ^ b} P_i.  Every other
-    function takes these values from here, so they share one rounding.
+    function takes these values from here, so they share one rounding;
+    ``build_initial_state`` forms the same bits in closed form.
     """
-    if n < 1:
-        raise ValidationError(["n_spins >= 1"])
-    pols = _per_spin(polarizations, n)
-    if not np.all((pols >= 0.0) & (pols <= 1.0)):
-        raise ValidationError(["polarization in [0, 1] for state preparation"])
-    _require_dense(n)
     row = np.ones(1)
-    for p in pols.tolist():
+    for p in _product_polarizations(polarizations, n).tolist():
         row = np.multiply.outer(row, (0.5, p / 2.0)).reshape(-1)
     return row
-
-
-def _product_state(polarizations, n: int) -> np.ndarray:
-    """Entries of the product of (I + P_i sx)/2: rho[a, b] = row[a ^ b] for
-    ``_product_row``, copied without arithmetic.  Rows h .. 2h - 1 are rows
-    0 .. h - 1 with the two column halves of every 2h-block swapped."""
-    row = _product_row(polarizations, n)
-    dim = len(row)
-    rho = np.empty((dim, dim), dtype=complex)
-    rho[0] = row
-    h = 1
-    while h < dim:
-        blocks = (h, dim // (2 * h), 2, h)
-        rho[h:2 * h].reshape(blocks)[...] = rho[:h].reshape(blocks)[:, :, ::-1]
-        h *= 2
-    return rho
-
-
-def _product_types(n: int, polarization: float) -> np.ndarray:
-    """Pair-type values of ``_product_state`` at uniform P: a type with
-    m = n01 + n10 ones in a ^ b has r = 2**-(n - m) (P/2)**m, a sequential
-    product as in ``_product_row`` and exact factors 0.5, so the same bits."""
-    _, n01, n10, _ = _pair_types(n).counts.T
-    powers = np.cumprod(np.concatenate(([1.0], np.full(n, polarization / 2.0))))
-    m = n01 + n10
-    return np.ldexp(powers[m], m - n)
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +365,12 @@ class CollectiveMoments:
 
     def second_moment(self, theta: float) -> float:
         """<[sum_i (cos(theta) sx_i + sin(theta) sy_i)]^2>; period pi."""
+        require_finite_angle(theta)
         c, s = math.cos(theta), math.sin(theta)
         return c * c * self.xx2 + s * s * self.yy2 + s * c * self.xy_sym
 
     def quadrature_mean(self, theta: float) -> float:
+        require_finite_angle(theta)
         return math.cos(theta) * self.mean_x + math.sin(theta) * self.mean_y
 
     def minimize_second_moment(self) -> tuple[float, float]:
@@ -607,9 +609,9 @@ class Trajectory:
     """Checkpointed observables of one master-equation run.
 
     ``evolve`` reads ``moments``, ``purities`` and the margins at each
-    checkpoint from its pair-type coordinates; ``final`` is the only dense
-    state it keeps, and ``min_eigenvalue`` comes from a dense expansion of
-    each checkpoint, made only when positivity is checked.
+    checkpoint from its pair-type coordinates.  ``final``, the state at
+    t_final, forms its dense entries on first read; ``min_eigenvalue``
+    comes from those of each checkpoint, formed only when it is checked.
     """
 
     times: list[float] = field(default_factory=list)
@@ -645,9 +647,8 @@ def evolve(
     sites, so a permutation-symmetric Hermitian state stays so and is fixed
     by K = C(n+3, 3) real coordinates (the ``_pair_types`` tables ``real``
     and ``imag``) instead of 4**n entries.
-    The state must be the ``ProductState`` of ``build_initial_state``; its
-    start coordinates come from (n, P) in O(K) (``_product_types``), and
-    its entries are not read.  Any other state, negative or non-finite
+    The state must be the ``ProductState`` of ``build_initial_state``, whose
+    type values are the start.  Any other state, negative or non-finite
     rates (a channel that is not completely positive), a non-finite
     coupling or probe field, and a step outside RK4's stability region
     (``_require_stable_step``) are refused with ValidationError.
@@ -665,12 +666,11 @@ def evolve(
     coordinates.  Its hermiticity defect, max |r - conj(r[mirror])| over
     the type values (mirrored types conjugate, self-mirror types real), is
     zero by construction and still checked, like the trace defect; the
-    worst margins are kept on the trajectory.  Only two things expand the
-    type values to the dense matrix, with one index gather: ``final``, the
-    state at t_final in the same x frame as the input, and the lowest
-    eigenvalue of each checkpoint, t = 0 included, when ``check_positivity``
-    is set.  A margin crossed beyond tolerance raises NumericalError naming
-    the offending time.
+    worst margins are kept on the trajectory.  Each checkpoint is a
+    ``_SymmetricState``, made dense only when read: for its lowest
+    eigenvalue when ``check_positivity`` is set, and as ``final``, the last
+    one, in the input's x frame.  A margin crossed beyond tolerance raises
+    NumericalError naming the offending time.
     """
     if not isinstance(state, ProductState):
         raise ValidationError(["evolve starts from the ProductState of build_initial_state"])
@@ -705,28 +705,26 @@ def evolve(
         r.imag[types.mirror[types.imag]] = -im
         return r
 
-    def checkpoint(t, v, positivity=False, final=False):
+    def checkpoint(t, v):
         r = type_values(v)
         herm = float(np.max(np.abs(r - r[types.mirror].conj())))
         trace, *moments = (types.moments @ v).tolist()
-        dense = DensityMatrix(r[types.index], n) if positivity or final else None
+        traj.final = _SymmetricState(n, r)
         traj._record(*_require_margins(herm, abs(trace - 1.0), f"t={t:.6g}",
-                                       dense.min_eigenvalue if positivity else None))
+                                       traj.final.min_eigenvalue if check_positivity else None))
         traj.times.append(t)
         traj.moments.append(CollectiveMoments(*moments))
         traj.purities.append(float(types.purity @ (v * v)))
-        if final:
-            traj.final = dense
 
     eye = np.eye(len(types.counts))
     a = dt * coordinates(_raw_rhs(type_values(eye), *generator))
     increment = a @ (eye + a @ (eye / 2.0 + a @ (eye / 6.0 + a / 24.0)))
-    v = coordinates(_product_types(n, state.polarization))
-    checkpoint(0.0, v, check_positivity)
+    v = coordinates(state.values)
+    checkpoint(0.0, v)
     for step in range(1, n_steps + 1):
         v += increment @ v
         if step % every == 0 or step == n_steps:
-            checkpoint(step * dt, v, check_positivity, step == n_steps)
+            checkpoint(step * dt, v)
     return traj
 
 
@@ -752,7 +750,9 @@ def variable_coupling_state(couplings, polarizations) -> DensityMatrix:
     """
     theta = _as_couplings(couplings).theta
     n = theta.shape[0]
-    rho = _product_state(polarizations, n)
+    row = _product_row(polarizations, n).astype(complex)
+    idx = np.arange(len(row), dtype=np.uint16)
+    rho = row[idx[:, None] ^ idx]
     phase = np.exp(-1j * _coupling_phases(theta))
     rho *= phase[:, None]
     rho *= phase.conj()[None, :]
@@ -900,7 +900,7 @@ def factorization_gap_table(
     """
     ns = [int(n) for n in n_values]
     for n in ns:
-        _require_dense(n)
+        _product_polarizations(1.0, n)  # the refusals of each gap's P = 1 states
     gs = gamma_sum_t / t_final
     rates = DecoherenceRates(gamma_par=gs / 2.0, gamma_perp=gs / 2.0)
     cfg = IntegratorConfig(dt=dt, t_final=t_final)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -332,9 +333,15 @@ def random_symmetric_state(rng, n):
     return (rho + rho.conj().T) / 2.0
 
 
-def first_of_each_type(types):
+def first_of_each_type(n):
     """Flat position a * 2**n + b of one dense entry of each pair type."""
-    return np.unique(types.index.ravel(), return_index=True)[1]
+    return np.unique(oracle._type_index(n).ravel(), return_index=True)[1]
+
+
+def product_state(polarizations, n):
+    """The dense product of (I + P_i sx)/2 by the rule rho[a, b] = row[a ^ b]."""
+    idx = np.arange(1 << n)
+    return oracle._product_row(polarizations, n).astype(complex)[idx[:, None] ^ idx]
 
 
 def test_pair_type_tables():
@@ -342,17 +349,17 @@ def test_pair_type_tables():
     # site-kind counts of (bit_i(a), bit_i(b)) read bit by bit, and the
     # transposed entry has the mirrored type
     for n in range(1, 7):
-        types = oracle._pair_types(n)
+        types, index = oracle._pair_types(n), oracle._type_index(n)
         assert len(types.counts) == math.comb(n + 3, 3)
         dim = 1 << n
         a, b = np.divmod(np.arange(dim * dim), dim)
         kinds = np.zeros((dim * dim, 4), dtype=int)
         for i in range(n):
             kinds[np.arange(dim * dim), 2 * ((a >> i) & 1) + ((b >> i) & 1)] += 1
-        assert np.array_equal(types.counts[types.index.reshape(-1)], kinds), f"n={n}"
-        values, first = np.unique(types.index.ravel(), return_index=True)
+        assert np.array_equal(types.counts[index.reshape(-1)], kinds), f"n={n}"
+        values, first = np.unique(index.ravel(), return_index=True)
         assert np.array_equal(values, np.arange(len(types.counts)))
-        assert np.array_equal(types.index.T[first // dim, first % dim], types.mirror)
+        assert np.array_equal(index.T[first // dim, first % dim], types.mirror)
 
 
 def test_type_weight_tables():
@@ -364,10 +371,11 @@ def test_type_weight_tables():
             diagonal = np.flatnonzero(types.counts[:, 1] + types.counts[:, 2] == 0)
             assert types.mult.sum() == 4 ** n, f"n={n}"
             assert types.mult[diagonal].sum() == 2 ** n, f"n={n}"
-            assert np.array_equal(types.mult, np.bincount(types.index.reshape(-1))), f"n={n}"
+            assert np.array_equal(types.mult, np.bincount(oracle._type_index(n).reshape(-1))), \
+                f"n={n}"
             assert not types.counts[diagonal, 1:3].any(), f"n={n}"
     finally:
-        for cache in (oracle._bit_tables, oracle._pair_types):
+        for cache in (oracle._bit_tables, oracle._pair_types, oracle._type_index):
             cache.cache_clear()
 
 
@@ -429,10 +437,9 @@ def test_pair_type_rhs_matches_dense_generator(rates, field):
     for n in range(1, 7):
         rho = random_symmetric_state(rng, n)
         want = lindblad_rhs(DensityMatrix(rho, n), EnsembleParams(n, 1.0), rates, proto)
-        types = oracle._pair_types(n)
-        got = oracle._raw_rhs(rho.reshape(-1)[first_of_each_type(types)],
+        got = oracle._raw_rhs(rho.reshape(-1)[first_of_each_type(n)],
                               *oracle._type_generator(n, rates, proto))
-        assert np.max(np.abs(got[types.index] - want.entries)) <= 1e-15, f"n={n}"
+        assert np.max(np.abs(got[oracle._type_index(n)] - want.entries)) <= 1e-15, f"n={n}"
 
 
 @pytest.mark.parametrize("field", [0.0, 0.2])
@@ -476,9 +483,8 @@ def test_evolve_matches_stagewise_rk4_beyond_the_dense_test(rates, field):
         proto = ProtocolParams(coupling=0.07, squeeze_time=0.5, signal_field=field)
         cfg = IntegratorConfig(dt=0.01, t_final=0.5, checkpoint_every=25)
         traj = evolve(build_initial_state(params), cfg, params, rates, proto)
-        types = oracle._pair_types(n)
         gen = oracle._type_generator(n, rates, proto)
-        r = build_initial_state(params).entries.reshape(-1)[first_of_each_type(types)]
+        r = build_initial_state(params).entries.reshape(-1)[first_of_each_type(n)]
         for step in range(1, 51):
             k1 = oracle._raw_rhs(r, *gen)
             k2 = oracle._raw_rhs(r + 0.005 * k1, *gen)
@@ -486,7 +492,7 @@ def test_evolve_matches_stagewise_rk4_beyond_the_dense_test(rates, field):
             k4 = oracle._raw_rhs(r + 0.01 * k3, *gen)
             r = r + (0.01 / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if step % 25 == 0:
-                want = compute_moments(DensityMatrix(r[types.index], n))
+                want = compute_moments(DensityMatrix(r[oracle._type_index(n)], n))
                 got = traj.moments[step // 25]
                 for name in ("mean_x", "mean_y", "mean_z", "xx2", "yy2", "xy_sym"):
                     assert abs(getattr(got, name) - getattr(want, name)) <= 1e-14, \
@@ -504,7 +510,7 @@ def test_hermiticity_defect_is_the_direct_expression():
 
 def test_evolve_refuses_a_state_that_is_not_permutation_symmetric():
     params = EnsembleParams(2, 0.9)
-    state = DensityMatrix(oracle._product_state([0.9, 0.5], 2), 2)
+    state = oracle.variable_coupling_state(np.zeros((2, 2)), [0.9, 0.5])
     cfg = IntegratorConfig(dt=0.01, t_final=0.01)
     with pytest.raises(ValidationError, match="build_initial_state") as info:
         evolve(state, cfg, params, DecoherenceRates(), ProtocolParams(0.0, 0.01))
@@ -513,22 +519,88 @@ def test_evolve_refuses_a_state_that_is_not_permutation_symmetric():
 
 @pytest.mark.parametrize("polarization", [0.0, 1e-3, 0.37, 0.9, 1.0])
 def test_product_types_are_the_dense_entries_bit_for_bit(polarization):
-    # evolve's closed-form start against the dense state: expanded, up to
-    # n = 10; beyond, against one entry per type, row[a ^ b] of the row that
-    # the dense state copies, for a ^ b with ones at the n01 + n10 sites
+    # evolve's closed-form start, the values build_initial_state stores,
+    # against the dense state: expanded, up to n = 10; beyond, against one
+    # entry per type, row[a ^ b] for a ^ b with ones at the n01 + n10 sites
     # that follow the type's n00 sites
     try:
         for n in range(1, 13):
             types = oracle._pair_types(n)
-            got = oracle._product_types(n, polarization)
+            got = build_initial_state(EnsembleParams(n, polarization)).values
             _, n01, n10, n11 = types.counts.T
             want = oracle._product_row(polarization, n)[((1 << (n01 + n10)) - 1) << n11]
-            assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()], f"n={n}"
+            assert not got.imag.any(), f"n={n}"
+            assert [x.hex() for x in got.real.tolist()] == [x.hex() for x in want.tolist()], \
+                f"n={n}"
             if n <= 10:
-                assert np.array_equal(got[types.index], oracle._product_state(polarization, n))
+                assert np.array_equal(got[oracle._type_index(n)], product_state(polarization, n))
     finally:
-        for cache in (oracle._bit_tables, oracle._pair_types):
+        for cache in (oracle._bit_tables, oracle._pair_types, oracle._type_index):
             cache.cache_clear()
+
+
+def test_pair_types_and_generator_build_no_dense_array_at_twenty_spins():
+    # the tables and the generator are O(K): K = 1771 at n = 20, where one
+    # array of 4**n entries would take terabytes; the peak stays below even
+    # one byte per basis index (measured: 0.79 of 1 MB)
+    n = 20
+    oracle._pair_types.cache_clear()
+    tracemalloc.start()
+    try:
+        types = oracle._pair_types(n)
+        oracle._type_generator(n, DecoherenceRates(0.02, 0.05),
+                               ProtocolParams(coupling=0.07, squeeze_time=1.0, signal_field=1e-3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        oracle._pair_types.cache_clear()
+    assert len(types.counts) == math.comb(n + 3, 3) == 1771
+    assert peak < 2 ** n
+
+
+def test_a_run_that_reads_only_moments_forms_no_dense_state():
+    # one dense state at n = 12 takes 256 MB; the product state, a one-step
+    # evolve with every term of the generator and its moments stay on the
+    # pair types, whose K x K generator build is the peak
+    params = EnsembleParams(12, 0.9)
+    oracle._type_index.cache_clear()
+    tracemalloc.start()
+    try:
+        state = build_initial_state(params)
+        traj = evolve(state, IntegratorConfig(dt=1e-3, t_final=1e-3), params,
+                      DecoherenceRates(0.02, 0.05),
+                      ProtocolParams(coupling=0.07, squeeze_time=1e-3, signal_field=1e-3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj.moments) == 2
+    assert "entries" not in vars(state) and "entries" not in vars(traj.final)
+    assert oracle._type_index.cache_info().currsize == 0
+    assert peak < 64 * 2 ** 20
+
+
+@pytest.mark.parametrize("polarization", [0.0, 0.37, 1.0])
+def test_first_read_of_the_entries_gives_the_dense_product_bits(polarization):
+    # the entries of build_initial_state, and those of a final state that
+    # never moved (no twisting, no rates), are row[a ^ b], formed on first
+    # read, kept and read-only; the final state's imaginary parts are zeros,
+    # negative on the mirrored types as the type values have them
+    try:
+        for n in range(1, 11):
+            params = EnsembleParams(n, polarization)
+            want = product_state(polarization, n)
+            state = build_initial_state(params)
+            final = evolve(state, IntegratorConfig(dt=0.1, t_final=0.1), params,
+                           DecoherenceRates(), ProtocolParams(0.0, 0.1)).final
+            assert "entries" not in vars(state) and "entries" not in vars(final)
+            assert state.entries.tobytes() == want.tobytes(), f"n={n}"
+            assert state.entries is state.entries and state.entries.dtype == want.dtype
+            assert final.entries.real.tobytes() == want.real.tobytes(), f"n={n}"
+            assert not final.entries.imag.any(), f"n={n}"
+            with pytest.raises(ValueError, match="read-only"):
+                final.entries[0, 0] = 1.0
+    finally:
+        oracle._type_index.cache_clear()
 
 
 def test_initial_state_entries_are_read_only():
@@ -663,8 +735,9 @@ def test_product_row_is_row_zero_of_the_product_state():
     for n in range(1, SPIN_CAP + 1):
         pols = rng.uniform(0.0, 1.0, size=n)
         row = oracle._product_row(pols, n)
-        assert np.array_equal(oracle._product_state(pols, n)[0], row), f"n={n}"
-    rho = oracle._product_state([0.9, 0.4, 0.7], 3)
+        state = oracle.variable_coupling_state(np.zeros((n, n)), pols)
+        assert np.array_equal(state.entries[0], row), f"n={n}"
+    rho = oracle.variable_coupling_state(np.zeros((3, 3)), [0.9, 0.4, 0.7]).entries
     idx = np.arange(8)
     assert np.array_equal(rho, rho[0][idx[:, None] ^ idx])  # rho[a, b] = row[a ^ b]
 
@@ -953,6 +1026,16 @@ def test_metrology_single_spin_rotation():
 
 
 @pytest.mark.parametrize("angle", (math.inf, -math.inf, math.nan))
+@pytest.mark.parametrize("method", ("second_moment", "quadrature_mean", "xi2"))
+def test_moment_methods_refuse_a_non_finite_angle(method, angle):
+    # regression: second_moment(inf) raised a bare "math domain error", and
+    # a NaN angle returned NaN
+    moments = oracle.CollectiveMoments(0.0, 0.0, 4.0, 4.0, 4.0, 0.0)
+    with pytest.raises(ValidationError, match="^quadrature angle finite$"):
+        getattr(moments, method)(angle)
+
+
+@pytest.mark.parametrize("angle", (math.inf, -math.inf, math.nan))
 def test_metrology_refuses_a_non_finite_measure_angle(angle):
     with pytest.raises(ValidationError, match="quadrature angle finite"):
         simulate_metrology(EnsembleParams(2, 1.0), DecoherenceRates(0.01, 0.01),
@@ -1017,9 +1100,9 @@ def test_x_frame_product_state_matches_frame_change():
             diag = np.array([1.0])
             for p in np.broadcast_to(pols, (n,)):
                 diag = np.kron(diag, [(1.0 + p) / 2.0, (1.0 - p) / 2.0])
-            x = oracle._product_state(pols, n)
+            x = oracle.variable_coupling_state(np.zeros((n, n)), pols).entries
             assert np.max(np.abs(x - to_x_frame(np.diag(diag)))) <= 1e-15, f"n={n}"
-    assert np.array_equal(oracle._product_state(0.6, 2),
+    assert np.array_equal(oracle.variable_coupling_state(np.zeros((2, 2)), 0.6).entries,
                           [[0.25, 0.15, 0.15, 0.09], [0.15, 0.25, 0.09, 0.15],
                            [0.15, 0.09, 0.25, 0.15], [0.09, 0.15, 0.15, 0.25]])
 
