@@ -14,6 +14,18 @@ angle is written once, in ``_cos2_minimum``, which the oracle's moment
 minimizer shares.  The scalar optimizer refuses an optimum at the edge of
 its bracket.  Every formula here is pinned against the dense oracle in
 the test suite.
+
+A closed form that sweeps and the optimizer evaluate many times is written
+once, as a private curve builder (``_quadrature_curve``,
+``_decoherence_curve``, ``_theta_terms_curve``/``_theta_curve``,
+``_correction_curve``/``_sensitivity_curve``, ``_effective_field_curve``,
+``_snr_curve``).  A builder takes the invariants, checks them once and
+computes the constant leading factors of each product once; the function
+it returns evaluates the rest at one point, with every per-point check.
+The public scalar function builds its curve and evaluates it once.  Only a
+left-associated prefix of each product is hoisted: CPython rounds every
+float operation in source order and never fuses a multiply-add, so a curve
+point has the bits of the full expression.
 """
 
 from __future__ import annotations
@@ -101,6 +113,17 @@ def _twist_terms(n: int, p: float, theta0: float) -> tuple[float, float, float]:
     return a, b, d
 
 
+def _quadrature_curve(n: int, p: float, theta0: float):
+    """xi2_theta_finite_polarization as a function of the quadrature angle."""
+    a, b, d = _twist_terms(n, p, theta0)
+
+    def xi2(theta: float) -> float:
+        th = canonical_angle(theta)
+        s = math.sin(th)
+        return (1.0 + a * s * s - b * math.sin(2.0 * th)) / d
+    return xi2
+
+
 def xi2_theta_finite_polarization(n: int, p: float, theta0: float, theta: float) -> float:
     """Exact quadrature ratio of a uniformly twisted product state.
 
@@ -108,10 +131,7 @@ def xi2_theta_finite_polarization(n: int, p: float, theta0: float, theta: float)
     quadrature angle from the x axis.  Valid for |4*theta0| < pi/2; the
     cos powers are evaluated in log space.
     """
-    a, b, d = _twist_terms(n, p, theta0)
-    th = canonical_angle(theta)
-    s = math.sin(th)
-    return (1.0 + a * s * s - b * math.sin(2.0 * th)) / d
+    return _quadrature_curve(n, p, theta0)(theta)
 
 
 def _cos2_minimum(a0: float, a1: float, a2: float) -> tuple[float, float]:
@@ -149,7 +169,7 @@ def xi2_min_approx(n: int, p: float, coupling: float, t: float) -> float:
 
         P^-1 [ P^-2 / (16 N^2 J^2 t^2) + (32/3) N^2 J^4 t^4 ].
     """
-    return xi2_min_decoherence(n, p, _NO_RATES, coupling, t)
+    return _decoherence_curve(n, p, _NO_RATES, coupling)(t)
 
 
 def optimal_time_pure(n: int, p: float, coupling: float) -> tuple[float, float]:
@@ -179,12 +199,22 @@ def xi2_min_decoherence(
 
     At zero rates e^{2 Gs t} = 1 and this is xi2_min_approx.
     """
-    if t <= 0.0:
-        raise DomainError("t > 0 required: the 1/t^2 term diverges")
-    e = math.exp(2.0 * rates.gamma_sum * t)
-    jt = coupling * t
-    return (e / p) * (e * e / (p * p * 16.0 * n * n * jt * jt)
-                      + (32.0 / 3.0) * n * n * jt ** 4)
+    return _decoherence_curve(n, p, rates, coupling)(t)
+
+
+def _decoherence_curve(n: int, p: float, rates: DecoherenceRates, coupling: float):
+    """xi2_min_decoherence as a function of t."""
+    rate = 2.0 * rates.gamma_sum
+    deco = p * p * 16.0 * n * n
+    over = (32.0 / 3.0) * n * n
+
+    def xi2(t: float) -> float:
+        if t <= 0.0:
+            raise DomainError("t > 0 required: the 1/t^2 term diverges")
+        e = math.exp(rate * t)
+        jt = coupling * t
+        return (e / p) * (e * e / (deco * jt * jt) + over * jt ** 4)
+    return xi2
 
 
 def xi2_min_decoherence_theta(
@@ -198,24 +228,37 @@ def xi2_min_decoherence_theta(
     Agrees with the time form to better than 1e-12 relative under
     Theta = 2*Gs*T (enforced in tests).
     """
-    gs = rates.gamma_sum
-    if gs <= 0.0:
+    return _theta_curve(n, p, rates, coupling)(theta)
+
+
+def _theta_curve(n: int, p: float, rates: DecoherenceRates, coupling: float):
+    """xi2_min_decoherence_theta as a function of Theta."""
+    if rates.gamma_sum <= 0.0:
         raise DomainError("gamma_sum > 0 required for the Theta form")
-    if theta <= 0.0:
-        raise DomainError("Theta > 0 required")
-    e, deco, over = _theta_terms(n, p, rates, coupling, theta)
-    return (e / p) * (deco + over)
+    terms = _theta_terms_curve(n, p, rates, coupling)
+
+    def xi2(theta: float) -> float:
+        if theta <= 0.0:
+            raise DomainError("Theta > 0 required")
+        e, deco, over = terms(theta)
+        return (e / p) * (deco + over)
+    return xi2
 
 
-def _theta_terms(n: int, p: float, rates: DecoherenceRates, coupling: float,
-                 theta: float) -> tuple[float, float, float]:
-    """(e^Theta, decoherence term, over-squeezing term) of the Theta form."""
+def _theta_terms_curve(n: int, p: float, rates: DecoherenceRates, coupling: float):
+    """(e^Theta, decoherence term, over-squeezing term) of the Theta form, as
+    a function of Theta."""
     gs = rates.gamma_sum
-    e = math.exp(theta)
     j2 = coupling * coupling
-    deco = gs * gs * e * e / (p * p * 4.0 * n * n * j2 * theta * theta)
-    over = (2.0 / 3.0) * n * n * j2 * j2 * theta ** 4 / gs ** 4
-    return e, deco, over
+    gs2 = gs * gs
+    deco = p * p * 4.0 * n * n * j2
+    over = (2.0 / 3.0) * n * n * j2 * j2
+    gs4 = gs ** 4
+
+    def terms(theta: float) -> tuple[float, float, float]:
+        e = math.exp(theta)
+        return e, gs2 * e * e / (deco * theta * theta), over * theta ** 4 / gs4
+    return terms
 
 
 def _regime(ratio: float) -> str:
@@ -321,10 +364,8 @@ def optimal_theta_squeezing(
     n: int, p: float, rates: DecoherenceRates, coupling: float
 ) -> tuple[float, float, str]:
     """Minimize xi2_min_decoherence_theta over Theta: (Theta*, xi2*, regime)."""
-    theta, xi2 = optimize_scalar(
-        lambda th: xi2_min_decoherence_theta(n, p, rates, coupling, th), _THETA_SEARCH, "min"
-    )
-    _, deco, over = _theta_terms(n, p, rates, coupling, theta)
+    theta, xi2 = optimize_scalar(_theta_curve(n, p, rates, coupling), _THETA_SEARCH, "min")
+    _, deco, over = _theta_terms_curve(n, p, rates, coupling)(theta)
     return theta, xi2, _regime(over / deco)
 
 
@@ -369,10 +410,20 @@ def effective_field(signal_field: float, rates: DecoherenceRates, t: float) -> f
 
     with the series limit B_y * t taken explicitly once Gs*t < 1e-12.
     """
+    return _effective_field_curve(signal_field, rates)(t)
+
+
+def _effective_field_curve(signal_field: float, rates: DecoherenceRates):
+    """effective_field as a function of t."""
     gs = rates.gamma_sum
-    if gs * t < 1e-12:
-        return signal_field * t
-    return signal_field * (-math.expm1(-2.0 * gs * t)) / (2.0 * gs)
+    rate = -2.0 * gs
+    scale = 2.0 * gs
+
+    def field(t: float) -> float:
+        if gs * t < 1e-12:
+            return signal_field * t
+        return signal_field * (-math.expm1(rate * t)) / scale
+    return field
 
 
 def signal_to_noise(
@@ -385,17 +436,28 @@ def signal_to_noise(
 
     Linear in B_y; tau is the total measurement time.
     """
+    snr = _snr_curve(params, rates, proto.coupling, proto.signal_field)
+    return snr(proto.squeeze_time, proto.total_time)
+
+
+def _snr_curve(params: EnsembleParams, rates: DecoherenceRates, coupling: float,
+               signal_field: float):
+    """signal_to_noise as a function of the squeeze time T and total time tau."""
     n, p = params.n_spins, params.polarization
-    t = proto.squeeze_time
-    if t <= 0.0:
-        raise DomainError("squeeze_time > 0 required")
-    gs = rates.gamma_sum
-    rotation = effective_field(proto.signal_field, rates, t)
-    decay = math.exp(-2.0 * gs * t)
-    jt = proto.coupling * t
-    denom = 1.0 / (p * p * decay * decay * 16.0 * n * n * jt * jt) \
-        + (32.0 / 3.0) * n * n * jt ** 4
-    return math.sqrt(proto.total_time / t) * rotation * p * decay / denom
+    field = _effective_field_curve(signal_field, rates)
+    rate = -2.0 * rates.gamma_sum
+    p2 = p * p
+    over = (32.0 / 3.0) * n * n
+
+    def snr(t: float, tau: float) -> float:
+        if t <= 0.0:
+            raise DomainError("squeeze_time > 0 required")
+        rotation = field(t)
+        decay = math.exp(rate * t)
+        jt = coupling * t
+        denom = 1.0 / (p2 * decay * decay * 16.0 * n * n * jt * jt) + over * jt ** 4
+        return math.sqrt(tau / t) * rotation * p * decay / denom
+    return snr
 
 
 def sensitivity(
@@ -416,17 +478,26 @@ def sensitivity(
     lim_{B_y -> 0} signal_to_noise / (B_y sqrt(tau)) exactly;
     c = SENSITIVITY_COEFF_REFERENCE evaluates the rounded reference form.
     """
+    return _sensitivity_curve(n, p, rates, coupling, denom_coeff)(theta)
+
+
+def _sensitivity_curve(n: int, p: float, rates: DecoherenceRates, coupling: float,
+                       denom_coeff: float = SENSITIVITY_COEFF_DERIVED):
+    """sensitivity as a function of Theta."""
     gs = rates.gamma_sum
     if gs <= 0.0:
         raise DomainError("gamma_sum > 0 required for the sensitivity curve")
-    if theta < 0.0:
-        raise DomainError("Theta >= 0 required")
-    if theta == 0.0:
-        return 0.0
     pref = 2.0 ** 1.5 * n * n * coupling * coupling * p ** 3 / gs ** 2.5
-    shape = theta ** 1.5 * math.exp(-3.0 * theta) * (-math.expm1(-theta))
-    corr = sensitivity_denominator_correction(theta, n, p, rates, coupling, denom_coeff)
-    return pref * shape / (1.0 + corr)
+    correction = _correction_curve(n, p, rates, coupling, denom_coeff)
+
+    def sens(theta: float) -> float:
+        if theta < 0.0:
+            raise DomainError("Theta >= 0 required")
+        if theta == 0.0:
+            return 0.0
+        shape = theta ** 1.5 * math.exp(-3.0 * theta) * (-math.expm1(-theta))
+        return pref * shape / (1.0 + correction(theta))
+    return sens
 
 
 def sensitivity_denominator_correction(
@@ -434,9 +505,18 @@ def sensitivity_denominator_correction(
     denom_coeff: float = SENSITIVITY_COEFF_DERIVED,
 ) -> float:
     """The over-squeezing correction term in the sensitivity denominator."""
-    gs = rates.gamma_sum
-    return denom_coeff * p * p * n ** 4 * coupling ** 6 * theta ** 6 \
-        * math.exp(-2.0 * theta) / gs ** 6
+    return _correction_curve(n, p, rates, coupling, denom_coeff)(theta)
+
+
+def _correction_curve(n: int, p: float, rates: DecoherenceRates, coupling: float,
+                      denom_coeff: float = SENSITIVITY_COEFF_DERIVED):
+    """sensitivity_denominator_correction as a function of Theta."""
+    pref = denom_coeff * p * p * n ** 4 * coupling ** 6
+    gs6 = rates.gamma_sum ** 6
+
+    def correction(theta: float) -> float:
+        return pref * theta ** 6 * math.exp(-2.0 * theta) / gs6
+    return correction
 
 
 def max_sensitivity(
@@ -450,11 +530,9 @@ def max_sensitivity(
     The regime flag is decoherence_dominated when the denominator
     correction at the optimum is below 0.01.
     """
-    theta, sens = optimize_scalar(
-        lambda th: sensitivity(th, n, p, rates, coupling), _THETA_SEARCH, "max"
-    )
-    return theta, sens, _regime(
-        sensitivity_denominator_correction(theta, n, p, rates, coupling))
+    theta, sens = optimize_scalar(_sensitivity_curve(n, p, rates, coupling),
+                                  _THETA_SEARCH, "max")
+    return theta, sens, _regime(_correction_curve(n, p, rates, coupling)(theta))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ return values and write nothing.  A sweep is plot-ready CSV (a
 '#'-prefixed parameter echo, then the header) or JSON; the inhomo-mc
 per-sample CSV ends in a '# summary' row; reports and summaries are JSON.
 Every CSV number has 17 significant digits through one format,
-``NUMBER_FORMAT``, which a table applies with one row template; every run is
-deterministic for a fixed configuration and seed.  Exit codes: 0 success,
+``NUMBER_FORMAT``, which a table applies through one template for all its
+rows; every run is deterministic for a fixed configuration and seed.  The
+closed-form subcommands import no numpy: ``verify`` and ``inhomo-mc``
+import their modules when they run.  Exit codes: 0 success,
 1 validation error, 2 numerical/statistical failure.
 
 The parser is built once per process: a parse stores nothing in it, since
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -33,6 +36,7 @@ import sys
 
 from . import analytic
 from .core import (
+    VERIFY_SUITES,
     DecoherenceRates,
     DomainError,
     EnsembleParams,
@@ -43,14 +47,6 @@ from .core import (
     theta_big,
     validate,
 )
-from .inhomogeneous import (
-    DisorderSpec,
-    _mc_plan,
-    mean_xi2_analytic,
-    monte_carlo_mean_xi2,
-    suppression_report,
-)
-from .verify import SUITES, run_suite, suite_inputs, suite_sizes
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +188,11 @@ def _number(value) -> str:
 
 
 def _csv(header, rows) -> str:
-    row_template = ",".join([NUMBER_FORMAT] * len(header))
-    lines = [",".join(header)] + [row_template % tuple(row) for row in rows]
-    return "\n".join(lines) + "\n"
+    """The header line, then one line per row, formatted through one
+    template for the whole table."""
+    rows = list(rows)
+    table = (",".join([NUMBER_FORMAT] * len(header)) + "\n") * len(rows)
+    return ",".join(header) + "\n" + table % tuple(itertools.chain.from_iterable(rows))
 
 
 def _json(payload) -> str:
@@ -236,22 +234,22 @@ def cmd_squeeze_curve(args) -> int:
     params, rates, proto = _bundle(args)
     if proto.coupling <= 0.0:
         raise ValidationError(["coupling > 0 required for a squeezing curve (--j)"])
+    n, p, j = params.n_spins, params.polarization, proto.coupling
     rows = []
-    for t in values:
-        try:
-            xi2_dec = analytic.xi2_min_decoherence(params.n_spins, params.polarization,
-                                                   rates, proto.coupling, t)
-            xi2_pure = analytic.xi2_min_approx(params.n_spins, params.polarization,
-                                               proto.coupling, t)
-            p_eff = analytic.effective_polarization(params.polarization, rates, t)
-            _, theta_min = analytic.xi2_min_finite_polarization(
-                params.n_spins, p_eff, proto.coupling * t)
-        except DomainError as exc:
-            raise ValidationError([f"sweep t={t!r} lies outside the closed forms' "
-                                   f"domain ({exc})"]) from None
-        except ArithmeticError as exc:
-            raise _beyond_a_double("t", t, exc) from None
-        rows.append([t, theta_big(rates, t), xi2_dec, xi2_pure, p_eff, theta_min])
+    t = values[0]  # a curve that cannot be built is refused at the first row
+    try:
+        xi2_dec = analytic._decoherence_curve(n, p, rates, j)
+        xi2_pure = analytic._decoherence_curve(n, p, DecoherenceRates(), j)
+        for t in values:
+            dec, pure = xi2_dec(t), xi2_pure(t)
+            p_eff = analytic.effective_polarization(p, rates, t)
+            _, theta_min = analytic.xi2_min_finite_polarization(n, p_eff, j * t)
+            rows.append([t, theta_big(rates, t), dec, pure, p_eff, theta_min])
+    except DomainError as exc:
+        raise ValidationError([f"sweep t={t!r} lies outside the closed forms' "
+                               f"domain ({exc})"]) from None
+    except ArithmeticError as exc:
+        raise _beyond_a_double("t", t, exc) from None
     header = ["t", "theta_big", "xi2_decoherence", "xi2_pure",
               "effective_polarization", "theta_min_angle"]
     if args.format == "json":
@@ -311,27 +309,27 @@ def cmd_metrology(args) -> int:
         raise ValidationError(["coupling > 0 required for metrology"])
     if args.tau is not None and not math.isfinite(args.tau):
         raise ValidationError(["--tau must be finite"])
-    n, p = params.n_spins, params.polarization
+    n, p, j = params.n_spins, params.polarization, proto.coupling
+    two_gs = 2.0 * gs
     rows = []
-    for value in values:
-        if sweep_name == "theta_big":
-            big, t = value, value / (2.0 * gs)
-        else:
-            big, t = theta_big(rates, value), value
-        try:
-            derived = analytic.sensitivity(big, n, p, rates, proto.coupling)
-            reference = analytic.sensitivity(big, n, p, rates, proto.coupling,
-                                             analytic.SENSITIVITY_COEFF_REFERENCE)
+    value = values[0]  # a curve that cannot be built is refused at the first row
+    try:
+        derived = analytic._sensitivity_curve(n, p, rates, j)
+        reference = analytic._sensitivity_curve(n, p, rates, j,
+                                                analytic.SENSITIVITY_COEFF_REFERENCE)
+        snr = analytic._snr_curve(params, rates, j, proto.signal_field)
+        for value in values:
+            if sweep_name == "theta_big":
+                big, t = value, value / two_gs
+            else:
+                big, t = theta_big(rates, value), value
+            sens_derived, sens_reference = derived(big), reference(big)
             tau = args.tau if args.tau is not None else t
             if tau < t:
                 raise ValidationError(["total_time >= squeeze_time along the sweep"])
-            snr = analytic.signal_to_noise(
-                params, rates,
-                ProtocolParams(coupling=proto.coupling, squeeze_time=t,
-                               signal_field=proto.signal_field, total_time=tau))
-        except ArithmeticError as exc:
-            raise _beyond_a_double(sweep_name, value, exc) from None
-        rows.append([big, t, snr, derived, reference])
+            rows.append([big, t, snr(t, tau), sens_derived, sens_reference])
+    except ArithmeticError as exc:
+        raise _beyond_a_double(sweep_name, value, exc) from None
     header = ["theta_big", "t", "snr", "sensitivity_c_derived", "sensitivity_c_reference"]
     if args.format == "json":
         text = _json({"columns": header, "rows": rows})
@@ -345,10 +343,12 @@ def cmd_metrology(args) -> int:
 
 
 def _suites(suite: str) -> list[str]:
-    return list(SUITES) if suite == "all" else [suite]
+    return list(VERIFY_SUITES) if suite == "all" else [suite]
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite  # numpy: imported only by the runs that need it
+
     kwargs = {key: getattr(args, key) for key in ("n", "seed", "n_range")
               if getattr(args, key, None) is not None}
     suites = _suites(args.suite)
@@ -372,6 +372,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_inhomo_mc(args) -> int:
+    from .inhomogeneous import (
+        DisorderSpec,
+        _mc_plan,
+        mean_xi2_analytic,
+        monte_carlo_mean_xi2,
+        suppression_report,
+    )
+
     spec = DisorderSpec(theta0=args.theta0, n_samples=args.samples,
                         master_seed=args.seed, alpha=args.alpha, kappa=args.kappa)
     theta = args.theta if args.theta is not None else 8.0 * args.theta0 + math.pi / 2.0
@@ -444,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
         # flags and config keys are spelled in full: --t is not --tau
         sp = sub.add_parser(name, help=help_text, parents=[flags], allow_abbrev=False)
         if name == "verify":
-            sp.add_argument("suite", choices=SUITES + ("all",))
+            sp.add_argument("suite", choices=VERIFY_SUITES + ("all",))
     return parser
 
 
@@ -461,6 +469,8 @@ def _parse_with_config(parser, argv, args):
 def _verify_scope(args, reads):
     """verify's note label, the flags its suites read, and the note on an
     --n they clamp."""
+    from .verify import suite_inputs, suite_sizes
+
     suites = _suites(args.suite)
     reads = tuple(key for key in reads
                   if key == "out" or any(key in suite_inputs(s) for s in suites))

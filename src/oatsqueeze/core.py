@@ -20,6 +20,11 @@ DECOHERENCE_DOMINATED = "decoherence_dominated"
 OVERSQUEEZING_DOMINATED = "oversqueezing_dominated"
 MIXED = "mixed"
 
+#: The oracle verification suites, in run order.  ``verify`` keys its suite
+#: table by these names, and the CLI offers them without importing numpy.
+VERIFY_SUITES = ("lindblad", "factorization", "variable_coupling", "uniform_coupling",
+                 "dephasing", "metrology", "constants")
+
 
 class ValidationError(ValueError):
     """One or more parameter invariants are violated; carries all messages."""

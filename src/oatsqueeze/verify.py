@@ -19,7 +19,13 @@ import time
 import numpy as np
 
 from . import analytic
-from .core import DecoherenceRates, EnsembleParams, ProtocolParams, ValidationError
+from .core import (
+    VERIFY_SUITES,
+    DecoherenceRates,
+    EnsembleParams,
+    ProtocolParams,
+    ValidationError,
+)
 from .inhomogeneous import _components, _pair_terms, _sums
 from .oracle import (
     SPIN_CAP,
@@ -234,10 +240,10 @@ def suite_uniform_coupling(n_max: int = 10) -> dict:
         thetas = np.array([theta0 * off_diagonal for _, theta0 in cases])
         moments = _variable_coupling_moments(thetas, [p for p, _ in cases])
         for (p, theta0), mom in zip(cases, moments):
+            quadrature = analytic._quadrature_curve(n, p, theta0)
             for th in angles:
                 want = mom.xi2(th)
-                got = analytic.xi2_theta_finite_polarization(n, p, theta0, th)
-                worst_theta = max(worst_theta, abs(got - want) / abs(want))
+                worst_theta = max(worst_theta, abs(quadrature(th) - want) / abs(want))
             xi2_min, _ = analytic.xi2_min_finite_polarization(n, p, theta0)
             theta_scan, second = mom.minimize_second_moment()
             worst_min = max(worst_min,
@@ -427,20 +433,20 @@ def suite_constants() -> dict:
 
 
 # suite -> (function, {run_suite keyword: parameter it sets}, largest spin
-# counts it runs).  A suite reads only the keywords listed for it, and a
+# counts it runs), in the order of the names in core.VERIFY_SUITES; suite
+# "x" runs suite_x.  A suite reads only the keywords listed for it, and a
 # larger requested n is clamped to its caps (the dense oracle is 4^n in memory).
-_SUITE_TABLE = {
+SUITES = VERIFY_SUITES
+_SUITE_TABLE = dict(zip(SUITES, (
     # lindblad caps: main checks, polarization decay, twisting energy
-    "lindblad": (suite_lindblad, {"n": "n"}, (8, 4, 5)),
-    "factorization": (suite_factorization, {"n_range": "n_range"}, ()),
-    "variable_coupling": (suite_variable_coupling, {"n": "n_max", "seed": "seed"},
-                          (SPIN_CAP,)),
-    "uniform_coupling": (suite_uniform_coupling, {"n": "n_max"}, (SPIN_CAP,)),
-    "dephasing": (suite_dephasing, {"n": "n", "seed": "seed"}, (6,)),
-    "metrology": (suite_metrology, {}, ()),
-    "constants": (suite_constants, {}, ()),
-}
-SUITES = tuple(_SUITE_TABLE)
+    (suite_lindblad, {"n": "n"}, (8, 4, 5)),
+    (suite_factorization, {"n_range": "n_range"}, ()),
+    (suite_variable_coupling, {"n": "n_max", "seed": "seed"}, (SPIN_CAP,)),
+    (suite_uniform_coupling, {"n": "n_max"}, (SPIN_CAP,)),
+    (suite_dephasing, {"n": "n", "seed": "seed"}, (6,)),
+    (suite_metrology, {}, ()),
+    (suite_constants, {}, ()),
+), strict=True))
 
 
 def suite_inputs(name: str) -> tuple[str, ...]:

@@ -1,7 +1,13 @@
+import hashlib
+import json
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oatsqueeze import analytic
 from oatsqueeze.core import (
@@ -376,3 +382,128 @@ def test_derived_constants_structure():
     assert d["squeezing_oversqueezing_coeff"] == pytest.approx(32.0 / 243.0, rel=1e-12)
     assert d["squeezing_decoherence_coeff"] == pytest.approx(2.25 * math.exp(4.0 / 3.0), rel=1e-12)
     assert abs(d["theta_max"] - 0.727) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# curve builders: each closed form is written once, as a curve over its
+# per-point argument, and the public scalar function is that curve at one point
+# ---------------------------------------------------------------------------
+
+def _outcome(f, *args):
+    """A call's result as text that keeps every bit, or its refusal."""
+    try:
+        value = f(*args)
+    except (ArithmeticError, ValueError, NumericalError) as exc:  # DomainError too
+        return f"{type(exc).__name__}: {exc}"
+    return value.hex() if isinstance(value, float) else repr(value)
+
+
+# name -> (curve from the invariants (n, p, rates, j), the curve at point (x, y),
+#          the public scalar function at (n, p, rates, j, x, y))
+_CURVES = {
+    "xi2_theta_finite_polarization": (
+        lambda n, p, rates, j: analytic._quadrature_curve(n, p, j),
+        lambda curve, x, y: curve(x),
+        lambda n, p, rates, j, x, y: analytic.xi2_theta_finite_polarization(n, p, j, x)),
+    "xi2_min_decoherence": (
+        lambda n, p, rates, j: analytic._decoherence_curve(n, p, rates, j),
+        lambda curve, x, y: curve(x),
+        lambda n, p, rates, j, x, y: analytic.xi2_min_decoherence(n, p, rates, j, x)),
+    "xi2_min_approx": (
+        lambda n, p, rates, j: analytic._decoherence_curve(n, p, DecoherenceRates(), j),
+        lambda curve, x, y: curve(x),
+        lambda n, p, rates, j, x, y: analytic.xi2_min_approx(n, p, j, x)),
+    "xi2_min_decoherence_theta": (
+        lambda n, p, rates, j: analytic._theta_curve(n, p, rates, j),
+        lambda curve, x, y: curve(x),
+        lambda n, p, rates, j, x, y: analytic.xi2_min_decoherence_theta(n, p, rates, j, x)),
+    "sensitivity": (
+        lambda n, p, rates, j: analytic._sensitivity_curve(n, p, rates, j),
+        lambda curve, x, y: curve(x),
+        lambda n, p, rates, j, x, y: analytic.sensitivity(x, n, p, rates, j)),
+    "sensitivity_reference": (
+        lambda n, p, rates, j: analytic._sensitivity_curve(
+            n, p, rates, j, analytic.SENSITIVITY_COEFF_REFERENCE),
+        lambda curve, x, y: curve(x),
+        lambda n, p, rates, j, x, y: analytic.sensitivity(
+            x, n, p, rates, j, analytic.SENSITIVITY_COEFF_REFERENCE)),
+    "sensitivity_denominator_correction": (
+        lambda n, p, rates, j: analytic._correction_curve(
+            n, p, rates, j, analytic.SENSITIVITY_COEFF_DERIVED),
+        lambda curve, x, y: curve(x),
+        lambda n, p, rates, j, x, y: analytic.sensitivity_denominator_correction(
+            x, n, p, rates, j)),
+    "effective_field": (
+        lambda n, p, rates, j: analytic._effective_field_curve(j, rates),
+        lambda curve, x, y: curve(x),
+        lambda n, p, rates, j, x, y: analytic.effective_field(j, rates, x)),
+    "signal_to_noise": (
+        lambda n, p, rates, j: analytic._snr_curve(EnsembleParams(n, p), rates, j, 0.01),
+        lambda curve, x, y: curve(x, y),
+        lambda n, p, rates, j, x, y: analytic.signal_to_noise(
+            EnsembleParams(n, p), rates,
+            ProtocolParams(coupling=j, squeeze_time=x, signal_field=0.01, total_time=y))),
+}
+
+_RATE = st.just(0.0) | st.floats(0.0, 1.0) | st.floats(0.0, 1e300)
+_POINT = st.just(0.0) | st.floats(-1.0, 20.0) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@pytest.mark.parametrize("name", sorted(_CURVES))
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 10 ** 7) | st.just(10 ** 400), p=st.floats(0.0, 1.0),
+       rates=st.builds(DecoherenceRates, _RATE, _RATE),
+       j=st.just(0.0) | st.floats(0.0, 0.3) | st.floats(0.0, 1e300),
+       points=st.lists(st.tuples(_POINT, _POINT), min_size=1, max_size=6))
+def test_curve_built_once_is_its_scalar_function_at_every_point(name, n, p, rates, j, points):
+    # the same bits at every point, and where the scalar function refuses a
+    # point (or the invariants), the same error with the same text
+    build, point, scalar = _CURVES[name]
+    try:
+        curve = build(n, p, rates, j)
+    except (ArithmeticError, ValueError) as exc:
+        refused = f"{type(exc).__name__}: {exc}"
+        for x, y in points:
+            assert _outcome(scalar, n, p, rates, j, x, y) == refused
+        return
+    for x, y in points:
+        assert _outcome(point, curve, x, y) == _outcome(scalar, n, p, rates, j, x, y)
+
+
+RECORDED = json.loads((Path(__file__).parent / "data" / "closed_form_values.json")
+                      .read_text())["digests"]
+
+_GRID_X = (-0.5, 0.0, 1e-4, 0.02, 0.7, 3.5, 40.0)
+
+
+def _grid_invariants():
+    """200 seeded draws of (n, p, rates, j), spread so that a reordered
+    product rounds differently at a good share of them."""
+    rng = random.Random(27)
+    out = []
+    for _ in range(200):
+        rate = [rng.uniform(1e-3, 0.1), rng.uniform(1e-3, 0.1)]
+        for i in range(2):
+            if rng.random() < 0.3:
+                rate[i] = 0.0
+        out.append((rng.choice((2, 3, 7, 50, 100, 1000, 12345, 10 ** 6)),
+                    1.0 if rng.random() < 0.2 else rng.uniform(0.05, 1.0),
+                    DecoherenceRates(*rate), 10 ** rng.uniform(-6.0, -1.0)))
+    return out
+
+
+def _grid_outcomes(name):
+    """The public function ``name`` over a fixed grid: every value's bits or refusal."""
+    invariants = _grid_invariants()
+    if name in _CURVES:
+        scalar = _CURVES[name][2]
+        return [_outcome(scalar, *inv, x, abs(x) + 1.0) for inv in invariants for x in _GRID_X]
+    return [_outcome(getattr(analytic, name), *inv) for inv in invariants]
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED))
+def test_closed_forms_keep_their_recorded_bits(name):
+    # digests recorded before the closed forms became curves: hoisting the
+    # constant factors of a curve moved no bit of any value or refusal
+    text = "\n".join(_grid_outcomes(name))
+    assert hashlib.sha256(text.encode()).hexdigest() == RECORDED[name]

@@ -3,7 +3,9 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 import oatsqueeze
 from oatsqueeze import analytic, cli, inhomogeneous, oracle, verify
 from oatsqueeze.cli import FLAGS, SUBCOMMANDS, _csv, _parse_sweep, main
-from oatsqueeze.core import DecoherenceRates, theta_big
+from oatsqueeze.core import DecoherenceRates, EnsembleParams, ProtocolParams, theta_big
 
 
 def read_csv(path):
@@ -145,6 +147,112 @@ def test_metrology_t_sweep_prints_the_swept_time(tmp_path):
     assert [r[1] for r in rows] == _parse_sweep(sweep)[1]  # exactly, no round trip
     rates = DecoherenceRates(0.02, 0.03)
     assert [r[0] for r in rows] == [theta_big(rates, t) for t in _parse_sweep(sweep)[1]]
+
+
+_SWEEP_INVARIANTS = ["--p", "0.85", "--gamma-par", "0.02", "--gamma-perp", "0.03"]
+
+
+def test_squeeze_curve_rows_are_the_scalar_closed_forms_bit_for_bit(tmp_path):
+    # the sweep evaluates curves built once; each row, read back from its 17
+    # digits, is exactly what the public scalar functions give at its t
+    sweep = "t:0.1:10:60:log"
+    out = tmp_path / "s.csv"
+    assert main(["squeeze-curve", "--n", "100", "--j", "1e-3", *_SWEEP_INVARIANTS,
+                 "--sweep", sweep, "--out", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    n, p, j, rates = 100, 0.85, 1e-3, DecoherenceRates(0.02, 0.03)
+    ts = _parse_sweep(sweep)[1]
+    assert len(rows) == len(ts)
+    for row, t in zip(rows, ts):
+        p_eff = analytic.effective_polarization(p, rates, t)
+        assert row == [t, theta_big(rates, t), analytic.xi2_min_decoherence(n, p, rates, j, t),
+                       analytic.xi2_min_approx(n, p, j, t), p_eff,
+                       analytic.xi2_min_finite_polarization(n, p_eff, j * t)[1]]
+
+
+@pytest.mark.parametrize("sweep, tau", [
+    ("theta_big:0.01:3:60:lin", None), ("theta_big:0.05:3:60:lin", 40.0),
+    ("t:0.1:40:60:log", None), ("t:0.1:40:60:log", 45.0),
+])
+def test_metrology_rows_are_the_scalar_closed_forms_bit_for_bit(sweep, tau, tmp_path):
+    out = tmp_path / "m.csv"
+    argv = ["metrology", "--n", "50", "--j", "1e-5", *_SWEEP_INVARIANTS, "--b-y", "0.01",
+            "--sweep", sweep, "--out", str(out)]
+    assert main(argv + ([] if tau is None else ["--tau", repr(tau)])) == 0
+    _, _, rows = read_csv(out)
+    n, p, j, rates = 50, 0.85, 1e-5, DecoherenceRates(0.02, 0.03)
+    params = EnsembleParams(n, p)
+    name, values = _parse_sweep(sweep)
+    assert len(rows) == len(values)
+    for row, value in zip(rows, values):
+        if name == "theta_big":
+            big, t = value, value / (2.0 * rates.gamma_sum)
+        else:
+            big, t = theta_big(rates, value), value
+        snr = analytic.signal_to_noise(params, rates, ProtocolParams(
+            coupling=j, squeeze_time=t, signal_field=0.01, total_time=t if tau is None else tau))
+        assert row == [big, t, snr, analytic.sensitivity(big, n, p, rates, j),
+                       analytic.sensitivity(big, n, p, rates, j,
+                                            analytic.SENSITIVITY_COEFF_REFERENCE)]
+
+
+@pytest.mark.parametrize("n", [20, 200])
+@pytest.mark.parametrize("j", ["5e-6", "2e-5"])
+def test_optimal_point_is_the_library_optimum_bit_for_bit(n, j, capsys):
+    rates = DecoherenceRates(0.015, 0.025)
+    argv = ["optimal-point", "--n", str(n), "--p", "0.9", "--j", j,
+            "--gamma-par", "0.015", "--gamma-perp", "0.025"]
+    assert main(argv) == 0
+    squeezing = json.loads(capsys.readouterr().out)
+    rep = analytic.squeezing_report(n, 0.9, rates, float(j))
+    assert (squeezing["theta_star"], squeezing["t_star"], squeezing["xi2_min"],
+            squeezing["theta_min_angle"], squeezing["regime_flag"]) == \
+        (rep.theta_star, rep.t_star, rep.xi2_min, rep.theta_min, rep.regime_flag)
+    assert main(argv + ["--objective", "metrology"]) == 0
+    metrology = json.loads(capsys.readouterr().out)
+    theta, sens, flag = analytic.max_sensitivity(n, 0.9, rates, float(j))
+    assert (metrology["theta_star"], metrology["sensitivity_star"],
+            metrology["regime_flag"]) == (theta, sens, flag)
+
+
+def test_squeeze_curve_row_at_t_zero_is_refused_with_its_reason(capsys):
+    # the per-point check of the decoherence curve, reported for its row
+    assert main(["squeeze-curve", "--j", "1e-3", "--sweep", "t:0:1:3:lin"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("validation error: sweep t=0.0 lies outside the closed forms' domain "
+                   "(t > 0 required: the 1/t^2 term diverges)\n")
+
+
+def test_metrology_row_past_tau_is_refused(capsys):
+    # t = 0.25 is the first row with tau < t
+    assert main(["metrology", "--n", "50", "--j", "1e-5", "--gamma-par", "0.02",
+                 "--sweep", "t:0.1:0.4:3:lin", "--tau", "0.2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "validation error: total_time >= squeeze_time along the sweep\n"
+
+
+def test_closed_form_subcommands_start_without_numpy():
+    # a fresh process: optimal-point, squeeze-curve and metrology import
+    # neither the oracle, the Monte Carlo nor the verify suites
+    code = (
+        "import contextlib, io, sys\n"
+        "from oatsqueeze.cli import main\n"
+        "for argv in (['optimal-point', '--j', '1e-5', '--gamma-par', '0.02'],\n"
+        "             ['optimal-point', '--j', '1e-5', '--gamma-par', '0.02',\n"
+        "              '--objective', 'metrology'],\n"
+        "             ['squeeze-curve', '--j', '1e-3'],\n"
+        "             ['metrology', '--j', '1e-5', '--gamma-par', '0.02']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if 'numpy' in m)\n")
+    src = str(Path(oatsqueeze.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -464,7 +572,7 @@ def test_inhomo_mc_degenerate_average_fails_before_the_monte_carlo(monkeypatch, 
     def no_monte_carlo(*args, **kwargs):
         raise AssertionError("ran the Monte Carlo")
 
-    monkeypatch.setattr(cli, "monte_carlo_mean_xi2", no_monte_carlo)
+    monkeypatch.setattr(inhomogeneous, "monte_carlo_mean_xi2", no_monte_carlo)
     assert main(["inhomo-mc", "--n", "20", "--samples", "20000", "--theta0", "0.05",
                  "--alpha", "1e-320"]) == 2
     err = capsys.readouterr().err

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from oatsqueeze import verify
+from oatsqueeze import core, verify
 
 RECORDED = json.loads((Path(__file__).parent / "data" / "verify_suite_values.json")
                       .read_text())["runs"]
@@ -22,3 +22,10 @@ def test_suite_values_match_the_recorded_bits(key):
         == RECORDED[key]["checks"]
     for name, value in RECORDED[key].get("reported", {}).items():
         assert float(report[name]).hex() == value, name
+
+
+def test_suite_table_is_keyed_by_the_numpy_free_names():
+    # core owns the suite names, so the CLI offers them without importing numpy
+    assert tuple(verify._SUITE_TABLE) == core.VERIFY_SUITES == verify.SUITES
+    for name, (suite, _, _) in verify._SUITE_TABLE.items():
+        assert suite.__name__ == f"suite_{name}"
