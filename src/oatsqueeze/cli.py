@@ -165,6 +165,12 @@ def _beyond_a_double(name: str, value: float, exc: ArithmeticError) -> Numerical
     return NumericalError(f"sweep {name}={value!r} gives a value beyond a double ({exc})")
 
 
+def _outside_the_domain(name: str, value: float, exc: DomainError) -> ValidationError:
+    """The error of a sweep row outside the closed forms' domain."""
+    return ValidationError([f"sweep {name}={value!r} lies outside the closed forms' "
+                            f"domain ({exc})"])
+
+
 def _bundle(args, signal_field=0.0):
     """The validated ensemble, rates and coupling.  Every subcommand sweeps or
     optimizes the squeezing time itself, so the bundle's squeeze time is 1."""
@@ -246,8 +252,7 @@ def cmd_squeeze_curve(args) -> int:
             _, theta_min = analytic.xi2_min_finite_polarization(n, p_eff, j * t)
             rows.append([t, theta_big(rates, t), dec, pure, p_eff, theta_min])
     except DomainError as exc:
-        raise ValidationError([f"sweep t={t!r} lies outside the closed forms' "
-                               f"domain ({exc})"]) from None
+        raise _outside_the_domain("t", t, exc) from None
     except ArithmeticError as exc:
         raise _beyond_a_double("t", t, exc) from None
     header = ["t", "theta_big", "xi2_decoherence", "xi2_pure",
@@ -328,6 +333,8 @@ def cmd_metrology(args) -> int:
             if tau < t:
                 raise ValidationError(["total_time >= squeeze_time along the sweep"])
             rows.append([big, t, snr(t, tau), sens_derived, sens_reference])
+    except DomainError as exc:
+        raise _outside_the_domain(sweep_name, value, exc) from None
     except ArithmeticError as exc:
         raise _beyond_a_double(sweep_name, value, exc) from None
     header = ["theta_big", "t", "snr", "sensitivity_c_derived", "sensitivity_c_reference"]

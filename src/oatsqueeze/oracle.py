@@ -39,15 +39,17 @@ state depends only on the counts (n00, n01, n10, n11) of the kinds, which
 are C(n+3, 3) numbers (165 at n = 8, 455 at n = 12) instead of 4**n.  The
 generator there is the same elementwise factor plus count-weighted
 gathers from neighbouring types (``_raw_rhs``).  A Hermitian symmetric
-state is fixed by as many real coordinates, so ``evolve`` builds the
-generator once per call as a real square matrix L on them and takes each
-RK4 step as one matrix-vector product with the precomputed increment
-matrix of dt L.  Its checkpoints read moments, purity and the trace from
-the coordinates with the weights of ``_pair_types``, O(K) at any n.  A
-symmetric state is held as its type values in a ``_SymmetricState`` (the
-start ``ProductState`` of ``build_initial_state``, built in O(K), each
-checkpoint and ``Trajectory.final``), whose 4**n entries are gathered
-through ``_type_index``, the one 4**n table, only when first read.
+state is fixed by as many real coordinates.  ``evolve`` takes each RK4
+step either as four gathers on the type values or, for a run long enough
+to pay for its K**3 products, as one matrix-vector product with the
+increment matrix of dt L, L the generator as a real square matrix on the
+coordinates (``_increment_pays``).  Its checkpoints read moments, purity
+and the trace from the coordinates with the weights of ``_pair_types``,
+O(K) at any n.  A symmetric state is held as its type values in a
+``_SymmetricState`` (the start ``ProductState`` of
+``build_initial_state``, built in O(K), each checkpoint and
+``Trajectory.final``), whose 4**n entries are gathered through
+``_type_index``, the one 4**n table, only when first read.
 
 Pair couplings are given as an ``inhomogeneous.CouplingMatrix`` or as a
 plain matrix that passes its checks.  The oracle exists to validate
@@ -564,8 +566,9 @@ def _gather(r, weights, moves):
 def _raw_rhs(r, local, probe, mirror):
     """``_dense_rhs`` on the pair-type values ``r`` of a permutation-symmetric
     Hermitian matrix: count-weighted gathers.  ``r`` is one type vector or
-    a batch of them along a trailing axis; ``evolve`` applies this once, to
-    the batch of its coordinate basis vectors, to build its generator.
+    a batch of them along a trailing axis; ``evolve`` steps its type values
+    with it, or applies it once, to the batch of its coordinate basis
+    vectors, to build its generator matrix.
 
     The elementwise factor multiplies r itself.  The sigma_y and sigma_z
     channels move rho[a ^ e_i, b ^ e_i] to (a, b) where bit i agrees in a
@@ -582,6 +585,16 @@ def _raw_rhs(r, local, probe, mirror):
         rows = _gather(r, *probe)
         out += rows + rows[mirror].conj()
     return out
+
+
+def _increment_pays(n_steps: int, k: int) -> bool:
+    """Whether ``evolve`` steps with the K x K increment matrix rather than
+    the gathers: when its three K**3 products cost no more than the
+    n_steps four-stage gather steps they replace.  Measured with ``timeit``
+    on one core, the products take about 0.22 ns * K**3 and a gather step
+    30-40 us more than a matrix-vector step, so the break-even run has about
+    K**3 / 2**17 steps (n = 8: 34, n = 10: 178, n = 12: 719)."""
+    return n_steps << 17 >= k ** 3
 
 
 @dataclass(frozen=True)
@@ -653,24 +666,36 @@ def evolve(
     coupling or probe field, and a step outside RK4's stability region
     (``_require_stable_step``) are refused with ValidationError.
 
-    The generator is linear and constant, so it is built once per call as
-    a real K x K matrix L: ``_raw_rhs`` applied to the K basis vectors in
-    one batch, read back in coordinates.  With A = dt L, one classical RK4
-    step is v -> v + N v for N = A (I + A (I/2 + A (I/6 + A/24))), formed
-    once; the increment is added to v rather than applying I + N, whose
-    rounded diagonal would repeat the same error every step.
+    Both forms take classical RK4 steps of the same generator from the
+    start's type values, and ``_increment_pays`` (n_steps * 2**17 >= K**3)
+    picks one per call:
+
+    * the increment form.  The generator is linear and constant, so it is
+      built as a real K x K matrix L: ``_raw_rhs`` applied to the K basis
+      vectors in one batch, read back in coordinates.  With A = dt L, one
+      step is v -> v + N v for N = A (I + A (I/2 + A (I/6 + A/24))), formed
+      once with three K**3 products; the increment is added to v rather
+      than applying I + N, whose rounded diagonal would repeat the same
+      error every step.  It pays for long runs at small K.
+    * the gather form.  Each step applies ``_raw_rhs`` four times to the
+      complex type values, k1 = f(r), k2 = f(r + dt/2 k1), k3 = f(r + dt/2
+      k2), k4 = f(r + dt k3), r -> r + dt/6 (k1 + 2 k2 + 2 k3 + k4), and
+      holds no K x K matrix.  It pays for short runs at large K.
 
     Each checkpoint, t = 0 included, reads the state from the coordinates
     in O(K) with the ``_pair_types`` weights: the collective moments and
     the trace as one small product, the purity from the squared
     coordinates.  Its hermiticity defect, max |r - conj(r[mirror])| over
     the type values (mirrored types conjugate, self-mirror types real), is
-    zero by construction and still checked, like the trace defect; the
-    worst margins are kept on the trajectory.  Each checkpoint is a
-    ``_SymmetricState``, made dense only when read: for its lowest
-    eigenvalue when ``check_positivity`` is set, and as ``final``, the last
-    one, in the input's x frame.  A margin crossed beyond tolerance raises
-    NumericalError naming the offending time.
+    read from the stepped values themselves.  Each ``_raw_rhs`` term maps a
+    Hermitian r to a Hermitian one with the same roundings on both types of
+    a mirrored pair, so the defect is zero in either form; it is still
+    checked, like the trace defect, and the worst margins are kept on the
+    trajectory.  Each checkpoint is a ``_SymmetricState``, made dense only
+    when read: for its lowest eigenvalue when ``check_positivity`` is set,
+    and as ``final``, the last one, in the input's x frame.  A margin
+    crossed beyond tolerance raises NumericalError naming the offending
+    time.
     """
     if not isinstance(state, ProductState):
         raise ValidationError(["evolve starts from the ProductState of build_initial_state"])
@@ -705,8 +730,8 @@ def evolve(
         r.imag[types.mirror[types.imag]] = -im
         return r
 
-    def checkpoint(t, v):
-        r = type_values(v)
+    def checkpoint(t, r):
+        v = coordinates(r)
         herm = float(np.max(np.abs(r - r[types.mirror].conj())))
         trace, *moments = (types.moments @ v).tolist()
         traj.final = _SymmetricState(n, r)
@@ -716,15 +741,27 @@ def evolve(
         traj.moments.append(CollectiveMoments(*moments))
         traj.purities.append(float(types.purity @ (v * v)))
 
-    eye = np.eye(len(types.counts))
-    a = dt * coordinates(_raw_rhs(type_values(eye), *generator))
-    increment = a @ (eye + a @ (eye / 2.0 + a @ (eye / 6.0 + a / 24.0)))
-    v = coordinates(state.values)
-    checkpoint(0.0, v)
-    for step in range(1, n_steps + 1):
-        v += increment @ v
-        if step % every == 0 or step == n_steps:
-            checkpoint(step * dt, v)
+    r = state.values
+    checkpoint(0.0, r)
+    size = len(types.counts)
+    if _increment_pays(n_steps, size):
+        eye = np.eye(size)
+        a = dt * coordinates(_raw_rhs(type_values(eye), *generator))
+        increment = a @ (eye + a @ (eye / 2.0 + a @ (eye / 6.0 + a / 24.0)))
+        v, product = coordinates(r), np.empty(size)
+        for step in range(1, n_steps + 1):
+            v += np.dot(increment, v, out=product)  # the BLAS call of @, without an allocation
+            if step % every == 0 or step == n_steps:
+                checkpoint(step * dt, type_values(v))
+    else:
+        for step in range(1, n_steps + 1):
+            k1 = _raw_rhs(r, *generator)
+            k2 = _raw_rhs(r + (dt / 2.0) * k1, *generator)
+            k3 = _raw_rhs(r + (dt / 2.0) * k2, *generator)
+            k4 = _raw_rhs(r + dt * k3, *generator)
+            r = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if step % every == 0 or step == n_steps:
+                checkpoint(step * dt, r)
     return traj
 
 
@@ -747,12 +784,18 @@ def variable_coupling_state(couplings, polarizations) -> DensityMatrix:
     matrix of pair angles; ``polarizations`` is a scalar P or one value per
     spin, each in [0, 1].  All factors commute, so in the x frame U is a
     single diagonal phase exp(-i s^T theta s): rho' = phase * rho0 * phase^*.
+    rho0[a, b] = row[a ^ b] is written in place from row 0, doubling: rows
+    [h, 2h) are rows [0, h) with the column blocks of size h swapped,
+    rho0[a + h, b] = rho0[a, b ^ h], so every entry is a copy of row.
     """
     theta = _as_couplings(couplings).theta
     n = theta.shape[0]
-    row = _product_row(polarizations, n).astype(complex)
-    idx = np.arange(len(row), dtype=np.uint16)
-    rho = row[idx[:, None] ^ idx]
+    row = _product_row(polarizations, n)
+    dim = len(row)
+    rho = np.empty((dim, dim), dtype=complex)
+    rho[0] = row
+    for h in (1 << i for i in range(n)):
+        rho[h:2 * h].reshape(h, -1, 2, h)[:] = rho[:h].reshape(h, -1, 2, h)[:, :, ::-1]
     phase = np.exp(-1j * _coupling_phases(theta))
     rho *= phase[:, None]
     rho *= phase.conj()[None, :]

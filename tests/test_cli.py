@@ -224,6 +224,19 @@ def test_squeeze_curve_row_at_t_zero_is_refused_with_its_reason(capsys):
                    "(t > 0 required: the 1/t^2 term diverges)\n")
 
 
+@pytest.mark.parametrize("sweep, reason", [
+    ("theta_big:0:3:3:lin", "sweep theta_big=0.0 lies outside the closed forms' domain "
+                            "(squeeze_time > 0 required)"),
+    ("theta_big:-1:3:3:lin", "sweep theta_big=-1.0 lies outside the closed forms' domain "
+                             "(Theta >= 0 required)"),
+    ("t:0:3:3:lin", "sweep t=0.0 lies outside the closed forms' domain "
+                    "(squeeze_time > 0 required)"),
+])
+def test_metrology_row_outside_the_domain_is_refused_with_its_row(sweep, reason, capsys):
+    assert main(["metrology", "--j", "1e-5", "--gamma-par", "0.02", "--sweep", sweep]) == 1
+    assert capsys.readouterr() == ("", f"validation error: {reason}\n")
+
+
 def test_metrology_row_past_tau_is_refused(capsys):
     # t = 0.25 is the first row with tau < t
     assert main(["metrology", "--n", "50", "--j", "1e-5", "--gamma-par", "0.02",

@@ -477,7 +477,8 @@ def test_evolve_matches_dense_rk4(field):
 ])
 def test_evolve_matches_stagewise_rk4_beyond_the_dense_test(rates, field):
     # four _raw_rhs stages per step on the complex type values, at the spin
-    # counts where the dense reference loop is too slow
+    # counts where the dense reference loop is too slow; 50 steps at n = 7
+    # and 8 take the increment form
     for n in (7, 8):
         params = EnsembleParams(n, 0.9)
         proto = ProtocolParams(coupling=0.07, squeeze_time=0.5, signal_field=field)
@@ -497,6 +498,92 @@ def test_evolve_matches_stagewise_rk4_beyond_the_dense_test(rates, field):
                 for name in ("mean_x", "mean_y", "mean_z", "xx2", "yy2", "xy_sym"):
                     assert abs(getattr(got, name) - getattr(want, name)) <= 1e-14, \
                         f"n={n} step={step} {name}"
+
+
+def rk4_form(monkeypatch, form):
+    """Make ``evolve`` take the named RK4 form whatever the run's length."""
+    monkeypatch.setattr(oracle, "_increment_pays", lambda n_steps, k: form == "increment")
+
+
+def test_rk4_form_rule_picks_by_steps_against_k_cubed():
+    def k(n):
+        return math.comb(n + 3, 3)
+
+    # the benchmark's evolve at n = 8 (6 steps) and a long run at n = 12
+    assert not oracle._increment_pays(6, k(8))
+    assert not oracle._increment_pays(100, k(12))
+    # the factorization gap table at n = 2..6 (dt = 0.01, t_final = 1)
+    for n in range(2, 7):
+        assert oracle._increment_pays(100, k(n)), f"n={n}"
+
+
+@pytest.mark.parametrize("rates, field", [
+    (DecoherenceRates(), 0.0), (DecoherenceRates(0.05, 0.1), 0.2),
+])
+def test_gather_form_is_the_stagewise_rk4_bit_for_bit(monkeypatch, rates, field):
+    rk4_form(monkeypatch, "gather")
+    for n in (8, 12):
+        params = EnsembleParams(n, 0.9)
+        proto = ProtocolParams(coupling=0.07, squeeze_time=0.1, signal_field=field)
+        cfg = IntegratorConfig(dt=0.01, t_final=0.1)
+        traj = evolve(build_initial_state(params), cfg, params, rates, proto)
+        gen = oracle._type_generator(n, rates, proto)
+        dt = cfg.t_final / cfg.steps()
+        r = build_initial_state(params).values
+        for _ in range(cfg.steps()):
+            k1 = oracle._raw_rhs(r, *gen)
+            k2 = oracle._raw_rhs(r + (dt / 2.0) * k1, *gen)
+            k3 = oracle._raw_rhs(r + (dt / 2.0) * k2, *gen)
+            k4 = oracle._raw_rhs(r + dt * k3, *gen)
+            r = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.array_equal(traj.final.values, r), f"n={n}"
+
+
+@pytest.mark.parametrize("rates", [DecoherenceRates(), DecoherenceRates(0.02, 0.03)])
+@pytest.mark.parametrize("field", [0.0, 1e-3])
+def test_the_two_rk4_forms_agree(monkeypatch, rates, field):
+    names = ("mean_x", "mean_y", "mean_z", "xx2", "yy2", "xy_sym")
+    for n in range(2, SPIN_CAP + 1):
+        params = EnsembleParams(n, 0.9)
+        proto = ProtocolParams(coupling=0.07, squeeze_time=0.2, signal_field=field)
+        cfg = IntegratorConfig(dt=0.01, t_final=0.2, checkpoint_every=5)
+        runs = {}
+        for form in ("increment", "gather"):
+            rk4_form(monkeypatch, form)
+            runs[form] = evolve(build_initial_state(params), cfg, params, rates, proto)
+        got, want = runs["gather"], runs["increment"]
+        assert got.times == want.times
+        for t, mom, ref, purity, ref_purity in zip(got.times, got.moments, want.moments,
+                                                   got.purities, want.purities):
+            pairs = [(getattr(mom, name), getattr(ref, name)) for name in names]
+            for name, (a, b) in zip(names + ("purity",), pairs + [(purity, ref_purity)]):
+                assert abs(a - b) <= 1e-13 * max(abs(b), 1.0), f"n={n} t={t} {name}"
+
+
+def test_both_rk4_forms_refuse_the_same_unstable_step(monkeypatch):
+    params = EnsembleParams(8, 0.9)
+    messages = []
+    for form in ("increment", "gather"):
+        rk4_form(monkeypatch, form)
+        with pytest.raises(ValidationError, match="outside RK4's stability region") as info:
+            evolve(build_initial_state(params), IntegratorConfig(dt=0.01, t_final=0.06), params,
+                   DecoherenceRates(1e5, 0.0), ProtocolParams(coupling=0.05, squeeze_time=0.06))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("field", [0.0, 1e-3])
+def test_gather_form_is_exactly_hermitian_at_every_step(monkeypatch, field):
+    # the checkpoints read the stepped type values, never re-symmetrized
+    rk4_form(monkeypatch, "gather")
+    for n in (3, 8, 12):
+        params = EnsembleParams(n, 0.9)
+        cfg = IntegratorConfig(dt=0.01, t_final=1.0, checkpoint_every=1)
+        proto = ProtocolParams(coupling=0.05, squeeze_time=1.0, signal_field=field)
+        traj = evolve(build_initial_state(params), cfg, params,
+                      DecoherenceRates(0.02, 0.03), proto)
+        assert len(traj.times) == 101
+        assert traj.max_hermiticity_defect == 0.0, f"n={n}"
 
 
 def test_hermiticity_defect_is_the_direct_expression():
@@ -559,24 +646,25 @@ def test_pair_types_and_generator_build_no_dense_array_at_twenty_spins():
 
 
 def test_a_run_that_reads_only_moments_forms_no_dense_state():
-    # one dense state at n = 12 takes 256 MB; the product state, a one-step
+    # one dense state at n = 12 takes 256 MB; the product state, a 6-step
     # evolve with every term of the generator and its moments stay on the
-    # pair types, whose K x K generator build is the peak
+    # pair types, and a run this short takes the gather form, so it holds no
+    # K x K matrix either (one takes 1.6 MB at K = 455)
     params = EnsembleParams(12, 0.9)
     oracle._type_index.cache_clear()
     tracemalloc.start()
     try:
         state = build_initial_state(params)
-        traj = evolve(state, IntegratorConfig(dt=1e-3, t_final=1e-3), params,
-                      DecoherenceRates(0.02, 0.05),
-                      ProtocolParams(coupling=0.07, squeeze_time=1e-3, signal_field=1e-3))
+        traj = evolve(state, IntegratorConfig(dt=1e-3, t_final=6e-3, checkpoint_every=2),
+                      params, DecoherenceRates(0.02, 0.05),
+                      ProtocolParams(coupling=0.07, squeeze_time=6e-3, signal_field=1e-3))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(traj.moments) == 2
+    assert len(traj.moments) == 4
     assert "entries" not in vars(state) and "entries" not in vars(traj.final)
     assert oracle._type_index.cache_info().currsize == 0
-    assert peak < 64 * 2 ** 20
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("polarization", [0.0, 0.37, 1.0])
@@ -740,6 +828,21 @@ def test_product_row_is_row_zero_of_the_product_state():
     rho = oracle.variable_coupling_state(np.zeros((3, 3)), [0.9, 0.4, 0.7]).entries
     idx = np.arange(8)
     assert np.array_equal(rho, rho[0][idx[:, None] ^ idx])  # rho[a, b] = row[a ^ b]
+
+
+def test_variable_coupling_state_entries_are_row_of_a_xor_b_bit_for_bit():
+    # the rows written in place are copies of row[a ^ b], then phased
+    rng = np.random.default_rng(29)
+    for n in range(1, 11):
+        pols = rng.uniform(0.0, 1.0, size=n)
+        theta = np.triu(rng.uniform(-0.2, 0.2, size=(n, n)), 1)
+        theta += theta.T
+        rho0 = product_state(pols, n)
+        assert np.array_equal(variable_coupling_state(np.zeros((n, n)), pols).entries, rho0), \
+            f"n={n}"
+        phase = np.exp(-1j * oracle._coupling_phases(theta))
+        want = rho0 * phase[:, None] * phase.conj()[None, :]
+        assert np.array_equal(variable_coupling_state(theta, pols).entries, want), f"n={n}"
 
 
 # ---------------------------------------------------------------------------
@@ -1192,9 +1295,9 @@ def test_trajectory_margins_from_checkpoints(monkeypatch):
 
 
 def test_rk4_keeps_hermiticity_without_resymmetrizing():
-    # evolve steps the real coordinates of a Hermitian state and expands
-    # them with mirrored types conjugate, so every checkpoint is exactly
-    # Hermitian, probe field included
+    # these runs take the increment form, which steps the real coordinates
+    # of a Hermitian state and expands them with mirrored types conjugate,
+    # so every checkpoint is exactly Hermitian, probe field included
     rates = DecoherenceRates(0.02, 0.03)
     for n in (4, 6):
         params = EnsembleParams(n, 0.9)
