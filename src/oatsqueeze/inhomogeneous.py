@@ -39,6 +39,17 @@ _CHUNK_BYTES = 1 << 18
 # bytes a Monte Carlo run or one kernel call may take; larger runs raise
 # ResourceError before they allocate
 _MEMORY_CAP = 1 << 30
+# sample indices stay below this, so each is one 32-bit entropy word of its
+# SeedSequence((master_seed, index)); _MEMORY_CAP keeps a run far below it
+_INDEX_LIMIT = 1 << 32
+# numpy's SeedSequence (a pool of four uint32 words, every operation mod
+# 2^32) and PCG64 seeding constants
+_M32 = 0xFFFFFFFF
+_MIX_HASH = (0x43b0d7e5, 0x931e8875)  # first xor key and multiplier of the mixing hash
+_OUT_HASH = (0x8b51f9dd, 0x58f38ded)  # of the output hash
+_MIX_L, _MIX_R = 0xca01f9dd, 0x4973f715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -78,6 +89,11 @@ def _per_spin(pols, n: int) -> np.ndarray:
     return p
 
 
+def _is_index(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer >= 0."""
+    return isinstance(value, (int, np.integer)) and value >= 0
+
+
 @dataclass(frozen=True)
 class DisorderSpec:
     """Gaussian disorder model for the pair angles.
@@ -86,7 +102,8 @@ class DisorderSpec:
     derived through 1/alpha = kappa^2 theta0^2); when both are given they
     must agree to 1e-12 relative.  kappa^2 theta0^2 = 0, also when it
     underflows, maps to the concentrated branch alpha = ALPHA_CONCENTRATED,
-    and a kappa^2 theta0^2 that overflows is refused.
+    and a kappa^2 theta0^2 that overflows is refused.  ``master_seed`` is
+    an integer >= 0 of any size; a numpy integer is kept as the equal int.
     """
 
     theta0: float
@@ -99,6 +116,8 @@ class DisorderSpec:
         problems = []
         if self.n_samples < 1:
             problems.append("n_samples >= 1")
+        if not _is_index(self.master_seed):
+            problems.append(f"master_seed an integer >= 0, not {self.master_seed!r}")
         if not math.isfinite(self.theta0):
             problems.append("theta0 finite")
         alpha, kappa = self.alpha, self.kappa
@@ -120,6 +139,7 @@ class DisorderSpec:
         if problems:
             raise ValidationError(problems)
         object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "master_seed", int(self.master_seed))
 
     @property
     def sample_std(self) -> float:
@@ -335,17 +355,130 @@ def xi2_theta_couplings(couplings, pols, theta: float) -> float:
 # sampling, Monte Carlo and the analytic average
 # ---------------------------------------------------------------------------
 
+def _hash_keys(key: int, mult: int, count: int) -> tuple[list[int], list[int], int]:
+    """``count`` successive (xor key, multiplier) pairs of a SeedSequence
+    hash that starts at ``key``, and the key after them.  One hash of a word
+    v is: v ^= key; key *= mult; v *= key; v ^= v >> 16."""
+    keys, mults = [], []
+    for _ in range(count):
+        keys.append(key)
+        key = key * mult & _M32
+        mults.append(key)
+    return keys, mults, key
+
+
+def _uint32_column(values) -> np.ndarray:
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+@functools.cache
+def _seeding_tables():
+    """The numpy constants of ``_stream_states``, made on the first draw:
+    the shift of 16 and the two mix multipliers as 0-d uint32 arrays (numpy
+    takes a 0-d array operand faster than a scalar), the shift of 32 as a
+    0-d uint64 array, and the hash keys as uint32 columns: those of the four
+    pool words; of each of the four mixing rounds, with a zero pair at the
+    round's source word; and of the eight output words, as (low, high)
+    halves of the four uint64 words.  Last comes the mixing key that the
+    entropy words beyond the pool continue from."""
+    consts = (np.array(16, dtype=np.uint32), np.array(_MIX_L, dtype=np.uint32),
+              np.array(_MIX_R, dtype=np.uint32), np.array(32, dtype=np.uint64))
+    keys, mults, key = _hash_keys(*_MIX_HASH, 4)
+    pool = (_uint32_column(keys), _uint32_column(mults))
+    rounds = []
+    for src in range(4):
+        keys, mults, key = _hash_keys(key, _MIX_HASH[1], 3)
+        keys.insert(src, 0)
+        mults.insert(src, 0)
+        rounds.append((_uint32_column(keys), _uint32_column(mults)))
+    keys, mults, _ = _hash_keys(*_OUT_HASH, 8)
+    out = tuple(_uint32_column(half).reshape(2, 2, 1)
+                for half in (keys[0::2], mults[0::2], keys[1::2], mults[1::2]))
+    return consts, pool, rounds, out, key
+
+
+def _stream_states(seed: int, start: int, count: int) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) that np.random.default_rng((seed, i)) starts
+    from, for the sample indices i = start .. start+count-1 (each below
+    _INDEX_LIMIT), computed together.
+
+    numpy seeds PCG64 through SeedSequence, and its stream-compatibility
+    policy (NEP 19) keeps both fixed.  The entropy is the little-endian
+    32-bit words of ``seed`` ([0] for 0), then i.  The first four words
+    (zeros past the entropy) are hashed into a pool of four words; each pool
+    word is then hashed and mixed into the other three, and each entropy
+    word beyond the fourth into all four.  Eight hashed output words from
+    the pool make the uint64 values initstate (high, low) and initseq (high,
+    low), and PCG64 starts at inc = 2 initseq + 1,
+    state = (inc + initstate) PCG_MULT + inc mod 2^128 (O'Neill's
+    pcg_setseq_128_srandom_r).  No hash key depends on the data, so each
+    step is one numpy operation on (4, count) uint32 planes; the 128-bit
+    step uses Python ints, one sample at a time.
+    """
+    (shift, mix_l, mix_r, shift64), pool_keys, rounds, out_keys, key = _seeding_tables()
+
+    def hashed(words, keys, mults):
+        out = words ^ keys
+        out *= mults
+        out ^= out >> shift
+        return out
+
+    def mixed(x, y):  # L x - R y, then xor its upper half
+        out = x * mix_l
+        out -= y * mix_r
+        out ^= out >> shift
+        return out
+
+    words = [np.uint32(seed & _M32)]
+    while seed >> 32 * len(words):
+        words.append(np.uint32(seed >> 32 * len(words) & _M32))
+    entropy = words + [np.arange(start, start + count, dtype=np.uint32)]
+    pool = np.zeros((4, count), dtype=np.uint32)
+    for slot, word in enumerate(entropy[:4]):
+        pool[slot] = word
+    pool = hashed(pool, *pool_keys)
+    for src, (keys, mults) in enumerate(rounds):
+        mix = mixed(pool, hashed(pool[src], keys, mults))
+        mix[src] = pool[src]
+        pool = mix
+    for word in entropy[4:]:
+        keys, mults, key = _hash_keys(key, _MIX_HASH[1], 4)
+        pool = mixed(pool, hashed(word, _uint32_column(keys), _uint32_column(mults)))
+    low_keys, low_mults, high_keys, high_mults = out_keys
+    words64 = hashed(pool[1::2], high_keys, high_mults).astype(np.uint64)
+    words64 <<= shift64
+    words64 |= hashed(pool[0::2], low_keys, low_mults)
+    states = []
+    for seed_hi, seed_lo, seq_hi, seq_lo in zip(*words64.reshape(4, count).tolist()):
+        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _M128
+        states.append((((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc & _M128, inc))
+    return states
+
+
 def _coupling_stack(spec: DisorderSpec, n_spins: int, start: int, count: int) -> np.ndarray:
-    """(count, n, n) coupling angles of sample indices start .. start+count-1."""
+    """(count, n, n) coupling angles of sample indices start .. start+count-1.
+
+    Sample i's upper triangle is, in row-major order, theta0 + std * the
+    standard normals of np.random.default_rng((master_seed, i)), bit for
+    bit.  One ``_stream_states`` pass gives every sample's PCG64 start
+    state; each sample sets its state on one PCG64/Generator pair that this
+    call owns, so no two threads share a generator, and draws its row.
+    Indices at or above _INDEX_LIMIT are refused with ValidationError.
+    """
+    if start + count > _INDEX_LIMIT:
+        raise ValidationError([f"sample indices below 2**32, not {start + count - 1}"])
     theta = np.full((count, n_spins, n_spins), spec.theta0)
     diag = np.arange(n_spins)
     theta[:, diag, diag] = 0.0
     if spec.alpha < ALPHA_CONCENTRATED:
         rows, cols = np.triu_indices(n_spins, k=1)
         draws = np.empty((count, len(rows)))
-        for i in range(count):
-            rng = np.random.default_rng((int(spec.master_seed), start + i))
-            rng.standard_normal(out=draws[i])
+        bits = np.random.PCG64(0)  # each sample below sets its own state
+        gen = np.random.Generator(bits)
+        for row, (state, inc) in zip(draws, _stream_states(spec.master_seed, start, count)):
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            gen.standard_normal(out=row)
         draws = spec.theta0 + spec.sample_std * draws
         theta[:, rows, cols] = draws
         theta[:, cols, rows] = draws
@@ -355,13 +488,21 @@ def _coupling_stack(spec: DisorderSpec, n_spins: int, start: int, count: int) ->
 def sample_couplings(spec: DisorderSpec, n_spins: int, sample_index: int) -> CouplingMatrix:
     """Draw one coupling matrix; deterministic in (master_seed, sample_index).
 
-    Upper-triangle entries are drawn in row-major order from a stream
-    keyed by (master_seed, sample_index), so samples are independent of
-    evaluation order.  At alpha >= ALPHA_CONCENTRATED every angle is
-    exactly theta0.
+    Upper-triangle entries are drawn in row-major order from the stream of
+    np.random.default_rng((master_seed, sample_index)), so samples are
+    independent of evaluation order, and each equals its Monte Carlo sample
+    bit for bit.  A single call pays the fixed cost of ``_stream_states``'s
+    numpy calls, which a Monte Carlo chunk shares among its samples.
+    ``sample_index`` is an integer in [0, 2**32): a negative or non-integer
+    index is refused with ValidationError, and so is one of 2**32 or more,
+    which would take a second entropy word and which no Monte Carlo run
+    reaches under _MEMORY_CAP.  At alpha >= ALPHA_CONCENTRATED every angle
+    is exactly theta0.
     """
     if n_spins < 2:
         raise ValidationError(["n_spins >= 2"])
+    if not _is_index(sample_index):
+        raise ValidationError([f"sample_index an integer >= 0, not {sample_index!r}"])
     return CouplingMatrix(_coupling_stack(spec, n_spins, int(sample_index), 1)[0])
 
 

@@ -114,11 +114,87 @@ def test_sampling_determinism():
 
 
 def test_sampling_statistics():
+    # the same 100 000 samples as single sample_couplings calls, drawn in one
+    # stack; the spread of indices pins that the two are the same bits
     spec = DisorderSpec(theta0=0.05, kappa=0.1, n_samples=1, master_seed=3)
-    draws = np.array([sample_couplings(spec, 4, i).theta[0, 1] for i in range(100000)])
+    stack = inhomogeneous._coupling_stack(spec, 4, 0, 100_000)
+    for i in (0, 1, 80, 81, 4095, 4096, 65_537, 99_999):
+        assert np.array_equal(stack[i], sample_couplings(spec, 4, i).theta)
+    draws = stack[:, 0, 1]
     bound = 4.0 / math.sqrt(spec.alpha * len(draws))
     assert abs(draws.mean() - 0.05) <= bound
     assert draws.std() == pytest.approx(spec.sample_std, rel=0.02)
+
+
+# seeds of one to seven 32-bit words: 2**96 + 5 has four, so its index is a
+# fifth entropy word, mixed in after the pool
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**96 + 5, 2**200 + 2**97]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_chunk_stream_states_are_numpys_seeding(seed):
+    # indices 80 and 81 straddle the edge of a chunk of 81 at N = 20
+    for start, count, indices in ((0, 82, (0, 1, 80, 81)), (2**26 - 2, 2, (2**26 - 1,)),
+                                  (2**32 - 1, 1, (2**32 - 1,))):
+        states = inhomogeneous._stream_states(seed, start, count)
+        assert len(states) == count
+        for i in indices:
+            want = np.random.PCG64(np.random.SeedSequence((seed, i))).state["state"]
+            assert states[i - start] == (want["state"], want["inc"])
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_stack_rows_are_default_rng_draws(seed):
+    n, start, count = 20, 79, 4
+    spec = DisorderSpec(theta0=0.05, kappa=0.1, master_seed=seed)
+    stack = inhomogeneous._coupling_stack(spec, n, start, count)
+    rows, cols = np.triu_indices(n, k=1)
+    for j in range(count):
+        normals = np.random.default_rng((seed, start + j)).standard_normal(len(rows))
+        assert np.array_equal(stack[j][rows, cols], spec.theta0 + spec.sample_std * normals)
+        assert np.array_equal(stack[j], stack[j].T)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", None])
+def test_disorder_spec_refuses_a_seed_that_is_not_an_integer_at_least_0(seed):
+    # regression: -1 raised numpy's bare ValueError from inside the run, and
+    # 1.5 ran as seed 1 while summary() reported 1.5
+    with pytest.raises(ValidationError) as raised:
+        DisorderSpec(theta0=0.05, kappa=0.1, master_seed=seed)
+    assert raised.value.messages == [f"master_seed an integer >= 0, not {seed!r}"]
+
+
+def test_numpy_integer_seed_is_the_equal_int():
+    spec = DisorderSpec(theta0=0.05, kappa=0.1, n_samples=3, master_seed=np.uint64(5))
+    assert type(spec.master_seed) is int and spec.master_seed == 5
+    plain = DisorderSpec(theta0=0.05, kappa=0.1, n_samples=3, master_seed=5)
+    assert np.array_equal(sample_couplings(spec, 6, 2).theta, sample_couplings(plain, 6, 2).theta)
+    summary = monte_carlo_mean_xi2(spec, 6, 1.0, 0.7).summary()
+    assert json.loads(json.dumps(summary))["seed"] == 5
+
+
+@pytest.mark.parametrize("index", [-1, 1.5, 2.0, "3"])
+def test_sample_couplings_refuses_an_index_that_is_not_an_integer_at_least_0(index):
+    spec = DisorderSpec(theta0=0.05, kappa=0.1, master_seed=3)
+    with pytest.raises(ValidationError) as raised:
+        sample_couplings(spec, 4, index)
+    assert raised.value.messages == [f"sample_index an integer >= 0, not {index!r}"]
+
+
+@pytest.mark.parametrize("kappa", [0.1, 0.0])
+def test_indices_from_2_to_the_32_are_refused(kappa):
+    # one more index word would change the stream, so indices stop at 2**32 - 1
+    spec = DisorderSpec(theta0=0.05, kappa=kappa, master_seed=3)
+    last = sample_couplings(spec, 4, np.uint32(2**32 - 1)).theta
+    if kappa:
+        normals = np.random.default_rng((3, 2**32 - 1)).standard_normal(6)
+        assert last[0, 1] == spec.theta0 + spec.sample_std * normals[0]
+    for index, count in ((2**32, 1), (2**40, 1), (2**32 - 1, 2)):
+        with pytest.raises(ValidationError) as raised:
+            inhomogeneous._coupling_stack(spec, 4, index, count)
+        assert raised.value.messages == [f"sample indices below 2**32, not {index + count - 1}"]
+    with pytest.raises(ValidationError, match="below 2\\*\\*32"):
+        sample_couplings(spec, 4, 2**32)
 
 
 # ---------------------------------------------------------------------------
