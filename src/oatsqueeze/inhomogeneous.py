@@ -18,6 +18,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
+from itertools import cycle
 
 import numpy as np
 
@@ -90,8 +91,8 @@ def _per_spin(pols, n: int) -> np.ndarray:
 
 
 def _is_index(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer >= 0."""
-    return isinstance(value, (int, np.integer)) and value >= 0
+    """Whether ``value`` is a Python or numpy integer >= 0, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
 
 
 @dataclass(frozen=True)
@@ -114,8 +115,8 @@ class DisorderSpec:
 
     def __post_init__(self):
         problems = []
-        if self.n_samples < 1:
-            problems.append("n_samples >= 1")
+        if not (_is_index(self.n_samples) and self.n_samples >= 1):
+            problems.append(f"n_samples an integer >= 1, not {self.n_samples!r}")
         if not _is_index(self.master_seed):
             problems.append(f"master_seed an integer >= 0, not {self.master_seed!r}")
         if not math.isfinite(self.theta0):
@@ -265,25 +266,30 @@ def _pair_terms(theta: np.ndarray):
 
 
 def _sums(terms, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The angle-independent sums of each sample from its ``_pair_terms``,
-    weighted by the polarizations: B/N, sum_kl S_kl cross_kl P_l and
-    sum_{k != l} P_k P_l diff_kl."""
+    """The angle-independent sums of each sample from its ``_pair_terms`` and
+    its row of polarizations (``p`` is (S, N), or one row that all share):
+    B/N, sum_kl S_kl cross_kl P_l and sum_{k != l} P_k P_l diff_kl."""
     z, s, cross, diff = terms
-    # one dot per sample: a batched matrix product sums in an order that
-    # depends on S
-    b_norm = np.array([np.dot(p, row) for row in z]) / z.shape[1]
-    cross_sum = np.einsum("skl,skl,l->s", s, cross, p)
-    weights = np.outer(p, p)
-    np.fill_diagonal(weights, 0.0)
-    yy_sum = np.array([np.einsum("kl,kl->", weights, d) for d in diff])  # as b_norm
+    n = z.shape[1]
+    # b_norm and yy_sum take one dot and one sum per sample, with its own row
+    # or the shared one (cycle): a batched product sums in an S-dependent order
+    b_norm = np.array([np.dot(q, row) for q, row in zip(cycle(p.reshape(-1, n)), z)]) / n
+    cross_sum = np.einsum("...kl,...kl,...l->...", s, cross, p)
+    weights = (p[..., :, None] * p[..., None, :] * (1.0 - np.eye(n))).reshape(-1, n, n)  # k != l
+    yy_sum = np.array([np.einsum("kl,kl->", w, d) for w, d in zip(cycle(weights), diff)])
     return b_norm, cross_sum, yy_sum
 
 
-def _components(sums, n: int, th: float) -> tuple[np.ndarray, np.ndarray]:
-    """(A/N, B/N) of each sample at quadrature angle ``th`` from its ``_sums``."""
+def _libm(func, angles) -> np.ndarray:
+    """math.sin or math.cos of each of ``angles``: numpy's own may round otherwise."""
+    return np.fromiter(map(func, np.ravel(angles).tolist()), float).reshape(np.shape(angles))
+
+
+def _components(sums, n: int, th) -> tuple[np.ndarray, np.ndarray]:
+    """(A/N, B/N) of each sample at quadrature angle(s) ``th`` from its ``_sums``."""
     b_norm, cross_sum, yy_sum = sums
-    sin_th = math.sin(th)
-    a_norm = 1.0 + (0.5 * sin_th * sin_th * yy_sum - math.sin(2.0 * th) * cross_sum) / n
+    sin_th, sin_2th = _libm(math.sin, (th, 2.0 * th))
+    a_norm = 1.0 + (0.5 * sin_th * sin_th * yy_sum - sin_2th * cross_sum) / n
     return a_norm, b_norm
 
 

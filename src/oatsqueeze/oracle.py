@@ -26,7 +26,7 @@ The moments read sigma_x from the diagonal and sigma_z, sigma_y
 (W sigma_z W = sigma_x, W sigma_y W = -sigma_y) from O(n^2 2**n) entries
 instead of forming operator products: ``compute_moments`` gathers them
 from a dense matrix, ``evolve_variable_coupling`` forms them from the
-eigenphases, and one kernel (``_moments``) reduces them.  Trace, purity,
+eigenphases, and one kernel (``_moment_stack``) reduces them.  Trace, purity,
 eigenvalues and trace distance do not depend on the basis.  Each basis
 has one per-n table: ``_bit_tables`` holds the site signs and the gather
 positions of the moments on the 2**n basis indices, ``_pair_types`` the
@@ -311,10 +311,11 @@ def build_initial_state(params: EnsembleParams) -> ProductState:
 
 
 def _product_polarizations(polarizations, n: int) -> np.ndarray:
-    """P per spin of a product state, refused unless n >= 1, P in [0, 1], n <= SPIN_CAP."""
+    """P per spin (rows of them), refused unless n >= 1, P in [0, 1], n <= SPIN_CAP."""
     if n < 1:
         raise ValidationError(["n_spins >= 1"])
-    pols = _per_spin(polarizations, n)
+    pols = np.asarray(polarizations, dtype=float)
+    pols = pols if pols.ndim == 2 else _per_spin(pols, n)
     if not np.all((pols >= 0.0) & (pols <= 1.0)):
         raise ValidationError(["polarization in [0, 1] for state preparation"])
     if n > SPIN_CAP:
@@ -323,17 +324,20 @@ def _product_polarizations(polarizations, n: int) -> np.ndarray:
 
 
 def _product_row(polarizations, n: int) -> np.ndarray:
-    """Row 0 of the product of (I + P_i sx)/2, P a scalar or one per spin.
+    """Row 0 of the product of (I + P_i sx)/2, P a scalar or one per spin, or (S, n).
 
     An entry rho[a, b] depends only on the mask a ^ b: it is row[a ^ b] =
     the product over sites, site 0 first, of 0.5 where the mask bit is 0 and
     P_i/2 where it is 1, i.e. 2**-n prod_{i in a ^ b} P_i.  Every other
     function takes these values from here, so they share one rounding;
-    ``build_initial_state`` forms the same bits in closed form.
+    ``build_initial_state`` forms the same bits in closed form.  A row of a
+    stack has the products, so the bits, of its own call.
     """
-    row = np.ones(1)
-    for p in _product_polarizations(polarizations, n).tolist():
-        row = np.multiply.outer(row, (0.5, p / 2.0)).reshape(-1)
+    pols = _product_polarizations(polarizations, n)
+    factors = np.stack((np.full_like(pols, 0.5), pols / 2.0), axis=-1)  # [..., site, bit]
+    row = np.ones(pols.shape[:-1] + (1,))
+    for i in range(n):
+        row = (row[..., :, None] * factors[..., i, None, :]).reshape(*pols.shape[:-1], -1)
     return row
 
 
@@ -368,8 +372,7 @@ class CollectiveMoments:
     def second_moment(self, theta: float) -> float:
         """<[sum_i (cos(theta) sx_i + sin(theta) sy_i)]^2>; period pi."""
         require_finite_angle(theta)
-        c, s = math.cos(theta), math.sin(theta)
-        return c * c * self.xx2 + s * s * self.yy2 + s * c * self.xy_sym
+        return _second_moment(self.xx2, self.yy2, self.xy_sym, math.cos(theta), math.sin(theta))
 
     def quadrature_mean(self, theta: float) -> float:
         require_finite_angle(theta)
@@ -389,19 +392,24 @@ class CollectiveMoments:
         return self.second_moment(theta) / self.mean_z
 
 
+def _second_moment(xx2, yy2, xy_sym, c, s):
+    """Quadrature second moment at c = cos(theta), s = sin(theta); floats or arrays."""
+    return c * c * xx2 + s * s * yy2 + s * c * xy_sym
+
+
 def compute_moments(state: DensityMatrix, pair_correlations: bool = False) -> CollectiveMoments:
     """Collective first/second moments (and optional pair tables) of any
     matrix; the result is trace-linear.  Gathers the entries that
-    ``_moments`` reads: the diagonal, rho[b, b ^ e_k] and rho[b, b ^ e_k ^ e_l].
+    ``_moment_stack`` reads: the diagonal, rho[b, b ^ e_k] and rho[b, b ^ e_k ^ e_l].
     """
     rho, n = state.entries, state.n_spins
     g = _bit_tables(n)
-    return _moments(np.real(np.diagonal(rho))[None], np.take(rho, g.single)[None],
-                    np.take(rho, g.pair)[None], n, pair_correlations)[0]
+    return _moments(_moment_stack(np.real(np.diagonal(rho))[None], np.take(rho, g.single)[None],
+                                  np.take(rho, g.pair)[None], n), pair_correlations)[0]
 
 
-def _moments(pops, single, pair, n: int, pair_correlations: bool) -> list[CollectiveMoments]:
-    """Moments of each matrix of a stack from the entries it reads.
+def _moment_stack(pops, single, pair, n: int) -> tuple[np.ndarray, ...]:
+    """Each ``CollectiveMoments`` field of a stack's matrices, as one array, from their entries.
 
     For matrix s, with pops[s, b] = Re rho[b, b], single[s, k, b] = f_k[b] =
     rho[b, b ^ e_k] and pair[s, p, b] = g_kl[b] = rho[b, b ^ e_k ^ e_l]:
@@ -427,12 +435,15 @@ def _moments(pops, single, pair, n: int, pair_correlations: bool) -> list[Collec
     def total(table):  # sum of each matrix's table, as one flat sum
         return table.reshape(count, -1).sum(axis=-1)
 
-    scalars = zip(*(values.tolist() for values in (
-        total(z @ pops[..., None]), total(z_im), total(site_z),
-        n_trace + total(pxx), n_trace + total(pyy), 2.0 * total(pxy))))
-    return [CollectiveMoments(*values,
-                              *((pxx[s], pxy[s], pyy[s], site_z[s]) if pair_correlations else ()))
-            for s, values in enumerate(scalars)]
+    return (total(z @ pops[..., None]), total(z_im), total(site_z),
+            n_trace + total(pxx), n_trace + total(pyy), 2.0 * total(pxy), pxx, pxy, pyy, site_z)
+
+
+def _moments(stack, pair_correlations: bool) -> list[CollectiveMoments]:
+    """One ``CollectiveMoments`` per matrix of a ``_moment_stack``."""
+    tables = stack[6:] if pair_correlations else ()
+    return [CollectiveMoments(*values, *(table[s] for table in tables))
+            for s, values in enumerate(zip(*(field.tolist() for field in stack[:6])))]
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +801,7 @@ def variable_coupling_state(couplings, polarizations) -> DensityMatrix:
     """
     theta = _as_couplings(couplings).theta
     n = theta.shape[0]
-    row = _product_row(polarizations, n)
+    row = _product_row(_per_spin(polarizations, n), n)  # one row: a stack is refused
     dim = len(row)
     rho = np.empty((dim, dim), dtype=complex)
     rho[0] = row
@@ -810,26 +821,30 @@ def evolve_variable_coupling(couplings, polarizations) -> CollectiveMoments:
 
 
 def _variable_coupling_moments(theta: np.ndarray, polarizations) -> list[CollectiveMoments]:
-    """``evolve_variable_coupling`` for each checked matrix of an (S, n, n)
-    stack, with polarizations[s] (a scalar or n values) for matrix s.
+    """``evolve_variable_coupling`` of each matrix s of a stack, at polarizations[s]."""
+    return _moments(_variable_coupling_stack(theta, polarizations), pair_correlations=True)
+
+
+def _variable_coupling_stack(theta: np.ndarray, polarizations) -> tuple[np.ndarray, ...]:
+    """The ``_moment_stack`` of ``_variable_coupling_moments``.
 
     In the x frame the state is rho[a, b] = (row[a ^ b] phase[a])
     conj(phase[b]), with row = ``_product_row`` and phase = exp(-i s^T theta
-    s).  ``_moments`` reads only the diagonal, rho[b, b ^ e_k] and rho[b, b ^
+    s).  ``_moment_stack`` reads only the diagonal, rho[b, b ^ e_k] and rho[b, b ^
     e_k ^ e_l], so those O(n^2 2**n) entries are formed, with the same
     products in the same order as ``variable_coupling_state``, and no 4**n
     matrix: each matrix's moments equal those of ``compute_moments`` on the
     dense state bit for bit, and do not depend on the stack.
     """
     n = theta.shape[-1]
-    rows = np.array([_product_row(p, n) for p in polarizations], dtype=complex)
+    rows = _product_row(np.array([_per_spin(p, n) for p in polarizations]), n).astype(complex)
     g = _bit_tables(n)
     phase = np.exp(-1j * _coupling_phases(theta))
     conj = phase.conj()
 
     def entries(positions):  # [s, m, b] = (row[b ^ c] phase[b]) conj(phase[c]), c = column
         columns = positions & (len(phase[0]) - 1)  # the low n bits of a flat position
-        # in C order, so that each sum of ``_moments`` runs along a row
+        # in C order, so that each sum of ``_moment_stack`` runs along a row
         out = np.empty((len(rows),) + columns.shape, dtype=complex)
         np.multiply(rows[:, columns[:, 0], None], phase[:, None], out=out)  # b = 0: the masks
         out *= conj[:, columns]
@@ -837,7 +852,7 @@ def _variable_coupling_moments(theta: np.ndarray, polarizations) -> list[Collect
 
     pops = (rows[:, :1] * phase * conj).real
     single, pair = entries(g.single), entries(g.pair)
-    return _moments(pops, single, pair, n, pair_correlations=True)
+    return _moment_stack(pops, single, pair, n)
 
 
 # ---------------------------------------------------------------------------

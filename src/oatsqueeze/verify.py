@@ -3,12 +3,14 @@
 Each suite returns a report dict {suite, checks: [...], passed}, and
 ``run_suite`` adds its wall time as ``elapsed_s``; a check is {name, value,
 tolerance, margin, passed} plus optional context, with margin =
-value/tolerance (None for pass/fail checks of tolerance 0).  Two measured
-quantities contradict commonly quoted claims and are reported without
-being asserted (see README): the raw factorization gap at fixed N*J*T
-rises with N instead of decreasing, and the quoted dephasing form
-deviates from the exact channel for any genuinely twisted state.  They
-appear as extra report keys and do not count towards ``passed``.
+value/tolerance (None for pass/fail checks of tolerance 0).  The two
+pair-unitary suites run each spin count's matrices as one stack and check
+the oracle's side with array operations, with no Python loop per trial or
+angle.  Two measured quantities contradict commonly quoted claims and are
+reported without being asserted (see README): the raw factorization gap
+at fixed N*J*T rises with N instead of decreasing, and the quoted
+dephasing form deviates from the exact channel for any genuinely twisted
+state; they are extra report keys and do not count towards ``passed``.
 """
 
 from __future__ import annotations
@@ -26,12 +28,14 @@ from .core import (
     ProtocolParams,
     ValidationError,
 )
-from .inhomogeneous import _components, _pair_terms, _sums
+from .inhomogeneous import _components, _libm, _pair_terms, _sums
 from .oracle import (
     SPIN_CAP,
     IntegratorConfig,
     _pauli_channel,
-    _variable_coupling_moments,
+    _moments,
+    _second_moment,
+    _variable_coupling_stack,
     apply_dephasing,
     build_initial_state,
     compute_moments,
@@ -66,13 +70,6 @@ def _finish(suite, checks, **extra):
               "passed": all(c["passed"] for c in checks)}
     report.update(extra)
     return report
-
-
-def _random_couplings(rng, n):
-    theta = rng.normal(0.05, 0.1, size=(n, n))
-    theta = (theta + theta.T) / 2.0
-    np.fill_diagonal(theta, 0.0)
-    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -186,64 +183,63 @@ def suite_variable_coupling(n_max: int = 6, seed: int = 0) -> dict:
     weighted by the polarizations) and quadrature ratio vs the exact pair
     unitary, on _TRIALS random coupling matrices and polarizations.
 
-    Every trial is drawn first (n, couplings, polarizations, then three
-    quadrature angles); then the trials of each spin count go through
-    ``_pair_terms`` and the exact moments as one stack.  A matrix's values
-    do not depend on its stack, so they are those of one call per trial."""
+    Every trial is drawn first (n, couplings, polarizations, three quadrature
+    angles); each spin count's T trials then run as one stack, checked as
+    (T, n[, n]) tables and one (T, 3) array of ratios.  A matrix's values do
+    not depend on its stack, so they are those of one call per trial."""
     (n_max,) = suite_sizes("variable_coupling", n_max)
     if n_max < 2:
         raise ValidationError(["variable_coupling needs n >= 2: it checks spin pairs"])
     rng = np.random.default_rng(seed)
-    trials = []
+    groups = {}  # n -> its trials, each (couplings, polarizations, quadrature angles)
     for _ in range(_TRIALS):
         n = int(rng.integers(2, n_max + 1))
-        theta = _random_couplings(rng, n)
-        pols = rng.uniform(0.3, 1.0, size=n)
-        trials.append((n, theta, pols, rng.uniform(0.0, math.pi, 3)))
-    worst = {"site_polarization": 0.0, "pair_xx_zero": 0.0, "pair_yy": 0.0,
-             "pair_xy": 0.0, "quadrature_ratio": 0.0}
-    for n in sorted({trial[0] for trial in trials}):
-        group = [trial for trial in trials if trial[0] == n]
-        thetas = np.array([theta for _, theta, _, _ in group])
-        stack_terms = _pair_terms(thetas)
-        moments = _variable_coupling_moments(thetas, [pols for _, _, pols, _ in group])
-        for i, ((_, _, pols, angles), mom) in enumerate(zip(group, moments)):
-            terms = tuple(term[i:i + 1] for term in stack_terms)
-            z, s, cross, diff = (term[0] for term in terms)
-            for name, got, want in (("site_polarization", mom.site_z, pols * z),
-                                    ("pair_xx_zero", mom.pair_xx, 0.0),
-                                    ("pair_yy", mom.pair_yy, 0.5 * pols[:, None] * pols * diff),
-                                    ("pair_xy", mom.pair_xy, -pols * s * cross)):
-                worst[name] = max(worst[name], float(np.max(np.abs(got - want))))
-            sums = _sums(terms, pols)
-            for th in angles:
-                a, b = _components(sums, n, th)
-                got = a[0] / b[0]
-                worst["quadrature_ratio"] = max(worst["quadrature_ratio"],
-                                                abs(got - mom.xi2(th)) / abs(mom.xi2(th)))
+        groups.setdefault(n, []).append((rng.normal(0.05, 0.1, (n, n)), rng.uniform(0.3, 1.0, n),
+                                         rng.uniform(0.0, math.pi, 3)))
+    worst = dict.fromkeys(("site_polarization", "pair_xx_zero", "pair_yy", "pair_xy",
+                           "quadrature_ratio"), 0.0)
+    for n, group in sorted(groups.items()):
+        draws, pols, angles = map(np.array, zip(*group))
+        thetas = (draws + draws.transpose(0, 2, 1)) / 2.0  # symmetric, zero diagonal
+        thetas[:, range(n), range(n)] = 0.0
+        terms = z, s, cross, diff = _pair_terms(thetas)
+        _, _, mean_z, xx2, yy2, xy_sym, pair_xx, pair_xy, pair_yy, site_z = \
+            _variable_coupling_stack(thetas, pols)
+        a, b = _components([column[:, None] for column in _sums(terms, pols)], n, angles)
+        exact = _second_moment(xx2[:, None], yy2[:, None], xy_sym[:, None],
+                               _libm(math.cos, angles), _libm(math.sin, angles)) / mean_z[:, None]
+        for name, deviation in (
+                ("site_polarization", np.abs(site_z - pols * z)),
+                ("pair_xx_zero", np.abs(pair_xx)),
+                ("pair_yy", np.abs(pair_yy - 0.5 * pols[:, :, None] * pols[:, None] * diff)),
+                ("pair_xy", np.abs(pair_xy - (-pols[:, None] * s * cross))),
+                ("quadrature_ratio", np.abs(a / b - exact) / np.abs(exact))):
+            worst[name] = max(worst[name], float(np.max(deviation)))
     checks = [_check(name, val, 1e-10) for name, val in worst.items()]
     return _finish("variable_coupling", checks, trials=_TRIALS)
 
 
 def suite_uniform_coupling(n_max: int = 10) -> dict:
-    """Uniform-coupling closed form vs the exact unitary over a grid: the
-    six (P, theta0) cases of each spin count run as one stack."""
+    """Uniform-coupling closed form vs the exact unitary over a grid: the six
+    (P, theta0) cases of each spin count run as one stack, the oracle's ratios
+    at the 16 angles as one (6, 16) array."""
     (n_max,) = suite_sizes("uniform_coupling", n_max)
     if n_max < 2:
         raise ValidationError(["uniform_coupling needs n >= 2: it checks spin pairs"])
-    worst_theta = 0.0
-    worst_min = 0.0
+    worst_theta = worst_min = 0.0
     angles = np.linspace(0.0, math.pi, 16, endpoint=False)
+    cos, sin = _libm(math.cos, angles), _libm(math.sin, angles)
     cases = [(p, theta0) for p in (0.5, 1.0) for theta0 in (0.01, 0.05, 0.1)]
     for n in range(2, n_max + 1):
         off_diagonal = 1.0 - np.eye(n)
         thetas = np.array([theta0 * off_diagonal for _, theta0 in cases])
-        moments = _variable_coupling_moments(thetas, [p for p, _ in cases])
-        for (p, theta0), mom in zip(cases, moments):
-            quadrature = analytic._quadrature_curve(n, p, theta0)
-            for th in angles:
-                want = mom.xi2(th)
-                worst_theta = max(worst_theta, abs(quadrature(th) - want) / abs(want))
+        stack = _variable_coupling_stack(thetas, [p for p, _ in cases])
+        _, _, mean_z, xx2, yy2, xy_sym = (field[:, None] for field in stack[:6])
+        exact = _second_moment(xx2, yy2, xy_sym, cos, sin) / mean_z  # (case, angle)
+        closed = [list(map(analytic._quadrature_curve(n, p, theta0), angles.tolist()))
+                  for p, theta0 in cases]
+        worst_theta = max(worst_theta, float(np.max(np.abs(closed - exact) / np.abs(exact))))
+        for (p, theta0), mom in zip(cases, _moments(stack, pair_correlations=False)):
             xi2_min, _ = analytic.xi2_min_finite_polarization(n, p, theta0)
             theta_scan, second = mom.minimize_second_moment()
             worst_min = max(worst_min,
@@ -266,6 +262,8 @@ def suite_dephasing(n: int = 6, seed: int = 0) -> dict:
     channel, trace and eigenvalues once over the stack.
     """
     (n,) = suite_sizes("dephasing", n)
+    if n < 1:
+        raise ValidationError(["dephasing needs n >= 1"])
     rng = np.random.default_rng(seed)
     checks = []
     surviving = (0.0, 0.3, math.exp(-1.0), 1.0)

@@ -632,6 +632,17 @@ def test_verify_sizes_that_check_nothing_exit_1(argv, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("validation error:")
 
 
+@pytest.mark.parametrize("n", ["-3", "-1", "0", "1", "2"])
+@pytest.mark.parametrize("suite", verify.SUITES)
+def test_verify_small_and_negative_spin_counts_exit_with_one_line(suite, n, tmp_path, capsys):
+    # regression: verify dephasing --n -1 ended in numpy's "negative
+    # dimensions are not allowed" traceback; the table-wide property test
+    # draws only verify constants
+    assert main(["verify", suite, "--n", n, "--out", str(tmp_path / "v.json")]) in (0, 1)
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) <= 1 and "Traceback" not in err
+
+
 def test_verify_factorization_refuses_spin_count_above_cap_up_front(monkeypatch, capsys):
     # regression: the gap table ran n = 2..12, a dense 4096^2 RK4 run
     # included, before it reached the ResourceError at n = 13

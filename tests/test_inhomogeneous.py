@@ -164,6 +164,23 @@ def test_disorder_spec_refuses_a_seed_that_is_not_an_integer_at_least_0(seed):
     assert raised.value.messages == [f"master_seed an integer >= 0, not {seed!r}"]
 
 
+@pytest.mark.parametrize("count", [0, -1, 2.5, "3", True, None])
+def test_disorder_spec_refuses_a_sample_count_that_is_not_an_integer_at_least_1(count):
+    # regression: 2.5 failed inside the run with numpy's bare TypeError, "3"
+    # raised TypeError from the comparison, and True ran as one sample
+    with pytest.raises(ValidationError) as raised:
+        DisorderSpec(theta0=0.05, kappa=0.1, n_samples=count)
+    assert raised.value.messages == [f"n_samples an integer >= 1, not {count!r}"]
+
+
+def test_a_bool_is_not_a_seed_or_a_sample_index():
+    with pytest.raises(ValidationError, match="master_seed an integer >= 0, not True"):
+        DisorderSpec(theta0=0.05, kappa=0.1, master_seed=True)
+    spec = DisorderSpec(theta0=0.05, kappa=0.1, master_seed=3)
+    with pytest.raises(ValidationError, match="sample_index an integer >= 0, not False"):
+        sample_couplings(spec, 4, False)
+
+
 def test_numpy_integer_seed_is_the_equal_int():
     spec = DisorderSpec(theta0=0.05, kappa=0.1, n_samples=3, master_seed=np.uint64(5))
     assert type(spec.master_seed) is int and spec.master_seed == 5

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oatsqueeze import analytic, oracle
 from oatsqueeze.core import (
@@ -779,6 +781,14 @@ def test_variable_coupling_rejects_out_of_range_polarization():
         evolve_variable_coupling(np.zeros((3, 3)), [1.0, 0.5])
 
 
+@pytest.mark.parametrize("pols", [np.full((3, 3), 0.5), np.full((1, 3), 0.5)])
+def test_variable_coupling_state_refuses_a_stack_of_polarization_rows(pols):
+    # regression: _product_row takes a stack, and variable_coupling_state
+    # passed one on and failed with numpy's broadcast ValueError
+    with pytest.raises(ValidationError, match="polarizations must be scalar or length n_spins"):
+        oracle.variable_coupling_state(np.zeros((3, 3)), pols)
+
+
 MOMENT_FIELDS = ("mean_x", "mean_y", "mean_z", "xx2", "yy2", "xy_sym",
                  "pair_xx", "pair_xy", "pair_yy", "site_z")
 
@@ -816,6 +826,17 @@ def test_variable_coupling_moments_do_not_depend_on_the_stack():
         for i in range(count):
             assert_same_moments(stacked[i], evolve_variable_coupling(theta[i], pols[i]),
                                 f"n={n} matrix {i}")
+
+
+@given(st.integers(1, 10).flatmap(lambda n: st.lists(
+    st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n), min_size=1, max_size=6)))
+def test_stacked_product_rows_are_the_single_row_calls(pols):
+    stack = np.array(pols)
+    n = stack.shape[1]
+    rows = oracle._product_row(stack, n)
+    assert rows.shape == (len(stack), 1 << n)
+    for row, single in zip(rows, stack):
+        assert row.tobytes() == oracle._product_row(single, n).tobytes()
 
 
 def test_product_row_is_row_zero_of_the_product_state():
