@@ -67,7 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import _cos2_minimum
+from .analytic import _cos2_minimum, effective_polarization
 from .core import (
     DecoherenceRates,
     DomainError,
@@ -146,7 +146,7 @@ def _pair_types(n: int) -> _PairTypes:
     counts (n00, n01, n10, n11) of the four kinds, its type, so it is
     C(n+3, 3) numbers.  A move turns one site of one kind into another;
     where no site has the source kind it returns the type itself, and its
-    weight (the source count) is zero.  Each table is O(K) at any n.
+    weight (the source count) is zero.  Each table is O(K), in intp at any n.
 
     A Hermitian matrix has r[mirror] = conj(r), so it is fixed by K =
     C(n+3, 3) real coordinates v: Re r_k of each type in ``real``, then
@@ -166,7 +166,7 @@ def _pair_types(n: int) -> _PairTypes:
     counts = np.array([(n - n01 - n10 - n11, n01, n10, n11)
                        for n01 in range(n + 1) for n10 in range(n + 1 - n01)
                        for n11 in range(n + 1 - n01 - n10)])
-    lut = np.zeros((n + 1,) * 3, dtype=np.int16)
+    lut = np.zeros((n + 1,) * 3, dtype=np.intp)
 
     def key(c):
         return c[:, 2] + c[:, 3], c[:, 1] + c[:, 3], c[:, 1] + c[:, 2]
@@ -182,9 +182,9 @@ def _pair_types(n: int) -> _PairTypes:
             empty = counts[:, src] == 0
             moved[empty] = counts[empty]
             out.append(lut[key(moved)])
-        return np.array(out, dtype=np.intp)
+        return np.array(out)
 
-    mirror = lut[key(counts[:, [0, 2, 1, 3]])].astype(np.intp)
+    mirror = lut[key(counts[:, [0, 2, 1, 3]])]
     real = np.flatnonzero(np.arange(len(counts)) <= mirror)
     imag = np.flatnonzero(np.arange(len(counts)) < mirror)
     mult = np.array([math.factorial(n) // math.prod(map(math.factorial, kinds))
@@ -213,11 +213,13 @@ def _pair_types(n: int) -> _PairTypes:
 
 @functools.cache
 def _type_index(n: int) -> np.ndarray:
-    """[a, b] = type of rho[a, b] (int16): the one 4**n table, which only
-    the dense expansion of a ``_SymmetricState`` reads."""
+    """[a, b] = type of rho[a, b]: the one 4**n table, which only the dense
+    expansion of a ``_SymmetricState`` reads; int16 (K <= 455 under SPIN_CAP),
+    gathered from an int16 lookup."""
     idx = np.arange(1 << n, dtype=np.uint16)
     ones = sum((idx >> i) & 1 for i in range(n)).astype(np.int8)
-    index = _pair_types(n).lookup[ones[:, None], ones[None, :], ones[idx[:, None] ^ idx]]
+    lookup = _pair_types(n).lookup.astype(np.int16)
+    index = lookup[ones[:, None], ones[None, :], ones[idx[:, None] ^ idx]]
     index.flags.writeable = False  # shared by every caller
     return index
 
@@ -463,8 +465,8 @@ def lindblad_rhs(
     drops out of the commutator).  Dissipator: per-site sigma_x channel at
     gamma_par and sigma_y/sigma_z channels at gamma_perp, with the
     trace-preserving counterterm N*(gamma_par + 2*gamma_perp)*rho.  Signal
-    part: -i*B_y*[SY, rho] with B_y = ``proto.signal_field``.  A term drops
-    out when its parameter is zero.  ``params.n_spins`` must match the state.
+    part: -i*B_y*[SY, rho] with B_y = ``proto.signal_field``.  A zero
+    parameter adds zeros.  ``params.n_spins`` must match the state.
     Any matrix is accepted, and the generator is applied densely: it is the
     reference for the pair-type generator that ``evolve`` integrates.
     """
@@ -507,17 +509,15 @@ def _dense_rhs(rho, n, diag, gamma_perp, signal_field):
     dim = 1 << n
     for i in range(n):
         lead, trail = 1 << i, dim >> (i + 1)
-        if gamma_perp != 0.0:
-            src = rho.reshape(lead, 2, trail, lead, 2, trail)
-            dst = out.reshape(lead, 2, trail, lead, 2, trail)
-            dst[:, 0, :, :, 0] += (2.0 * gamma_perp) * src[:, 1, :, :, 1]
-            dst[:, 1, :, :, 1] += (2.0 * gamma_perp) * src[:, 0, :, :, 0]
-        if signal_field != 0.0:
-            for shape in ((lead, 2, trail * dim), (dim * lead, 2, trail)):  # rows, columns
-                src = rho.reshape(shape)
-                dst = out.reshape(shape)
-                dst[:, 0] += signal_field * src[:, 1]
-                dst[:, 1] -= signal_field * src[:, 0]
+        src = rho.reshape(lead, 2, trail, lead, 2, trail)
+        dst = out.reshape(lead, 2, trail, lead, 2, trail)
+        dst[:, 0, :, :, 0] += (2.0 * gamma_perp) * src[:, 1, :, :, 1]
+        dst[:, 1, :, :, 1] += (2.0 * gamma_perp) * src[:, 0, :, :, 0]
+        for shape in ((lead, 2, trail * dim), (dim * lead, 2, trail)):  # rows, columns
+            src = rho.reshape(shape)
+            dst = out.reshape(shape)
+            dst[:, 0] += signal_field * src[:, 1]
+            dst[:, 1] -= signal_field * src[:, 0]
     return out
 
 
@@ -625,7 +625,10 @@ class IntegratorConfig:
     def steps(self) -> int:
         if not (self.dt > 0.0 and self.t_final >= self.dt):
             raise ValidationError(["0 < dt <= t_final"])
-        return max(1, int(round(self.t_final / self.dt)))
+        ratio = self.t_final / self.dt  # at least 1
+        if not math.isfinite(ratio):
+            raise ValidationError([f"t_final / dt finite, not {ratio!r}"])
+        return round(ratio)
 
 
 @dataclass
@@ -817,16 +820,13 @@ def evolve_variable_coupling(couplings, polarizations) -> CollectiveMoments:
     """Exact moments and pair tables of ``variable_coupling_state``, read
     from its eigenphases without forming the state."""
     theta = _as_couplings(couplings).theta
-    return _variable_coupling_moments(theta[None], [polarizations])[0]
-
-
-def _variable_coupling_moments(theta: np.ndarray, polarizations) -> list[CollectiveMoments]:
-    """``evolve_variable_coupling`` of each matrix s of a stack, at polarizations[s]."""
-    return _moments(_variable_coupling_stack(theta, polarizations), pair_correlations=True)
+    return _moments(_variable_coupling_stack(theta[None], [polarizations]),
+                    pair_correlations=True)[0]
 
 
 def _variable_coupling_stack(theta: np.ndarray, polarizations) -> tuple[np.ndarray, ...]:
-    """The ``_moment_stack`` of ``_variable_coupling_moments``.
+    """The ``_moment_stack`` of ``evolve_variable_coupling`` for each matrix
+    s of a stack, at polarizations[s].
 
     In the x frame the state is rho[a, b] = (row[a ^ b] phase[a])
     conj(phase[b]), with row = ``_product_row`` and phase = exp(-i s^T theta
@@ -936,8 +936,8 @@ def factorization_gap(
     """
     proto = replace(proto, signal_field=0.0)
     joint = evolve(build_initial_state(params), cfg, params, rates, proto).final
-    dissipated = replace(params, polarization=params.polarization
-                         * math.exp(-2.0 * rates.gamma_sum * cfg.t_final))
+    dissipated = replace(params, polarization=effective_polarization(
+        params.polarization, rates, cfg.t_final))
     factored = evolve(build_initial_state(dissipated), cfg, dissipated, DecoherenceRates(),
                       proto).final
     return trace_distance(joint, factored)

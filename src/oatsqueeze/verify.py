@@ -15,6 +15,7 @@ state; they are extra report keys and do not count towards ``passed``.
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
 
@@ -51,8 +52,8 @@ _TRIALS = 100  # random coupling matrices per variable_coupling run
 
 
 def suite_sizes(name: str, n: int) -> tuple[int, ...]:
-    """The spin counts suite ``name`` runs when asked for ``n`` (its n_max)."""
-    return tuple(min(n, cap) for cap in _SUITE_TABLE[name][2])
+    """The spin counts suite ``name`` runs when asked for ``n``."""
+    return tuple(min(n, cap) for cap in _SUITE_TABLE[name][1])
 
 
 def _check(name, value, tolerance, passed=None, **context):
@@ -178,16 +179,16 @@ def suite_factorization(n_range=range(2, 7)) -> dict:
                    raw_gap_fixed_njt=[[n, g] for n, g in zip(ns, raw)])
 
 
-def suite_variable_coupling(n_max: int = 6, seed: int = 0) -> dict:
+def suite_variable_coupling(n: int = 6, seed: int = 0) -> dict:
     """The shipped kernel's per-site and per-pair terms (``_pair_terms``,
     weighted by the polarizations) and quadrature ratio vs the exact pair
-    unitary, on _TRIALS random coupling matrices and polarizations.
+    unitary, on _TRIALS random coupling matrices and polarizations of 2 to n spins.
 
     Every trial is drawn first (n, couplings, polarizations, three quadrature
     angles); each spin count's T trials then run as one stack, checked as
     (T, n[, n]) tables and one (T, 3) array of ratios.  A matrix's values do
     not depend on its stack, so they are those of one call per trial."""
-    (n_max,) = suite_sizes("variable_coupling", n_max)
+    (n_max,) = suite_sizes("variable_coupling", n)
     if n_max < 2:
         raise ValidationError(["variable_coupling needs n >= 2: it checks spin pairs"])
     rng = np.random.default_rng(seed)
@@ -219,11 +220,11 @@ def suite_variable_coupling(n_max: int = 6, seed: int = 0) -> dict:
     return _finish("variable_coupling", checks, trials=_TRIALS)
 
 
-def suite_uniform_coupling(n_max: int = 10) -> dict:
-    """Uniform-coupling closed form vs the exact unitary over a grid: the six
-    (P, theta0) cases of each spin count run as one stack, the oracle's ratios
-    at the 16 angles as one (6, 16) array."""
-    (n_max,) = suite_sizes("uniform_coupling", n_max)
+def suite_uniform_coupling(n: int = 10) -> dict:
+    """Uniform-coupling closed form vs the exact unitary over a grid of 2 to
+    n spins: the six (P, theta0) cases of each spin count run as one stack,
+    the oracle's ratios at the 16 angles as one (6, 16) array."""
+    (n_max,) = suite_sizes("uniform_coupling", n)
     if n_max < 2:
         raise ValidationError(["uniform_coupling needs n >= 2: it checks spin pairs"])
     worst_theta = worst_min = 0.0
@@ -324,10 +325,10 @@ def suite_metrology() -> dict:
     # transverse mean vanishes
     params0 = EnsembleParams(2, 1.0)
     proto0 = ProtocolParams(coupling=0.02, squeeze_time=1.0, signal_field=0.0)
-    final0 = evolve(build_initial_state(params0), IntegratorConfig(dt=2e-3, t_final=1.0),
-                    params0, DecoherenceRates(0.02, 0.03), proto0).final
+    traj0 = evolve(build_initial_state(params0), IntegratorConfig(dt=2e-3, t_final=1.0),
+                   params0, DecoherenceRates(0.02, 0.03), proto0)
     checks.append(_check("zero_field_zero_signal",
-                         abs(compute_moments(final0).quadrature_mean(0.3)), 1e-10))
+                         abs(traj0.moments[-1].quadrature_mean(0.3)), 1e-10))
 
     def rotation_slope(gp, gt, t=2.0):
         params = EnsembleParams(2, 1.0)
@@ -336,7 +337,7 @@ def suite_metrology() -> dict:
                                  ProtocolParams(coupling=0.0, squeeze_time=t),
                                  IntegratorConfig(dt=2e-3, t_final=t),
                                  measure_angle=0.0)
-        p_t = math.exp(-2.0 * rates.gamma_sum * t)
+        p_t = analytic.effective_polarization(params.polarization, rates, t)
         return res.signal_slope / params.n_spins / (2.0 * p_t), \
             analytic.effective_field(1.0, rates, t)
 
@@ -430,33 +431,31 @@ def suite_constants() -> dict:
     return _finish("constants", checks, constants=table)
 
 
-# suite -> (function, {run_suite keyword: parameter it sets}, largest spin
-# counts it runs), in the order of the names in core.VERIFY_SUITES; suite
-# "x" runs suite_x.  A suite reads only the keywords listed for it, and a
-# larger requested n is clamped to its caps (the dense oracle is 4^n in memory).
-SUITES = VERIFY_SUITES
-_SUITE_TABLE = dict(zip(SUITES, (
+# suite -> (function, largest spin counts it runs), in the order of the names
+# in core.VERIFY_SUITES; suite "x" runs suite_x.  A larger requested n is
+# clamped to its caps (the dense oracle is 4^n in memory).
+_SUITE_TABLE = dict(zip(VERIFY_SUITES, (
     # lindblad caps: main checks, polarization decay, twisting energy
-    (suite_lindblad, {"n": "n"}, (8, 4, 5)),
-    (suite_factorization, {"n_range": "n_range"}, ()),
-    (suite_variable_coupling, {"n": "n_max", "seed": "seed"}, (SPIN_CAP,)),
-    (suite_uniform_coupling, {"n": "n_max"}, (SPIN_CAP,)),
-    (suite_dephasing, {"n": "n", "seed": "seed"}, (6,)),
-    (suite_metrology, {}, ()),
-    (suite_constants, {}, ()),
+    (suite_lindblad, (8, 4, 5)),
+    (suite_factorization, ()),
+    (suite_variable_coupling, (SPIN_CAP,)),
+    (suite_uniform_coupling, (SPIN_CAP,)),
+    (suite_dephasing, (6,)),
+    (suite_metrology, ()),
+    (suite_constants, ()),
 ), strict=True))
 
 
 def suite_inputs(name: str) -> tuple[str, ...]:
-    """The run_suite keywords that suite ``name`` reads; it ignores all others."""
-    return tuple(_SUITE_TABLE[name][1])
+    """The run_suite keywords that suite ``name`` reads: the parameters of
+    the table's function (which a rebound module attribute leaves as is)."""
+    return tuple(inspect.signature(_SUITE_TABLE[name][0]).parameters)
 
 
 def run_suite(name: str, **kwargs) -> dict:
     if name not in _SUITE_TABLE:
-        raise ValueError(f"unknown verification suite {name!r}; choose from {SUITES}")
-    func, inputs, _ = _SUITE_TABLE[name]
+        raise ValueError(f"unknown verification suite {name!r}; choose from {VERIFY_SUITES}")
     start = time.perf_counter()
-    report = func(**{param: kwargs[key] for key, param in inputs.items() if key in kwargs})
+    report = _SUITE_TABLE[name][0](**{k: kwargs[k] for k in suite_inputs(name) if k in kwargs})
     report["elapsed_s"] = time.perf_counter() - start
     return report

@@ -98,7 +98,7 @@ def test_criterion_02_scaling_law_in_n():
 
 def test_criterion_03_uniform_coupling_oracle_equivalence():
     start = time.perf_counter()
-    rep = suite_uniform_coupling(n_max=10)
+    rep = suite_uniform_coupling(n=10)
     elapsed = time.perf_counter() - start
     worst = max(c["value"] for c in rep["checks"])
     ok = rep["passed"] and elapsed < 60.0
@@ -108,7 +108,7 @@ def test_criterion_03_uniform_coupling_oracle_equivalence():
 
 def test_criterion_04_variable_coupling_oracle_equivalence():
     start = time.perf_counter()
-    rep = suite_variable_coupling(n_max=6, seed=0)
+    rep = suite_variable_coupling(n=6, seed=0)
     elapsed = time.perf_counter() - start
     worst = max(c["value"] for c in rep["checks"])
     ok = rep["passed"] and elapsed < 120.0

@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 import oatsqueeze
 from oatsqueeze import analytic, cli, inhomogeneous, oracle, verify
 from oatsqueeze.cli import FLAGS, SUBCOMMANDS, _csv, _parse_sweep, main
-from oatsqueeze.core import DecoherenceRates, EnsembleParams, ProtocolParams, theta_big
+from oatsqueeze.core import (
+    VERIFY_SUITES,
+    DecoherenceRates,
+    EnsembleParams,
+    ProtocolParams,
+    theta_big,
+)
 
 
 def read_csv(path):
@@ -409,7 +415,7 @@ def test_verify_failing_check_exits_2(tmp_path, monkeypatch, capsys):
     def failing_suite():
         return verify._finish("constants", [verify._check("always_fails", 1.0, 0.5)])
 
-    monkeypatch.setitem(verify._SUITE_TABLE, "constants", (failing_suite, {}, ()))
+    monkeypatch.setitem(verify._SUITE_TABLE, "constants", (failing_suite, ()))
     out = tmp_path / "report.json"
     assert main(["verify", "constants", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "failing checks: always_fails\n"
@@ -633,7 +639,7 @@ def test_verify_sizes_that_check_nothing_exit_1(argv, capsys):
 
 
 @pytest.mark.parametrize("n", ["-3", "-1", "0", "1", "2"])
-@pytest.mark.parametrize("suite", verify.SUITES)
+@pytest.mark.parametrize("suite", VERIFY_SUITES)
 def test_verify_small_and_negative_spin_counts_exit_with_one_line(suite, n, tmp_path, capsys):
     # regression: verify dephasing --n -1 ended in numpy's "negative
     # dimensions are not allowed" traceback; the table-wide property test

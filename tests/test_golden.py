@@ -27,6 +27,9 @@ CASES = {
                            "--sweep", "t:0.1:10:5:log", "--format", "json"],
     "metrology.csv": ["metrology", "--n", "50", "--j", "1e-5", *_CLOSED_FORM,
                       "--b-y", "0.01", "--tau", "40", "--sweep", "theta_big:0.05:3:5:lin"],
+    "metrology.json": ["metrology", "--n", "50", "--j", "1e-5", *_CLOSED_FORM,
+                       "--b-y", "0.01", "--tau", "40", "--sweep", "theta_big:0.05:3:5:lin",
+                       "--format", "json"],
     "optimal_point_squeezing.json": ["optimal-point", "--n", "100", "--j", "1e-5",
                                      *_CLOSED_FORM],
     "optimal_point_squeezing_no_rates.json": ["optimal-point", "--n", "100", "--p", "0.9",

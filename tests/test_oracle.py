@@ -381,6 +381,20 @@ def test_type_weight_tables():
             cache.cache_clear()
 
 
+@pytest.mark.parametrize("n", [56, 57, 60])
+def test_pair_type_tables_hold_every_type_number_past_int16(n):
+    # regression: the lookup was int16, so from n = 57 (K = 34220 > 32767)
+    # type numbers wrapped and mirror and row_moves held -32768; built
+    # uncached, since only the tables are checked
+    types = oracle._pair_types.__wrapped__(n)
+    k = len(types.counts)
+    _, n01, n10, n11 = types.counts.T
+    assert np.array_equal(types.lookup[n10 + n11, n01 + n11, n01 + n10], np.arange(k))
+    assert np.array_equal(types.mirror[types.mirror], np.arange(k))
+    for moves in (types.mirror, types.local_moves, types.row_moves):
+        assert moves.min() >= 0 and moves.max() < k
+
+
 @pytest.mark.parametrize("rates, field", [
     (DecoherenceRates(), 0.0), (DecoherenceRates(), 1e-3),
     (DecoherenceRates(0.02, 0.03), 0.0), (DecoherenceRates(0.02, 0.03), 1e-3),
@@ -822,7 +836,8 @@ def test_variable_coupling_moments_do_not_depend_on_the_stack():
         theta = random_couplings(rng, n, count)
         pols = [rng.uniform(0.3, 1.0, size=n) if i % 2 else float(rng.uniform())
                 for i in range(count)]
-        stacked = oracle._variable_coupling_moments(theta, pols)
+        stacked = oracle._moments(oracle._variable_coupling_stack(theta, pols),
+                                  pair_correlations=True)
         for i in range(count):
             assert_same_moments(stacked[i], evolve_variable_coupling(theta[i], pols[i]),
                                 f"n={n} matrix {i}")

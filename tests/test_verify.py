@@ -28,10 +28,12 @@ def test_suite_values_match_the_recorded_bits(key):
 
 
 def test_suite_table_is_keyed_by_the_numpy_free_names():
-    # core owns the suite names, so the CLI offers them without importing numpy
-    assert tuple(verify._SUITE_TABLE) == core.VERIFY_SUITES == verify.SUITES
-    for name, (suite, _, _) in verify._SUITE_TABLE.items():
+    # core owns the suite names, so the CLI offers them without importing numpy;
+    # a suite's parameters are the run_suite keywords it reads, the CLI's names
+    assert tuple(verify._SUITE_TABLE) == core.VERIFY_SUITES
+    for name, (suite, _) in verify._SUITE_TABLE.items():
         assert suite.__name__ == f"suite_{name}"
+        assert set(verify.suite_inputs(name)) <= {"n", "seed", "n_range"}
 
 
 def per_trial_variable_coupling(n_max, seed):
@@ -53,7 +55,8 @@ def per_trial_variable_coupling(n_max, seed):
         group = [trial for trial in trials if trial[0] == n]
         thetas = np.array([theta for _, theta, _, _ in group])
         stack_terms = _pair_terms(thetas)
-        moments = oracle._variable_coupling_moments(thetas, [pols for _, _, pols, _ in group])
+        moments = oracle._moments(oracle._variable_coupling_stack(
+            thetas, [pols for _, _, pols, _ in group]), pair_correlations=True)
         for i, ((_, _, pols, angles), mom) in enumerate(zip(group, moments)):
             z, s, cross, diff = (term[i] for term in stack_terms)
             for name, got, want in (("site_polarization", mom.site_z, pols * z),
