@@ -466,7 +466,6 @@ def sensitivity(
     p: float,
     rates: DecoherenceRates,
     coupling: float,
-    denom_coeff: float = SENSITIVITY_COEFF_DERIVED,
 ) -> float:
     """Field sensitivity dS/(sqrt(tau) dB_y) as a function of Theta:
 
@@ -474,11 +473,11 @@ def sensitivity(
             * Theta^{3/2} e^{-3 Theta} (1 - e^{-Theta})
             / [ 1 + c * P^2 N^4 J^6 Theta^6 e^{-2 Theta} / Gs^6 ].
 
-    With c = SENSITIVITY_COEFF_DERIVED this equals
-    lim_{B_y -> 0} signal_to_noise / (B_y sqrt(tau)) exactly;
-    c = SENSITIVITY_COEFF_REFERENCE evaluates the rounded reference form.
+    c = SENSITIVITY_COEFF_DERIVED makes it lim_{B_y -> 0} signal_to_noise /
+    (B_y sqrt(tau)) exactly; the metrology sweep evaluates the rounded
+    reference c = SENSITIVITY_COEFF_REFERENCE through ``_sensitivity_curve``.
     """
-    return _sensitivity_curve(n, p, rates, coupling, denom_coeff)(theta)
+    return _sensitivity_curve(n, p, rates, coupling)(theta)
 
 
 def _sensitivity_curve(n: int, p: float, rates: DecoherenceRates, coupling: float,
@@ -500,17 +499,9 @@ def _sensitivity_curve(n: int, p: float, rates: DecoherenceRates, coupling: floa
     return sens
 
 
-def sensitivity_denominator_correction(
-    theta: float, n: int, p: float, rates: DecoherenceRates, coupling: float,
-    denom_coeff: float = SENSITIVITY_COEFF_DERIVED,
-) -> float:
-    """The over-squeezing correction term in the sensitivity denominator."""
-    return _correction_curve(n, p, rates, coupling, denom_coeff)(theta)
-
-
 def _correction_curve(n: int, p: float, rates: DecoherenceRates, coupling: float,
                       denom_coeff: float = SENSITIVITY_COEFF_DERIVED):
-    """sensitivity_denominator_correction as a function of Theta."""
+    """The sensitivity denominator's over-squeezing term as a function of Theta."""
     pref = denom_coeff * p * p * n ** 4 * coupling ** 6
     gs6 = rates.gamma_sum ** 6
 
@@ -606,5 +597,6 @@ def derived_constants() -> dict[str, float]:
         "theta_min": theta_min,
         "theta_max": theta_max,
         "sensitivity_peak_prefactor": 2.0 ** 1.5 * g_max,
-        "sensitivity_peak_denominator": (8.0 / 3.0) * theta_max ** 6 * math.exp(-2.0 * theta_max),
+        "sensitivity_peak_denominator":
+            SENSITIVITY_COEFF_DERIVED * theta_max ** 6 * math.exp(-2.0 * theta_max),
     }

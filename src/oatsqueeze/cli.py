@@ -160,9 +160,10 @@ def _parse_sweep(text: str):
     return name.replace("-", "_"), vals
 
 
-def _beyond_a_double(name: str, value: float, exc: ArithmeticError) -> NumericalError:
-    """The error of a sweep row whose closed forms leave the range of a double."""
-    return NumericalError(f"sweep {name}={value!r} gives a value beyond a double ({exc})")
+def _beyond_a_double(where: str, exc: ArithmeticError) -> NumericalError:
+    """The error of a sweep row or optimum ``where`` whose closed forms leave the
+    range of a double; the reason is the message alone, not the errno of ``**``."""
+    return NumericalError(f"{where} gives a value beyond a double ({exc.args[-1]})")
 
 
 def _outside_the_domain(name: str, value: float, exc: DomainError) -> ValidationError:
@@ -171,13 +172,19 @@ def _outside_the_domain(name: str, value: float, exc: DomainError) -> Validation
                             f"domain ({exc})"])
 
 
-def _bundle(args, signal_field=0.0):
+def _bundle(args, signal_field=0.0, metrology=False):
     """The validated ensemble, rates and coupling.  Every subcommand sweeps or
-    optimizes the squeezing time itself, so the bundle's squeeze time is 1."""
+    optimizes the squeezing time itself, so the bundle's squeeze time is 1.
+    A ``metrology`` bundle also needs rates and a coupling."""
     params = EnsembleParams(n_spins=args.n, polarization=args.p)
     rates = DecoherenceRates(gamma_par=args.gamma_par, gamma_perp=args.gamma_perp)
     proto = ProtocolParams(coupling=args.j, squeeze_time=1.0, signal_field=signal_field)
-    return validate(params, rates, proto)
+    bundle = validate(params, rates, proto)
+    if metrology and rates.gamma_sum <= 0.0:
+        raise ValidationError(["gamma_par + gamma_perp > 0 required for metrology"])
+    if metrology and proto.coupling <= 0.0:
+        raise ValidationError(["coupling > 0 required for metrology"])
+    return bundle
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +261,7 @@ def cmd_squeeze_curve(args) -> int:
     except DomainError as exc:
         raise _outside_the_domain("t", t, exc) from None
     except ArithmeticError as exc:
-        raise _beyond_a_double("t", t, exc) from None
+        raise _beyond_a_double(f"sweep t={t!r}", exc) from None
     header = ["t", "theta_big", "xi2_decoherence", "xi2_pure",
               "effective_polarization", "theta_min_angle"]
     if args.format == "json":
@@ -269,34 +276,35 @@ def cmd_squeeze_curve(args) -> int:
 
 
 def cmd_optimal_point(args) -> int:
-    params, rates, proto = _bundle(args)
+    params, rates, proto = _bundle(args, metrology=args.objective == "metrology")
     n, p = params.n_spins, params.polarization
     payload = {
         "objective": args.objective,
         "reference_constants": {key: analytic.REFERENCE_CONSTANTS[key]
                                 for key in ("theta_min", "theta_max")},
     }
-    gs = rates.gamma_sum
-    if args.objective == "squeezing":
-        if proto.coupling <= 0.0:
-            raise ValidationError(["coupling > 0 required for a squeezing optimum"])
-        rep = analytic.squeezing_report(n, p, rates, proto.coupling)
-        payload.update({
-            "theta_star": rep.theta_star,
-            "t_star": rep.t_star,
-            "xi2_min": rep.xi2_min,
-            "theta_min_angle": rep.theta_min,
-            "effective_polarization": rep.effective_polarization,
-            "regime_flag": rep.regime_flag,
-        })
-    else:
-        if gs <= 0.0:
-            raise ValidationError(["gamma_par + gamma_perp > 0 required for metrology"])
-        if proto.coupling <= 0.0:
-            raise ValidationError(["coupling > 0 required for metrology"])
-        theta, sens, flag = analytic.max_sensitivity(n, p, rates, proto.coupling)
-        payload.update({"theta_star": theta, "t_star": theta / (2.0 * gs),
-                        "sensitivity_star": sens, "regime_flag": flag})
+    j = proto.coupling
+    try:
+        if args.objective == "squeezing":
+            if j <= 0.0:
+                raise ValidationError(["coupling > 0 required for a squeezing optimum"])
+            rep = analytic.squeezing_report(n, p, rates, j)
+            payload.update({
+                "theta_star": rep.theta_star,
+                "t_star": rep.t_star,
+                "xi2_min": rep.xi2_min,
+                "theta_min_angle": rep.theta_min,
+                "effective_polarization": rep.effective_polarization,
+                "regime_flag": rep.regime_flag,
+            })
+        else:
+            theta, sens, flag = analytic.max_sensitivity(n, p, rates, j)
+            payload.update({"theta_star": theta, "t_star": theta / (2.0 * rates.gamma_sum),
+                            "sensitivity_star": sens, "regime_flag": flag})
+    except ArithmeticError as exc:
+        raise _beyond_a_double(
+            f"optimal-point --objective {args.objective} at n={n} p={p!r} j={j!r} "
+            f"gamma_par={rates.gamma_par!r} gamma_perp={rates.gamma_perp!r}", exc) from None
     _write(args.out, _json(payload))
     return 0
 
@@ -306,16 +314,11 @@ def cmd_metrology(args) -> int:
     sweep_name, values = _parse_sweep(sweep)
     if sweep_name not in ("theta_big", "t"):
         raise ValidationError(["metrology sweeps over theta_big or t"])
-    params, rates, proto = _bundle(args, args.b_y)
-    gs = rates.gamma_sum
-    if gs <= 0.0:
-        raise ValidationError(["gamma_par + gamma_perp > 0 required for metrology"])
-    if proto.coupling <= 0.0:
-        raise ValidationError(["coupling > 0 required for metrology"])
+    params, rates, proto = _bundle(args, args.b_y, metrology=True)
     if args.tau is not None and not math.isfinite(args.tau):
         raise ValidationError(["--tau must be finite"])
     n, p, j = params.n_spins, params.polarization, proto.coupling
-    two_gs = 2.0 * gs
+    two_gs = 2.0 * rates.gamma_sum
     rows = []
     value = values[0]  # a curve that cannot be built is refused at the first row
     try:
@@ -336,7 +339,7 @@ def cmd_metrology(args) -> int:
     except DomainError as exc:
         raise _outside_the_domain(sweep_name, value, exc) from None
     except ArithmeticError as exc:
-        raise _beyond_a_double(sweep_name, value, exc) from None
+        raise _beyond_a_double(f"sweep {sweep_name}={value!r}", exc) from None
     header = ["theta_big", "t", "snr", "sensitivity_c_derived", "sensitivity_c_reference"]
     if args.format == "json":
         text = _json({"columns": header, "rows": rows})

@@ -89,6 +89,10 @@ POSITIVITY_TOL = 1e-10
 # largest dt * rho(L) that evolve accepts: classical RK4 is stable on the left
 # half-disk of radius 2.6156, where a Lindbladian's spectrum lies
 RK4_STABLE_STEP = 2.6
+# most RK4 steps one IntegratorConfig may ask for: 2000 times the 5000 of the
+# longest run in use (verify takes at most 1000); a far larger count comes
+# from a mistyped dt, and its run would not end
+STEP_CAP = 10 ** 7
 
 
 # ---------------------------------------------------------------------------
@@ -252,22 +256,6 @@ class DensityMatrix:
 
     def purity(self) -> float:
         return float(np.real(np.sum(self.entries * self.entries.T)))
-
-
-def _require_margins(herm: float, trace: float, when: str,
-                     min_eigenvalue=None) -> tuple[float, float, float | None]:
-    """Raise NumericalError when the hermiticity or trace defect, or then the
-    lowest eigenvalue (called only if given), crosses its tolerance or is
-    NaN; else return the three margins."""
-    where = f" at {when}" if when else ""
-    if not herm <= HERMITICITY_TOL:
-        raise NumericalError(f"hermiticity defect exceeds {HERMITICITY_TOL}{where}")
-    if not trace <= TRACE_TOL:
-        raise NumericalError(f"trace defect exceeds {TRACE_TOL}{where}")
-    low = min_eigenvalue() if min_eigenvalue is not None else None
-    if low is not None and not low >= -POSITIVITY_TOL:
-        raise NumericalError(f"negative eigenvalue below -{POSITIVITY_TOL}{where}")
-    return herm, trace, low
 
 
 @dataclass(frozen=True)
@@ -460,9 +448,9 @@ def lindblad_rhs(
 ) -> DensityMatrix:
     """Generator of the master equation applied once to ``state``.
 
-    Hamiltonian part: -i[J * SX^2, rho] (the ordered-pair twisting sum
-    J sum_{i != j} sx_i sx_j equals J*(SX^2 - N), and the identity shift
-    drops out of the commutator).  Dissipator: per-site sigma_x channel at
+    Hamiltonian part: -i[sum_{i != j} theta_ij sx_i sx_j, rho] at the uniform
+    coupling matrix theta = J (1 - I), which is J*(SX^2 - N); the identity
+    shift drops out of the commutator.  Dissipator: per-site sigma_x channel at
     gamma_par and sigma_y/sigma_z channels at gamma_perp, with the
     trace-preserving counterterm N*(gamma_par + 2*gamma_perp)*rho.  Signal
     part: -i*B_y*[SY, rho] with B_y = ``proto.signal_field``.  A zero
@@ -471,7 +459,8 @@ def lindblad_rhs(
     reference for the pair-type generator that ``evolve`` integrates.
     """
     n = _spin_count(state, params)
-    return DensityMatrix(_dense_rhs(state.entries, n, *_dense_generator(n, rates, proto)), n)
+    generator = _dense_generator(proto.coupling * (1.0 - np.eye(n)), rates, proto.signal_field)
+    return DensityMatrix(_dense_rhs(state.entries, n, *generator), n)
 
 
 def _spin_count(state: DensityMatrix, params: EnsembleParams) -> int:
@@ -481,19 +470,20 @@ def _spin_count(state: DensityMatrix, params: EnsembleParams) -> int:
     return state.n_spins
 
 
-def _dense_generator(n, rates: DecoherenceRates, proto: ProtocolParams):
+def _dense_generator(theta, rates: DecoherenceRates, signal_field: float):
     """Inputs of ``_dense_rhs``: the elementwise factor, gamma_perp and B_y.
 
-    The elementwise factor is, with sigma_x -> z_i in the x frame and
-    h_a = (sum_i z_i[a])^2 the eigenvalue of SX^2,
-    -iJ (h_a - h_b) + gamma_par sum_i z_i[a] z_i[b] - n (gamma_par + 2 gamma_perp).
+    For any symmetric zero-diagonal coupling matrix theta, with sigma_x -> z_i
+    in the x frame and E = ``_coupling_phases(theta)`` the Ising energies,
+    -i (E_a - E_b) + gamma_par sum_i z_i[a] z_i[b] - n (gamma_par + 2 gamma_perp).
     """
+    n = len(theta)
     z = _bit_tables(n).z
-    h = z.sum(axis=0) ** 2
+    energy = _coupling_phases(theta)
     gamma_par, gamma_perp = rates.gamma_par, rates.gamma_perp
-    diag = (-1j * proto.coupling) * np.subtract.outer(h, h) \
+    diag = -1j * np.subtract.outer(energy, energy) \
         + (gamma_par * (z.T @ z) - n * (gamma_par + 2.0 * gamma_perp))
-    return diag, gamma_perp, proto.signal_field
+    return diag, gamma_perp, signal_field
 
 
 def _dense_rhs(rho, n, diag, gamma_perp, signal_field):
@@ -526,7 +516,7 @@ def _type_generator(n, rates: DecoherenceRates, proto: ProtocolParams):
 
     ``local`` holds the weights and moves of the terms that keep a
     Hermitian r Hermitian by themselves: ``_dense_generator``'s elementwise
-    factor per type on r itself (h_a = (n - 2 (n10 + n11))**2,
+    factor per type on r itself (E_a = J (h_a - n), h_a = (n - 2 (n10 + n11))**2,
     hamming(a, b) = n01 + n10), then, when gamma_perp is nonzero, the
     sigma_y/sigma_z flip.  ``probe`` holds those of the probe's row term,
     or None when B_y is zero.
@@ -613,7 +603,8 @@ class IntegratorConfig:
     """Fixed-step classical RK4 configuration.
 
     ``dt`` is nudged to the nearest value dividing ``t_final`` into an
-    integer number of steps, keeping runs deterministic.  Convergence is
+    integer number of steps, keeping runs deterministic; more than
+    ``STEP_CAP`` steps are refused with ResourceError.  Convergence is
     enforced in tests: halving dt must change reported observables by less
     than 1e-8 relative.
     """
@@ -628,6 +619,9 @@ class IntegratorConfig:
         ratio = self.t_final / self.dt  # at least 1
         if not math.isfinite(ratio):
             raise ValidationError([f"t_final / dt finite, not {ratio!r}"])
+        if round(ratio) > STEP_CAP:
+            raise ResourceError(f"t_final / dt asks for {ratio:.6g} RK4 steps, above STEP_CAP = "
+                                f"{STEP_CAP}; dt = {self.t_final / STEP_CAP!r} would pass")
         return round(ratio)
 
 
@@ -636,9 +630,10 @@ class Trajectory:
     """Checkpointed observables of one master-equation run.
 
     ``evolve`` reads ``moments``, ``purities`` and the margins at each
-    checkpoint from its pair-type coordinates.  ``final``, the state at
-    t_final, forms its dense entries on first read; ``min_eigenvalue``
-    comes from those of each checkpoint, formed only when it is checked.
+    checkpoint from its pair-type coordinates; ``_record`` checks the margins
+    and keeps the worst.  ``final``, the state at t_final, forms its dense
+    entries on first read; ``min_eigenvalue`` comes from those of each
+    checkpoint, formed only when it is checked.
     """
 
     times: list[float] = field(default_factory=list)
@@ -649,10 +644,21 @@ class Trajectory:
     max_trace_defect: float = 0.0
     min_eigenvalue: float | None = None   # None unless positivity was checked
 
-    def _record(self, herm: float, trace: float, low: float | None) -> None:
+    def _record(self, herm: float, trace: float, t: float, min_eigenvalue=None) -> None:
+        """Raise NumericalError at time t when the hermiticity or trace defect,
+        or then the lowest eigenvalue (called only if given), crosses its
+        tolerance or is NaN; else keep the worst of each."""
+        where = f" at t={t:.6g}"
+        if not herm <= HERMITICITY_TOL:
+            raise NumericalError(f"hermiticity defect exceeds {HERMITICITY_TOL}{where}")
+        if not trace <= TRACE_TOL:
+            raise NumericalError(f"trace defect exceeds {TRACE_TOL}{where}")
         self.max_hermiticity_defect = max(self.max_hermiticity_defect, herm)
         self.max_trace_defect = max(self.max_trace_defect, trace)
-        if low is not None:
+        if min_eigenvalue is not None:
+            low = min_eigenvalue()
+            if not low >= -POSITIVITY_TOL:
+                raise NumericalError(f"negative eigenvalue below -{POSITIVITY_TOL}{where}")
             self.min_eigenvalue = low if self.min_eigenvalue is None \
                 else min(self.min_eigenvalue, low)
 
@@ -749,8 +755,8 @@ def evolve(
         herm = float(np.max(np.abs(r - r[types.mirror].conj())))
         trace, *moments = (types.moments @ v).tolist()
         traj.final = _SymmetricState(n, r)
-        traj._record(*_require_margins(herm, abs(trace - 1.0), f"t={t:.6g}",
-                                       traj.final.min_eigenvalue if check_positivity else None))
+        traj._record(herm, abs(trace - 1.0), t,
+                     traj.final.min_eigenvalue if check_positivity else None)
         traj.times.append(t)
         traj.moments.append(CollectiveMoments(*moments))
         traj.purities.append(float(types.purity @ (v * v)))
@@ -785,7 +791,7 @@ def evolve(
 
 def _coupling_phases(theta: np.ndarray) -> np.ndarray:
     """Eigenphases s^T theta s of the ordered-pair twisting generator, for
-    one matrix or each of a stack."""
+    one matrix or each of a stack; ``_dense_generator``'s Ising energies."""
     n = theta.shape[-1]
     s = _bit_tables(n).z.T  # [a, i] = sigma_x eigenvalue in the x frame
     return np.einsum("ai,...ij,aj->...a", s, theta, s)
@@ -954,7 +960,8 @@ def factorization_gap_table(
 
     J is scaled as njt/(N*T) and the rates are split evenly between the
     longitudinal and transverse channels.  Every N is checked against
-    ``SPIN_CAP`` before the first gap is computed.
+    ``SPIN_CAP``, and the step count against ``STEP_CAP``, before the first
+    gap is computed.
     """
     ns = [int(n) for n in n_values]
     for n in ns:
@@ -962,6 +969,7 @@ def factorization_gap_table(
     gs = gamma_sum_t / t_final
     rates = DecoherenceRates(gamma_par=gs / 2.0, gamma_perp=gs / 2.0)
     cfg = IntegratorConfig(dt=dt, t_final=t_final)
+    cfg.steps()  # its refusals
     out = []
     for n in ns:
         params = EnsembleParams(n_spins=n)

@@ -399,7 +399,10 @@ def _outcome(f, *args):
 
 
 # name -> (curve from the invariants (n, p, rates, j), the curve at point (x, y),
-#          the public scalar function at (n, p, rates, j, x, y))
+#          the public scalar function at (n, p, rates, j, x, y)); the reference
+#          sensitivity and the correction term have no public function, so
+#          their third entry builds the curve at the point, which the recorded
+#          digests pin
 _CURVES = {
     "xi2_theta_finite_polarization": (
         lambda n, p, rates, j: analytic._quadrature_curve(n, p, j),
@@ -425,14 +428,13 @@ _CURVES = {
         lambda n, p, rates, j: analytic._sensitivity_curve(
             n, p, rates, j, analytic.SENSITIVITY_COEFF_REFERENCE),
         lambda curve, x, y: curve(x),
-        lambda n, p, rates, j, x, y: analytic.sensitivity(
-            x, n, p, rates, j, analytic.SENSITIVITY_COEFF_REFERENCE)),
+        lambda n, p, rates, j, x, y: analytic._sensitivity_curve(
+            n, p, rates, j, analytic.SENSITIVITY_COEFF_REFERENCE)(x)),
     "sensitivity_denominator_correction": (
         lambda n, p, rates, j: analytic._correction_curve(
             n, p, rates, j, analytic.SENSITIVITY_COEFF_DERIVED),
         lambda curve, x, y: curve(x),
-        lambda n, p, rates, j, x, y: analytic.sensitivity_denominator_correction(
-            x, n, p, rates, j)),
+        lambda n, p, rates, j, x, y: analytic._correction_curve(n, p, rates, j)(x)),
     "effective_field": (
         lambda n, p, rates, j: analytic._effective_field_curve(j, rates),
         lambda curve, x, y: curve(x),

@@ -198,8 +198,8 @@ def test_metrology_rows_are_the_scalar_closed_forms_bit_for_bit(sweep, tau, tmp_
         snr = analytic.signal_to_noise(params, rates, ProtocolParams(
             coupling=j, squeeze_time=t, signal_field=0.01, total_time=t if tau is None else tau))
         assert row == [big, t, snr, analytic.sensitivity(big, n, p, rates, j),
-                       analytic.sensitivity(big, n, p, rates, j,
-                                            analytic.SENSITIVITY_COEFF_REFERENCE)]
+                       analytic._sensitivity_curve(n, p, rates, j,
+                                                   analytic.SENSITIVITY_COEFF_REFERENCE)(big)]
 
 
 @pytest.mark.parametrize("n", [20, 200])
@@ -754,6 +754,30 @@ def test_rows_beyond_a_double_name_the_row_and_exit_2(argv, row, capsys):
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
     assert f"sweep {row} gives a value beyond a double" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # a float ``**`` in the closed forms overflows: J**6 or Gs**2.5 in the
+    # sensitivity curves, a power of J t in the squeezing curve
+    ["optimal-point", "--objective", "metrology", "--n", "10", "--j", "1e60",
+     "--gamma-par", "1"],
+    ["optimal-point", "--objective", "metrology", "--n", "10", "--j", "1e-3",
+     "--gamma-par", "1e300"],
+    ["metrology", "--n", "10", "--j", "1e60", "--gamma-par", "1"],
+    ["squeeze-curve", "--n", "10", "--j", "1e100", "--sweep", "t:1:2:2:lin"],
+])
+def test_overflow_reason_is_its_message_not_an_errno_tuple(argv, capsys):
+    # regression: an OverflowError from ** carries (34, 'Numerical result out
+    # of range') as its arguments, which the error line printed as a tuple;
+    # optimal-point printed only that tuple
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert "gives a value beyond a double (Numerical result out of range)" in err
+    assert "(34," not in err
+    if argv[0] == "optimal-point":
+        assert f"optimal-point --objective metrology at n=10 p=1.0 j={float(argv[6])!r} " \
+               f"gamma_par={float(argv[8])!r} gamma_perp=0.0 gives" in err
 
 
 def test_oversized_sweep_exits_1_before_building_a_point(monkeypatch, capsys):

@@ -170,25 +170,37 @@ def test_rhs_is_traceless():
 
 
 def test_rhs_matches_kronecker_generator():
-    # every term on, probe included, against dense Kronecker-product operators
+    # every term on, probe included, against dense Kronecker-product operators:
+    # the uniform coupling through lindblad_rhs, and a disordered coupling
+    # matrix theta through the dense generator that lindblad_rhs calls
     coupling, gamma_par, gamma_perp, field = 0.3, 0.05, 0.1, 0.2
-    rng = np.random.default_rng(11)
+    rates = DecoherenceRates(gamma_par, gamma_perp)
+    rng, disorder = np.random.default_rng(11), np.random.default_rng(14)
     for n in (1, 2, 3, 4):
         dim = 1 << n
-        sx, sy = to_x_frame(kron_collective("x", n)), to_x_frame(kron_collective("y", n))
-        ham = coupling * sx @ sx + field * sy
+        sx = [to_x_frame(kron_site("x", i, n)) for i in range(n)]
+        sy = to_x_frame(kron_collective("y", n))
+        theta = disorder.normal(scale=0.3, size=(n, n))
+        theta += theta.T
+        np.fill_diagonal(theta, 0.0)
         general = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         for rho in (random_density_matrix(rng, n).entries, general):
-            want = -1j * (ham @ rho - rho @ ham)
+            dissipator = np.zeros((dim, dim), dtype=complex)
             for i in range(n):
                 for alpha, gamma in (("x", gamma_par), ("y", gamma_perp), ("z", gamma_perp)):
                     op = to_x_frame(kron_site(alpha, i, n))
-                    want += gamma * (op @ rho @ op - rho)
-            got = lindblad_rhs(DensityMatrix(rho, n), EnsembleParams(n, 1.0),
-                               DecoherenceRates(gamma_par, gamma_perp),
-                               ProtocolParams(coupling=coupling, squeeze_time=1.0,
-                                              signal_field=field))
-            assert np.max(np.abs(got.entries - want)) <= 1e-12, f"n={n}"
+                    dissipator += gamma * (op @ rho @ op - rho)
+            uniform = lindblad_rhs(DensityMatrix(rho, n), EnsembleParams(n, 1.0), rates,
+                                   ProtocolParams(coupling=coupling, squeeze_time=1.0,
+                                                  signal_field=field)).entries
+            disordered = oracle._dense_rhs(rho, n,
+                                           *oracle._dense_generator(theta, rates, field))
+            for couplings, got in ((coupling * (1.0 - np.eye(n)), uniform),
+                                   (theta, disordered)):
+                ham = field * sy + sum(couplings[i, j] * sx[i] @ sx[j]
+                                       for i in range(n) for j in range(n) if i != j)
+                want = -1j * (ham @ rho - rho @ ham) + dissipator
+                assert np.max(np.abs(got - want)) <= 1e-12, f"n={n}"
 
 
 def test_moments_match_kronecker_expectations():
@@ -404,15 +416,15 @@ def test_checkpoints_match_the_dense_owners(monkeypatch, rates, field):
     # matrix for its eigenvalue; the moments, purity and trace defect each
     # checkpoint reads from the coordinates are those of that matrix
     states, traces = [], []
-    min_eigenvalue, require_margins = DensityMatrix.min_eigenvalue, oracle._require_margins
+    min_eigenvalue, record = DensityMatrix.min_eigenvalue, oracle.Trajectory._record
 
     def expanded(self):
         states.append(self)
         return min_eigenvalue(self)
 
-    def margins(herm, trace, when, low=None):
+    def margins(self, herm, trace, t, low=None):
         traces.append(trace)
-        return require_margins(herm, trace, when, low)
+        return record(self, herm, trace, t, low)
 
     for n in range(1, 9):
         params = EnsembleParams(n, 0.9)
@@ -421,7 +433,7 @@ def test_checkpoints_match_the_dense_owners(monkeypatch, rates, field):
         plain = evolve(build_initial_state(params), cfg, params, rates, proto)
         with monkeypatch.context() as patch:
             patch.setattr(DensityMatrix, "min_eigenvalue", expanded)
-            patch.setattr(oracle, "_require_margins", margins)
+            patch.setattr(oracle.Trajectory, "_record", margins)
             states.clear()
             traces.clear()
             traj = evolve(build_initial_state(params), cfg, params, rates, proto,
@@ -1379,9 +1391,32 @@ def test_nan_margin_raises_one_line(monkeypatch):
                ProtocolParams(coupling=0.05, squeeze_time=0.1))
     assert len(str(info.value).splitlines()) == 1
     nan = float("nan")
-    for args in ((nan, 0.0, "t=1"), (0.0, nan, "t=1"), (0.0, 0.0, "t=1", lambda: nan)):
+    for args in ((nan, 0.0, 1.0), (0.0, nan, 1.0), (0.0, 0.0, 1.0, lambda: nan)):
         with pytest.raises(NumericalError, match="at t=1$"):
-            oracle._require_margins(*args)
+            oracle.Trajectory()._record(*args)
+
+
+def test_step_count_beyond_the_cap_is_refused_before_any_work(monkeypatch):
+    # regression: dt = 1e-300 passed the stability check (dt is tiny), and
+    # evolve went on to about 1e300 RK4 steps
+    def no_work(*args, **kwargs):
+        raise AssertionError("started the run")
+
+    monkeypatch.setattr(oracle, "_type_generator", no_work)
+    monkeypatch.setattr(oracle, "factorization_gap", no_work)
+    params = EnsembleParams(3, 0.9)
+    for t_final in (1.0, 1.0 / 3.0, 7.3):
+        cfg = IntegratorConfig(dt=1e-300, t_final=t_final)
+        with pytest.raises(ResourceError, match=r"^t_final / dt asks for \S+ RK4 steps, above "
+                           r"STEP_CAP = 10000000; dt = \S+ would pass$") as info:
+            evolve(build_initial_state(params), cfg, params, DecoherenceRates(),
+                   ProtocolParams(coupling=0.05, squeeze_time=t_final))
+        # the dt it names passes, at the cap
+        step = float(str(info.value).split()[-3])
+        assert IntegratorConfig(dt=step, t_final=t_final).steps() == oracle.STEP_CAP
+    assert IntegratorConfig(dt=1.0 / oracle.STEP_CAP, t_final=1.0).steps() == oracle.STEP_CAP
+    with pytest.raises(ResourceError, match="above STEP_CAP"):
+        factorization_gap_table(range(2, 4), njt=0.2, gamma_sum_t=0.2, dt=1e-300)
 
 
 def test_evolve_refuses_a_step_outside_rk4_stability():

@@ -17,6 +17,7 @@ from oatsqueeze.core import (
     VERIFY_SUITES,
     DecoherenceRates,
     DomainError,
+    ResourceError,
     ValidationError,
 )
 
@@ -69,6 +70,10 @@ LIBRARY = {
     "steps_infinite_dt_and_t_final": (
         lambda: oracle.IntegratorConfig(dt=math.inf, t_final=math.inf).steps(),
         ValidationError, "t_final / dt finite, not nan"),
+    "steps_beyond_the_step_cap": (
+        lambda: oracle.IntegratorConfig(dt=1e-300, t_final=1.0).steps(),
+        ResourceError, "t_final / dt asks for 1e+300 RK4 steps, above STEP_CAP = 10000000; "
+                       "dt = 1e-07 would pass"),
     "run_suite_unknown_name": (
         lambda: verify.run_suite("everything"),
         ValueError, f"unknown verification suite 'everything'; choose from {VERIFY_SUITES}"),
@@ -97,6 +102,10 @@ CLI = {
     "metrology_optimum_without_coupling": (
         ["optimal-point", "--objective", "metrology", "--gamma-par", "0.01"],
         "coupling > 0 required for metrology"),
+    "metrology_sweep_without_rates": (["metrology", "--j", "1e-3"],
+                                      "gamma_par + gamma_perp > 0 required for metrology"),
+    "metrology_sweep_without_coupling": (["metrology", "--gamma-par", "0.01"],
+                                         "coupling > 0 required for metrology"),
     "metrology_sweep_name": (["metrology", "--sweep", "n:1:2:5:lin"],
                              "metrology sweeps over theta_big or t"),
     "metrology_infinite_probe": (
