@@ -30,7 +30,8 @@ eigenphases, and one kernel (``_moment_stack``) reduces them.  Trace, purity,
 eigenvalues and trace distance do not depend on the basis.  Each basis
 has one per-n table: ``_bit_tables`` holds the site signs and the gather
 positions of the moments on the 2**n basis indices, ``_pair_types`` the
-types, their moves and their weights.
+types, their moves and their weights, and ``_dicke_blocks`` the map from
+the types to the total-spin blocks.
 
 ``evolve`` integrates in the pair-type basis of permutation-symmetric
 states.  Site i of an entry rho[a, b] has one of four kinds (bit_i(a),
@@ -48,14 +49,22 @@ and the trace from the coordinates with the weights of ``_pair_types``,
 O(K) at any n.  A symmetric state is held as its type values in a
 ``_SymmetricState`` (the start ``ProductState`` of
 ``build_initial_state``, built in O(K), each checkpoint and
-``Trajectory.final``), whose 4**n entries are gathered through
-``_type_index``, the one 4**n table, only when first read.
+``Trajectory.final``).  It is block-diagonal over the total spin j,
+rho = sum_j rho_j (x) I_{d_j}, with blocks of size 2j + 1 <= n + 1, so its
+spectrum is that of the blocks: its lowest eigenvalue, and the trace
+distance of two such states, come from the blocks that ``_dicke_blocks``
+maps the type values to; its trace, purity and hermiticity defect come
+from the O(K) values.  ``evolve(check_positivity=True)``,
+``factorization_gap`` and ``Trajectory.final`` form no 4**n array.  Its
+4**n entries are gathered through ``_type_index``, the one 4**n table,
+only when first read: they stay public because ``compute_moments``,
+``lindblad_rhs`` and ``apply_dephasing`` take any matrix, dense.
 
 Pair couplings are given as an ``inhomogeneous.CouplingMatrix`` or as a
 plain matrix that passes its checks.  The oracle exists to validate
 formulas, not to scale: every state it returns reads as a dense matrix,
-but moments need none, and no 4**n array is formed unless one is read.
-The spin count is capped at ``SPIN_CAP``.
+but moments and spectra of symmetric states need none, and no 4**n array
+is formed unless one is read.  The spin count is capped at ``SPIN_CAP``.
 """
 
 from __future__ import annotations
@@ -96,7 +105,7 @@ STEP_CAP = 10 ** 7
 
 
 # ---------------------------------------------------------------------------
-# per-n tables: one on the 2**n basis indices, one on the pair types
+# per-n tables: on the 2**n basis indices, on the pair types, on the Dicke blocks
 # ---------------------------------------------------------------------------
 
 class _BitTables(NamedTuple):
@@ -167,9 +176,7 @@ def _pair_types(n: int) -> _PairTypes:
     purity = sum mult |r|**2.  A coordinate stands for its type and, where
     that differs, the mirrored one, whose Re r is equal and Im r opposite.
     """
-    counts = np.array([(n - n01 - n10 - n11, n01, n10, n11)
-                       for n01 in range(n + 1) for n10 in range(n + 1 - n01)
-                       for n11 in range(n + 1 - n01 - n10)])
+    counts = _kind_counts(n)
     lut = np.zeros((n + 1,) * 3, dtype=np.intp)
 
     def key(c):
@@ -213,6 +220,89 @@ def _pair_types(n: int) -> _PairTypes:
     for table in tables:
         table.flags.writeable = False  # shared by every caller
     return tables
+
+
+def _kind_counts(n: int) -> np.ndarray:
+    """[t] = (n00, n01, n10, n11) of each pair type of n sites, in type order:
+    (n01, n10, n11) in lexicographic order, each with n00 = n - n01 - n10 - n11 >= 0."""
+    rest = np.indices((n + 1,) * 3).reshape(3, -1).T
+    rest = rest[rest.sum(axis=1) <= n]
+    return np.concatenate((n - rest.sum(axis=1, keepdims=True), rest), axis=1)
+
+
+class _DickeBlocks(NamedTuple):
+    sizes: np.ndarray        # [j] = 2j + 1, the blocks in order of 2j
+    copies: np.ndarray       # [row] = d_j of the block of the row: its copies in the 2**n states
+    position: np.ndarray     # [e] = flat position of entry e in the blocks' diagonal matrix
+    type: np.ndarray         # [e] = the pair type whose value entry e reads
+    coefficient: np.ndarray  # [e] = its weight
+
+
+@functools.cache
+def _dicke_blocks(n: int) -> _DickeBlocks:
+    """Per-n map from the pair-type values of a permutation-symmetric matrix
+    to its Dicke blocks: rho = sum_j rho_j (x) I_{d_j} over the total spin j,
+    so rho's spectrum is that of the blocks, block j taken d_j times.
+
+    One copy of spin j is v_{j,k} = |Dicke(2j, k ones)> (x) |s>**p, with p =
+    n/2 - j singlet pairs |s> = (|01> - |10>)/sqrt(2) on the last 2p sites,
+    and rho_j[k, k'] = <v_{j,k}|rho|v_{j,k'}>.  A singlet pair adds +1 where
+    its sites have kinds {00, 11} and -1 where they have {01, 10} (both
+    orders summed); the 2j Dicke sites, of kind counts e, add
+    (2j)! / (e00! e01! e10! e11!) / sqrt(C(2j, k) C(2j, k')) with k = e10 + e11
+    and k' = e01 + e11.  With q pairs of kinds {00, 11} the entry reads the
+    type (e00 + q, e01 + p - q, e10 + p - q, e11 + q), at weight
+    (-1)**(p - q) C(p, q) times that of the Dicke sites.  The blocks lie on
+    the diagonal of one matrix of size sum_j (2j + 1), in order of 2j, and
+    take sum_j (2j + 1)**2 = K of its positions; d_j = C(n, p) - C(n, p - 1).
+    ``docs/dicke_blocks.md`` derives the map.  O(n K) entries, in intp.
+    """
+    lookup = _pair_types(n).lookup
+    comb = np.array([[math.comb(m, i) for i in range(n + 1)] for m in range(n + 1)], dtype=float)
+    width = (n // 2 + 1) * ((n + 1) // 2 + 1)  # sum_j (2j + 1)
+    sizes, copies, position, kind, coefficient = [], [], [], [], []
+    offset = 0
+    for p in range(n // 2, -1, -1):
+        two_j = n - 2 * p
+        size = two_j + 1
+        _, e01, e10, e11 = _kind_counts(two_j).T
+        k, k_col = e10 + e11, e01 + e11
+        weight = comb[k, e11] * comb[two_j - k, e01] * np.sqrt(comb[two_j, k] / comb[two_j, k_col])
+        for q in range(p + 1):
+            position.append((offset + k) * width + offset + k_col)
+            kind.append(lookup[k + p, k_col + p, e01 + e10 + 2 * (p - q)])
+            coefficient.append((-1.0) ** (p - q) * math.comb(p, q) * weight)
+        sizes.append(size)
+        copies += [math.comb(n, p) - (math.comb(n, p - 1) if p else 0)] * size
+        offset += size
+    tables = _DickeBlocks(sizes=np.array(sizes), copies=np.array(copies, dtype=float),
+                          position=np.concatenate(position), type=np.concatenate(kind),
+                          coefficient=np.concatenate(coefficient))
+    for table in tables:
+        table.flags.writeable = False  # shared by every caller
+    return tables
+
+
+def _block_diagonal(values: np.ndarray, n: int) -> np.ndarray:
+    """The Hermitian part of a permutation-symmetric matrix's Dicke blocks,
+    from its type values, on the diagonal of one matrix of size
+    sum_j (2j + 1) <= (n/2 + 1)**2: its eigenvalues are rho's, each block's
+    taken once.  Up to n = 9 one ``eigvalsh`` of it costs less than one per
+    block, whose call overhead outweighs the work (a trace distance at n = 8:
+    45 against 61 us, timeit minimum); at n = 10-12 one per block would
+    save 10-40 us a call."""
+    blocks = _dicke_blocks(n)
+    width = len(blocks.copies)
+    terms = blocks.coefficient * values[blocks.type]
+    m = (np.bincount(blocks.position, terms.real, width * width)
+         + 1j * np.bincount(blocks.position, terms.imag, width * width)).reshape(width, width)
+    return (m + m.conj().T) / 2.0
+
+
+def _coordinates(r: np.ndarray, types: _PairTypes) -> np.ndarray:
+    """The K real coordinates of Hermitian type values: Re r of the types in
+    ``real``, then Im r of those in ``imag``."""
+    return np.concatenate((r[types.real].real, r[types.imag].imag))
 
 
 @functools.cache
@@ -260,14 +350,39 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class _SymmetricState(DensityMatrix):
-    """A permutation-symmetric matrix held as its read-only pair-type values;
-    its read-only ``entries``, values[``_type_index``], are formed on first read."""
+    """A permutation-symmetric matrix held as its read-only pair-type values.
+
+    Its spectrum comes from its Dicke blocks (``_dicke_blocks``), its trace,
+    purity and hermiticity defect from the O(K) values, so none of these
+    reads forms a 4**n array.  Its read-only ``entries``, values[``_type_index``],
+    are formed on first read, for the dense readers of any matrix
+    (``compute_moments``, ``lindblad_rhs``, ``apply_dephasing``).
+    """
 
     entries: np.ndarray = field(init=False, repr=False, compare=False)
     values: np.ndarray
 
     def __post_init__(self):
         self.values.flags.writeable = False
+
+    def trace_defect(self) -> float:
+        """|trace - 1|, the trace from the coordinates (row 0 of the moments table)."""
+        types = _pair_types(self.n_spins)
+        return abs(float(types.moments[0] @ _coordinates(self.values, types)) - 1.0)
+
+    def hermiticity_defect(self) -> float:
+        """max |r - conj(r[mirror])|, which is max |rho - rho^dagger|."""
+        r = self.values
+        return float(np.max(np.abs(r - r[_pair_types(self.n_spins).mirror].conj())))
+
+    def min_eigenvalue(self) -> float:
+        return float(np.linalg.eigvalsh(_block_diagonal(self.values, self.n_spins))[0])
+
+    def purity(self) -> float:
+        """sum mult |r|**2, from the squared coordinates."""
+        types = _pair_types(self.n_spins)
+        v = _coordinates(self.values, types)
+        return float(types.purity @ (v * v))
 
     def __getattr__(self, name):  # called only while ``entries`` is unset
         if name != "entries":
@@ -631,9 +746,10 @@ class Trajectory:
 
     ``evolve`` reads ``moments``, ``purities`` and the margins at each
     checkpoint from its pair-type coordinates; ``_record`` checks the margins
-    and keeps the worst.  ``final``, the state at t_final, forms its dense
-    entries on first read; ``min_eigenvalue`` comes from those of each
-    checkpoint, formed only when it is checked.
+    and keeps the worst.  ``min_eigenvalue`` is the lowest over each
+    checkpoint's Dicke blocks, read only when it is checked.  ``final``, the
+    state at t_final, is a ``_SymmetricState``: its spectra come from its
+    blocks, and its dense entries are formed only if read.
     """
 
     times: list[float] = field(default_factory=list)
@@ -711,11 +827,11 @@ def evolve(
     Hermitian r to a Hermitian one with the same roundings on both types of
     a mirrored pair, so the defect is zero in either form; it is still
     checked, like the trace defect, and the worst margins are kept on the
-    trajectory.  Each checkpoint is a ``_SymmetricState``, made dense only
-    when read: for its lowest eigenvalue when ``check_positivity`` is set,
-    and as ``final``, the last one, in the input's x frame.  A margin
-    crossed beyond tolerance raises NumericalError naming the offending
-    time.
+    trajectory.  Each checkpoint is a ``_SymmetricState``; when
+    ``check_positivity`` is set its lowest eigenvalue is read from its Dicke
+    blocks (``_block_diagonal``), with no 4**n array.  ``final`` is the last
+    one, in the input's x frame.  A margin crossed beyond tolerance raises
+    NumericalError naming the offending time.
     """
     if not isinstance(state, ProductState):
         raise ValidationError(["evolve starts from the ProductState of build_initial_state"])
@@ -737,11 +853,8 @@ def evolve(
     types = _pair_types(n)
     traj = Trajectory()
 
-    def coordinates(r):
-        return np.concatenate((r[types.real].real, r[types.imag].imag))
-
     def type_values(v):
-        """Inverse of ``coordinates``, also for a batch along a trailing axis:
+        """Inverse of ``_coordinates``, also for a batch along a trailing axis:
         mirrored types conjugate, self-mirror types real, so exactly Hermitian."""
         re, im = v[:len(types.real)], v[len(types.real):]
         r = np.zeros(v.shape, dtype=complex)
@@ -751,24 +864,22 @@ def evolve(
         return r
 
     def checkpoint(t, r):
-        v = coordinates(r)
-        herm = float(np.max(np.abs(r - r[types.mirror].conj())))
-        trace, *moments = (types.moments @ v).tolist()
+        trace, *moments = (types.moments @ _coordinates(r, types)).tolist()
         traj.final = _SymmetricState(n, r)
-        traj._record(herm, abs(trace - 1.0), t,
+        traj._record(traj.final.hermiticity_defect(), abs(trace - 1.0), t,
                      traj.final.min_eigenvalue if check_positivity else None)
         traj.times.append(t)
         traj.moments.append(CollectiveMoments(*moments))
-        traj.purities.append(float(types.purity @ (v * v)))
+        traj.purities.append(traj.final.purity())
 
     r = state.values
     checkpoint(0.0, r)
     size = len(types.counts)
     if _increment_pays(n_steps, size):
         eye = np.eye(size)
-        a = dt * coordinates(_raw_rhs(type_values(eye), *generator))
+        a = dt * _coordinates(_raw_rhs(type_values(eye), *generator), types)
         increment = a @ (eye + a @ (eye / 2.0 + a @ (eye / 6.0 + a / 24.0)))
-        v, product = coordinates(r), np.empty(size)
+        v, product = _coordinates(r, types), np.empty(size)
         for step in range(1, n_steps + 1):
             v += np.dot(increment, v, out=product)  # the BLAS call of @, without an allocation
             if step % every == 0 or step == n_steps:
@@ -910,11 +1021,17 @@ def apply_dephasing(state: DensityMatrix, survival: float) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """(1/2) sum_k |lambda_k(a - b)|."""
+    """(1/2) sum_k |lambda_k(a - b)|; of two permutation-symmetric states,
+    (1/2) sum_j d_j sum |lambda(Delta rho_j)| over their Dicke blocks."""
     if a.dim != b.dim:
         raise ValidationError(["dimension mismatch"])
-    diff = a.entries - b.entries
-    diff = (diff + diff.conj().T) / 2.0
+    if isinstance(a, _SymmetricState) and isinstance(b, _SymmetricState):
+        # block j scaled by d_j: the rows of a block share their d_j
+        diff = _block_diagonal(a.values - b.values, a.n_spins)
+        diff *= _dicke_blocks(a.n_spins).copies[:, None]
+    else:
+        diff = a.entries - b.entries
+        diff = (diff + diff.conj().T) / 2.0
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
@@ -939,6 +1056,8 @@ def factorization_gap(
     saturation (about 0.023, 0.030, 0.032 for N = 2, 3, 4 at N*J*T =
     Gamma_sum*T = 0.2); the per-spin gap, gap/N, decreases.  The probe
     field is part of neither L_H nor L_D: ``proto.signal_field`` is ignored.
+    Both finals are symmetric states, so the trace distance is read from
+    their Dicke blocks and no 4**n array is formed.
     """
     proto = replace(proto, signal_field=0.0)
     joint = evolve(build_initial_state(params), cfg, params, rates, proto).final

@@ -32,6 +32,7 @@ from oatsqueeze.inhomogeneous import (
     monte_carlo_mean_xi2,
 )
 from oatsqueeze.oracle import (
+    SPIN_CAP,
     IntegratorConfig,
     build_initial_state,
     evolve,
@@ -189,6 +190,14 @@ def test_criterion_06_factorization_gap_monotone():
         f"(strictly decreasing={spin_dec}, elapsed={elapsed:.1f}s); "
         f"raw gap {raw} (decreasing={raw_dec})"
     )
+    # reported, not asserted: the same table up to SPIN_CAP, whose trace
+    # distances come from the states' Dicke blocks
+    start = time.perf_counter()
+    wide = factorization_gap_table(range(2, SPIN_CAP + 1), njt=0.2, gamma_sum_t=0.2, dt=1e-2)
+    elapsed = time.perf_counter() - start
+    print(f"[acceptance] criterion 06 report N=2..{SPIN_CAP}: "
+          f"raw={['%.4f' % g for _, g in wide]} "
+          f"per-spin={['%.5f' % (g / n) for n, g in wide]} elapsed={elapsed:.2f}s")
 
 
 def test_criterion_07_dephasing_channel():

@@ -412,15 +412,17 @@ def test_pair_type_tables_hold_every_type_number_past_int16(n):
     (DecoherenceRates(0.02, 0.03), 0.0), (DecoherenceRates(0.02, 0.03), 1e-3),
 ])
 def test_checkpoints_match_the_dense_owners(monkeypatch, rates, field):
-    # check_positivity expands every checkpoint, t = 0 included, to the dense
-    # matrix for its eigenvalue; the moments, purity and trace defect each
-    # checkpoint reads from the coordinates are those of that matrix
-    states, traces = [], []
-    min_eigenvalue, record = DensityMatrix.min_eigenvalue, oracle.Trajectory._record
+    # check_positivity reads every checkpoint's lowest eigenvalue, t = 0
+    # included, from its Dicke blocks; that eigenvalue, and the moments,
+    # purity and trace defect each checkpoint reads from the coordinates, are
+    # those of the checkpoint's dense matrix
+    states, traces, lows = [], [], []
+    min_eigenvalue, record = oracle._SymmetricState.min_eigenvalue, oracle.Trajectory._record
 
     def expanded(self):
         states.append(self)
-        return min_eigenvalue(self)
+        lows.append(min_eigenvalue(self))
+        return lows[-1]
 
     def margins(self, herm, trace, t, low=None):
         traces.append(trace)
@@ -432,24 +434,27 @@ def test_checkpoints_match_the_dense_owners(monkeypatch, rates, field):
         cfg = IntegratorConfig(dt=0.01, t_final=0.1, checkpoint_every=1)
         plain = evolve(build_initial_state(params), cfg, params, rates, proto)
         with monkeypatch.context() as patch:
-            patch.setattr(DensityMatrix, "min_eigenvalue", expanded)
+            patch.setattr(oracle._SymmetricState, "min_eigenvalue", expanded)
             patch.setattr(oracle.Trajectory, "_record", margins)
             states.clear()
             traces.clear()
+            lows.clear()
             traj = evolve(build_initial_state(params), cfg, params, rates, proto,
                           check_positivity=True)
         assert traj.moments == plain.moments and traj.purities == plain.purities
         # one per checkpoint
         assert len(states) == len(traces) == len(traj.times) == 11, f"n={n}"
-        assert traj.final is states[-1]
-        for t, state, mom, purity, trace in zip(traj.times, states, traj.moments,
-                                                traj.purities, traces):
+        assert traj.final is states[-1] and traj.min_eigenvalue == min(lows)
+        for t, state, mom, purity, trace, low in zip(traj.times, states, traj.moments,
+                                                     traj.purities, traces, lows):
+            assert abs(low - DensityMatrix.min_eigenvalue(state)) <= 1e-12, f"n={n} t={t}"
             dense = compute_moments(state)
             names = ("mean_x", "mean_y", "mean_z", "xx2", "yy2", "xy_sym")
             got = {name: getattr(mom, name) for name in names}
             want = {name: getattr(dense, name) for name in names}
             got.update(purity=purity, trace_defect=trace)
-            want.update(purity=state.purity(), trace_defect=state.trace_defect())
+            want.update(purity=DensityMatrix.purity(state),
+                        trace_defect=DensityMatrix.trace_defect(state))
             for name, value in want.items():
                 assert abs(got[name] - value) <= 1e-14 * max(abs(value), 1.0), \
                     f"n={n} t={t} {name}"
@@ -1135,6 +1140,146 @@ def test_factorization_gap_split_channels_match_exact_exponential(
 
 
 # ---------------------------------------------------------------------------
+# Dicke blocks of symmetric states
+# ---------------------------------------------------------------------------
+
+# (P, J, gamma_par, gamma_perp, B_y): every term of the generator, P = 1 and
+# each channel alone
+BLOCK_GRID = [(0.83, 0.07, 0.07, 0.05, 0.02), (1.0, 0.03, 0.02, 0.0, 0.0),
+              (0.5, 0.1, 0.0, 0.08, 0.1)]
+
+
+def dense_spectrum(state):
+    return np.linalg.eigvalsh((state.entries + state.entries.conj().T) / 2.0)
+
+
+@pytest.mark.parametrize("polarization, coupling, gamma_par, gamma_perp, field", BLOCK_GRID)
+def test_block_spectra_match_the_dense_eigenvalues(monkeypatch, polarization, coupling,
+                                                   gamma_par, gamma_perp, field):
+    # the trace distance of two evolved finals and each checkpoint's lowest
+    # eigenvalue from the Dicke blocks, against eigvalsh of the dense
+    # entries; the block eigenvalues weighted by d_j sum to the dense trace
+    lows = []
+    min_eigenvalue = oracle._SymmetricState.min_eigenvalue
+
+    def kept(self):
+        lows.append((self, min_eigenvalue(self)))
+        return lows[-1][1]
+
+    monkeypatch.setattr(oracle._SymmetricState, "min_eigenvalue", kept)
+    try:
+        for n in range(1, 11):
+            params = EnsembleParams(n, polarization)
+            rates = DecoherenceRates(gamma_par, gamma_perp)
+            cfg = IntegratorConfig(dt=0.01, t_final=0.2)
+            lows.clear()
+            joint = evolve(build_initial_state(params), cfg, params, rates,
+                           ProtocolParams(coupling, 0.2, signal_field=field),
+                           check_positivity=True)
+            other = evolve(build_initial_state(replace(params, polarization=0.7)), cfg,
+                           replace(params, polarization=0.7), DecoherenceRates(0.03, 0.01),
+                           ProtocolParams(0.05, 0.2))
+            got = trace_distance(joint.final, other.final)
+            want = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(
+                (joint.final.entries - other.final.entries
+                 + (joint.final.entries - other.final.entries).conj().T) / 2.0)))
+            assert abs(got - want) <= 1e-12 * want, f"n={n}"
+            assert len(lows) == 2, f"n={n}"  # t = 0 and t_final
+            for state, low in lows:
+                assert abs(low - dense_spectrum(state)[0]) <= 1e-12, f"n={n}"
+            blocks = oracle._block_diagonal(joint.final.values, n)
+            total = oracle._dicke_blocks(n).copies @ np.diagonal(blocks).real
+            assert abs(total - np.trace(joint.final.entries).real) <= 1e-14, f"n={n}"
+    finally:
+        oracle._type_index.cache_clear()
+
+
+def test_dicke_blocks_tile_the_pair_types():
+    # sum_j (2j + 1)**2 = K: the entries reach each of the K positions inside
+    # the diagonal blocks and none outside, and sum_j d_j (2j + 1) = 2**n;
+    # built uncached, tables only, and the pair-type tables they read are
+    # dropped afterwards
+    try:
+        for n in range(1, 61):
+            blocks = oracle._dicke_blocks.__wrapped__(n)
+            k = math.comb(n + 3, 3)
+            assert list(blocks.sizes) == list(range(n % 2 + 1, n + 2, 2)), f"n={n}"
+            assert int(np.sum(blocks.sizes ** 2)) == k, f"n={n}"
+            width = int(blocks.sizes.sum())
+            block_of_row = np.repeat(np.arange(len(blocks.sizes)), blocks.sizes)
+            inside = np.flatnonzero(np.equal.outer(block_of_row, block_of_row))
+            assert np.array_equal(np.unique(blocks.position), inside), f"n={n}"
+            assert len(blocks.copies) == width, f"n={n}"
+            assert math.isclose(blocks.copies.sum(), 2.0 ** n, rel_tol=1e-15), f"n={n}"
+            assert blocks.copies[-1] == 1.0 and blocks.copies.min() >= 1.0, f"n={n}"
+            assert blocks.type.min() >= 0 and blocks.type.max() < k, f"n={n}"
+    finally:
+        oracle._pair_types.cache_clear()
+
+
+@pytest.mark.parametrize("polarization", [0.0, 0.37, 0.9, 1.0])
+def test_product_state_blocks_have_the_binomial_spectrum(polarization):
+    # the product state at P is a function of the collective z spin: in
+    # block j its eigenvalues are ((1 + P)/2)**(n/2 + m) ((1 - P)/2)**(n/2 - m)
+    # for m = -j .. j, independent of the dense reference
+    up, down = (1.0 + polarization) / 2.0, (1.0 - polarization) / 2.0
+    for n in range(1, SPIN_CAP + 1):
+        state = build_initial_state(EnsembleParams(n, polarization))
+        got = np.linalg.eigvalsh(oracle._block_diagonal(state.values, n))
+        want = np.sort([up ** (n / 2.0 + m) * down ** (n / 2.0 - m)
+                        for size in oracle._dicke_blocks(n).sizes.tolist()
+                        for m in np.arange(-(size - 1) / 2.0, (size + 1) / 2.0)])
+        assert np.max(np.abs(got - want)) <= 1e-15, f"n={n}"
+
+
+def test_identical_symmetric_states_are_at_distance_exactly_zero():
+    # the gap_vanishes_* checks of verify factorization read this zero
+    params = EnsembleParams(6, 0.9)
+    cfg = IntegratorConfig(dt=0.01, t_final=0.1)
+    proto = ProtocolParams(coupling=0.3, squeeze_time=0.1, signal_field=0.05)
+    final = evolve(build_initial_state(params), cfg, params, DecoherenceRates(0.02, 0.03),
+                   proto).final
+    again = evolve(build_initial_state(params), cfg, params, DecoherenceRates(0.02, 0.03),
+                   proto).final
+    assert trace_distance(final, final) == 0.0
+    assert trace_distance(final, again) == 0.0
+    assert trace_distance(build_initial_state(params), build_initial_state(params)) == 0.0
+    assert factorization_gap(EnsembleParams(4, 0.9), DecoherenceRates(),
+                             ProtocolParams(coupling=0.3, squeeze_time=1.0),
+                             IntegratorConfig(dt=5e-3, t_final=1.0)) == 0.0
+
+
+def test_symmetric_state_reads_form_no_dense_array(monkeypatch):
+    # with the one 4**n table refused, positivity checks, the gap and every
+    # read of a symmetric state still run, and give the dense values
+    def refused(n):
+        raise AssertionError("a symmetric state was made dense")
+
+    rates = DecoherenceRates(0.02, 0.03)
+    for n in range(1, 9):
+        params = EnsembleParams(n, 0.9)
+        proto = ProtocolParams(coupling=0.07, squeeze_time=0.2, signal_field=1e-3)
+        cfg = IntegratorConfig(dt=0.01, t_final=0.2, checkpoint_every=5)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_type_index", refused)
+            traj = evolve(build_initial_state(params), cfg, params, rates, proto,
+                          check_positivity=True)
+            gap = factorization_gap(params, rates, proto, cfg)
+            final = traj.final
+            got = (final.min_eigenvalue(), final.purity(), final.trace_defect(),
+                   final.hermiticity_defect())
+            with pytest.raises(AssertionError, match="made dense"):
+                final.entries
+        dense = DensityMatrix(final.entries, n)
+        want = (dense.min_eigenvalue(), dense.purity(), dense.trace_defect(),
+                dense.hermiticity_defect())
+        assert traj.min_eigenvalue is not None and gap > 0.0
+        for name, a, b in zip(("min_eigenvalue", "purity", "trace_defect", "hermiticity"),
+                              got, want):
+            assert abs(a - b) <= 1e-14, f"n={n} {name}"
+
+
+# ---------------------------------------------------------------------------
 # metrology oracle
 # ---------------------------------------------------------------------------
 
@@ -1310,13 +1455,13 @@ def test_trajectory_margins_from_checkpoints(monkeypatch):
     proto = ProtocolParams(coupling=0.05, squeeze_time=1.0)
     cfg = IntegratorConfig(dt=0.01, t_final=1.0, checkpoint_every=25)
     eig_calls = []
-    min_eigenvalue = DensityMatrix.min_eigenvalue
+    min_eigenvalue = oracle._SymmetricState.min_eigenvalue
 
     def counted(self):
         eig_calls.append(self.n_spins)
         return min_eigenvalue(self)
 
-    monkeypatch.setattr(DensityMatrix, "min_eigenvalue", counted)
+    monkeypatch.setattr(oracle._SymmetricState, "min_eigenvalue", counted)
     traj = evolve(build_initial_state(params), cfg, params, rates, proto)
     assert eig_calls == [] and traj.min_eigenvalue is None
     assert 0.0 <= traj.max_hermiticity_defect <= 1e-12
@@ -1324,22 +1469,25 @@ def test_trajectory_margins_from_checkpoints(monkeypatch):
 
     traj = evolve(build_initial_state(params), cfg, params, rates, proto,
                   check_positivity=True)
-    assert len(eig_calls) == len(traj.times) == 5  # one eigvalsh per checkpoint
+    assert len(eig_calls) == len(traj.times) == 5  # one block spectrum per checkpoint
     assert -1e-10 <= traj.min_eigenvalue <= min_eigenvalue(traj.final)
     assert traj.max_hermiticity_defect >= traj.final.hermiticity_defect()
 
-    # the minimum over the dense eigenvalues of every checkpoint, t = 0 included
-    lows = []
+    # the minimum over the block eigenvalues of every checkpoint, t = 0
+    # included, each that of the checkpoint's dense matrix
+    lows, dense = [], []
 
     def kept(self):
         lows.append(min_eigenvalue(self))
+        dense.append(DensityMatrix.min_eigenvalue(self))
         return lows[-1]
 
-    monkeypatch.setattr(DensityMatrix, "min_eigenvalue", kept)
+    monkeypatch.setattr(oracle._SymmetricState, "min_eigenvalue", kept)
     traj = evolve(build_initial_state(params), replace(cfg, checkpoint_every=1), params,
                   rates, proto, check_positivity=True)
     assert len(lows) == len(traj.times) == 101
     assert traj.min_eigenvalue == min(lows)
+    assert np.max(np.abs(np.subtract(lows, dense))) <= 1e-12
 
 
 def test_rk4_keeps_hermiticity_without_resymmetrizing():
