@@ -12,7 +12,7 @@ approximations that make the time and Theta optimizations tractable.
 The minimum of a0 + a1 cos(2 theta) + a2 sin(2 theta) over the quadrature
 angle is written once, in ``_cos2_minimum``, which the oracle's moment
 minimizer shares.  The scalar optimizer refuses an optimum at the edge of
-its bracket.  Every formula here is pinned against the dense oracle in
+its bracket.  Every formula here is pinned against the exact oracle in
 the test suite.
 
 A closed form that sweeps and the optimizer evaluate many times is written

@@ -175,15 +175,16 @@ def _outside_the_domain(name: str, value: float, exc: DomainError) -> Validation
 def _bundle(args, signal_field=0.0, metrology=False):
     """The validated ensemble, rates and coupling.  Every subcommand sweeps or
     optimizes the squeezing time itself, so the bundle's squeeze time is 1.
-    A ``metrology`` bundle also needs rates and a coupling."""
+    Every closed form the subcommands evaluate needs a coupling; a
+    ``metrology`` bundle also needs rates, checked first."""
     params = EnsembleParams(n_spins=args.n, polarization=args.p)
     rates = DecoherenceRates(gamma_par=args.gamma_par, gamma_perp=args.gamma_perp)
     proto = ProtocolParams(coupling=args.j, squeeze_time=1.0, signal_field=signal_field)
     bundle = validate(params, rates, proto)
     if metrology and rates.gamma_sum <= 0.0:
         raise ValidationError(["gamma_par + gamma_perp > 0 required for metrology"])
-    if metrology and proto.coupling <= 0.0:
-        raise ValidationError(["coupling > 0 required for metrology"])
+    if proto.coupling <= 0.0:
+        raise ValidationError(["coupling > 0 required (--j)"])
     return bundle
 
 
@@ -245,8 +246,6 @@ def cmd_squeeze_curve(args) -> int:
     if sweep_name != "t":
         raise ValidationError(["squeeze-curve sweeps over t"])
     params, rates, proto = _bundle(args)
-    if proto.coupling <= 0.0:
-        raise ValidationError(["coupling > 0 required for a squeezing curve (--j)"])
     n, p, j = params.n_spins, params.polarization, proto.coupling
     rows = []
     t = values[0]  # a curve that cannot be built is refused at the first row
@@ -286,8 +285,6 @@ def cmd_optimal_point(args) -> int:
     j = proto.coupling
     try:
         if args.objective == "squeezing":
-            if j <= 0.0:
-                raise ValidationError(["coupling > 0 required for a squeezing optimum"])
             rep = analytic.squeezing_report(n, p, rates, j)
             payload.update({
                 "theta_star": rep.theta_star,

@@ -43,7 +43,7 @@ class NumericalError(RuntimeError):
 
 
 class ResourceError(RuntimeError):
-    """Requested problem size exceeds a cap: the dense oracle's spin count,
+    """Requested problem size exceeds a cap: the exact oracle's spin count,
     an RK4 run's step count, a sweep's point count or the Monte Carlo's
     memory."""
 

@@ -1,6 +1,6 @@
 """Exact small-N quantum oracle for twisted spin ensembles.
 
-Dense 2**n x 2**n density-matrix dynamics used as ground truth for every
+Exact density-matrix dynamics of n spins used as ground truth for every
 closed form in :mod:`oatsqueeze.analytic` and
 :mod:`oatsqueeze.inhomogeneous`:
 
@@ -46,8 +46,8 @@ to pay for its K**3 products, as one matrix-vector product with the
 increment matrix of dt L, L the generator as a real square matrix on the
 coordinates (``_increment_pays``).  Its checkpoints read moments, purity
 and the trace from the coordinates with the weights of ``_pair_types``,
-O(K) at any n.  A symmetric state is held as its type values in a
-``_SymmetricState`` (the start ``ProductState`` of
+O(K) at any n.  A symmetric state is a ``_SymmetricState``, a frozen
+value of n and its type values (the start ``ProductState`` of
 ``build_initial_state``, built in O(K), each checkpoint and
 ``Trajectory.final``).  It is block-diagonal over the total spin j,
 rho = sum_j rho_j (x) I_{d_j}, with blocks of size 2j + 1 <= n + 1, so its
@@ -56,9 +56,10 @@ distance of two such states, come from the blocks that ``_dicke_blocks``
 maps the type values to; its trace, purity and hermiticity defect come
 from the O(K) values.  ``evolve(check_positivity=True)``,
 ``factorization_gap`` and ``Trajectory.final`` form no 4**n array.  Its
-4**n entries are gathered through ``_type_index``, the one 4**n table,
-only when first read: they stay public because ``compute_moments``,
-``lindblad_rhs`` and ``apply_dephasing`` take any matrix, dense.
+dense view ``entries`` is a cached property, gathered through
+``_type_index``, the one 4**n table, on first read: it stays public
+because ``compute_moments``, ``lindblad_rhs`` and ``apply_dephasing`` take
+any matrix, dense, and callers pass them symmetric states.
 
 Pair couplings are given as an ``inhomogeneous.CouplingMatrix`` or as a
 plain matrix that passes its checks.  The oracle exists to validate
@@ -330,10 +331,6 @@ class DensityMatrix:
     entries: np.ndarray
     n_spins: int
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_spins
-
     def trace_defect(self) -> float:
         return abs(np.trace(self.entries) - 1.0)
 
@@ -349,7 +346,7 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True)
-class _SymmetricState(DensityMatrix):
+class _SymmetricState:
     """A permutation-symmetric matrix held as its read-only pair-type values.
 
     Its spectrum comes from its Dicke blocks (``_dicke_blocks``), its trace,
@@ -359,11 +356,17 @@ class _SymmetricState(DensityMatrix):
     (``compute_moments``, ``lindblad_rhs``, ``apply_dephasing``).
     """
 
-    entries: np.ndarray = field(init=False, repr=False, compare=False)
+    n_spins: int
     values: np.ndarray
 
     def __post_init__(self):
         self.values.flags.writeable = False
+
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        entries = self.values[_type_index(self.n_spins)]
+        entries.flags.writeable = False
+        return entries
 
     def trace_defect(self) -> float:
         """|trace - 1|, the trace from the coordinates (row 0 of the moments table)."""
@@ -383,13 +386,6 @@ class _SymmetricState(DensityMatrix):
         types = _pair_types(self.n_spins)
         v = _coordinates(self.values, types)
         return float(types.purity @ (v * v))
-
-    def __getattr__(self, name):  # called only while ``entries`` is unset
-        if name != "entries":
-            raise AttributeError(name)
-        object.__setattr__(self, "entries", self.values[_type_index(self.n_spins)])
-        self.entries.flags.writeable = False
-        return self.entries
 
 
 @dataclass(frozen=True)
@@ -424,7 +420,7 @@ def _product_polarizations(polarizations, n: int) -> np.ndarray:
     if not np.all((pols >= 0.0) & (pols <= 1.0)):
         raise ValidationError(["polarization in [0, 1] for state preparation"])
     if n > SPIN_CAP:
-        raise ResourceError(f"n_spins = {n} exceeds the dense oracle's SPIN_CAP = {SPIN_CAP}")
+        raise ResourceError(f"n_spins = {n} exceeds the oracle's SPIN_CAP = {SPIN_CAP}")
     return pols
 
 
@@ -502,7 +498,8 @@ def _second_moment(xx2, yy2, xy_sym, c, s):
     return c * c * xx2 + s * s * yy2 + s * c * xy_sym
 
 
-def compute_moments(state: DensityMatrix, pair_correlations: bool = False) -> CollectiveMoments:
+def compute_moments(state: DensityMatrix | _SymmetricState,
+                    pair_correlations: bool = False) -> CollectiveMoments:
     """Collective first/second moments (and optional pair tables) of any
     matrix; the result is trace-linear.  Gathers the entries that
     ``_moment_stack`` reads: the diagonal, rho[b, b ^ e_k] and rho[b, b ^ e_k ^ e_l].
@@ -556,7 +553,7 @@ def _moments(stack, pair_correlations: bool) -> list[CollectiveMoments]:
 # ---------------------------------------------------------------------------
 
 def lindblad_rhs(
-    state: DensityMatrix,
+    state: DensityMatrix | _SymmetricState,
     params: EnsembleParams,
     rates: DecoherenceRates,
     proto: ProtocolParams,
@@ -578,7 +575,7 @@ def lindblad_rhs(
     return DensityMatrix(_dense_rhs(state.entries, n, *generator), n)
 
 
-def _spin_count(state: DensityMatrix, params: EnsembleParams) -> int:
+def _spin_count(state: DensityMatrix | _SymmetricState, params: EnsembleParams) -> int:
     if params.n_spins != state.n_spins:
         raise ValidationError([f"params.n_spins = {params.n_spins} does not match "
                                f"state.n_spins = {state.n_spins}"])
@@ -755,7 +752,7 @@ class Trajectory:
     times: list[float] = field(default_factory=list)
     moments: list[CollectiveMoments] = field(default_factory=list)
     purities: list[float] = field(default_factory=list)
-    final: DensityMatrix | None = None
+    final: _SymmetricState | None = None
     max_hermiticity_defect: float = 0.0  # worst margins seen at the checkpoints
     max_trace_defect: float = 0.0
     min_eigenvalue: float | None = None   # None unless positivity was checked
@@ -1004,7 +1001,7 @@ def _pauli_channel(rho, n, lx, ly, lz) -> np.ndarray:
     return out
 
 
-def apply_dephasing(state: DensityMatrix, survival: float) -> DensityMatrix:
+def apply_dephasing(state: DensityMatrix | _SymmetricState, survival: float) -> DensityMatrix:
     """Apply the product dephasing channel with survival amplitude ``survival``:
     the Pauli channel (s, s, 1), which mixes each entry with its bit flip at
     weights (1 +/- s)/2.  z populations are untouched, single-site transverse
@@ -1020,10 +1017,10 @@ def apply_dephasing(state: DensityMatrix, survival: float) -> DensityMatrix:
 # trace distance, factorization gap, metrology
 # ---------------------------------------------------------------------------
 
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
+def trace_distance(a: DensityMatrix | _SymmetricState, b: DensityMatrix | _SymmetricState) -> float:
     """(1/2) sum_k |lambda_k(a - b)|; of two permutation-symmetric states,
     (1/2) sum_j d_j sum |lambda(Delta rho_j)| over their Dicke blocks."""
-    if a.dim != b.dim:
+    if a.n_spins != b.n_spins:
         raise ValidationError(["dimension mismatch"])
     if isinstance(a, _SymmetricState) and isinstance(b, _SymmetricState):
         # block j scaled by d_j: the rows of a block share their d_j

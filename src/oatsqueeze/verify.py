@@ -79,8 +79,8 @@ def suite_lindblad(n: int = 6) -> dict:
     """Master-equation properties: trace/hermiticity/positivity, decay rate,
     dt convergence, energy conservation, and the uniform-coupling cross-check.
 
-    Runs at most 8 spins, and at most 4 and 5 in the decay and energy checks
-    (``suite_sizes``)."""
+    Runs at most SPIN_CAP spins, and at most 4 and 5 in the decay and energy
+    checks (``suite_sizes``)."""
     n, n_decay, n_energy = suite_sizes("lindblad", n)
     checks = []
 
@@ -433,10 +433,11 @@ def suite_constants() -> dict:
 
 # suite -> (function, largest spin counts it runs), in the order of the names
 # in core.VERIFY_SUITES; suite "x" runs suite_x.  A larger requested n is
-# clamped to its caps (the dense oracle is 4^n in memory).
+# clamped to its caps: SPIN_CAP where the suite holds no 4^n array (pair-type
+# evolve, block spectra, eigenphase moments), 6 for dephasing's dense states.
 _SUITE_TABLE = dict(zip(VERIFY_SUITES, (
     # lindblad caps: main checks, polarization decay, twisting energy
-    (suite_lindblad, (8, 4, 5)),
+    (suite_lindblad, (SPIN_CAP, 4, 5)),
     (suite_factorization, ()),
     (suite_variable_coupling, (SPIN_CAP,)),
     (suite_uniform_coupling, (SPIN_CAP,)),

@@ -451,7 +451,12 @@ _RATE = st.just(0.0) | st.floats(0.0, 1.0) | st.floats(0.0, 1e300)
 _POINT = st.just(0.0) | st.floats(-1.0, 20.0) | st.floats(allow_nan=True, allow_infinity=True)
 
 
-@pytest.mark.parametrize("name", sorted(_CURVES))
+# the forms without a public function: the test below would compare their
+# curve with itself
+_PRIVATE_CURVES = {"sensitivity_reference", "sensitivity_denominator_correction"}
+
+
+@pytest.mark.parametrize("name", sorted(set(_CURVES) - _PRIVATE_CURVES))
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(1, 10 ** 7) | st.just(10 ** 400), p=st.floats(0.0, 1.0),
        rates=st.builds(DecoherenceRates, _RATE, _RATE),

@@ -550,6 +550,10 @@ def test_verify_notes_clamped_spin_count(tmp_path, capsys):
     assert "--n 9" in err and "dephasing runs n=6" in err
     assert main(["verify", "dephasing", "--n", "4", "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
+    # lindblad's main checks hold no 4**n array and run at the spin cap
+    assert main(["verify", "lindblad", "--n", str(oracle.SPIN_CAP), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and f"lindblad runs n={oracle.SPIN_CAP}, 4, 5" in err
 
 
 @pytest.mark.parametrize("argv", [

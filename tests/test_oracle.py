@@ -1279,6 +1279,53 @@ def test_symmetric_state_reads_form_no_dense_array(monkeypatch):
             assert abs(a - b) <= 1e-14, f"n={n} {name}"
 
 
+def test_symmetric_state_is_a_value_with_a_dense_view_formed_once(monkeypatch):
+    # no DensityMatrix subclass: its entries are a read-only cached gather of
+    # its values, one _type_index call per state however often they are read
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return type_index(n)
+
+    type_index = oracle._type_index
+    monkeypatch.setattr(oracle, "_type_index", counted)
+    rates = DecoherenceRates(0.02, 0.03)
+    for n in range(1, 7):
+        params = EnsembleParams(n, 0.8)
+        start = build_initial_state(params)
+        final = evolve(start, IntegratorConfig(dt=0.01, t_final=0.1), params, rates,
+                       ProtocolParams(0.2, 0.1, signal_field=0.01)).final
+        for state in (start, final):
+            assert not isinstance(state, DensityMatrix)
+            calls.clear()
+            first = state.entries
+            assert state.entries is first and calls == [n], f"n={n}"
+            want = state.values[type_index(n)]
+            assert (first.dtype, first.tobytes()) == (want.dtype, want.tobytes()), f"n={n}"
+            with pytest.raises(ValueError, match="read-only"):
+                first[0, 0] = 1.0
+
+
+def test_trace_distance_mixes_symmetric_and_dense_states():
+    # a symmetric state against a dense one reads its dense view, at the
+    # dense-dense distance; only the spin counts must agree
+    rng = np.random.default_rng(34)
+    for n in range(1, 7):
+        params = EnsembleParams(n, 0.9)
+        symmetric = evolve(build_initial_state(params), IntegratorConfig(dt=0.01, t_final=0.2),
+                           params, DecoherenceRates(0.02, 0.03),
+                           ProtocolParams(0.3, 0.2, signal_field=0.05)).final
+        dense, other = DensityMatrix(symmetric.entries, n), random_density_matrix(rng, n)
+        want = trace_distance(dense, other)
+        assert abs(trace_distance(symmetric, other) - want) <= 1e-14, f"n={n}"
+        assert abs(trace_distance(other, symmetric) - want) <= 1e-14, f"n={n}"
+        larger = random_density_matrix(rng, n + 1)
+        for a, b in ((symmetric, larger), (larger, symmetric)):
+            with pytest.raises(ValidationError, match="dimension mismatch"):
+                trace_distance(a, b)
+
+
 # ---------------------------------------------------------------------------
 # metrology oracle
 # ---------------------------------------------------------------------------

@@ -96,16 +96,21 @@ CLI = {
     "sweep_scale": (_SQUEEZE + ["t:0.1:1:5:cubic"], "sweep scale must be lin or log"),
     "squeeze_curve_sweep_name": (_SQUEEZE + ["theta_big:0.1:1:5:lin"],
                                  "squeeze-curve sweeps over t"),
+    "squeeze_curve_without_coupling": (["squeeze-curve", "--j", "0"],
+                                       "coupling > 0 required (--j)"),
+    "squeezing_optimum_without_coupling": (
+        ["optimal-point", "--objective", "squeezing", "--j", "0"],
+        "coupling > 0 required (--j)"),
     "metrology_optimum_without_rates": (
         ["optimal-point", "--objective", "metrology", "--j", "1e-3"],
         "gamma_par + gamma_perp > 0 required for metrology"),
     "metrology_optimum_without_coupling": (
         ["optimal-point", "--objective", "metrology", "--gamma-par", "0.01"],
-        "coupling > 0 required for metrology"),
+        "coupling > 0 required (--j)"),
     "metrology_sweep_without_rates": (["metrology", "--j", "1e-3"],
                                       "gamma_par + gamma_perp > 0 required for metrology"),
     "metrology_sweep_without_coupling": (["metrology", "--gamma-par", "0.01"],
-                                         "coupling > 0 required for metrology"),
+                                         "coupling > 0 required (--j)"),
     "metrology_sweep_name": (["metrology", "--sweep", "n:1:2:5:lin"],
                              "metrology sweeps over theta_big or t"),
     "metrology_infinite_probe": (
