@@ -262,23 +262,19 @@ def _theta_terms_curve(n: int, p: float, rates: DecoherenceRates, coupling: floa
 
 
 def _regime(ratio: float) -> str:
-    """Flag for an over-squeezing / decoherence term ratio: below 0.01 the
-    decoherence term dominates, above 100 the over-squeezing term does.
+    """``decoherence_dominated`` for an over-squeezing / decoherence ratio
+    below 0.01 at an optimum with rates, else ``mixed``.
 
-    With rates no optimum reaches 100.  At an interior minimum of
+    No optimum with rates reaches ``OVERSQUEEZING_DOMINATED``, which only
+    ``squeezing_report``'s rate-free branch sets.  At the interior minimum of
     ``optimal_theta_squeezing``, e^Theta (D + O) with D ~ e^(2 Theta)/Theta**2
     and O ~ Theta**4 is stationary where D (3 Theta - 2) + O (Theta + 4) = 0,
-    so O / D = (2 - 3 Theta)/(Theta + 4) <= 1/2; ``max_sensitivity``'s
-    correction at its optimum stayed below 0.72 over n = 10-1000 and
-    J = 1e-3-1 at rates (0.01, 0.01).  So with rates the flag reads only
-    ``mixed`` or ``decoherence_dominated``; ``OVERSQUEEZING_DOMINATED``
-    comes only from ``squeezing_report``'s rate-free branch, which sets it
-    without calling this function."""
-    if ratio < 0.01:
-        return DECOHERENCE_DOMINATED
-    if ratio > 100.0:
-        return OVERSQUEEZING_DOMINATED
-    return MIXED
+    so O/D = (2 - 3 Theta)/(Theta + 4) <= 1/2.  At ``max_sensitivity``'s,
+    stationarity gives c = g/(h - g) for the correction c, with
+    g = 3/(2 Theta) - 3 + 1/(e^Theta - 1) and h = 6/Theta - 2 the
+    log-derivatives of the shape and of c; h - g > 0, so g > 0, and
+    1/(e^Theta - 1) < 1/Theta gives c < (5/2 - 3 Theta)/(7/2 + Theta) < 5/7."""
+    return DECOHERENCE_DOMINATED if ratio < 0.01 else MIXED
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +525,7 @@ def max_sensitivity(
     """Maximize the sensitivity over Theta: (Theta*, sensitivity*, regime).
 
     The regime flag is decoherence_dominated when the denominator
-    correction at the optimum is below 0.01.
+    correction at the optimum is below 0.01, else mixed.
     """
     theta, sens = optimize_scalar(_sensitivity_curve(n, p, rates, coupling),
                                   _THETA_SEARCH, "max")

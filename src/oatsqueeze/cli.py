@@ -223,12 +223,11 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _mc_csv(result) -> str:
-    """Per-sample CSV (sample_index, xi2) with a trailing summary row.
+    """Per-sample CSV (sample_index, xi2) of a run made with ``keep_values=True``,
+    with a trailing summary row.
 
     Rows carry the true sample index, so rejected samples leave gaps.
     """
-    if result.values is None:
-        raise ValueError("monte_carlo_mean_xi2 must be called with keep_values=True")
     rejected = set(result.rejected_indices)
     kept = (i for i in range(result.n_samples) if i not in rejected)
     return _csv(["sample_index", "xi2"], zip(kept, result.values)) + (

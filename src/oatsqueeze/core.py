@@ -14,6 +14,7 @@ dedicated oracle test).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 DECOHERENCE_DOMINATED = "decoherence_dominated"
@@ -131,7 +132,10 @@ def violations(
 ) -> list[str]:
     """List every violated invariant of the parameter bundle (empty if valid)."""
     out = []
-    if not (isinstance(params.n_spins, int) and params.n_spins >= 1):
+    n = params.n_spins
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):  # numpy integers are Integral
+        out.append(f"n_spins an integer >= 1, not {n!r}")
+    elif n < 1:
         out.append("n_spins >= 1")
     if not (0.0 < params.polarization <= 1.0):
         if params.polarization > 1.0:

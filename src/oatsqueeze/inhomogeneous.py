@@ -51,11 +51,12 @@ _OUT_HASH = (0x8b51f9dd, 0x58f38ded)  # of the output hash
 _MIX_L, _MIX_R = 0xca01f9dd, 0x4973f715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _M128 = (1 << 128) - 1
+_PAIR_SPINS = "n_spins >= 2 for pair couplings"  # the one n < 2 refusal of this module
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CouplingMatrix:
-    """Symmetric per-pair twisting angles with zero diagonal."""
+    """Symmetric per-pair twisting angles with zero diagonal; compared by identity."""
 
     theta: np.ndarray
 
@@ -68,10 +69,6 @@ class CouplingMatrix:
             raise ValidationError(["couplings must be symmetric: theta_ij = theta_ji"])
         if np.any(np.diagonal(theta) != 0.0):
             raise ValidationError(["couplings must have zero diagonal"])
-
-    @property
-    def n_spins(self) -> int:
-        return self.theta.shape[0]
 
 
 def _as_couplings(couplings) -> CouplingMatrix:
@@ -154,7 +151,12 @@ class DisorderSpec:
 # closed form for arbitrary couplings
 # ---------------------------------------------------------------------------
 
-def _validate_pols(pols, n) -> np.ndarray:
+def _pair_inputs(n: int, pols, theta: float) -> np.ndarray:
+    """One polarization per spin, after refusing n < 2, a non-finite ``theta``
+    and a polarization outside (0, 1] or NaN with ValidationError."""
+    if n < 2:
+        raise ValidationError([_PAIR_SPINS])
+    require_finite_angle(theta)
     p = _per_spin(pols, n)
     if not np.all((p > 0.0) & (p <= 1.0)):  # a NaN fails both comparisons
         raise ValidationError(["polarizations must lie in (0, 1]"])
@@ -337,12 +339,9 @@ def quadrature_components(couplings, pols, theta: float) -> tuple[float, float]:
     """
     th_mat = _as_couplings(couplings).theta
     n = th_mat.shape[0]
-    if n < 2:
-        raise ValidationError(["n_spins >= 2 for pair couplings"])
-    require_finite_angle(theta)
+    p = _pair_inputs(n, pols, theta)
     _require_memory(n, 1, 1)
-    a_norm, b_norm = _components(_sums(_pair_terms(th_mat[None]), _validate_pols(pols, n)),
-                                 n, theta)
+    a_norm, b_norm = _components(_sums(_pair_terms(th_mat[None]), p), n, theta)
     return float(a_norm[0]), float(b_norm[0])
 
 
@@ -506,7 +505,7 @@ def sample_couplings(spec: DisorderSpec, n_spins: int, sample_index: int) -> Cou
     is exactly theta0.
     """
     if n_spins < 2:
-        raise ValidationError(["n_spins >= 2"])
+        raise ValidationError([_PAIR_SPINS])
     if not _is_index(sample_index):
         raise ValidationError([f"sample_index an integer >= 0, not {sample_index!r}"])
     return CouplingMatrix(_coupling_stack(spec, n_spins, int(sample_index), 1)[0])
@@ -551,7 +550,7 @@ def mean_xi2_analytic(spec: DisorderSpec, n: int, theta: float) -> float:
     return (1.0 + math.sin(theta) ** 2 * sp * a - math.sin(2.0 * theta) * ss * b) / (d * ss)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonteCarloResult:
     """Disorder-average estimates from one reproducible sample set.
 
@@ -564,7 +563,7 @@ class MonteCarloResult:
     names the sample indices that were dropped, and ``n_rejected`` counts
     them.  ``stderr_at_rounding_level`` is true when the delta-method error
     fell below eps*|mean|, where it is rounding noise of identical
-    samples, and ``stderr`` is reported as 0.
+    samples, and ``stderr`` is reported as 0.  Results compare by identity.
     """
 
     mean: float
@@ -617,10 +616,7 @@ def _mc_plan(spec: DisorderSpec, n: int, pols, theta: float) -> tuple[np.ndarray
     """The checked polarizations, the chunk size and the thread count of a
     ``monte_carlo_mean_xi2`` run; raises its ValidationError or
     ResourceError before anything is drawn."""
-    if n < 2:
-        raise ValidationError(["n_spins >= 2"])
-    p = _validate_pols(pols, n)
-    require_finite_angle(theta)
+    p = _pair_inputs(n, pols, theta)
     chunk = max(1, _CHUNK_BYTES // (8 * n * n))
     pool = _mc_pool()
     threads = min(-(-spec.n_samples // chunk), 1 if pool is None else 1 + pool._max_workers)

@@ -323,7 +323,7 @@ def _type_index(n: int) -> np.ndarray:
 # density matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Dense complex density matrix for ``n_spins`` spin-1/2 particles, in
     the collective-x frame (site 0 the most significant bit, bit 0 sigma_x = +1)."""
@@ -345,7 +345,7 @@ class DensityMatrix:
         return float(np.real(np.sum(self.entries * self.entries.T)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _SymmetricState:
     """A permutation-symmetric matrix held as its read-only pair-type values.
 
@@ -388,7 +388,7 @@ class _SymmetricState:
         return float(types.purity @ (v * v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductState(_SymmetricState):
     """The state of ``build_initial_state`` and its polarization P, the start
     of ``evolve``; frozen, with read-only values and entries, so they keep to P."""

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from oatsqueeze.core import (
@@ -33,6 +34,12 @@ def test_valid_bundle_passes_through():
 def test_zero_spins_rejected():
     with pytest.raises(ValidationError, match="n_spins >= 1"):
         validate(*bundle(n=0))
+
+
+def test_numpy_integer_spin_count_accepted():
+    _, rates, proto = bundle()
+    assert violations(EnsembleParams(np.int64(5), 0.9), rates, proto) == []
+    assert violations(EnsembleParams(np.int64(0), 0.9), rates, proto) == ["n_spins >= 1"]
 
 
 def test_overfull_polarization_rejected():

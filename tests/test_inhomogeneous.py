@@ -56,6 +56,16 @@ def test_coupling_matrix_validation():
         CouplingMatrix(diag)
 
 
+def test_couplings_and_results_compare_by_identity():
+    # == and hash() of two values with equal arrays raised on their array field
+    result = MonteCarloResult(1.0, 0.0, 1.0, 0.0, 1, 0, values=np.ones(1))
+    pairs = [(CouplingMatrix(uniform(4, 0.1)), CouplingMatrix(uniform(4, 0.1))),
+             (result, dataclasses.replace(result))]
+    for x, y in pairs:
+        assert x == x and x != y
+        assert len({x, y, x}) == 2
+
+
 def test_disorder_spec_alpha_kappa_relation():
     spec = DisorderSpec(theta0=0.05, kappa=0.1)
     assert spec.alpha == pytest.approx(1.0 / (0.1 ** 2 * 0.05 ** 2), rel=1e-14)
@@ -913,8 +923,6 @@ def test_mc_csv_and_json_exports():
     assert lines[0] == "sample_index,xi2"
     assert len(lines) == 1 + 20 + 1  # header + samples + summary row
     assert lines[-1].startswith("# summary mean=")
-    with pytest.raises(ValueError, match="keep_values=True"):
-        _mc_csv(dataclasses.replace(mc, values=None))
     payload = json.loads(_json(mc.summary() | {"analytic_mean": 1.0}))
     assert payload["n_samples"] == 20
     assert payload["seed"] == 2

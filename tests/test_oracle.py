@@ -734,6 +734,16 @@ def test_initial_state_entries_are_read_only():
         state.polarization = 0.5
 
 
+def test_states_compare_by_identity():
+    # == and hash() of two states with equal values raised on their array field
+    a, b = (build_initial_state(EnsembleParams(3, 0.8)) for _ in range(2))
+    pairs = [(a, b), tuple(oracle._SymmetricState(3, a.values.copy()) for _ in range(2)),
+             tuple(DensityMatrix(state.entries, 3) for state in (a, b))]
+    for x, y in pairs:
+        assert x == x and x != y
+        assert len({x, y, x}) == 2
+
+
 # ---------------------------------------------------------------------------
 # variable-coupling unitary
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ its one-line message; a CLI case runs ``cli.main`` and expects exit code 1
 and the one line on stderr.  Each case fails if its refusal is deleted.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -13,12 +14,16 @@ import pytest
 from oatsqueeze import analytic, inhomogeneous, oracle, verify
 from oatsqueeze.cli import main
 from oatsqueeze.core import (
-    OVERSQUEEZING_DOMINATED,
+    DECOHERENCE_DOMINATED,
+    MIXED,
     VERIFY_SUITES,
     DecoherenceRates,
     DomainError,
+    EnsembleParams,
+    ProtocolParams,
     ResourceError,
     ValidationError,
+    validate,
 )
 
 _SPEC = dict(theta0=0.05, kappa=0.1)
@@ -53,11 +58,17 @@ LIBRARY = {
         ValidationError, "n_spins >= 2 for pair couplings"),
     "sample_couplings_one_spin": (
         lambda: inhomogeneous.sample_couplings(inhomogeneous.DisorderSpec(**_SPEC), 1, 0),
-        ValidationError, "n_spins >= 2"),
+        ValidationError, "n_spins >= 2 for pair couplings"),
     "monte_carlo_one_spin": (
         lambda: inhomogeneous.monte_carlo_mean_xi2(inhomogeneous.DisorderSpec(**_SPEC),
                                                    1, 1.0, 0.0),
-        ValidationError, "n_spins >= 2"),
+        ValidationError, "n_spins >= 2 for pair couplings"),
+    "bool_spin_count": (
+        lambda: validate(EnsembleParams(True), DecoherenceRates(), ProtocolParams(1.0, 1.0)),
+        ValidationError, "n_spins an integer >= 1, not True"),
+    "float_spin_count": (
+        lambda: validate(EnsembleParams(5.0), DecoherenceRates(), ProtocolParams(1.0, 1.0)),
+        ValidationError, "n_spins an integer >= 1, not 5.0"),
     "xi2_without_z_polarization": (
         lambda: oracle.CollectiveMoments(0.0, 0.0, 0.0, 1.0, 1.0, 0.0).xi2(0.0),
         DomainError, "vanishing total z polarization"),
@@ -133,7 +144,21 @@ def test_minimum_angle_wraps_into_the_half_period():
     assert (theta, value) == (-math.pi / 4.0 + math.pi, 0.5)
 
 
-def test_regime_flags_a_dominant_oversqueezing_term():
-    # no optimum reaches this flag: at an interior squeezing optimum the
-    # over-squeezing / decoherence ratio is (2 - 3 Theta) / (Theta + 4) <= 1/2
-    assert analytic._regime(1e3) == OVERSQUEEZING_DOMINATED
+def test_optima_with_rates_stay_under_their_oversqueezing_bounds():
+    # at an interior squeezing optimum O/D = (2 - 3 Theta)/(Theta + 4) <= 1/2, and
+    # at a sensitivity optimum the correction is below (5/2 - 3 Theta)/(7/2 + Theta)
+    # < 5/7 (analytic._regime), so no optimum with rates reads oversqueezing_dominated
+    ratios, corrections, flags = [], [], set()
+    for n, p, j, gamma_par in itertools.product((10, 1000), (0.3, 1.0), (1e-4, 1e-2, 1e-1),
+                                                (0.01, 0.1)):
+        rates = DecoherenceRates(gamma_par, 0.01)
+        theta, _, flag = analytic.optimal_theta_squeezing(n, p, rates, j)
+        _, deco, over = analytic._theta_terms_curve(n, p, rates, j)(theta)
+        ratios.append(over / deco)
+        flags.add(flag)
+        theta, _, flag = analytic.max_sensitivity(n, p, rates, j)
+        corrections.append(analytic._correction_curve(n, p, rates, j)(theta))
+        flags.add(flag)
+    assert max(ratios) <= 0.5
+    assert max(corrections) < 5.0 / 7.0
+    assert flags == {DECOHERENCE_DOMINATED, MIXED}
