@@ -42,6 +42,7 @@ from .core import (
     SqueezingReport,
     ValidationError,
     canonical_angle,
+    count_violation,
     DECOHERENCE_DOMINATED,
     MIXED,
     OVERSQUEEZING_DOMINATED,
@@ -93,8 +94,10 @@ def _twist_terms(n: int, p: float, theta0: float) -> tuple[float, float, float]:
     1 - cos^m(x) is evaluated as -expm1(m*log1p(-2 sin^2(x/2))) so small
     twisting angles keep full relative precision.
     """
-    if n < 2:
-        raise ValidationError(["n_spins >= 2 for pair couplings"])
+    if type(n) is not int or n < 2:  # a plain int >= 2, the sweeps' case, skips the call
+        problem = count_violation("n_spins", n, 2)
+        if problem:
+            raise ValidationError([problem])
     if not (0.0 < p <= 1.0):
         raise ValidationError(["0 < polarization <= 1"])
     c4 = math.cos(4.0 * theta0)

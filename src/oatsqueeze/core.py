@@ -45,8 +45,8 @@ class NumericalError(RuntimeError):
 
 class ResourceError(RuntimeError):
     """Requested problem size exceeds a cap: the exact oracle's spin count,
-    an RK4 run's step count, a sweep's point count or the Monte Carlo's
-    memory."""
+    a master-equation run's step or generator-product count, a sweep's
+    point count or the Monte Carlo's memory."""
 
 
 @dataclass(frozen=True)
@@ -132,11 +132,9 @@ def violations(
 ) -> list[str]:
     """List every violated invariant of the parameter bundle (empty if valid)."""
     out = []
-    n = params.n_spins
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool):  # numpy integers are Integral
-        out.append(f"n_spins an integer >= 1, not {n!r}")
-    elif n < 1:
-        out.append("n_spins >= 1")
+    problem = count_violation("n_spins", params.n_spins, 1)
+    if problem:
+        out.append(problem)
     if not (0.0 < params.polarization <= 1.0):
         if params.polarization > 1.0:
             out.append("polarization <= 1")
@@ -153,6 +151,19 @@ def violations(
     if not math.isfinite(proto.signal_field):
         out.append("signal_field finite")
     return out
+
+
+def count_violation(name: str, value, minimum: int) -> str | None:
+    """Why ``value`` is not an integer >= ``minimum``, in one line, or None.
+
+    numpy integers are integers (``numbers.Integral``); a bool, a float of
+    integral value and anything else are refused with the value named.  A
+    plain int takes one type test before the comparison.
+    """
+    if type(value) is not int and (not isinstance(value, numbers.Integral)
+                                   or isinstance(value, bool)):
+        return f"{name} an integer >= {minimum}, not {value!r}"
+    return None if value >= minimum else f"{name} >= {minimum}"
 
 
 def rate_violations(rates: DecoherenceRates) -> list[str]:

@@ -77,7 +77,9 @@ def _finish(suite, checks, **extra):
 
 def suite_lindblad(n: int = 6) -> dict:
     """Master-equation properties: trace/hermiticity/positivity, decay rate,
-    dt convergence, energy conservation, and the uniform-coupling cross-check.
+    energy conservation, and the uniform-coupling cross-check.  Halving dt
+    (``dt_halving_stability``) only refines the checkpoint grid of an exact
+    propagator, so that check reads roundoff.
 
     Runs at most SPIN_CAP spins, and at most 4 and 5 in the decay and energy
     checks (``suite_sizes``)."""

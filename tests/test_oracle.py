@@ -475,148 +475,220 @@ def test_pair_type_rhs_matches_dense_generator(rates, field):
         assert np.max(np.abs(got[oracle._type_index(n)] - want.entries)) <= 1e-15, f"n={n}"
 
 
+NAMES = ("mean_x", "mean_y", "mean_z", "xx2", "yy2", "xy_sym")
+
+# (rates, B_y): the twist alone, with the probe, with both channels, with all
+GENERATOR_TERMS = [(DecoherenceRates(), 0.0), (DecoherenceRates(), 0.2),
+                   (DecoherenceRates(0.03, 0.05), 0.0), (DecoherenceRates(0.03, 0.05), 0.2)]
+
+
+def dense_liouvillian(n, rates, proto):
+    """lindblad_rhs as a dense 4**n x 4**n matrix on the row-major entries."""
+    dim = 1 << n
+    return np.array([lindblad_rhs(DensityMatrix(np.eye(dim * dim)[k].reshape(dim, dim), n),
+                                  EnsembleParams(n, 1.0), rates, proto).entries.reshape(-1)
+                     for k in range(dim * dim)]).T
+
+
+@pytest.mark.parametrize("rates, field", GENERATOR_TERMS)
+def test_evolve_matches_the_exact_exponential(rates, field):
+    # every checkpoint against _expm(t L) rho0 of the dense generator, at
+    # every n where the 4**n x 4**n matrix is small; measured within 7.1e-15
+    for n in range(1, 5):
+        params = EnsembleParams(n, 0.9)
+        proto = ProtocolParams(coupling=0.07, squeeze_time=0.5, signal_field=field)
+        cfg = IntegratorConfig(dt=0.01, t_final=0.5, checkpoint_every=25)
+        rho0 = build_initial_state(params)
+        traj = evolve(rho0, cfg, params, rates, proto)
+        generator = dense_liouvillian(n, rates, proto)
+        assert traj.times == [0.0, 0.25, 0.5]
+        for t, mom in zip(traj.times, traj.moments):
+            want = DensityMatrix((_expm(t * generator) @ rho0.entries.reshape(-1))
+                                 .reshape(1 << n, 1 << n), n)
+            for name in NAMES:
+                assert abs(getattr(mom, name) - getattr(compute_moments(want), name)) <= 1e-13, \
+                    f"n={n} t={t} {name}"
+        assert np.max(np.abs(traj.final.entries - want.entries)) <= 1e-13, f"n={n}"
+        assert traj.max_hermiticity_defect == 0.0, f"n={n}"
+
+
+def rk4_error_ratios(final, rk4_final, steps=(5, 10, 20)):
+    """Ratios of the error of a fixed-step RK4 run against ``final`` as its
+    step halves: ``rk4_final(steps)`` is the RK4 state after that many steps."""
+    errors = [np.max(np.abs(rk4_final(count) - final)) for count in steps]
+    return [a / b for a, b in zip(errors, errors[1:])], errors
+
+
 @pytest.mark.parametrize("field", [0.0, 0.2])
 def test_evolve_matches_dense_rk4(field):
-    # a dense RK4 loop over lindblad_rhs, the integrator evolve replaced
+    # a dense RK4 loop over lindblad_rhs converges to evolve at fourth
+    # order: each halving of dt divides its error by 2**4 (measured 15.8 to
+    # 16.5 with errors from 1e-6 down to 7e-14), so evolve is its dt -> 0 limit
     rates = DecoherenceRates(0.03, 0.05)
     for n in range(1, 7):
         params = EnsembleParams(n, 0.9)
         proto = ProtocolParams(coupling=0.07, squeeze_time=0.5, signal_field=field)
-        cfg = IntegratorConfig(dt=0.01, t_final=0.5, checkpoint_every=25)
-        rho = build_initial_state(params)
-        traj = evolve(rho, cfg, params, rates, proto)
-        for step in range(1, 51):
-            def rhs(x):
-                return lindblad_rhs(DensityMatrix(x, n), params, rates, proto).entries
+        traj = evolve(build_initial_state(params), IntegratorConfig(dt=0.5, t_final=0.5),
+                      params, rates, proto)
 
-            k1 = rhs(rho.entries)
-            k2 = rhs(rho.entries + 0.005 * k1)
-            k3 = rhs(rho.entries + 0.005 * k2)
-            k4 = rhs(rho.entries + 0.01 * k3)
-            rho = DensityMatrix(rho.entries + (0.01 / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), n)
-            if step % 25 == 0:
-                want = compute_moments(rho)
-                got = traj.moments[step // 25]
-                for name in ("mean_x", "mean_y", "mean_z", "xx2", "yy2", "xy_sym"):
-                    assert abs(getattr(got, name) - getattr(want, name)) <= 1e-14, \
-                        f"n={n} step={step} {name}"
-        assert np.max(np.abs(traj.final.entries - rho.entries)) <= 1e-14, f"n={n}"
-        assert traj.max_hermiticity_defect == 0.0, f"n={n}"
+        def rhs(x):
+            return lindblad_rhs(DensityMatrix(x, n), params, rates, proto).entries
+
+        def rk4_final(steps):
+            dt, rho = 0.5 / steps, build_initial_state(params).entries
+            for _ in range(steps):
+                k1 = rhs(rho)
+                k2 = rhs(rho + (dt / 2.0) * k1)
+                k3 = rhs(rho + (dt / 2.0) * k2)
+                k4 = rhs(rho + dt * k3)
+                rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            return rho
+
+        ratios, errors = rk4_error_ratios(traj.final.entries, rk4_final)
+        assert all(15.0 <= ratio <= 17.5 for ratio in ratios), f"n={n} {errors}"
 
 
-@pytest.mark.parametrize("rates, field", [
-    (DecoherenceRates(), 0.0), (DecoherenceRates(), 0.2),
-    (DecoherenceRates(0.03, 0.05), 0.0), (DecoherenceRates(0.03, 0.05), 0.2),
-])
+@pytest.mark.parametrize("rates, field", GENERATOR_TERMS)
 def test_evolve_matches_stagewise_rk4_beyond_the_dense_test(rates, field):
-    # four _raw_rhs stages per step on the complex type values, at the spin
-    # counts where the dense reference loop is too slow; 50 steps at n = 7
-    # and 8 take the increment form
+    # four _raw_rhs stages per RK4 step on the complex type values, at the
+    # spin counts where the dense loop is too slow, converge to evolve at
+    # fourth order too; a stronger twist keeps the errors above roundoff
     for n in (7, 8):
         params = EnsembleParams(n, 0.9)
-        proto = ProtocolParams(coupling=0.07, squeeze_time=0.5, signal_field=field)
-        cfg = IntegratorConfig(dt=0.01, t_final=0.5, checkpoint_every=25)
-        traj = evolve(build_initial_state(params), cfg, params, rates, proto)
+        proto = ProtocolParams(coupling=0.3, squeeze_time=0.5, signal_field=field)
+        traj = evolve(build_initial_state(params), IntegratorConfig(dt=0.5, t_final=0.5),
+                      params, rates, proto)
         gen = oracle._type_generator(n, rates, proto)
-        r = build_initial_state(params).entries.reshape(-1)[first_of_each_type(n)]
-        for step in range(1, 51):
-            k1 = oracle._raw_rhs(r, *gen)
-            k2 = oracle._raw_rhs(r + 0.005 * k1, *gen)
-            k3 = oracle._raw_rhs(r + 0.005 * k2, *gen)
-            k4 = oracle._raw_rhs(r + 0.01 * k3, *gen)
-            r = r + (0.01 / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if step % 25 == 0:
-                want = compute_moments(DensityMatrix(r[oracle._type_index(n)], n))
-                got = traj.moments[step // 25]
-                for name in ("mean_x", "mean_y", "mean_z", "xx2", "yy2", "xy_sym"):
-                    assert abs(getattr(got, name) - getattr(want, name)) <= 1e-14, \
-                        f"n={n} step={step} {name}"
+
+        def rk4_final(steps):
+            dt, r = 0.5 / steps, build_initial_state(params).values
+            for _ in range(steps):
+                k1 = oracle._raw_rhs(r, *gen)
+                k2 = oracle._raw_rhs(r + (dt / 2.0) * k1, *gen)
+                k3 = oracle._raw_rhs(r + (dt / 2.0) * k2, *gen)
+                k4 = oracle._raw_rhs(r + dt * k3, *gen)
+                r = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            return r
+
+        ratios, errors = rk4_error_ratios(traj.final.values, rk4_final, (10, 20, 40))
+        assert all(15.0 <= ratio <= 17.5 for ratio in ratios), f"n={n} {errors}"
 
 
-def rk4_form(monkeypatch, form):
-    """Make ``evolve`` take the named RK4 form whatever the run's length."""
-    monkeypatch.setattr(oracle, "_increment_pays", lambda n_steps, k: form == "increment")
+def test_zero_rate_evolve_matches_the_closed_form_to_the_spin_cap():
+    # the twisted product state's minimal squeezing and its angle, against
+    # xi2_min_finite_polarization at every n up to SPIN_CAP; measured 1.6e-15
+    proto = ProtocolParams(coupling=0.05, squeeze_time=1.0)  # theta0 = 0.05
+    for n in range(2, SPIN_CAP + 1):
+        for polarization in (0.9, 1.0):
+            params = EnsembleParams(n, polarization)
+            traj = evolve(build_initial_state(params), IntegratorConfig(dt=0.01, t_final=1.0),
+                          params, DecoherenceRates(), proto)
+            mom = traj.moments[-1]
+            theta, second = mom.minimize_second_moment()
+            want, want_theta = analytic.xi2_min_finite_polarization(n, polarization, 0.05)
+            assert abs(second / mom.mean_z - want) <= 1e-12 * want, f"n={n}"
+            assert abs(theta - want_theta) <= 1e-12, f"n={n}"
 
 
-def test_rk4_form_rule_picks_by_steps_against_k_cubed():
-    def k(n):
-        return math.comb(n + 3, 3)
+@pytest.mark.parametrize("rates", [DecoherenceRates(), DecoherenceRates(0.02, 0.03)])
+@pytest.mark.parametrize("field", [0.0, 1e-3])
+def test_checkpoint_every_step_matches_endpoints_only(rates, field):
+    # twenty checkpoints, each a separate stretch of the propagator, end
+    # where one stretch over the whole run does; measured within 2.8e-15
+    for n in range(2, SPIN_CAP + 1):
+        params = EnsembleParams(n, 0.9)
+        proto = ProtocolParams(coupling=0.07, squeeze_time=0.2, signal_field=field)
+        runs = [evolve(build_initial_state(params),
+                       IntegratorConfig(dt=0.01, t_final=0.2, checkpoint_every=every),
+                       params, rates, proto) for every in (1, 0)]
+        every_step, endpoints = runs
+        assert len(every_step.times) == 21 and endpoints.times == [0.0, 0.2]
+        assert every_step.times[-1] == endpoints.times[-1]
+        got = [getattr(every_step.moments[-1], name) for name in NAMES] + [every_step.purities[-1]]
+        want = [getattr(endpoints.moments[-1], name) for name in NAMES] + [endpoints.purities[-1]]
+        for name, a, b in zip(NAMES + ("purity",), got, want):
+            assert abs(a - b) <= 1e-13 * max(abs(b), 1.0), f"n={n} {name}"
 
-    # the benchmark's evolve at n = 8 (6 steps) and a long run at n = 12
-    assert not oracle._increment_pays(6, k(8))
-    assert not oracle._increment_pays(100, k(12))
-    # the factorization gap table at n = 2..6 (dt = 0.01, t_final = 1)
-    for n in range(2, 7):
-        assert oracle._increment_pays(100, k(n)), f"n={n}"
+
+def test_taylor_plan_bounds_the_remainder_below_roundoff():
+    # the least degree whose Lagrange remainder y**(m+1) e**y / (m+1)! is
+    # below 2**-53, on substeps of bound y <= TAYLOR_REACH
+    for x in (0.0, 1e-20, 0.02, 0.2, 1.0, 1.5, 4.0, 4.0001, 18.0, 1e4):
+        substeps, degree = oracle._taylor_plan(x)
+        y = x / substeps
+        assert substeps == max(1, math.ceil(x / oracle.TAYLOR_REACH)) and y <= oracle.TAYLOR_REACH
+
+        def remainder(m):
+            return y ** (m + 1) * math.exp(y) / math.factorial(m + 1)
+
+        assert remainder(degree) < 2.0 ** -53, x
+        assert degree == 0 or remainder(degree - 1) >= 2.0 ** -53, x
+    assert oracle._taylor_plan(0.0) == (1, 0)
+    assert [oracle._taylor_plan(x)[1] for x in (0.02, 0.2, 1.5, 4.0)] == [7, 11, 21, 33]
+
+
+def test_evolve_takes_the_planned_products(monkeypatch):
+    # one _raw_rhs call per term: each stretch takes substeps * degree of its
+    # plan, and a run whose steps do not divide by checkpoint_every ends on a
+    # shorter stretch with a plan of its own
+    calls = []
+    raw_rhs = oracle._raw_rhs
+
+    def counted(*args):
+        calls.append(1)
+        return raw_rhs(*args)
+
+    monkeypatch.setattr(oracle, "_raw_rhs", counted)
+    params, rates = EnsembleParams(8, 0.9), DecoherenceRates(0.02, 0.03)
+    proto = ProtocolParams(coupling=0.05, squeeze_time=0.07)
+    bound = oracle._generator_bound(8, oracle._type_generator(8, rates, proto), 0.0)
+    traj = evolve(build_initial_state(params), IntegratorConfig(dt=0.01, t_final=0.07,
+                                                                checkpoint_every=3),
+                  params, rates, proto)
+    assert traj.times == pytest.approx([0.0, 0.03, 0.06, 0.07], abs=1e-15)
+    want = 2 * math.prod(oracle._taylor_plan(0.03 * bound)) \
+        + math.prod(oracle._taylor_plan(0.01 * bound))
+    assert len(calls) == want
 
 
 @pytest.mark.parametrize("rates, field", [
     (DecoherenceRates(), 0.0), (DecoherenceRates(0.05, 0.1), 0.2),
 ])
-def test_gather_form_is_the_stagewise_rk4_bit_for_bit(monkeypatch, rates, field):
-    rk4_form(monkeypatch, "gather")
+def test_evolve_is_the_scaled_taylor_sum_bit_for_bit(rates, field):
+    # one stretch of s substeps, each r + sum_k (h/s)**k L**k r / k! with
+    # every term one _raw_rhs call scaled by (h/s)/k, summed in order of k
     for n in (8, 12):
         params = EnsembleParams(n, 0.9)
         proto = ProtocolParams(coupling=0.07, squeeze_time=0.1, signal_field=field)
         cfg = IntegratorConfig(dt=0.01, t_final=0.1)
         traj = evolve(build_initial_state(params), cfg, params, rates, proto)
         gen = oracle._type_generator(n, rates, proto)
-        dt = cfg.t_final / cfg.steps()
+        h = cfg.steps() * (cfg.t_final / cfg.steps())
+        substeps, degree = oracle._taylor_plan(h * oracle._generator_bound(n, gen, field))
+        tau = h / substeps
         r = build_initial_state(params).values
-        for _ in range(cfg.steps()):
-            k1 = oracle._raw_rhs(r, *gen)
-            k2 = oracle._raw_rhs(r + (dt / 2.0) * k1, *gen)
-            k3 = oracle._raw_rhs(r + (dt / 2.0) * k2, *gen)
-            k4 = oracle._raw_rhs(r + dt * k3, *gen)
-            r = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for _ in range(substeps):
+            term, r = r, r.copy()
+            for k in range(1, degree + 1):
+                term = oracle._raw_rhs(term, *gen) * (tau / k)
+                r += term
         assert np.array_equal(traj.final.values, r), f"n={n}"
 
 
-@pytest.mark.parametrize("rates", [DecoherenceRates(), DecoherenceRates(0.02, 0.03)])
 @pytest.mark.parametrize("field", [0.0, 1e-3])
-def test_the_two_rk4_forms_agree(monkeypatch, rates, field):
-    names = ("mean_x", "mean_y", "mean_z", "xx2", "yy2", "xy_sym")
-    for n in range(2, SPIN_CAP + 1):
+def test_evolve_is_exactly_hermitian_at_every_step(field):
+    # the checkpoints read the propagated type values, never re-symmetrized:
+    # every _raw_rhs term, real scale and sum keeps r[mirror] = conj(r) bit
+    # for bit, at every checkpoint and with any stretch length
+    for n in (3, 4, 6, 8, 12):
         params = EnsembleParams(n, 0.9)
-        proto = ProtocolParams(coupling=0.07, squeeze_time=0.2, signal_field=field)
-        cfg = IntegratorConfig(dt=0.01, t_final=0.2, checkpoint_every=5)
-        runs = {}
-        for form in ("increment", "gather"):
-            rk4_form(monkeypatch, form)
-            runs[form] = evolve(build_initial_state(params), cfg, params, rates, proto)
-        got, want = runs["gather"], runs["increment"]
-        assert got.times == want.times
-        for t, mom, ref, purity, ref_purity in zip(got.times, got.moments, want.moments,
-                                                   got.purities, want.purities):
-            pairs = [(getattr(mom, name), getattr(ref, name)) for name in names]
-            for name, (a, b) in zip(names + ("purity",), pairs + [(purity, ref_purity)]):
-                assert abs(a - b) <= 1e-13 * max(abs(b), 1.0), f"n={n} t={t} {name}"
-
-
-def test_both_rk4_forms_refuse_the_same_unstable_step(monkeypatch):
-    params = EnsembleParams(8, 0.9)
-    messages = []
-    for form in ("increment", "gather"):
-        rk4_form(monkeypatch, form)
-        with pytest.raises(ValidationError, match="outside RK4's stability region") as info:
-            evolve(build_initial_state(params), IntegratorConfig(dt=0.01, t_final=0.06), params,
-                   DecoherenceRates(1e5, 0.0), ProtocolParams(coupling=0.05, squeeze_time=0.06))
-        messages.append(str(info.value))
-    assert messages[0] == messages[1]
-
-
-@pytest.mark.parametrize("field", [0.0, 1e-3])
-def test_gather_form_is_exactly_hermitian_at_every_step(monkeypatch, field):
-    # the checkpoints read the stepped type values, never re-symmetrized
-    rk4_form(monkeypatch, "gather")
-    for n in (3, 8, 12):
-        params = EnsembleParams(n, 0.9)
-        cfg = IntegratorConfig(dt=0.01, t_final=1.0, checkpoint_every=1)
-        proto = ProtocolParams(coupling=0.05, squeeze_time=1.0, signal_field=field)
-        traj = evolve(build_initial_state(params), cfg, params,
-                      DecoherenceRates(0.02, 0.03), proto)
-        assert len(traj.times) == 101
-        assert traj.max_hermiticity_defect == 0.0, f"n={n}"
+        proto = ProtocolParams(coupling=0.05, squeeze_time=0.99, signal_field=field)
+        for every in (1, 33):
+            cfg = IntegratorConfig(dt=0.01, t_final=0.99, checkpoint_every=every)
+            traj = evolve(build_initial_state(params), cfg, params,
+                          DecoherenceRates(0.02, 0.03), proto)
+            assert len(traj.times) == (100 if every == 1 else 4)
+            assert traj.max_hermiticity_defect == 0.0, f"n={n} every={every}"
 
 
 def test_hermiticity_defect_is_the_direct_expression():
@@ -681,8 +753,8 @@ def test_pair_types_and_generator_build_no_dense_array_at_twenty_spins():
 def test_a_run_that_reads_only_moments_forms_no_dense_state():
     # one dense state at n = 12 takes 256 MB; the product state, a 6-step
     # evolve with every term of the generator and its moments stay on the
-    # pair types, and a run this short takes the gather form, so it holds no
-    # K x K matrix either (one takes 1.6 MB at K = 455)
+    # pair types, and the propagator holds no K x K matrix either (one takes
+    # 1.6 MB at K = 455)
     params = EnsembleParams(12, 0.9)
     oracle._type_index.cache_clear()
     tracemalloc.start()
@@ -1040,13 +1112,13 @@ def test_factorization_gap_trivial_limits():
 
 def test_factorization_gap_commuting_limit():
     # sigma_x dephasing commutes with SX^2, so without gamma_perp the exact
-    # gap is zero (2e-15 by dense expm).  What remains is the joint
-    # leg's RK4 error, which falls as dt^4: about 1e-11 here, and 7e-10 at
-    # J = 0.3 with the same dt.
-    g = factorization_gap(EnsembleParams(4, 0.9), DecoherenceRates(0.1, 0.0),
-                          ProtocolParams(coupling=0.1, squeeze_time=1.0),
-                          IntegratorConfig(dt=5e-3, t_final=1.0))
-    assert g <= 1e-10
+    # gap is zero (2e-15 by dense expm), and both legs are exact: the gap is
+    # roundoff (measured 3.0e-16 here and 1.5e-16 at J = 0.3)
+    for coupling in (0.1, 0.3):
+        g = factorization_gap(EnsembleParams(4, 0.9), DecoherenceRates(0.1, 0.0),
+                              ProtocolParams(coupling=coupling, squeeze_time=1.0),
+                              IntegratorConfig(dt=5e-3, t_final=1.0))
+        assert g <= 1e-10
     assert _exact_factorization_gap(4, 0.1, 0.1, 0.0, 0.9) <= 1e-13
 
 
@@ -1074,7 +1146,7 @@ def _kron_liouvillians(n, coupling, gamma_par, gamma_perp):
     and the sigma_y, sigma_z channels at gamma_perp, as dense z-basis
     superoperators in the row-major vectorization vec(A rho B) =
     (A kron B^T) vec(rho).  Built from Kronecker-product Paulis; shares no
-    code with the oracle's RK4 integrator or its exact dissipation channel.
+    code with the oracle's propagator or its exact dissipation channel.
     """
     eye = np.eye(1 << n)
     sx = kron_collective("x", n)
@@ -1123,13 +1195,14 @@ def test_exact_dissipation_leg_matches_dense_exponential(gamma_par, gamma_perp):
 
 
 def test_factorization_gap_matches_exact_exponential():
-    # An independent exact computation reproduces the RK4 gap and shows the
-    # raw gap at fixed N*J*T rising with N (0.0232, 0.0296, 0.0321).
+    # An independent exact computation reproduces the gap, measured within
+    # 1.8e-15 relative, and shows the raw gap at fixed N*J*T rising with N
+    # (0.0232, 0.0296, 0.0321).
     ns = [2, 3, 4]
     table = factorization_gap_table(ns, njt=0.2, gamma_sum_t=0.2, t_final=1.0, dt=1e-2)
     exact = [_exact_factorization_gap(n, 0.2 / n, 0.1, 0.1, 1.0) for n in ns]
     for (n, got), want in zip(table, exact):
-        assert got == pytest.approx(want, rel=1e-8), f"N={n}"
+        assert got == pytest.approx(want, rel=1e-13), f"N={n}"
     assert exact[0] < exact[1] < exact[2]
 
 
@@ -1139,14 +1212,14 @@ def test_factorization_gap_matches_exact_exponential():
 def test_factorization_gap_split_channels_match_exact_exponential(
         n, gamma_par, gamma_perp, polarization):
     # unequal rates and P < 1 against the dense exponential; measured
-    # within 4.2e-10 relative
+    # within 1.3e-14 relative
     coupling = 0.2 / n
     got = factorization_gap(EnsembleParams(n, polarization),
                             DecoherenceRates(gamma_par, gamma_perp),
                             ProtocolParams(coupling=coupling, squeeze_time=1.0),
                             IntegratorConfig(dt=1e-2, t_final=1.0))
     want = _exact_factorization_gap(n, coupling, gamma_par, gamma_perp, polarization)
-    assert got == pytest.approx(want, rel=1e-8)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -1547,25 +1620,6 @@ def test_trajectory_margins_from_checkpoints(monkeypatch):
     assert np.max(np.abs(np.subtract(lows, dense))) <= 1e-12
 
 
-def test_rk4_keeps_hermiticity_without_resymmetrizing():
-    # these runs take the increment form, which steps the real coordinates
-    # of a Hermitian state and expands them with mirrored types conjugate,
-    # so every checkpoint is exactly Hermitian, probe field included
-    rates = DecoherenceRates(0.02, 0.03)
-    for n in (4, 6):
-        params = EnsembleParams(n, 0.9)
-        cfg = IntegratorConfig(dt=0.01, t_final=0.99, checkpoint_every=33)  # 99 steps
-        traj = evolve(build_initial_state(params), cfg, params, rates,
-                      ProtocolParams(coupling=0.05, squeeze_time=0.99))
-        assert traj.max_hermiticity_defect == 0.0, f"n={n}"
-    params = EnsembleParams(3, 0.9)
-    cfg = IntegratorConfig(dt=0.01, t_final=0.99, checkpoint_every=1)
-    proto = ProtocolParams(coupling=0.05, squeeze_time=0.99, signal_field=1e-3)
-    for run_rates, bound in ((DecoherenceRates(), 1e-18), (rates, 1e-16)):
-        traj = evolve(build_initial_state(params), cfg, params, run_rates, proto)
-        assert traj.max_hermiticity_defect <= bound, run_rates
-
-
 def test_probe_run_is_exactly_hermitian_at_every_step():
     for n in (3, 6):
         params = EnsembleParams(n, 0.9)
@@ -1578,8 +1632,8 @@ def test_probe_run_is_exactly_hermitian_at_every_step():
 
 
 def test_nan_margin_raises_one_line(monkeypatch):
-    # a generator whose probe term is NaN (the step check bounds the probe
-    # by B_y = 0) leaves NaN coordinates; every margin comparison with NaN is
+    # a generator whose probe term is NaN (the generator bound reads the
+    # probe from B_y = 0) leaves NaN coordinates; every margin comparison with NaN is
     # False, and the checkpoint must still raise
     type_generator = oracle._type_generator
 
@@ -1602,8 +1656,7 @@ def test_nan_margin_raises_one_line(monkeypatch):
 
 
 def test_step_count_beyond_the_cap_is_refused_before_any_work(monkeypatch):
-    # regression: dt = 1e-300 passed the stability check (dt is tiny), and
-    # evolve went on to about 1e300 RK4 steps
+    # regression: dt = 1e-300 once started a run of about 1e300 steps
     def no_work(*args, **kwargs):
         raise AssertionError("started the run")
 
@@ -1624,43 +1677,64 @@ def test_step_count_beyond_the_cap_is_refused_before_any_work(monkeypatch):
         factorization_gap_table(range(2, 4), njt=0.2, gamma_sum_t=0.2, dt=1e-300)
 
 
-def test_evolve_refuses_a_step_outside_rk4_stability():
-    # regression: at dt * bound = 6000 the pair-type step once returned purity
-    # 2.9e273 with trace and hermiticity defects exactly 0
-    params = EnsembleParams(3, 0.9)
-    rates = DecoherenceRates(1e5, 0.0)
-    proto = ProtocolParams(coupling=0.05, squeeze_time=0.1)
-    with pytest.raises(ValidationError, match=r"^dt = 0\.01 is outside RK4's stability region: "
-                                              r"dt times the generator bound 600000 exceeds 2\.6; "
-                                              r"dt = \S+ would pass$") as info:
-        evolve(build_initial_state(params), IntegratorConfig(dt=0.01, t_final=0.1), params,
-               rates, proto)
-    assert len(str(info.value).splitlines()) == 1
-    step = float(str(info.value).split()[-3])
-    traj = evolve(build_initial_state(params), IntegratorConfig(dt=step, t_final=1e-3), params,
-                  rates, proto)
-    assert traj.purities[-1] <= 1.0
+def test_a_step_outside_rk4_stability_runs_and_matches_the_exponential():
+    # dt times the generator bound is 12, where RK4 (stable to 2.6) was
+    # refused: the propagator takes 7 substeps of degree 31, and its final
+    # state is exp(T L) rho0 to roundoff (measured 2.7e-15)
+    n, params = 3, EnsembleParams(3, 0.9)
+    rates = DecoherenceRates(30.0, 10.0)
+    proto = ProtocolParams(coupling=0.3, squeeze_time=0.1, signal_field=0.2)
+    bound = oracle._generator_bound(n, oracle._type_generator(n, rates, proto), 0.2)
+    assert 0.05 * bound > 2.6 and oracle._taylor_plan(0.1 * bound) == (7, 31)
+    rho0 = build_initial_state(params)
+    traj = evolve(rho0, IntegratorConfig(dt=0.05, t_final=0.1), params, rates, proto)
+    want = _expm(0.1 * dense_liouvillian(n, rates, proto)) @ rho0.entries.reshape(-1)
+    assert np.max(np.abs(traj.final.entries - want.reshape(8, 8))) <= 1e-13
+    assert traj.max_hermiticity_defect == 0.0 and traj.max_trace_defect <= 1e-14
+
+
+def test_product_count_beyond_the_cap_is_refused_before_any_work(monkeypatch):
+    # a rate whose run needs over 3.75e12 products (a substep covers at most
+    # TAYLOR_REACH of t_final times the bound), and a dt whose ten million
+    # stretches take two products each, are refused in one line before the
+    # first product
+    def no_work(*args, **kwargs):
+        raise AssertionError("started the run")
+
+    monkeypatch.setattr(oracle, "_raw_rhs", no_work)
+    params, messages = EnsembleParams(3, 0.9), []
+    for rates, cfg in ((DecoherenceRates(1e12, 0.0), IntegratorConfig(dt=0.01, t_final=2.5)),
+                       (DecoherenceRates(0.02, 0.03),
+                        IntegratorConfig(dt=1e-7, t_final=1.0, checkpoint_every=1))):
+        with pytest.raises(ResourceError, match=r"^evolve needs (over )?\S+ generator products "
+                                                r"for t_final = \S+ at generator bound \S+, "
+                                                r"above STEP_CAP = 10000000$") as info:
+            evolve(build_initial_state(params), cfg, params, rates,
+                   ProtocolParams(coupling=0.05, squeeze_time=cfg.t_final))
+        assert len(str(info.value).splitlines()) == 1
+        messages.append(str(info.value))
+    assert messages[0].startswith("evolve needs over 3.75e+12 generator products")
+    assert messages[1].startswith("evolve needs 2e+07 generator products")
 
 
 def test_step_bound_is_the_gershgorin_bound_of_the_generator():
-    # the dense generator's spectral radius never exceeds the bound, and the
-    # probe adds 2 |B_y| n
+    # the bound is at least the generator's largest row sum on the type
+    # values, the norm of the Taylor remainder, so at least every |L r| /
+    # max |r| and the dense generator's spectral radius; the probe adds 2 |B_y| n
+    rng = np.random.default_rng(15)
     for n, rates, field_y in ((2, DecoherenceRates(0.3, 0.7), 0.0),
                               (3, DecoherenceRates(0.02, 0.5), 0.4)):
         proto = ProtocolParams(coupling=0.9, squeeze_time=1.0, signal_field=field_y)
         generator = oracle._type_generator(n, rates, proto)
-        dim = 1 << n
-        columns = [lindblad_rhs(DensityMatrix(np.eye(dim * dim)[k].reshape(dim, dim), n),
-                                EnsembleParams(n, 1.0), rates, proto).entries.reshape(-1)
-                   for k in range(dim * dim)]
-        radius = np.max(np.abs(np.linalg.eigvals(np.array(columns).T)))
+        bound = oracle._generator_bound(n, generator, field_y)
         (weights, _), _, _ = generator
-        bound = np.max(np.abs(weights).sum(axis=0)) + 2.0 * field_y * n
+        assert bound == np.max(np.abs(weights).sum(axis=0)) + 2.0 * field_y * n
+        radius = np.max(np.abs(np.linalg.eigvals(dense_liouvillian(n, rates, proto))))
         assert radius <= bound * (1.0 + 1e-12)
-        oracle._require_stable_step(0.999 * oracle.RK4_STABLE_STEP / bound, n, generator, field_y)
-        with pytest.raises(ValidationError, match="outside RK4's stability region"):
-            oracle._require_stable_step(1.01 * oracle.RK4_STABLE_STEP / bound, n, generator,
-                                        field_y)
+        for _ in range(20):
+            r = random_symmetric_state(rng, n).reshape(-1)[first_of_each_type(n)]
+            growth = np.max(np.abs(oracle._raw_rhs(r, *generator))) / np.max(np.abs(r))
+            assert growth <= bound * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("rates, proto, message", [

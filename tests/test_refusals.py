@@ -69,6 +69,15 @@ LIBRARY = {
     "float_spin_count": (
         lambda: validate(EnsembleParams(5.0), DecoherenceRates(), ProtocolParams(1.0, 1.0)),
         ValidationError, "n_spins an integer >= 1, not 5.0"),
+    "product_state_bool_spin_count": (
+        lambda: oracle.build_initial_state(EnsembleParams(True, 0.9)),
+        ValidationError, "n_spins an integer >= 1, not True"),
+    "product_state_float_spin_count": (
+        lambda: oracle.build_initial_state(EnsembleParams(5.0, 0.9)),
+        ValidationError, "n_spins an integer >= 1, not 5.0"),
+    "closed_form_fractional_spin_count": (
+        lambda: analytic.xi2_min_finite_polarization(5.5, 1.0, 0.01),
+        ValidationError, "n_spins an integer >= 2, not 5.5"),
     "xi2_without_z_polarization": (
         lambda: oracle.CollectiveMoments(0.0, 0.0, 0.0, 1.0, 1.0, 0.0).xi2(0.0),
         DomainError, "vanishing total z polarization"),
@@ -81,6 +90,15 @@ LIBRARY = {
     "steps_infinite_dt_and_t_final": (
         lambda: oracle.IntegratorConfig(dt=math.inf, t_final=math.inf).steps(),
         ValidationError, "t_final / dt finite, not nan"),
+    "steps_negative_checkpoint_every": (
+        lambda: oracle.IntegratorConfig(dt=0.1, t_final=1.0, checkpoint_every=-3).steps(),
+        ValidationError, "checkpoint_every >= 0"),
+    "steps_fractional_checkpoint_every": (
+        lambda: oracle.IntegratorConfig(dt=0.1, t_final=1.0, checkpoint_every=2.5).steps(),
+        ValidationError, "checkpoint_every an integer >= 0, not 2.5"),
+    "steps_bool_checkpoint_every": (
+        lambda: oracle.IntegratorConfig(dt=0.1, t_final=1.0, checkpoint_every=True).steps(),
+        ValidationError, "checkpoint_every an integer >= 0, not True"),
     "steps_beyond_the_step_cap": (
         lambda: oracle.IntegratorConfig(dt=1e-300, t_final=1.0).steps(),
         ResourceError, "t_final / dt asks for 1e+300 RK4 steps, above STEP_CAP = 10000000; "
