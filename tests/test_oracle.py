@@ -691,6 +691,25 @@ def test_evolve_is_exactly_hermitian_at_every_step(field):
             assert traj.max_hermiticity_defect == 0.0, f"n={n} every={every}"
 
 
+def test_rk4_keeps_hermiticity_without_resymmetrizing():
+    # the name predates the Taylor propagator; the property stands: no
+    # checkpoint is re-symmetrized, yet each is exactly Hermitian, with and
+    # without decoherence and with the probe field on
+    rates = DecoherenceRates(0.02, 0.03)
+    for n in (4, 6):
+        params = EnsembleParams(n, 0.9)
+        cfg = IntegratorConfig(dt=0.01, t_final=0.99, checkpoint_every=33)  # 99 steps
+        traj = evolve(build_initial_state(params), cfg, params, rates,
+                      ProtocolParams(coupling=0.05, squeeze_time=0.99))
+        assert traj.max_hermiticity_defect == 0.0, f"n={n}"
+    params = EnsembleParams(3, 0.9)
+    cfg = IntegratorConfig(dt=0.01, t_final=0.99, checkpoint_every=1)
+    proto = ProtocolParams(coupling=0.05, squeeze_time=0.99, signal_field=1e-3)
+    for run_rates in (DecoherenceRates(), rates):
+        traj = evolve(build_initial_state(params), cfg, params, run_rates, proto)
+        assert traj.max_hermiticity_defect == 0.0, run_rates
+
+
 def test_hermiticity_defect_is_the_direct_expression():
     rng = np.random.default_rng(5)
     for n in (1, 3, 6, 8):
