@@ -153,6 +153,9 @@ class _PairTypes(NamedTuple):
     mult: np.ndarray         # [k] = n! / (n00! n01! n10! n11!), the entries of type k
     moments: np.ndarray      # [7, K] on the coordinates: trace, then mean_x .. xy_sym
     purity: np.ndarray       # [K] on the squared coordinates
+    kinds: np.ndarray        # [4, K] = counts.T as floats: n00, n01, n10, n11 of each type
+    flips: np.ndarray        # [k] = n01 + n10 = hamming(a, b), in intp
+    twist: np.ndarray        # [k] = h_a - h_b, h = (n - 2 * ones)**2 of the row and column
 
 
 @functools.cache
@@ -164,7 +167,8 @@ def _pair_types(n: int) -> _PairTypes:
     counts (n00, n01, n10, n11) of the four kinds, its type, so it is
     C(n+3, 3) numbers.  A move turns one site of one kind into another;
     where no site has the source kind it returns the type itself, and its
-    weight (the source count) is zero.  Each table is O(K), in intp at any n.
+    weight (the source count) is zero.  Each table is O(K), its indices in
+    intp at any n; ``kinds``, ``flips`` and ``twist`` serve ``evolve``'s set-up.
 
     A Hermitian matrix has r[mirror] = conj(r), so it is fixed by K =
     C(n+3, 3) real coordinates v: Re r_k of each type in ``real``, then
@@ -206,6 +210,8 @@ def _pair_types(n: int) -> _PairTypes:
     mult = np.array([math.factorial(n) // math.prod(map(math.factorial, kinds))
                      for kinds in counts.tolist()], dtype=float)
     _, n01, n10, n11 = counts.T
+    kinds = counts.T.astype(float)
+    _, f01, f10, f11 = kinds
     trace, one, two = (mult * (n01 + n10 == f) for f in (0, 1, 2))
     sigma = n01 - n10
     x = n - 2.0 * n11
@@ -221,7 +227,9 @@ def _pair_types(n: int) -> _PairTypes:
                         real=real, imag=imag, mult=mult,
                         moments=np.concatenate((re[:, real] + re[:, mirror[real]] * paired,
                                                 im[:, imag] - im[:, mirror[imag]]), axis=1),
-                        purity=np.concatenate((mult[real] * (1.0 + paired), 2.0 * mult[imag])))
+                        purity=np.concatenate((mult[real] * (1.0 + paired), 2.0 * mult[imag])),
+                        kinds=kinds, flips=n01 + n10,
+                        twist=(n - 2.0 * (f10 + f11)) ** 2 - (n - 2.0 * (f01 + f11)) ** 2)
     for table in tables:
         table.flags.writeable = False  # shared by every caller
     return tables
@@ -410,7 +418,7 @@ def build_initial_state(params: EnsembleParams) -> ProductState:
     """
     n, polarization = params.n_spins, params.polarization
     _product_polarizations(polarization, n)
-    m = _pair_types(n).counts[:, 1:3].sum(axis=1)  # n01 + n10
+    m = _pair_types(n).flips
     powers = np.cumprod(np.concatenate(([1.0], np.full(n, polarization / 2.0))))
     return ProductState(n, np.ldexp(powers[m], m - n).astype(complex), polarization)
 
@@ -637,14 +645,16 @@ def _type_generator(n, rates: DecoherenceRates, proto: ProtocolParams):
     factor per type on r itself (E_a = J (h_a - n), h_a = (n - 2 (n10 + n11))**2,
     hamming(a, b) = n01 + n10), then, when gamma_perp is nonzero, the
     sigma_y/sigma_z flip.  ``probe`` holds those of the probe's row term,
-    or None when B_y is zero.
+    or None when B_y is zero.  The counts, hamming(a, b) and h_a - h_b are
+    the ``_pair_types`` tables ``kinds``, ``flips`` and ``twist``.  Without
+    rates and field only -i J (h_a - h_b) is left, diagonal on r, whose
+    exponential ``factorization_gap`` takes in closed form.
     """
     types = _pair_types(n)
-    n00, n01, n10, n11 = types.counts.T.astype(float)
-    h_a, h_b = (n - 2.0 * (n10 + n11)) ** 2, (n - 2.0 * (n01 + n11)) ** 2
+    n00, n01, n10, n11 = types.kinds
     gamma_par, gamma_perp, field_y = rates.gamma_par, rates.gamma_perp, proto.signal_field
-    weights = [(-1j * proto.coupling) * (h_a - h_b)
-               + (gamma_par * (n - 2.0 * (n01 + n10)) - n * (gamma_par + 2.0 * gamma_perp))]
+    weights = [(-1j * proto.coupling) * types.twist
+               + (gamma_par * (n - 2.0 * types.flips) - n * (gamma_par + 2.0 * gamma_perp))]
     if gamma_perp != 0.0:
         weights += [(2.0 * gamma_perp) * n00, (2.0 * gamma_perp) * n11]
     local = np.array(weights), types.local_moves[:len(weights)]
@@ -858,13 +868,14 @@ def evolve(
     traj = Trajectory()
 
     def checkpoint(t, r):
-        trace, *moments = (types.moments @ _coordinates(r, types)).tolist()
+        v = _coordinates(r, types)
+        trace, *moments = (types.moments @ v).tolist()
         traj.final = _SymmetricState(n, r)
         traj._record(traj.final.hermiticity_defect(), abs(trace - 1.0), t,
                      traj.final.min_eigenvalue if check_positivity else None)
         traj.times.append(t)
         traj.moments.append(CollectiveMoments(*moments))
-        traj.purities.append(traj.final.purity())
+        traj.purities.append(float(types.purity @ (v * v)))
 
     r = state.values
     checkpoint(0.0, r)
@@ -1032,26 +1043,26 @@ def factorization_gap(
     """Trace distance between joint and factorized evolution.
 
     Compares exp[T(L_H + L_D)] rho against exp[T L_H] exp[T L_D] rho; every
-    leg is exact to roundoff.  The joint leg and the twist-only leg exp[T
-    L_H] are ``evolve`` runs on the same checkpoint grid; the
-    dissipation-only leg exp[T L_D] takes the product state at P to the one
-    at P exp(-2 Gamma_sum T) in closed form.  At zero rates the joint leg
-    takes the same products as the twist leg, so the gap stays at roundoff
-    (below 1e-15 at N = 4, J = 0.3).  At fixed N*J*T and
-    (Gamma_par+Gamma_perp)*T the raw gap rises with spin count toward
-    saturation (about 0.023, 0.030, 0.032 for N = 2, 3, 4 at N*J*T =
-    Gamma_sum*T = 0.2); the per-spin gap, gap/N, decreases.  The probe
-    field is part of neither L_H nor L_D: ``proto.signal_field`` is ignored.
+    leg is exact to roundoff.  The joint leg is the one ``evolve`` run; the
+    other two are closed form.  exp[T L_D] takes the product state at P to
+    the one at P exp(-2 Gamma_sum T); L_H is diagonal on the pair-type
+    values, so exp[T L_H] multiplies them by exp(-i J T (h_a - h_b)) (the
+    ``_pair_types`` table ``twist``), ``variable_coupling_state`` at angles
+    J T.  At zero rates the joint leg sums the Taylor series of that phase,
+    so the gap stays at roundoff (2.9e-16 at N = 4, J = 0.3; 5.1e-15 at
+    N = 12).  At fixed N*J*T and (Gamma_par+Gamma_perp)*T the raw gap rises
+    with spin count toward saturation (about 0.023, 0.030, 0.032 for N = 2,
+    3, 4 at N*J*T = Gamma_sum*T = 0.2); the per-spin gap, gap/N, decreases.
+    The probe field is part of neither L_H nor L_D: it is ignored.
     Both finals are symmetric states, so the trace distance is read from
     their Dicke blocks and no 4**n array is formed.
     """
     proto = replace(proto, signal_field=0.0)
     joint = evolve(build_initial_state(params), cfg, params, rates, proto).final
-    dissipated = replace(params, polarization=effective_polarization(
-        params.polarization, rates, cfg.t_final))
-    factored = evolve(build_initial_state(dissipated), cfg, dissipated, DecoherenceRates(),
-                      proto).final
-    return trace_distance(joint, factored)
+    dissipated = build_initial_state(replace(params, polarization=effective_polarization(
+        params.polarization, rates, cfg.t_final)))
+    phase = np.exp((-1j * proto.coupling * cfg.t_final) * _pair_types(params.n_spins).twist)
+    return trace_distance(joint, _SymmetricState(params.n_spins, dissipated.values * phase))
 
 
 def factorization_gap_table(
@@ -1064,19 +1075,20 @@ def factorization_gap_table(
     """Gap for each N at fixed N*J*T and (Gamma_par+Gamma_perp)*T, at P = 1.
 
     J is scaled as njt/(N*T) and the rates are split evenly between the
-    longitudinal and transverse channels.  Every N is checked against
-    ``SPIN_CAP``, and the checkpoint grid's step count against
-    ``STEP_CAP``, before the first gap is computed.
+    longitudinal and transverse channels.  Every N is checked as given (an
+    integer >= 1, not above ``SPIN_CAP``), and the checkpoint grid (0 < dt
+    <= t_final, its step count within ``STEP_CAP``), before the first gap
+    is computed.
     """
-    ns = [int(n) for n in n_values]
+    ns = list(n_values)
     for n in ns:
         _product_polarizations(1.0, n)  # the refusals of each gap's P = 1 states
+    cfg = IntegratorConfig(dt=dt, t_final=t_final)
+    cfg.steps()  # its refusals, t_final = 0 among them
     gs = gamma_sum_t / t_final
     rates = DecoherenceRates(gamma_par=gs / 2.0, gamma_perp=gs / 2.0)
-    cfg = IntegratorConfig(dt=dt, t_final=t_final)
-    cfg.steps()  # its refusals
     out = []
-    for n in ns:
+    for n in map(int, ns):  # numpy integers passed the checks; the rows hold ints
         params = EnsembleParams(n_spins=n)
         proto = ProtocolParams(coupling=njt / (n * t_final), squeeze_time=t_final)
         out.append((n, factorization_gap(params, rates, proto, cfg)))
@@ -1115,12 +1127,15 @@ def simulate_metrology(
     scale over B_y (measured 2.7e-10 relative in ``verify metrology``);
     propagating the derivative alongside the state would remove it.
     ``proto.signal_field`` is ignored: the slope is per unit field.  A
-    non-finite ``measure_angle`` is refused with ValidationError before
-    either run.
+    non-finite ``measure_angle``, and without rates a ``squeeze_time`` that
+    is not finite and > 0, are refused with ValidationError before either
+    run.
     """
     if measure_angle is not None:
         require_finite_angle(measure_angle)
     gs = rates.gamma_sum
+    if not (gs > 0.0 or 0.0 < proto.squeeze_time < math.inf):
+        raise ValidationError(["squeeze_time > 0"])
     b = 1e-6 * gs if gs > 0.0 else 1e-6 / proto.squeeze_time
     rho0 = build_initial_state(params)
 

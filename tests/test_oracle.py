@@ -1160,6 +1160,14 @@ def test_factorization_per_spin_gap_decreases():
     assert all(a > b for a, b in zip(per_spin, per_spin[1:]))
 
 
+def test_gap_table_rows_name_each_spin_count_as_an_int():
+    # the counts are checked as given (tests/test_refusals.py), and a numpy
+    # integer passes and is written as an int
+    table = factorization_gap_table(np.arange(2, 4), njt=0.2, gamma_sum_t=0.2, dt=1e-2)
+    assert table == factorization_gap_table([2, 3], njt=0.2, gamma_sum_t=0.2, dt=1e-2)
+    assert [type(n) for n, _ in table] == [int, int]
+
+
 def _kron_liouvillians(n, coupling, gamma_par, gamma_perp):
     """L_H for H = J (SX^2 - N) and L_D for the sigma_x channel at gamma_par
     and the sigma_y, sigma_z channels at gamma_perp, as dense z-basis
@@ -1335,7 +1343,7 @@ def test_product_state_blocks_have_the_binomial_spectrum(polarization):
 
 
 def test_identical_symmetric_states_are_at_distance_exactly_zero():
-    # the gap_vanishes_* checks of verify factorization read this zero
+    # every block of a zero difference is zero, so identical states are at 0.0
     params = EnsembleParams(6, 0.9)
     cfg = IntegratorConfig(dt=0.01, t_final=0.1)
     proto = ProtocolParams(coupling=0.3, squeeze_time=0.1, signal_field=0.05)
@@ -1346,9 +1354,57 @@ def test_identical_symmetric_states_are_at_distance_exactly_zero():
     assert trace_distance(final, final) == 0.0
     assert trace_distance(final, again) == 0.0
     assert trace_distance(build_initial_state(params), build_initial_state(params)) == 0.0
-    assert factorization_gap(EnsembleParams(4, 0.9), DecoherenceRates(),
-                             ProtocolParams(coupling=0.3, squeeze_time=1.0),
-                             IntegratorConfig(dt=5e-3, t_final=1.0)) == 0.0
+
+
+def test_zero_rate_gap_stays_at_roundoff():
+    # the gap_vanishes_without_dissipation check of verify factorization: the
+    # joint leg sums the Taylor series of the twist leg's closed-form phase
+    # (measured 2.9e-16 at n = 4, at most 5.1e-15 at n = 12)
+    cfg = IntegratorConfig(dt=5e-3, t_final=1.0)
+    proto = ProtocolParams(coupling=0.3, squeeze_time=1.0)
+    gaps = {n: factorization_gap(EnsembleParams(n, 0.9), DecoherenceRates(), proto, cfg)
+            for n in range(1, oracle.SPIN_CAP + 1)}
+    assert gaps[4] <= 1e-15
+    assert max(gaps.values()) <= 1e-14, gaps
+
+
+def test_closed_form_twist_leg_is_the_variable_coupling_state(monkeypatch):
+    # the twist-only leg of factorization_gap, read from its trace_distance
+    # call, against the dense exact unitary at the angles J T off the
+    # diagonal (measured 2.5e-16)
+    legs = []
+
+    def keep(joint, factored):
+        legs.append(factored)
+        return 0.0
+
+    monkeypatch.setattr(oracle, "trace_distance", keep)
+    worst = 0.0
+    for n in range(1, 9):
+        for polarization in (1.0, 0.7, 0.3):
+            for coupling, t_final in ((0.05, 1.0), (0.2, 2.0), (1.1, 1.0)):
+                factorization_gap(EnsembleParams(n, polarization), DecoherenceRates(),
+                                  ProtocolParams(coupling=coupling, squeeze_time=t_final),
+                                  IntegratorConfig(dt=t_final, t_final=t_final))
+                want = variable_coupling_state(coupling * t_final * (1.0 - np.eye(n)),
+                                               polarization).entries
+                worst = max(worst, float(np.max(np.abs(legs.pop().entries - want))))
+    assert worst <= 1e-15
+
+
+def test_factorization_gap_runs_evolve_once(monkeypatch):
+    # the joint leg is the one master-equation run; both other legs are closed form
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "evolve", counted)
+    gap = factorization_gap(EnsembleParams(3, 0.9), DecoherenceRates(0.05, 0.1),
+                            ProtocolParams(coupling=0.1, squeeze_time=0.5),
+                            IntegratorConfig(dt=1e-2, t_final=0.5))
+    assert len(calls) == 1 and gap > 1e-6
 
 
 def test_symmetric_state_reads_form_no_dense_array(monkeypatch):

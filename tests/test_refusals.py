@@ -103,6 +103,21 @@ LIBRARY = {
         lambda: oracle.IntegratorConfig(dt=1e-300, t_final=1.0).steps(),
         ResourceError, "t_final / dt asks for 1e+300 RK4 steps, above STEP_CAP = 10000000; "
                        "dt = 1e-07 would pass"),
+    "gap_table_zero_t_final": (
+        lambda: oracle.factorization_gap_table([2, 3], 0.2, 0.2, t_final=0.0),
+        ValidationError, "0 < dt <= t_final"),
+    "gap_table_fractional_spin_count": (
+        lambda: oracle.factorization_gap_table([2.5, 3], 0.2, 0.2),
+        ValidationError, "n_spins an integer >= 1, not 2.5"),
+    "gap_table_bool_spin_count": (
+        lambda: oracle.factorization_gap_table([True, 3], 0.2, 0.2),
+        ValidationError, "n_spins an integer >= 1, not True"),
+    **{f"metrology_without_rates_squeeze_time_{value}": (
+        lambda value=value: oracle.simulate_metrology(
+            EnsembleParams(2, 1.0), DecoherenceRates(),
+            ProtocolParams(coupling=0.1, squeeze_time=value),
+            oracle.IntegratorConfig(dt=1e-2, t_final=1.0)),
+        ValidationError, "squeeze_time > 0") for value in (0.0, math.inf, -1.0, math.nan)},
     "run_suite_unknown_name": (
         lambda: verify.run_suite("everything"),
         ValueError, f"unknown verification suite 'everything'; choose from {VERIFY_SUITES}"),
